@@ -42,10 +42,10 @@ from .diagnostics import (
     apriori_bounds_check,
     builtin_supersolution_family,
     collect,
+    entropy_balances,
     entropy_identity_residual,
     grad_vq_bound,
     log_mass_check,
-    supersolution_residual,
     trace_positivity_check,
     u_lr_bound,
     v_weak_residual,
@@ -174,6 +174,9 @@ def validate_config(raw, out_override=None, seed_override=None, threads=1):
 
     _require(raw, "model.chi", "number")
     _require(raw, "model.n", "int")
+    eps = _get(raw, "model.eps")
+    if eps is not None and not 0.0 <= _typed(eps, "model.eps", "number") < 1.0:
+        raise ConfigError("model.eps", "must lie in [0, 1)")
 
     if mode in ("simulate", "entropy-check", "eps-study", "refine-study"):
         for name in ("u", "v"):
@@ -464,21 +467,25 @@ def _mode_entropy_check(cfg, outputs, asserts):
     T = trajectory.final_time
     tol_rel = _get(raw, "checks.identity_tol_rel", 0.02)
 
+    named = _residual_test_functions(grid, T)
+    family = builtin_supersolution_family(grid, T)
+    for phi in family:
+        phi.check_one_sided(grid, T)
+    balances = entropy_balances(trajectory, params,
+                                [phi for _, phi in named] + family)
+
     residuals = {}
-    for name, phi in _residual_test_functions(grid, T):
-        resid, info = entropy_identity_residual(
-            record, trajectory, params, phi, return_terms=True)
+    for (name, _), balance in zip(named, balances):
+        resid, info = balance.identity()
         residuals[f"identity_{name}"] = resid
         asserts.add(f"entropy_identity_{name}",
                     resid <= tol_rel * info["scale"],
                     tolerance=tol_rel, value={"residual": resid,
                                               "scale": info["scale"]})
 
-    family = builtin_supersolution_family(grid, T)
-    for i, phi in enumerate(family):
-        signed = supersolution_residual(record, trajectory, params, phi)
-        ident, info = entropy_identity_residual(record, trajectory, params,
-                                                phi, return_terms=True)
+    for i, balance in enumerate(balances[len(named):]):
+        signed = balance.supersolution()
+        ident, info = balance.identity()
         tol = 1e-6 * info["scale"] + ident
         residuals[f"supersolution_{i}"] = signed
         asserts.add(f"supersolution_direction_{i}", signed >= -tol,
@@ -682,14 +689,13 @@ def refine_study(raw):
         trajectory = _run_trajectory(raw, grid, params, T=T,
                                      sample_times=sample_times,
                                      max_dt=dt_factor * h_min**2)
-        record = collect(trajectory, params)
-        resids = {}
+        named = _residual_test_functions(grid, T)
         # the configured sample count overrides the default T/50 spacing rule
-        sample_gap = float(T) / base_samples
-        for name, phi in _residual_test_functions(grid, T):
-            resids[name] = entropy_identity_residual(record, trajectory,
-                                                     params, phi,
-                                                     max_sample_dt=sample_gap)
+        balances = entropy_balances(trajectory, params,
+                                    [phi for _, phi in named],
+                                    max_sample_dt=float(T) / base_samples)
+        resids = {name: balance.identity()[0]
+                  for (name, _), balance in zip(named, balances)}
         v_final = Field(grid, trajectory.v_snapshots[-1],
                         strictly_positive=True)
         p_half, p_full = check_power_identities(v_final, power_r)

@@ -31,12 +31,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    boundary_min,
+    end_slabs,
     face_grad_values,
     face_mean_values,
-    faces_to_cells,
     gradient_cell_magnitude,
-    integrate_values,
 )
 from .params import entropy_coefficients
 
@@ -259,16 +257,8 @@ class TestFunction:
 
     def boundary_normal_derivative(self, grid):
         """Largest |analytic normal derivative| over boundary faces."""
-        worst = 0.0
-        for ax in range(grid.dim):
-            g = self.grad_at_faces(grid, ax)
-            lo = [slice(None)] * grid.dim
-            hi = [slice(None)] * grid.dim
-            lo[ax] = slice(0, 1)
-            hi[ax] = slice(g.shape[ax] - 1, g.shape[ax])
-            worst = max(worst, float(np.abs(g[tuple(lo)]).max()),
-                        float(np.abs(g[tuple(hi)]).max()))
-        return worst
+        return max(float(np.abs(face).max()) for ax in range(grid.dim)
+                   for face in end_slabs(self.grad_at_faces(grid, ax), ax))
 
     def is_compact_in_time(self, T, tol=1e-12):
         return abs(self.zeta(T)) <= tol
@@ -278,6 +268,16 @@ class TestFunction:
             return False
         ts = np.linspace(0.0, T, samples)
         return all(self.zeta(t) >= -1e-12 for t in ts)
+
+    def check_one_sided(self, grid, T):
+        """Raise ValueError unless phi is admissible for the one-sided form:
+        nonnegative, zero-flux compatible and compactly supported in time."""
+        if not self.is_compact_in_time(T):
+            raise ValueError("phi must vanish at the final time (compact support)")
+        if not self.is_nonnegative(grid, T):
+            raise ValueError("phi must be nonnegative")
+        if self.boundary_normal_derivative(grid) > 1e-10:
+            raise ValueError("phi must have vanishing normal derivative")
 
 
 def builtin_supersolution_family(grid, T):
@@ -376,59 +376,83 @@ def _trapz(y, t):
     return float(np.trapezoid(y, t))
 
 
-def _face_products(u, v, p, q, grid):
-    """Face-quadrature pieces shared by the record and the residuals.
+@dataclass
+class _Densities:
+    """Entropy densities of one sample.
 
-    Returns per-axis lists: Gu (faces of u^{p/2}), Gv (faces of v^{q/2}),
-    and face means of v^q, u^{p/2}, v^{q/2}.
+    Cell arrays: upq = u^p v^q, gain_raw = u^{p+1} v^{q-1} and its saturated
+    form gain = gain_raw / (1 + eps u).  Per-axis face arrays: grad_up and
+    grad_vq (face gradients of u^{p/2} and v^{q/2}), diss_grad_u
+    (v^q |grad u^{p/2}|^2), diss_square (the completed square) and grad_phi
+    (u^{p/2} v^q grad u^{p/2}, to be dotted with grad phi).  The record is
+    the phi == 1 contraction of these densities and every weak-form residual
+    contracts them against its test-function weights.
     """
+
+    upq: np.ndarray
+    gain_raw: np.ndarray
+    gain: np.ndarray
+    grad_up: list
+    grad_vq: list
+    diss_grad_u: list
+    diss_square: list
+    grad_phi: list
+
+
+def _densities(u, v, params, kappa, grid):
+    """Densities of one (u, v) sample; face products use arithmetic face means."""
+    p, q = params.p, params.q
     up2 = u ** (p / 2.0)
     vq2 = v ** (q / 2.0)
     vq = v**q
-    out = {"Gu": [], "Gv": [], "m_vq": [], "m_up2": [], "m_vq2": []}
+    w = up2 * vq
+    gain_raw = u ** (p + 1.0) * v ** (q - 1.0)
+    d = _Densities(upq=u**p * vq, gain_raw=gain_raw,
+                   gain=gain_raw / (1.0 + params.eps * u), grad_up=[],
+                   grad_vq=[], diss_grad_u=[], diss_square=[], grad_phi=[])
     for ax in range(grid.dim):
-        out["Gu"].append(face_grad_values(up2, grid.h, ax))
-        out["Gv"].append(face_grad_values(vq2, grid.h, ax))
-        out["m_vq"].append(face_mean_values(vq, ax))
-        out["m_up2"].append(face_mean_values(up2, ax))
-        out["m_vq2"].append(face_mean_values(vq2, ax))
-    return out
+        gu = face_grad_values(up2, grid.h, ax)
+        gv = face_grad_values(vq2, grid.h, ax)
+        cross = face_mean_values(up2, ax) * gv - kappa * face_mean_values(vq2, ax) * gu
+        d.grad_up.append(gu)
+        d.grad_vq.append(gv)
+        d.diss_grad_u.append(face_mean_values(vq, ax) * gu * gu)
+        d.diss_square.append(cross * cross)
+        d.grad_phi.append(face_mean_values(w, ax) * gu)
+    return d
 
 
 def collect(trajectory, params):
     """Evaluate the full diagnostic record along a trajectory."""
     grid = trajectory.grid
-    p, q, r, s, eps = params.p, params.q, params.r, params.s, params.eps
-    kappa = entropy_coefficients(p, q, params.chi).kappa
+    r, s = params.r, params.s
+    kappa = entropy_coefficients(params.p, params.q, params.chi).kappa
     vol = grid.cell_volume
     n = len(trajectory.times)
 
     cols = {name: np.empty(n) for name in DiagnosticsRecord._columns}
-    for k in range(n):
-        u = trajectory.u_snapshots[k]
-        v = trajectory.v_snapshots[k]
-        fp = _face_products(u, v, p, q, grid)
-        upq = u**p * v**q
+    for k, (u, v) in enumerate(zip(trajectory.u_snapshots, trajectory.v_snapshots)):
+        d = _densities(u, v, params, kappa, grid)
 
         cols["mass"][k] = u.sum() * vol
         cols["v_min"][k] = v.min()
         cols["v_lr"][k] = (v**r).sum() * vol
         cols["grad_v_ls"][k] = (gradient_cell_magnitude(v, grid) ** s).sum() * vol
-        cols["entropy"][k] = upq.sum() * vol
+        cols["entropy"][k] = d.upq.sum() * vol
         cols["reaction_minus"][k] = cols["entropy"][k]
-        raw_gain = u ** (p + 1.0) * v ** (q - 1.0)
-        cols["reaction_plus"][k] = (raw_gain / (1.0 + eps * u)).sum() * vol
-        cols["reaction_raw"][k] = raw_gain.sum() * vol
+        cols["reaction_plus"][k] = d.gain.sum() * vol
+        cols["reaction_raw"][k] = d.gain_raw.sum() * vol
         cols["u_lr"][k] = (u**r).sum() * vol
-        cols["v_lq"][k] = (v**q).sum() * vol
-        cols["boundary_min_upq"][k] = _boundary_min_values(upq, grid)
+        cols["v_lq"][k] = (v**params.q).sum() * vol
+        cols["boundary_min_upq"][k] = min(
+            float(slab.min()) for ax in range(grid.dim)
+            for slab in end_slabs(d.upq, ax))
 
         d1 = d2 = gup = gvq = 0.0
         for ax in range(grid.dim):
-            gu, gv = fp["Gu"][ax], fp["Gv"][ax]
-            d1 += float((fp["m_vq"][ax] * gu * gu).sum())
-            cross = fp["m_up2"][ax] * gv - kappa * fp["m_vq2"][ax] * gu
-            d2 += float((cross * cross).sum())
+            gu, gv = d.grad_up[ax], d.grad_vq[ax]
+            d1 += float(d.diss_grad_u[ax].sum())
+            d2 += float(d.diss_square[ax].sum())
             gup += float((gu * gu).sum())
             gvq += float((gv * gv).sum())
         cols["diss_grad_u"][k] = d1 * vol
@@ -454,17 +478,6 @@ def collect(trajectory, params):
     return DiagnosticsRecord(times=times, accumulated=acc, **cols)
 
 
-def _boundary_min_values(a, grid):
-    best = np.inf
-    for ax in range(a.ndim):
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[ax] = slice(0, 1)
-        hi[ax] = slice(a.shape[ax] - 1, a.shape[ax])
-        best = min(best, float(a[tuple(lo)].min()), float(a[tuple(hi)].min()))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # weak-form residuals
 # ---------------------------------------------------------------------------
@@ -481,69 +494,95 @@ def _check_sampling(trajectory, max_sample_dt):
             f"sampling interval {gap} exceeds the allowed {max_sample_dt}")
 
 
-def _entropy_identity_sides(trajectory, params, phi, full_reaction):
-    """Shared assembly for the identity residual and the one-sided form.
+@dataclass
+class EntropyBalance:
+    """Both sides of the entropy identity against one test function phi.
 
-    Returns (time_side, gain_terms dict) where time_side is the phi_t plus
-    boundary combination and gain_terms holds the individually scaled terms
-    of the production side, with the reaction gain saturated or not.
+    time_side is - II u^p v^q phi_t and boundary_0 / boundary_T the values
+    of I u^p v^q phi at the end times; terms are the individually scaled
+    production-side integrals with the saturated reaction gain, and
+    reaction_unsaturated is the reaction_plus term with the saturation
+    dropped, which turns the identity into the one-sided inequality.
     """
+
+    time_side: float
+    boundary_0: float
+    boundary_T: float
+    terms: dict
+    reaction_unsaturated: float
+
+    def identity(self):
+        """(|two-sided mismatch|, {"lhs", "terms", "scale"})."""
+        lhs = self.time_side + self.boundary_T - self.boundary_0
+        rhs = sum(self.terms.values())
+        scale = max([abs(lhs)] + [abs(v) for v in self.terms.values()] + [1e-300])
+        return abs(lhs - rhs), {"lhs": lhs, "terms": self.terms, "scale": scale}
+
+    def supersolution(self):
+        """Production side minus time side with the unsaturated gain."""
+        terms = {**self.terms, "reaction_plus": self.reaction_unsaturated}
+        return sum(terms.values()) - (self.time_side - self.boundary_0)
+
+
+def entropy_balances(trajectory, params, phis, max_sample_dt=None):
+    """Entropy balances of a sampled trajectory against several test functions.
+
+    One pass over the snapshots: the densities of each sample are computed
+    once and contracted against the weights (psi, its face means, grad psi,
+    lap psi) of every phi.  Returns one EntropyBalance per phi, in order.
+    """
+    _check_sampling(trajectory, max_sample_dt)
     grid = trajectory.grid
-    p, q, chi, eps = params.p, params.q, params.chi, params.eps
+    p, q, chi = params.p, params.q, params.chi
     coef = entropy_coefficients(p, q, chi)
     vol = grid.cell_volume
     times = np.asarray(trajectory.times)
-    n = len(times)
+    weights = []
+    for phi in phis:
+        psi = phi.values(grid)
+        weights.append((psi, [face_mean_values(psi, ax) for ax in range(grid.dim)],
+                        [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)],
+                        phi.laplacian(grid)))
 
-    psi = phi.values(grid)
-    psi_face = [face_mean_values(psi, ax) for ax in range(grid.dim)]
-    grad_psi = [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)]
-    lap_psi = phi.laplacian(grid)
+    # per phi and sample: I u^p v^q psi, I v^q |grad u^{p/2}|^2 psi, the
+    # completed square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
+    # I u^p v^q lap psi, and the saturated and unsaturated gains against psi
+    E, D1, D2, GT, LT, RP, RR = np.empty((7, len(phis), len(times)))
+    for k, (u, v) in enumerate(zip(trajectory.u_snapshots, trajectory.v_snapshots)):
+        d = _densities(u, v, params, coef.kappa, grid)
+        for i, (psi, psi_face, grad_psi, lap_psi) in enumerate(weights):
+            E[i, k] = (d.upq * psi).sum() * vol
+            LT[i, k] = (d.upq * lap_psi).sum() * vol
+            d1 = d2 = gt = 0.0
+            for ax in range(grid.dim):
+                d1 += float((d.diss_grad_u[ax] * psi_face[ax]).sum())
+                d2 += float((d.diss_square[ax] * psi_face[ax]).sum())
+                gt += float((d.grad_phi[ax] * grad_psi[ax]).sum())
+            D1[i, k] = d1 * vol
+            D2[i, k] = d2 * vol
+            GT[i, k] = gt * vol
+            RP[i, k] = (d.gain * psi).sum() * vol
+            RR[i, k] = (d.gain_raw * psi).sum() * vol
 
-    E = np.empty(n)       # I u^p v^q psi
-    D1 = np.empty(n)      # I v^q |grad u^{p/2}|^2 psi
-    D2 = np.empty(n)      # completed-square density against psi
-    GT = np.empty(n)      # I u^{p/2} v^q grad u^{p/2} . grad psi
-    LT = np.empty(n)      # I u^p v^q lap psi
-    RP = np.empty(n)      # reaction gain against psi
-    for k in range(n):
-        u = trajectory.u_snapshots[k]
-        v = trajectory.v_snapshots[k]
-        fp = _face_products(u, v, p, q, grid)
-        upq = u**p * v**q
-        E[k] = (upq * psi).sum() * vol
-        LT[k] = (upq * lap_psi).sum() * vol
-        w = u ** (p / 2.0) * v**q
-        d1 = d2 = gt = 0.0
-        for ax in range(grid.dim):
-            gu, gv = fp["Gu"][ax], fp["Gv"][ax]
-            d1 += float((fp["m_vq"][ax] * gu * gu * psi_face[ax]).sum())
-            cross = fp["m_up2"][ax] * gv - coef.kappa * fp["m_vq2"][ax] * gu
-            d2 += float((cross * cross * psi_face[ax]).sum())
-            gt += float((face_mean_values(w, ax) * gu * grad_psi[ax]).sum())
-        D1[k] = d1 * vol
-        D2[k] = d2 * vol
-        GT[k] = gt * vol
-        gain = u ** (p + 1.0) * v ** (q - 1.0)
-        if not full_reaction and eps > 0.0:
-            gain = gain / (1.0 + eps * u)
-        RP[k] = (gain * psi).sum() * vol
-
-    zeta = np.array([phi.zeta(t) for t in times])
-    zeta_dt = np.array([phi.zeta_dt(t) for t in times])
-
-    time_side_core = -_trapz(E * zeta_dt, times)
-    terms = {
-        "diss_grad_u": coef.c1 * _trapz(D1 * zeta, times),
-        "diss_square": coef.c2 * _trapz(D2 * zeta, times),
-        "grad_phi": -(2.0 * p * chi / q) * _trapz(GT * zeta, times),
-        "lap_phi": (1.0 - p * chi / q) * _trapz(LT * zeta, times),
-        "reaction_minus": -q * _trapz(E * zeta, times),
-        "reaction_plus": q * _trapz(RP * zeta, times),
-    }
-    boundary_T = E[-1] * zeta[-1]
-    boundary_0 = E[0] * zeta[0]
-    return time_side_core, boundary_0, boundary_T, terms
+    balances = []
+    for i, phi in enumerate(phis):
+        zeta = np.array([phi.zeta(t) for t in times])
+        zeta_dt = np.array([phi.zeta_dt(t) for t in times])
+        balances.append(EntropyBalance(
+            time_side=-_trapz(E[i] * zeta_dt, times),
+            boundary_0=E[i, 0] * zeta[0],
+            boundary_T=E[i, -1] * zeta[-1],
+            terms={
+                "diss_grad_u": coef.c1 * _trapz(D1[i] * zeta, times),
+                "diss_square": coef.c2 * _trapz(D2[i] * zeta, times),
+                "grad_phi": -(2.0 * p * chi / q) * _trapz(GT[i] * zeta, times),
+                "lap_phi": (1.0 - p * chi / q) * _trapz(LT[i] * zeta, times),
+                "reaction_minus": -q * _trapz(E[i] * zeta, times),
+                "reaction_plus": q * _trapz(RP[i] * zeta, times),
+            },
+            reaction_unsaturated=q * _trapz(RR[i] * zeta, times),
+        ))
+    return balances
 
 
 def entropy_identity_residual(record, trajectory, params, phi, max_sample_dt=None,
@@ -554,15 +593,9 @@ def entropy_identity_residual(record, trajectory, params, phi, max_sample_dt=Non
     checks; all integrals are reassembled from the snapshots so that
     arbitrary phi weights are supported.
     """
-    _check_sampling(trajectory, max_sample_dt)
-    core, b0, bT, terms = _entropy_identity_sides(trajectory, params, phi,
-                                                  full_reaction=False)
-    lhs = core + bT - b0
-    rhs = sum(terms.values())
-    if return_terms:
-        scale = max([abs(lhs)] + [abs(v) for v in terms.values()] + [1e-300])
-        return abs(lhs - rhs), {"lhs": lhs, "terms": terms, "scale": scale}
-    return abs(lhs - rhs)
+    resid, info = entropy_balances(trajectory, params, [phi],
+                                   max_sample_dt)[0].identity()
+    return (resid, info) if return_terms else resid
 
 
 def supersolution_residual(record, trajectory, params, phi, max_sample_dt=None):
@@ -576,19 +609,9 @@ def supersolution_residual(record, trajectory, params, phi, max_sample_dt=None):
     compactly supported in time.
     """
     _check_sampling(trajectory, max_sample_dt)
-    grid = trajectory.grid
-    T = trajectory.final_time
-    if not phi.is_compact_in_time(T):
-        raise ValueError("phi must vanish at the final time (compact support)")
-    if not phi.is_nonnegative(grid, T):
-        raise ValueError("phi must be nonnegative")
-    if phi.boundary_normal_derivative(grid) > 1e-10:
-        raise ValueError("phi must have vanishing normal derivative")
-    core, b0, _bT, terms = _entropy_identity_sides(trajectory, params, phi,
-                                                   full_reaction=True)
-    lhs = core - b0
-    rhs = sum(terms.values())
-    return rhs - lhs
+    phi.check_one_sided(trajectory.grid, trajectory.final_time)
+    return entropy_balances(trajectory, params, [phi],
+                            max_sample_dt)[0].supersolution()
 
 
 def v_weak_residual(trajectory, phi, max_sample_dt=None):
@@ -848,7 +871,8 @@ def dual_norm_surrogate(trajectory, params, family=None):
         gmax = float(gradient_cell_magnitude(vals, grid).max())
         if sup + gmax > 1.0 + 1e-9:
             raise ValueError("family member exceeds the W^{1,inf} normalization")
-        if _boundary_max_abs(vals, grid) > 1e-9:
+        if max(float(np.abs(slab).max()) for ax in range(grid.dim)
+               for slab in end_slabs(vals, ax)) > 1e-9:
             raise ValueError("family member does not vanish near the boundary")
 
     times = np.asarray(trajectory.times)
@@ -875,14 +899,3 @@ def dual_norm_surrogate(trajectory, params, family=None):
         family_size=len(family),
     )
 
-
-def _boundary_max_abs(a, grid):
-    worst = 0.0
-    for ax in range(a.ndim):
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[ax] = slice(0, 1)
-        hi[ax] = slice(a.shape[ax] - 1, a.shape[ax])
-        worst = max(worst, float(np.abs(a[tuple(lo)]).max()),
-                    float(np.abs(a[tuple(hi)]).max()))
-    return worst

@@ -122,15 +122,18 @@ class Field:
 
 # low-level kernels on raw arrays ------------------------------------------------
 
+def end_slabs(a, axis):
+    """Views of the first and the last one-entry-thick layer of `a` along `axis`."""
+    head = (slice(None),) * axis
+    return a[head + (slice(0, 1),)], a[head + (slice(-1, None),)]
+
+
 def lap_values(a, h):
     """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values."""
     out = np.zeros_like(a)
     for ax, ha in enumerate(h):
-        first = [slice(None)] * a.ndim
-        last = [slice(None)] * a.ndim
-        first[ax] = slice(0, 1)
-        last[ax] = slice(a.shape[ax] - 1, a.shape[ax])
-        padded = np.concatenate([a[tuple(first)], a, a[tuple(last)]], axis=ax)
+        first, last = end_slabs(a, ax)
+        padded = np.concatenate([first, a, last], axis=ax)
         lo = [slice(None)] * a.ndim
         hi = [slice(None)] * a.ndim
         lo[ax] = slice(0, a.shape[ax])
@@ -174,16 +177,8 @@ def face_mean_values(a, axis):
     lo[axis] = slice(0, a.shape[axis] - 1)
     hi[axis] = slice(1, a.shape[axis])
     m[tuple(interior)] = 0.5 * (a[tuple(lo)] + a[tuple(hi)])
-    first_face = [slice(None)] * a.ndim
-    first_cell = [slice(None)] * a.ndim
-    first_face[axis] = slice(0, 1)
-    first_cell[axis] = slice(0, 1)
-    m[tuple(first_face)] = a[tuple(first_cell)]
-    last_face = [slice(None)] * a.ndim
-    last_cell = [slice(None)] * a.ndim
-    last_face[axis] = slice(shape[axis] - 1, shape[axis])
-    last_cell[axis] = slice(a.shape[axis] - 1, a.shape[axis])
-    m[tuple(last_face)] = a[tuple(last_cell)]
+    for face, cell in zip(end_slabs(m, axis), end_slabs(a, axis)):
+        face[...] = cell
     return m
 
 
@@ -252,19 +247,6 @@ def gradient_cell_magnitude(values, grid):
     return np.sqrt(sq)
 
 
-def boundary_min(field):
-    """Minimum over cells adjacent to the domain boundary."""
-    a = field.values
-    best = np.inf
-    for ax in range(a.ndim):
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[ax] = slice(0, 1)
-        hi[ax] = slice(a.shape[ax] - 1, a.shape[ax])
-        best = min(best, float(a[tuple(lo)].min()), float(a[tuple(hi)].min()))
-    return best
-
-
 def interior_max_abs(values):
     """Max |value| over cells at least one cell away from the boundary."""
     sl = tuple(slice(1, n - 1) for n in values.shape)
@@ -278,7 +260,6 @@ def interior_max_abs(values):
 #   uint64 * dim   cell counts (row-major order of the value block)
 #   float64 * dim  cell spacings
 #   float64 * prod(counts)  cell values, C order
-_MAGIC_NONE = ()
 
 
 def write_field_binary(field, path):

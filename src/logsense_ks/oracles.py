@@ -20,7 +20,6 @@ asserted against theoretical values (none are given in closed form).
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -541,8 +540,3 @@ def mean_poincare_delta_trend(spec, grid, p, fractions=(0.4, 0.2, 0.1)):
         out.append({"delta": trial.delta, "max_ratio": report.max_ratio})
     return out
 
-
-def write_report_json(report_dict, path):
-    with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -181,23 +181,6 @@ def exponent_infimum(chi):
     return 1.0 + chi**2 / 4.0
 
 
-def integrability_ratio(p, chi):
-    """(1 - q_plus(p)) / p, the objective the infimum is taken over.
-
-    Evaluated through the cancellation-free substitution d = sqrt(1 - p chi^2):
-    (1 - q_plus)/p = (chi^2 / (1 + d) + 1 + d) / 2.
-    """
-    if not (0.0 < p <= min(1.0, 1.0 / chi**2)):
-        raise ExponentDomainError(f"p = {p} outside (0, min(1, 1/chi^2)]")
-    d = np.sqrt(max(1.0 - p * chi**2, 0.0))
-    return 0.5 * (chi**2 / (1.0 + d) + 1.0 + d)
-
-
-def rho_substitution(xi, chi):
-    """The objective after substituting xi = sqrt(1 - p chi^2) in (0, 1)."""
-    return 0.5 * (chi**2 / (1.0 + xi) + 1.0 + xi)
-
-
 def exponent_infimum_bruteforce(chi, grid_size=10**6):
     """Minimize the integrability ratio over a log-uniform grid in p.
 

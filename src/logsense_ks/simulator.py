@@ -159,12 +159,12 @@ def _saturated_source(u, eps):
     return u / (1.0 + eps * u)
 
 
-def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True, safety=DEFAULT_SAFETY):
+def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True):
     """One forward-Euler step; returns (new_state, report).
 
     Raises StepRejected when the candidate update loses positivity
-    (u' < 0 anywhere or v' <= 0 anywhere).  The report's cfl_bound is
-    computed with the given safety factor, the one dt was chosen under.
+    (u' < 0 anywhere or v' <= 0 anywhere).  The report's cfl_bound is left
+    NaN: the caller that chose dt knows the bound and fills it in.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -190,7 +190,6 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True, safety=DEFAULT_SAFETY)
         raise StepRejected(
             f"positivity lost at t = {state.t} with dt = {dt}")
 
-    cfl = cfl_dt(state, safety=safety, v_floor=v_floor)
     new_state = SimState(
         t=state.t + dt,
         u=Field(grid, u_new),
@@ -201,7 +200,7 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True, safety=DEFAULT_SAFETY)
     report = StepReport(
         t=state.t + dt,
         dt_used=dt,
-        cfl_bound=cfl,
+        cfl_bound=float("nan"),
         max_u=float(u_new.max()),
         min_v=float(v_new.min()),
         positivity_ok=True,
@@ -305,7 +304,7 @@ def run(initial, T, sample_times=None, observer=None, safety=DEFAULT_SAFETY,
     next_sample = 1
 
     def stepper(st, dt):
-        return step(st, dt, v_floor=v_floor, upwind=upwind, safety=safety)
+        return step(st, dt, v_floor=v_floor, upwind=upwind)
 
     while state.t < T:
         target = sample_times[next_sample]
@@ -313,12 +312,12 @@ def run(initial, T, sample_times=None, observer=None, safety=DEFAULT_SAFETY,
         if gap <= 0.0:  # float overshoot from a retried partial step
             state.t = target
         else:
-            dt = cfl_dt(state, safety=safety, v_floor=v_floor)
-            if max_dt is not None:
-                dt = min(dt, max_dt)
+            bound = cfl_dt(state, safety=safety, v_floor=v_floor)
+            dt = bound if max_dt is None else min(bound, max_dt)
             clipped = min(dt, gap)
             state, report = _advance_with_retries(state, clipped, stepper,
                                                   max_retries)
+            report.cfl_bound = bound
             if report.dt_used == clipped and clipped == gap:
                 state.t = target  # land exactly on the requested time
             traj.reports.append(report)

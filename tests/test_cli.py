@@ -61,6 +61,8 @@ def test_validate_config_reports_field_paths():
         (simulate_config(run={"T": -1.0}), "run.T"),
         (simulate_config(run={"T": 0.1, "save_fields": "some"}),
          "run.save_fields"),
+        (simulate_config(model={"chi": 2.0, "n": 2, "eps": 1.5}),
+         "model.eps"),
     ]
     for raw, path in cases:
         with pytest.raises(ConfigError) as err:
