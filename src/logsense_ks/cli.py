@@ -24,7 +24,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from .diagnostics import (
     u_lr_bound,
     v_weak_residual,
 )
-from .grid import Field, Grid, face_grad_values, write_field_binary
+from .grid import Field, Grid, GridError, face_grad_values, write_field_binary
 from .oracles import (
     EnsembleSpec,
     OdeComparison,
@@ -72,7 +71,8 @@ from .params import (
     q_bounds,
     select_exponents,
 )
-from .simulator import SimulationError, initial_state, run
+from .simulator import (DEFAULT_SAFETY, DEFAULT_SAMPLE_COUNT, DEFAULT_V_FLOOR,
+                        SimulationError, initial_state, run)
 
 OUT_ENV_VAR = "LOGSENSE_KS_OUT"
 MODES = ("simulate", "params", "entropy-check", "eps-study", "refine-study",
@@ -151,11 +151,11 @@ class ExperimentConfig:
     raw: dict
     out_dir: Path
     seed: int
-    threads: int = 1
 
 
-def validate_config(raw, out_override=None, seed_override=None, threads=1):
-    """Structural validation; raises ConfigError with a field path."""
+def validate_config(raw, out_override=None, seed_override=None):
+    """Validation, including building the grid and the model parameters a
+    mode needs, before any compute; raises ConfigError with a field path."""
     mode = _require(raw, "mode", "str")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
@@ -171,6 +171,10 @@ def validate_config(raw, out_override=None, seed_override=None, threads=1):
             _typed(c, f"grid.cells[{i}]", "int")
         for i, e in enumerate(extents):
             _typed(e, f"grid.extents[{i}]", "number")
+        try:
+            _build_grid(raw)
+        except GridError as exc:
+            raise ConfigError("grid", str(exc)) from exc
 
     _require(raw, "model.chi", "number")
     _require(raw, "model.n", "int")
@@ -179,6 +183,7 @@ def validate_config(raw, out_override=None, seed_override=None, threads=1):
         raise ConfigError("model.eps", "must lie in [0, 1)")
 
     if mode in ("simulate", "entropy-check", "eps-study", "refine-study"):
+        _build_params(raw)
         for name in ("u", "v"):
             spec = _require(raw, f"initial.{name}", "dict")
             kind = _typed(spec.get("kind"), f"initial.{name}.kind", "str")
@@ -189,6 +194,9 @@ def validate_config(raw, out_override=None, seed_override=None, threads=1):
         T = _require(raw, "run.T", "number")
         if T < 0.0:
             raise ConfigError("run.T", "must be nonnegative")
+    if _get(raw, "run.upwind") is not None:
+        raise ConfigError("run.upwind",
+                          "removed: the chemotactic flux is always upwind")
     if mode == "simulate":
         save = _get(raw, "run.save_fields", "final")
         if save not in ("none", "final", "all"):
@@ -216,7 +224,7 @@ def validate_config(raw, out_override=None, seed_override=None, threads=1):
     out_dir = out_override or _get(raw, "out") or os.environ.get(OUT_ENV_VAR) or "."
     seed = seed_override if seed_override is not None else int(_get(raw, "seed", 0))
     return ExperimentConfig(mode=mode, raw=raw, out_dir=Path(out_dir),
-                            seed=seed, threads=max(1, threads))
+                            seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +241,13 @@ def _build_params(raw, eps=None):
     p = _get(raw, "model.p")
     q = _get(raw, "model.q")
     r = _get(raw, "model.r")
-    if p is None or q is None or r is None:
-        margin = _get(raw, "model.margin", 0.05)
-        sel_p, sel_q, sel_r = select_exponents(chi, n, margin=margin)
-        p = sel_p if p is None else p
-        q = sel_q if q is None else q
-        r = sel_r if r is None else r
     try:
+        if p is None or q is None or r is None:
+            margin = _get(raw, "model.margin", 0.05)
+            sel_p, sel_q, sel_r = select_exponents(chi, n, margin=margin)
+            p = sel_p if p is None else p
+            q = sel_q if q is None else q
+            r = sel_r if r is None else r
         return ModelParams(
             chi=chi, n=n,
             eps=_get(raw, "model.eps", 0.0) if eps is None else eps,
@@ -259,7 +267,7 @@ def _build_state(raw, grid, params):
 
 
 def _sample_times(raw, T):
-    count = int(_get(raw, "run.sample_count", 200))
+    count = int(_get(raw, "run.sample_count", DEFAULT_SAMPLE_COUNT))
     if count < 1:
         raise ConfigError("run.sample_count", "must be at least 1")
     return np.linspace(0.0, T, count + 1) if T > 0 else [0.0]
@@ -273,10 +281,9 @@ def _run_trajectory(raw, grid, params, T=None, sample_times=None, max_dt=None):
     return run(
         state, T,
         sample_times=sample_times,
-        safety=_get(raw, "run.safety", 0.4),
+        safety=_get(raw, "run.safety", DEFAULT_SAFETY),
         max_dt=max_dt if max_dt is not None else _get(raw, "run.max_dt"),
-        upwind=_get(raw, "run.upwind", True),
-        v_floor=_get(raw, "run.v_floor", 1e-12),
+        v_floor=_get(raw, "run.v_floor", DEFAULT_V_FLOOR),
     )
 
 
@@ -370,7 +377,7 @@ def _mode_params(cfg, outputs, asserts):
 # mode: simulate
 # ---------------------------------------------------------------------------
 
-def _standard_checks(record, trajectory, params, asserts, rel_tol=1e-6):
+def _standard_checks(record, trajectory, params, asserts, disc=None):
     """Bound checks every simulate-style run evaluates."""
     grid = trajectory.grid
     mass = record.mass
@@ -390,13 +397,14 @@ def _standard_checks(record, trajectory, params, asserts, rel_tol=1e-6):
     if params.entropy_exponents_ok():
         # the bound rearranges the phi == 1 balance, so that residual is the
         # measured discretization allowance; the sampling guard is moot here
-        # because the residual is evaluated at whatever sampling the run used
-        phi_one = TestFunction(ConstantSpatial(1.0), OneTemporal())
-        disc = entropy_identity_residual(
-            record, trajectory, params, phi_one,
-            max_sample_dt=float(np.diff(trajectory.times).max()))
-        asserts.add_report(apriori_bounds_check(record, params,
-                                                rel_tol=rel_tol,
+        # because the residual is evaluated at whatever sampling the run used;
+        # a caller that has already assembled it passes it as `disc`
+        if disc is None:
+            phi_one = TestFunction(ConstantSpatial(1.0), OneTemporal())
+            disc = entropy_identity_residual(
+                record, trajectory, params, phi_one,
+                max_sample_dt=float(np.diff(trajectory.times).max()))
+        asserts.add_report(apriori_bounds_check(record, params, rel_tol=1e-6,
                                                 disc_estimate=disc))
     if not np.isnan(record.log_u).any():
         asserts.add_report(log_mass_check(record, trajectory, params))
@@ -500,7 +508,8 @@ def _mode_entropy_check(cfg, outputs, asserts):
     asserts.add("v_weak_residual", vres <= tol_rel * v_scale,
                 tolerance=tol_rel, value=vres)
 
-    _standard_checks(record, trajectory, params, asserts)
+    _standard_checks(record, trajectory, params, asserts,
+                     disc=residuals["identity_constant"])
     path = cfg.out_dir / "residuals.json"
     _dump_json(residuals, path)
     outputs.append(path.name)
@@ -550,7 +559,7 @@ def _pairwise_l1(traj_a, traj_b, params):
     return {key: float(np.trapezoid(vals, times)) for key, vals in series.items()}
 
 
-def eps_convergence_study(raw, threads=1):
+def eps_convergence_study(raw):
     """Run the ladder and assemble pairwise Cauchy differences.
 
     The u-difference monotonicity (within 1.2x slack) is the hard assertion;
@@ -563,7 +572,8 @@ def eps_convergence_study(raw, threads=1):
     T = _get(raw, "run.T")
     sample_times = _sample_times(raw, T)
 
-    def one(eps):
+    results = []
+    for eps in ladder:
         params = _build_params(raw, eps=eps)
         try:
             trajectory = _run_trajectory(raw, grid, params, T=T,
@@ -571,13 +581,7 @@ def eps_convergence_study(raw, threads=1):
         except SimulationError as exc:
             raise StudyError(f"ladder run failed at eps={eps}: {exc}",
                              eps=eps) from exc
-        return trajectory, collect(trajectory, params)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, ladder))
-    else:
-        results = [one(eps) for eps in ladder]
+        results.append((trajectory, collect(trajectory, params)))
 
     study = EpsStudyResult(ladder=ladder)
     params = _build_params(raw, eps=0.0)
@@ -592,7 +596,7 @@ def eps_convergence_study(raw, threads=1):
 
 
 def _mode_eps_study(cfg, outputs, asserts):
-    study, results = eps_convergence_study(cfg.raw, threads=cfg.threads)
+    study, results = eps_convergence_study(cfg.raw)
 
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:
@@ -845,7 +849,7 @@ def _mode_oracle(cfg, outputs, asserts):
                 tolerance=1e-6, value=worst_excess)
 
     # Poincare-type ensembles (empirical constants, reported)
-    log_report = log_poincare_ratio(spec, grid, threads=cfg.threads)
+    log_report = log_poincare_ratio(spec, grid)
     reports["log_poincare"] = log_report.as_dict()
     asserts.add("log_poincare_finite",
                 log_report.degenerate or np.isfinite(log_report.max_ratio),
@@ -853,7 +857,7 @@ def _mode_oracle(cfg, outputs, asserts):
 
     p_norm = _get(raw, "oracle.p_norm", 2.0)
     mean_report = mean_poincare_ratio(
-        spec, grid, p_norm, threads=cfg.threads,
+        spec, grid, p_norm,
         include_riesz=_get(raw, "oracle.include_riesz", False))
     reports["mean_poincare"] = mean_report.as_dict()
     reports["mean_poincare_delta_trend"] = mean_poincare_delta_trend(
@@ -941,8 +945,6 @@ def main(argv=None):
                              f"${OUT_ENV_VAR}, then the working directory)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for ladder and ensemble runs")
     args = parser.parse_args(argv)
 
     try:
@@ -962,7 +964,7 @@ def main(argv=None):
 
     try:
         cfg = validate_config(raw, out_override=args.out,
-                              seed_override=args.seed, threads=args.threads)
+                              seed_override=args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ asserted against theoretical values (none are given in closed form).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -311,13 +310,6 @@ def _member_rng(seed, index):
     return np.random.default_rng([seed, index])
 
 
-def _run_members(count, worker, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(i) for i in range(count)]
-
-
 @dataclass
 class LogPoincareReport:
     max_ratio: float
@@ -338,7 +330,7 @@ class LogPoincareReport:
             "degenerate", "delta", "eta", "seed", "grid_cells", "grid_extents")}
 
 
-def log_poincare_ratio(spec, grid, threads=None, field_source=None):
+def log_poincare_ratio(spec, grid, field_source=None):
     """Empirical constant for the logarithmic Poincare alternative.
 
     For each sample phi with integral(ln(delta/phi)) >= 0 the ratio
@@ -386,7 +378,7 @@ def log_poincare_ratio(spec, grid, threads=None, field_source=None):
             return ("alternative", 0.0, regenerated)
         return ("included", num * num / den, regenerated)
 
-    outcomes = _run_members(spec.count, member, threads)
+    outcomes = [member(i) for i in range(spec.count)]
     ratios = [r for kind, r, _ in outcomes if kind == "included"]
     return LogPoincareReport(
         max_ratio=float(max(ratios)) if ratios else float("nan"),
@@ -431,7 +423,7 @@ def _b_cells(values, spec, rng, cell_count, b_count):
     return rng.choice(cell_count, size=b_count, replace=False)
 
 
-def mean_poincare_ratio(spec, grid, p, threads=None, include_riesz=False,
+def mean_poincare_ratio(spec, grid, p, include_riesz=False,
                         riesz_probes=100, field_source=None):
     """Empirical constant in (I |u - u_B|^p)^{1/p} <= C (I |Du|^p)^{1/p}.
 
@@ -475,7 +467,7 @@ def mean_poincare_ratio(spec, grid, p, threads=None, include_riesz=False,
             ratio = (num ** (1.0 / p)) / (den ** (1.0 / p))
         return ratio, values, u_b, grad_mag
 
-    results = _run_members(spec.count, member, threads)
+    results = [member(i) for i in range(spec.count)]
     ratios = np.array([r[0] for r in results])
     report = MeanPoincareReport(
         max_ratio=float(ratios.max()),

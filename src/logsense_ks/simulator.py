@@ -14,9 +14,11 @@ telescope exactly, so the discrete mass of u is conserved to round-off; the
 state update uses compensated (Kahan) accumulation so that tens of thousands
 of steps do not erode that invariant.
 
-Steps that would produce a negative u cell or a nonpositive v cell are
-rejected; the driver retries with halved dt a bounded number of times before
-declaring the run failed at that time.
+Each state's right-hand side is evaluated once and held: the CFL bound and
+every step attempt from that state read it.  Steps that would produce a
+negative u cell or a nonpositive v cell are rejected; the driver retries with
+halved dt a bounded number of times before declaring the run failed at that
+time.
 """
 
 from __future__ import annotations
@@ -60,12 +62,26 @@ class SingularityError(RuntimeError):
 
 
 @dataclass
+class Tendency:
+    """Right-hand side of one state: the upwind face fluxes, du/dt, dv/dt and
+    the largest face drift speed chi |grad v| / v_face."""
+
+    fluxes: list
+    du: np.ndarray
+    dv: np.ndarray
+    drift: float
+
+
+@dataclass
 class SimState:
     t: float
     u: Field
     v: Field
     params: ModelParams
     u_comp: np.ndarray | None = None  # Kahan compensation carried between steps
+    # held once evaluated, so the fields are never changed in place
+    _tendency: Tendency | None = dc_field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.u.values.min() < 0.0:
@@ -91,55 +107,49 @@ class StepReport:
     retries: int = 0
 
 
-def chemotactic_flux(state, v_floor=DEFAULT_V_FLOOR, upwind=True):
-    """Per-axis face fluxes chi * u_donor / v_face * (face gradient of v).
+def chemotactic_flux(state, v_floor=DEFAULT_V_FLOOR):
+    """Per-axis face fluxes chi * u_donor / v_face * (face gradient of v), with
+    u from the upwind cell; boundary faces carry zero flux."""
+    return _tendency(state, v_floor).fluxes
 
-    Boundary faces carry zero flux.  With `upwind` false the transported u is
-    the arithmetic face mean (useful for order studies, loses the positivity
-    guarantee).
+
+def _tendency(state, v_floor):
+    """The state's tendency, evaluated on first use and held on the state.
+
+    One pass over the axes forms v's face gradient and face mean, and from
+    them the drift speed (boundary faces contribute none) and the flux on
+    interior faces; boundary faces carry exactly zero flux.
     """
     u = state.u.values
     v = state.v.values
+    if v.min() < v_floor:
+        raise SingularityError(
+            f"min v = {v.min()} fell below the mobility floor {v_floor}")
+    if state._tendency is not None:
+        return state._tendency
     grid = state.grid
     chi = state.params.chi
-    if v.min() < v_floor:
-        raise SingularityError(
-            f"min v = {v.min()} fell below the mobility floor {v_floor}")
     fluxes = []
-    for ax in range(grid.dim):
-        g = face_grad_values(v, grid.h, ax)
-        v_face = face_mean_values(v, ax)
-        if upwind:
-            lo = face_mean_values(u, ax).copy()  # template with boundary values
-            lower = [slice(None)] * grid.dim
-            upper = [slice(None)] * grid.dim
-            inner = [slice(None)] * grid.dim
-            lower[ax] = slice(0, grid.shape[ax] - 1)
-            upper[ax] = slice(1, grid.shape[ax])
-            inner[ax] = slice(1, grid.shape[ax])
-            donor = np.where(g[tuple(inner)] > 0.0, u[tuple(lower)], u[tuple(upper)])
-            lo[tuple(inner)] = donor
-            u_face = lo
-        else:
-            u_face = face_mean_values(u, ax)
-        flux = chi * u_face / v_face * g
-        fluxes.append(flux)
-    return fluxes
-
-
-def max_drift_speed(state, v_floor=DEFAULT_V_FLOOR):
-    """Largest face drift speed chi |grad v| / v over all faces."""
-    v = state.v.values
-    grid = state.grid
-    if v.min() < v_floor:
-        raise SingularityError(
-            f"min v = {v.min()} fell below the mobility floor {v_floor}")
     worst = 0.0
     for ax in range(grid.dim):
         g = face_grad_values(v, grid.h, ax)
         v_face = face_mean_values(v, ax)
         worst = max(worst, float(np.abs(g / v_face).max()))
-    return state.params.chi * worst
+        head = (slice(None),) * ax
+        inner = head + (slice(1, grid.shape[ax]),)  # interior faces = upper cells
+        lower = head + (slice(0, grid.shape[ax] - 1),)
+        g_in = g[inner]
+        donor = np.where(g_in > 0.0, u[lower], u[inner])
+        flux = np.zeros_like(g)
+        flux[inner] = chi * donor / v_face[inner] * g_in
+        fluxes.append(flux)
+    du = lap_values(u, grid.h)
+    du -= face_div_values(fluxes, grid.h, grid.shape)
+    dv = lap_values(v, grid.h)
+    dv -= v
+    dv += _saturated_source(u, state.params.eps)
+    state._tendency = Tendency(fluxes, du, dv, chi * worst)
+    return state._tendency
 
 
 def cfl_dt(state, safety=DEFAULT_SAFETY, v_floor=DEFAULT_V_FLOOR):
@@ -147,7 +157,7 @@ def cfl_dt(state, safety=DEFAULT_SAFETY, v_floor=DEFAULT_V_FLOOR):
     grid = state.grid
     h_min = min(grid.h)
     bound = min(h_min**2 / (2.0 * grid.dim), 1.0)
-    drift = max_drift_speed(state, v_floor)
+    drift = _tendency(state, v_floor).drift
     if drift > 0.0:
         bound = min(bound, h_min / (2.0 * drift))
     return safety * bound
@@ -159,8 +169,9 @@ def _saturated_source(u, eps):
     return u / (1.0 + eps * u)
 
 
-def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True):
-    """One forward-Euler step; returns (new_state, report).
+def step(state, dt, v_floor=DEFAULT_V_FLOOR):
+    """One forward-Euler step from the state's held tendency; returns
+    (new_state, report).
 
     Raises StepRejected when the candidate update loses positivity
     (u' < 0 anywhere or v' <= 0 anywhere).  The report's cfl_bound is left
@@ -168,23 +179,17 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR, upwind=True):
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    rhs = _tendency(state, v_floor)
     grid = state.grid
     u = state.u.values
     v = state.v.values
-    eps = state.params.eps
-
-    du = lap_values(u, grid.h)
-    du -= face_div_values(chemotactic_flux(state, v_floor, upwind), grid.h, grid.shape)
-    dv = lap_values(v, grid.h)
-    dv -= v
-    dv += _saturated_source(u, eps)
 
     # compensated update of u: mass conservation must survive ~1e5 steps
     comp = state.u_comp if state.u_comp is not None else np.zeros_like(u)
-    y = dt * du - comp
+    y = dt * rhs.du - comp
     u_new = u + y
     comp_new = (u_new - u) - y
-    v_new = v + dt * dv
+    v_new = v + dt * rhs.dv
 
     if u_new.min() < 0.0 or v_new.min() <= 0.0:
         raise StepRejected(
@@ -266,14 +271,12 @@ def _advance_with_retries(state, dt, stepper, max_retries):
         f"step rejected {max_retries + 1} times (last dt = {trial})", state.t)
 
 
-def run(initial, T, sample_times=None, observer=None, safety=DEFAULT_SAFETY,
-        max_dt=None, max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
-        upwind=True):
+def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
+        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR):
     """Advance a state to time T, recording snapshots at the sample times.
 
     Sample times must be sorted inside [0, T]; they are hit exactly by
-    clipping dt.  The observer, when given, is called at every recorded
-    sample with the current state.  T = 0 records the initial state only.
+    clipping dt.  T = 0 records the initial state only.
     Step failures surface as SimulationError carrying the failing time.
     """
     if T < 0.0:
@@ -297,14 +300,12 @@ def run(initial, T, sample_times=None, observer=None, safety=DEFAULT_SAFETY,
         traj.times.append(st.t)
         traj.u_snapshots.append(st.u.values.copy())
         traj.v_snapshots.append(st.v.values.copy())
-        if observer is not None:
-            observer(st)
 
     record(state)
     next_sample = 1
 
     def stepper(st, dt):
-        return step(st, dt, v_floor=v_floor, upwind=upwind)
+        return step(st, dt, v_floor=v_floor)
 
     while state.t < T:
         target = sample_times[next_sample]

@@ -311,7 +311,7 @@ def test_criterion_12_eps_ladder_contraction():
         "run": {"T": 1.0, "sample_count": 200},
         "eps_ladder": [0.1, 0.05, 0.025, 0.0125],
     }
-    result, _ = eps_convergence_study(raw, threads=4)
+    result, _ = eps_convergence_study(raw)
     elapsed = time.monotonic() - t0
     mono_ok = result.monotone_within(result.u_diffs, slack=1.2)
     ok = mono_ok and elapsed < 300.0

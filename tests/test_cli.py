@@ -63,6 +63,12 @@ def test_validate_config_reports_field_paths():
          "run.save_fields"),
         (simulate_config(model={"chi": 2.0, "n": 2, "eps": 1.5}),
          "model.eps"),
+        (simulate_config(grid={"cells": [2, 2], "extents": [1.0, 1.0]}),
+         "grid"),
+        (simulate_config(grid={"cells": [8, 8, 8, 8],
+                               "extents": [1.0, 1.0, 1.0, 1.0]}), "grid"),
+        (simulate_config(model={"chi": 5.0, "n": 3}), "model"),
+        (simulate_config(run={"T": 0.1, "upwind": False}), "run.upwind"),
     ]
     for raw, path in cases:
         with pytest.raises(ConfigError) as err:
@@ -130,7 +136,6 @@ def test_seed_and_threads_resolution():
     assert validate_config(raw).seed == 7
     assert validate_config(raw, seed_override=11).seed == 11
     assert validate_config(simulate_config()).seed == 0
-    assert validate_config(raw, threads=0).threads == 1
 
 
 # main() entry ----------------------------------------------------------------------
@@ -416,23 +421,3 @@ def test_simulate_determinism(tmp_path, capsys):
     for m in manifests:
         m.pop("wall_time_s")
     assert manifests[0] == manifests[1]
-
-
-def test_oracle_determinism_across_threads(tmp_path, capsys):
-    cfg = {
-        "mode": "oracle",
-        "grid": {"cells": [16, 16], "extents": [1.0, 1.0]},
-        "model": {"chi": 2.0, "n": 2},
-        "seed": 3,
-        "oracle": {"square_trials": 20, "ode_cases": 3,
-                   "ensemble": {"count": 24}},
-    }
-    path = write_config(tmp_path, cfg)
-    outs = [tmp_path / "serial", tmp_path / "threaded"]
-    assert main(["oracle", "--config", path, "--out", str(outs[0])]) == 0
-    assert main(["oracle", "--config", path, "--out", str(outs[1]),
-                 "--threads", "4"]) == 0
-    capsys.readouterr()
-    a = (outs[0] / "oracle_reports.json").read_bytes()
-    b = (outs[1] / "oracle_reports.json").read_bytes()
-    assert a == b

@@ -1,10 +1,10 @@
 """Byte-identity of the experiment outputs for small pinned configs.
 
-The sha256 digests below were recorded for the outputs of three small
-experiments (simulate, entropy-check and refine-study on a 16 x 16 base
-grid with short end times).  A refactor that claims unchanged behaviour
-must leave them unchanged; a change that moves numbers on purpose updates
-them and says which outputs moved.  The digests hold for the numpy build
+The sha256 digests below were recorded for the outputs of five small
+experiments (simulate, entropy-check, refine-study, eps-study and oracle on
+a 16 x 16 base grid with short end times and small ensembles).  A
+refactor that claims unchanged behaviour must leave them unchanged; a change
+that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
 they were recorded with (numpy 2.4 on x86-64 Linux): another numpy or CPU
 may round some reductions differently.
 """
@@ -44,6 +44,14 @@ CASES = {
                              refine={"T": 0.002, "levels": 2,
                                      "sample_count": 8}),
                      ("refine_study.csv",)),
+    "eps-study": (_config("eps-study", eps_ladder=[0.1, 0.05],
+                          run={"T": 0.02, "sample_count": 10}),
+                  ("eps_study.csv",)),
+    "oracle": (_config("oracle", seed=5,
+                       oracle={"square_trials": 20, "ode_cases": 2,
+                               "include_riesz": True,
+                               "ensemble": {"count": 8}}),
+               ("oracle_reports.json",)),
 }
 
 DIGESTS = {
@@ -55,6 +63,10 @@ DIGESTS = {
         "9b9f1ebbb8db44e84d1c4b67baa1cf11662284e90b0dbb7a6dad8df76e112dae",
     "refine_study.csv":
         "481868b34e07cc58c1b7abde65ab6534d039113b395f2bf2c93398773d7f3e15",
+    "eps_study.csv":
+        "bdc4211fc0fa7e0bafb02a0b2384fced47549250d79dc886dd8caee739c9bd6f",
+    "oracle_reports.json":
+        "d8cfa9a33e0d4475fa4b2040747e35a9e63041b85dedd1a62378d15595afed01",
 }
 
 

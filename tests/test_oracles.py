@@ -248,8 +248,8 @@ def test_log_poincare_branches_partition_ensemble():
 
 def test_log_poincare_stability_under_doubling():
     g = Grid(cells=[32, 32], extents=[1.0, 1.0])
-    base = log_poincare_ratio(EnsembleSpec(count=1000, seed=1), g, threads=4)
-    double = log_poincare_ratio(EnsembleSpec(count=2000, seed=1), g, threads=4)
+    base = log_poincare_ratio(EnsembleSpec(count=1000, seed=1), g)
+    double = log_poincare_ratio(EnsembleSpec(count=2000, seed=1), g)
     assert not base.degenerate
     change = abs(double.max_ratio - base.max_ratio) / base.max_ratio
     assert change <= 0.2
@@ -266,9 +266,7 @@ def test_log_poincare_determinism_and_threading():
     spec = EnsembleSpec(count=64, seed=9)
     serial = log_poincare_ratio(spec, g)
     again = log_poincare_ratio(spec, g)
-    threaded = log_poincare_ratio(spec, g, threads=4)
     assert serial.as_dict() == again.as_dict()
-    assert serial.as_dict() == threaded.as_dict()
 
 
 def test_mean_poincare_closed_form_linear():

@@ -98,20 +98,6 @@ def test_run_reports_respect_cfl():
         assert r.min_v > 0.0
 
 
-def test_upwind_toggle_changes_flux():
-    state = gaussian_state()
-    # evolve a little so v carries a gradient
-    traj = run(state, T=0.02, sample_times=[0.02])
-    evolved = SimState(t=0.02, u=Field(state.grid, traj.u_snapshots[-1]),
-                       v=Field(state.grid, traj.v_snapshots[-1],
-                               strictly_positive=True),
-                       params=state.params)
-    up = chemotactic_flux(evolved, upwind=True)
-    ce = chemotactic_flux(evolved, upwind=False)
-    diff = max(np.abs(a - b).max() for a, b in zip(up, ce))
-    assert diff > 0.0
-
-
 def test_sample_times_hit_exactly():
     state = gaussian_state()
     wanted = [0.013, 0.027, 0.05]
