@@ -9,7 +9,8 @@ Modes:
 * refine-study  - (h, h/2, h/4) refinement with observed convergence orders
 * oracle        - standalone analytic verifiers and Monte-Carlo constants
 
-Configs are JSON; validation reports dotted field paths before any compute.
+Configs are JSON, checked against one table of keys (CONFIG_KEYS); validation
+reports dotted field paths before any compute.
 Every mode writes a manifest JSON holding the config echo, library versions,
 seeds, wall time, and one entry per evaluated assertion; the process exit
 status is nonzero exactly when an assertion failed.  All outputs except the
@@ -19,12 +20,14 @@ manifest's wall-time entry are bit-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,7 @@ from .diagnostics import (
     BumpTemporal,
     ConstantSpatial,
     CosineSpatial,
+    MIN_SAMPLE_COUNT,
     OneTemporal,
     RampDownTemporal,
     TestFunction,
@@ -49,7 +53,7 @@ from .diagnostics import (
     u_lr_bound,
     v_weak_residual,
 )
-from .grid import Field, Grid, GridError, face_grad_values, write_field_binary
+from .grid import Field, Grid, face_grad_values, write_field_binary
 from .oracles import (
     EnsembleSpec,
     OdeComparison,
@@ -72,11 +76,15 @@ from .params import (
     select_exponents,
 )
 from .simulator import (DEFAULT_SAFETY, DEFAULT_SAMPLE_COUNT, DEFAULT_V_FLOOR,
-                        SimulationError, initial_state, run)
+                        INITIAL_KINDS, SimulationError, initial_state,
+                        make_initial_field, run)
 
 OUT_ENV_VAR = "LOGSENSE_KS_OUT"
 MODES = ("simulate", "params", "entropy-check", "eps-study", "refine-study",
          "oracle")
+GRID_MODES = tuple(m for m in MODES if m != "params")
+SOLVER_MODES = ("simulate", "entropy-check", "eps-study", "refine-study")
+RUN_MODES = ("simulate", "entropy-check", "eps-study")  # the modes reading run.T
 
 
 class ConfigError(ValueError):
@@ -96,195 +104,228 @@ class StudyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# config access helpers
+# the config table
 # ---------------------------------------------------------------------------
 
-def _get(cfg, path, default=None):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
+# kind: int, number, bool, str, object, int list or number list; range: an interval
+# such as "(0, 1]" holding every number (or list entry), or the allowed strings;
+# default: the value of an absent or null key; required: the modes needing the key.
+Key = namedtuple("Key", "kind range default required", defaults=(None, None, ()))
 
 
-def _require(cfg, path, kind):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(path, "required field is missing")
-        node = node[part]
-    return _typed(node, path, kind)
+def _default(fn, name):
+    """Default of a parameter of `fn`, the function that receives the value."""
+    return inspect.signature(fn).parameters[name].default
 
 
-def _typed(value, path, kind):
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {value!r}")
-        return float(value)
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(path, f"expected a boolean, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(path, f"expected a string, got {value!r}")
-        return value
-    if kind == "list":
+# Every key a config may hold.  An initial data key left out defaults to the
+# kind's builder (simulator.INITIAL_KINDS), oracle.ensemble.seed to seed.
+CONFIG_KEYS = {
+    "mode": Key("str", MODES, required=MODES),
+    "out": Key("str"),
+    "seed": Key("int", "[0, inf)", 0),
+    "grid.cells": Key("int list", required=GRID_MODES),
+    "grid.extents": Key("number list", "(0, inf)", required=GRID_MODES),
+    "model.chi": Key("number", "(0, inf)", required=MODES),
+    "model.n": Key("int", "[1, inf)", required=MODES),
+    "model.eps": Key("number", "[0, 1)", _default(ModelParams, "eps")),
+    "model.p": Key("number", "(0, 1)"),
+    "model.q": Key("number", "(0, 1)"),
+    "model.r": Key("number", "(1, inf)"),
+    "model.s": Key("number", "[1, inf)", _default(ModelParams, "s")),
+    "model.margin": Key("number", "(0, 1)", _default(select_exponents, "margin")),
+    **{f"initial.{field}.{name}": key for field in "uv" for name, key in (
+        ("kind", Key("str", tuple(INITIAL_KINDS), required=SOLVER_MODES)),
+        ("value", Key("number")), ("amplitude", Key("number")),
+        ("width", Key("number", "(0, inf)")), ("center", Key("number list")),
+        ("baseline", Key("number")), ("cutoff", Key("int", "[0, inf)")),
+        ("seed", Key("int", "[0, inf)")))},
+    "initial.v_floor": Key("number", "(0, inf)",
+                           _default(initial_state, "v_min_floor")),
+    "run.T": Key("number", "(0, inf)", required=RUN_MODES),
+    "run.sample_count": Key("int", "[1, inf)", DEFAULT_SAMPLE_COUNT),
+    "run.safety": Key("number", "(0, inf)", DEFAULT_SAFETY),
+    "run.max_dt": Key("number", "(0, inf)"),
+    "run.v_floor": Key("number", "[0, inf)", DEFAULT_V_FLOOR),
+    "run.save_fields": Key("str", ("none", "final", "all"), "final"),
+    "checks.identity_tol_rel": Key("number", "[0, inf)", 0.02),
+    "eps_ladder": Key("number list", "[0, 1)", required=("eps-study",)),
+    "refine.T": Key("number", "(0, inf)", required=("refine-study",)),
+    "refine.levels": Key("int", "[2, inf)", 3),
+    "refine.dt_factor": Key("number", "(0, inf)", 1.0 / 16.0),
+    "refine.sample_count": Key("int", "[1, inf)", 40),
+    "refine.power_r": Key("number", "(0, inf)", 1.6),
+    "params_query.export_region": Key("bool", None, False),
+    "params_query.p_count": Key("int", "[1, inf)",
+                                _default(export_exponent_region, "p_count")),
+    "oracle": Key("object", required=("oracle",)),
+    "oracle.square_trials": Key("int", "[0, inf)", 1000),
+    "oracle.power_r": Key("number", "(0, inf)", 1.6),
+    "oracle.ode_cases": Key("int", "[1, inf)", 100),
+    "oracle.p_norm": Key("number", "[1, inf)", 2.0),
+    "oracle.include_riesz": Key("bool", None,
+                                _default(mean_poincare_ratio, "include_riesz")),
+    "oracle.ensemble.seed": Key("int", "[0, inf)"),
+    **{f"oracle.ensemble.{name}": Key(kind, valid, _default(EnsembleSpec, name))
+       for name, kind, valid in (
+           ("count", "int", "[1, inf)"), ("cutoff", "int", "[1, inf)"),
+           ("amplitude", "number list", "[0, inf)"), ("floor", "number", "(0, inf)"),
+           ("delta", "number", "(0, inf)"), ("eta", "number", "(0, inf)"),
+           ("b_selector", "str", ("threshold", "random")))},
+}
+_SECTIONS = {path.rsplit(".", k)[0] for path in CONFIG_KEYS
+             for k in range(1, path.count(".") + 1)}
+_TYPES = {"int": (int, "an integer"), "number": ((int, float), "a number"),
+          "bool": (bool, "a boolean"), "str": (str, "a string"),
+          "object": (dict, "an object")}
+
+
+def _within(x, interval):
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo < x if interval[0] == "(" else lo <= x) and \
+        (x < hi if interval[-1] == ")" else x <= hi)
+
+
+def _checked(value, path, key, kind=None):
+    """`value` checked against the key's kind and range; numbers become floats."""
+    kind = kind or key.kind
+    if kind.endswith(" list"):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected a list, got {value!r}")
-        return value
-    if kind == "dict":
-        if not isinstance(value, dict):
-            raise ConfigError(path, f"expected an object, got {value!r}")
-        return value
-    raise AssertionError(kind)
+        return [_checked(v, f"{path}[{i}]", key, kind.split()[0])
+                for i, v in enumerate(value)]
+    types, name = _TYPES[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise ConfigError(path, f"expected {name}, got {value!r}")
+    if kind == "number":
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(path, f"must be a finite number, got {value!r}")
+        value = float(value)
+    if isinstance(key.range, str) and not _within(value, key.range):
+        raise ConfigError(path, f"must lie in {key.range}")
+    if isinstance(key.range, tuple) and value not in key.range:
+        raise ConfigError(path, f"must be one of {', '.join(key.range)}")
+    return value
+
+
+def _walk(node, prefix, values):
+    """Check the keys of `node` against the table; null counts as absent."""
+    for name, value in node.items():
+        path = f"{prefix}{name}"
+        if path not in CONFIG_KEYS and path not in _SECTIONS:
+            raise ConfigError(path, "unknown key")
+        if value is not None:
+            values[path] = _checked(value, path, CONFIG_KEYS.get(path, Key("object")))
+            if isinstance(value, dict):
+                _walk(value, path + ".", values)
+
+
+def _section(values, prefix):
+    """The given keys under `prefix`, with the prefix stripped."""
+    return {path[len(prefix):]: value for path, value in values.items()
+            if path.startswith(prefix) and value is not None}
 
 
 @dataclass
 class ExperimentConfig:
     mode: str
-    raw: dict
+    raw: dict      # the config as given, echoed into the manifest
+    values: dict   # every CONFIG_KEYS path: the given value or its default
     out_dir: Path
     seed: int
+    state: object = None  # the solver modes' initial SimState on the config grid
 
 
 def validate_config(raw, out_override=None, seed_override=None):
-    """Validation, including building the grid and the model parameters a
-    mode needs, before any compute; raises ConfigError with a field path."""
-    mode = _require(raw, "mode", "str")
-    if mode not in MODES:
-        raise ConfigError("mode", f"must be one of {', '.join(MODES)}")
+    """Check a config against CONFIG_KEYS and the cross-field rules and build what
+    its mode needs (grid, model parameters, initial fields, ensemble), all before
+    any compute; raises ConfigError with a field path."""
+    values = {}
+    _walk(raw, "", values)
+    mode = values.get("mode")
+    for path, key in CONFIG_KEYS.items():
+        if path not in values:
+            if key.required and (mode is None or mode in key.required):
+                raise ConfigError(path, "required field is missing")
+            values[path] = key.default
+    if seed_override is not None:
+        values["seed"] = _checked(seed_override, "seed", CONFIG_KEYS["seed"])
 
-    needs_grid = mode != "params"
-    if needs_grid:
-        cells = _require(raw, "grid.cells", "list")
-        extents = _require(raw, "grid.extents", "list")
-        if len(cells) != len(extents):
-            raise ConfigError("grid.extents",
-                              "must have one extent per cell axis")
-        for i, c in enumerate(cells):
-            _typed(c, f"grid.cells[{i}]", "int")
-        for i, e in enumerate(extents):
-            _typed(e, f"grid.extents[{i}]", "number")
-        try:
-            _build_grid(raw)
-        except GridError as exc:
-            raise ConfigError("grid", str(exc)) from exc
-
-    _require(raw, "model.chi", "number")
-    _require(raw, "model.n", "int")
-    eps = _get(raw, "model.eps")
-    if eps is not None and not 0.0 <= _typed(eps, "model.eps", "number") < 1.0:
-        raise ConfigError("model.eps", "must lie in [0, 1)")
-
-    if mode in ("simulate", "entropy-check", "eps-study", "refine-study"):
-        _build_params(raw)
-        for name in ("u", "v"):
-            spec = _require(raw, f"initial.{name}", "dict")
-            kind = _typed(spec.get("kind"), f"initial.{name}.kind", "str")
-            if kind not in ("constant", "gaussian", "cosine"):
-                raise ConfigError(f"initial.{name}.kind",
-                                  f"unknown initial data kind {kind!r}")
-    if mode in ("simulate", "entropy-check", "eps-study"):
-        T = _require(raw, "run.T", "number")
-        if T < 0.0:
-            raise ConfigError("run.T", "must be nonnegative")
-    if _get(raw, "run.upwind") is not None:
-        raise ConfigError("run.upwind",
-                          "removed: the chemotactic flux is always upwind")
-    if mode == "simulate":
-        save = _get(raw, "run.save_fields", "final")
-        if save not in ("none", "final", "all"):
-            raise ConfigError("run.save_fields", "must be none, final, or all")
+    grid = _build_grid(values) if mode in GRID_MODES else None
+    state = None
+    if mode == "params":
+        _mapped("model", chi_admissible, values["model.chi"], values["model.n"])
+    if mode in SOLVER_MODES:
+        params = _build_params(values)
+        if mode in ("simulate", "entropy-check") and not params.r < params.p + 1:
+            raise ConfigError("model", "the u^r splitting check needs r < p + 1, "
+                                       f"got r = {params.r}, p = {params.p}")
+        state = _initial_state(values, grid, params)
+    if mode == "entropy-check" and values["run.sample_count"] < MIN_SAMPLE_COUNT:
+        raise ConfigError("run.sample_count",
+                          f"entropy-check needs at least {MIN_SAMPLE_COUNT}")
     if mode == "eps-study":
-        ladder = _require(raw, "eps_ladder", "list")
-        if not ladder:
-            raise ConfigError("eps_ladder", "must not be empty")
-        for i, e in enumerate(ladder):
-            ei = _typed(e, f"eps_ladder[{i}]", "number")
-            if ei < 0.0 or ei >= 1.0:
-                raise ConfigError(f"eps_ladder[{i}]", "must lie in [0, 1)")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("eps_ladder", "must be strictly decreasing")
+        ladder = values["eps_ladder"]
+        if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError("eps_ladder", "must be nonempty and strictly decreasing")
     if mode == "refine-study":
-        T = _require(raw, "refine.T", "number")
-        if T <= 0.0:
-            raise ConfigError("refine.T", "must be positive")
-        levels = int(_get(raw, "refine.levels", 3))
-        if levels < 2:
-            raise ConfigError("refine.levels", "need at least 2 levels")
+        _build_grid(values, 2 ** (values["refine.levels"] - 1))  # the finest
     if mode == "oracle":
-        _require(raw, "oracle", "dict")
+        _ensemble(values, grid)
 
-    out_dir = out_override or _get(raw, "out") or os.environ.get(OUT_ENV_VAR) or "."
-    seed = seed_override if seed_override is not None else int(_get(raw, "seed", 0))
-    return ExperimentConfig(mode=mode, raw=raw, out_dir=Path(out_dir),
-                            seed=seed)
+    out_dir = out_override or values["out"] or os.environ.get(OUT_ENV_VAR) or "."
+    return ExperimentConfig(mode=mode, raw=raw, values=values, out_dir=Path(out_dir),
+                            seed=values["seed"], state=state)
 
 
 # ---------------------------------------------------------------------------
 # shared assembly
 # ---------------------------------------------------------------------------
 
-def _build_grid(raw):
-    return Grid(cells=_get(raw, "grid.cells"), extents=_get(raw, "grid.extents"))
+def _build_grid(values, factor=1):
+    """The config grid with `factor` times the cells along each axis."""
+    cells, extents = values["grid.cells"], values["grid.extents"]
+    if len(cells) != len(extents):
+        raise ConfigError("grid.extents", "must have one extent per cell axis")
+    return _mapped("grid", Grid, cells=[c * factor for c in cells], extents=extents)
 
 
-def _build_params(raw, eps=None):
-    chi = _get(raw, "model.chi")
-    n = _get(raw, "model.n")
-    p = _get(raw, "model.p")
-    q = _get(raw, "model.q")
-    r = _get(raw, "model.r")
+def _mapped(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError turned into a ConfigError at `path`."""
     try:
-        if p is None or q is None or r is None:
-            margin = _get(raw, "model.margin", 0.05)
-            sel_p, sel_q, sel_r = select_exponents(chi, n, margin=margin)
-            p = sel_p if p is None else p
-            q = sel_q if q is None else q
-            r = sel_r if r is None else r
-        return ModelParams(
-            chi=chi, n=n,
-            eps=_get(raw, "model.eps", 0.0) if eps is None else eps,
-            p=p, q=q, r=r, s=_get(raw, "model.s", 1.0),
-        )
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _build_state(raw, grid, params):
-    return initial_state(
-        grid, params,
-        u_spec=_get(raw, "initial.u"),
-        v_spec=_get(raw, "initial.v"),
-        v_min_floor=_get(raw, "initial.v_floor", 1e-6),
-    )
+def _build_params(values, eps=None):
+    chi, n = values["model.chi"], values["model.n"]
+    p, q, r = given = (values["model.p"], values["model.q"], values["model.r"])
+    if None in given:
+        selected = _mapped("model", select_exponents, chi, n,
+                           margin=values["model.margin"])
+        p, q, r = (s if g is None else g for g, s in zip(given, selected))
+    return _mapped("model", ModelParams, chi=chi, n=n, p=p, q=q, r=r,
+                   eps=values["model.eps"] if eps is None else eps, s=values["model.s"])
 
 
-def _sample_times(raw, T):
-    count = int(_get(raw, "run.sample_count", DEFAULT_SAMPLE_COUNT))
-    if count < 1:
-        raise ConfigError("run.sample_count", "must be at least 1")
-    return np.linspace(0.0, T, count + 1) if T > 0 else [0.0]
+def _initial_state(values, grid, params):
+    """The initial SimState on `grid`; a ConfigError names initial.u or initial.v."""
+    u, v = (_mapped(f"initial.{name}", make_initial_field, grid,
+                    _section(values, f"initial.{name}.")) for name in "uv")
+    return _mapped("initial.u", initial_state, params, u, v, values["initial.v_floor"])
 
 
-def _run_trajectory(raw, grid, params, T=None, sample_times=None, max_dt=None):
-    state = _build_state(raw, grid, params)
-    T = _get(raw, "run.T") if T is None else T
-    if sample_times is None:
-        sample_times = _sample_times(raw, T)
-    return run(
-        state, T,
-        sample_times=sample_times,
-        safety=_get(raw, "run.safety", DEFAULT_SAFETY),
-        max_dt=max_dt if max_dt is not None else _get(raw, "run.max_dt"),
-        v_floor=_get(raw, "run.v_floor", DEFAULT_V_FLOOR),
-    )
+def _run_trajectory(values, state, T, sample_times, max_dt):
+    return run(state, T, sample_times=sample_times, safety=values["run.safety"],
+               max_dt=max_dt, v_floor=values["run.v_floor"])
+
+
+def _standard_run(values, state):
+    """The trajectory from `state` that the run section asks for."""
+    T = values["run.T"]
+    times = np.linspace(0.0, T, values["run.sample_count"] + 1)
+    return _run_trajectory(values, state, T, times, values["run.max_dt"])
 
 
 class Assertions:
@@ -336,10 +377,8 @@ def _dump_json(payload, path):
 # ---------------------------------------------------------------------------
 
 def _mode_params(cfg, outputs, asserts):
-    raw = cfg.raw
-    chi = _get(raw, "model.chi")
-    n = _get(raw, "model.n")
-    margin = _get(raw, "model.margin", 0.05)
+    values = cfg.values
+    chi, n = values["model.chi"], values["model.n"]
     admissible = chi_admissible(chi, n)
     result = {"chi": chi, "n": n, "admissible": admissible}
 
@@ -352,7 +391,7 @@ def _mode_params(cfg, outputs, asserts):
                 tolerance=1e-3, value={"closed": infimum, "brute": brute})
 
     if admissible:
-        p, q, r = select_exponents(chi, n, margin=margin)
+        p, q, r = select_exponents(chi, n, margin=values["model.margin"])
         qm, qp = q_bounds(p, chi)
         coef = entropy_coefficients(p, q, chi)
         result["selected"] = {"p": p, "q": q, "r": r,
@@ -365,10 +404,10 @@ def _mode_params(cfg, outputs, asserts):
                     and r > 1.0 and p + 1.0 - r > 0.0,
                     value=result["selected"])
 
-    if _get(raw, "params_query.export_region", False):
+    if values["params_query.export_region"]:
         path = cfg.out_dir / "exponent_region.csv"
         export_exponent_region(chi, n, path,
-                               p_count=int(_get(raw, "params_query.p_count", 200)))
+                               p_count=values["params_query.p_count"])
         outputs.append(path.name)
     return {"params": result}
 
@@ -402,20 +441,18 @@ def _standard_checks(record, trajectory, params, asserts, disc=None):
         if disc is None:
             phi_one = TestFunction(ConstantSpatial(1.0), OneTemporal())
             disc = entropy_identity_residual(
-                record, trajectory, params, phi_one,
+                trajectory, params, phi_one,
                 max_sample_dt=float(np.diff(trajectory.times).max()))
         asserts.add_report(apriori_bounds_check(record, params, rel_tol=1e-6,
                                                 disc_estimate=disc))
     if not np.isnan(record.log_u).any():
         asserts.add_report(log_mass_check(record, trajectory, params))
-    return drift
 
 
 def _mode_simulate(cfg, outputs, asserts):
-    raw = cfg.raw
-    grid = _build_grid(raw)
-    params = _build_params(raw)
-    trajectory = _run_trajectory(raw, grid, params)
+    values = cfg.values
+    trajectory = _standard_run(values, cfg.state)
+    grid, params = trajectory.grid, trajectory.params
     record = collect(trajectory, params)
 
     record_path = cfg.out_dir / "record.csv"
@@ -425,7 +462,7 @@ def _mode_simulate(cfg, outputs, asserts):
     trajectory.write_step_reports_csv(steps_path)
     outputs.append(steps_path.name)
 
-    save = _get(raw, "run.save_fields", "final")  # validated up front
+    save = values["run.save_fields"]
     if save != "none":
         fields_dir = cfg.out_dir / "fields"
         fields_dir.mkdir(exist_ok=True)
@@ -467,13 +504,12 @@ def _residual_test_functions(grid, T):
 
 
 def _mode_entropy_check(cfg, outputs, asserts):
-    raw = cfg.raw
-    grid = _build_grid(raw)
-    params = _build_params(raw)
-    trajectory = _run_trajectory(raw, grid, params)
+    values = cfg.values
+    trajectory = _standard_run(values, cfg.state)
+    grid, params = trajectory.grid, trajectory.params
     record = collect(trajectory, params)
     T = trajectory.final_time
-    tol_rel = _get(raw, "checks.identity_tol_rel", 0.02)
+    tol_rel = values["checks.identity_tol_rel"]
 
     named = _residual_test_functions(grid, T)
     family = builtin_supersolution_family(grid, T)
@@ -567,24 +603,20 @@ def eps_convergence_study(raw):
     only, since the underlying compactness argument guarantees subsequential
     convergence rather than monotonicity.
     """
-    grid = _build_grid(raw)
-    ladder = [float(e) for e in _get(raw, "eps_ladder")]
-    T = _get(raw, "run.T")
-    sample_times = _sample_times(raw, T)
-
+    cfg = validate_config(dict(raw, mode="eps-study"))
+    values, ladder = cfg.values, cfg.values["eps_ladder"]
     results = []
     for eps in ladder:
-        params = _build_params(raw, eps=eps)
+        params = _build_params(values, eps)
         try:
-            trajectory = _run_trajectory(raw, grid, params, T=T,
-                                         sample_times=sample_times)
+            trajectory = _standard_run(values, replace(cfg.state, params=params))
         except SimulationError as exc:
             raise StudyError(f"ladder run failed at eps={eps}: {exc}",
                              eps=eps) from exc
         results.append((trajectory, collect(trajectory, params)))
 
     study = EpsStudyResult(ladder=ladder)
-    params = _build_params(raw, eps=0.0)
+    params = _build_params(values, eps=0.0)
     for k in range(len(ladder) - 1):
         diffs = _pairwise_l1(results[k][0], results[k + 1][0], params)
         study.u_diffs.append(diffs["u"])
@@ -601,15 +633,9 @@ def _mode_eps_study(cfg, outputs, asserts):
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:
         fh.write("eps_hi,eps_lo,u_l1,v_l1,grad_vq_l1,entropy_density_l1\n")
-        for k in range(len(study.u_diffs)):
-            fh.write(",".join([
-                format(study.ladder[k], ".17g"),
-                format(study.ladder[k + 1], ".17g"),
-                format(study.u_diffs[k], ".17g"),
-                format(study.v_diffs[k], ".17g"),
-                format(study.grad_vq_diffs[k], ".17g"),
-                format(study.entropy_density_diffs[k], ".17g"),
-            ]) + "\n")
+        for row in zip(study.ladder, study.ladder[1:], study.u_diffs, study.v_diffs,
+                       study.grad_vq_diffs, study.entropy_density_diffs):
+            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
     outputs.append(csv_path.name)
 
     asserts.add("eps_u_diffs_monotone",
@@ -674,25 +700,22 @@ def _observed_order(coarse, fine, tiny=1e-13):
 
 def refine_study(raw):
     """Run (h, h/2, h/4), compute errors and observed convergence orders."""
-    base_cells = [int(c) for c in _get(raw, "grid.cells")]
-    extents = [float(e) for e in _get(raw, "grid.extents")]
-    levels = int(_get(raw, "refine.levels", 3))
-    T = _get(raw, "refine.T")
-    dt_factor = _get(raw, "refine.dt_factor", 1.0 / 16.0)
-    base_samples = int(_get(raw, "refine.sample_count", 40))
-    power_r = _get(raw, "refine.power_r", 1.6)
+    values = validate_config(dict(raw, mode="refine-study")).values
+    levels = values["refine.levels"]
+    T = values["refine.T"]
+    base_samples = values["refine.sample_count"]
+    params = _build_params(values)
 
     rows = []
     trajectories = []
     for level in range(levels):
         factor = 2**level
-        grid = Grid(cells=[c * factor for c in base_cells], extents=extents)
-        params = _build_params(raw)
+        grid = _build_grid(values, factor)
         h_min = min(grid.h)
         sample_times = np.linspace(0.0, T, base_samples * factor + 1)
-        trajectory = _run_trajectory(raw, grid, params, T=T,
-                                     sample_times=sample_times,
-                                     max_dt=dt_factor * h_min**2)
+        state = _initial_state(values, grid, params)
+        trajectory = _run_trajectory(values, state, T, sample_times,
+                                     values["refine.dt_factor"] * h_min**2)
         named = _residual_test_functions(grid, T)
         # the configured sample count overrides the default T/50 spacing rule
         balances = entropy_balances(trajectory, params,
@@ -702,7 +725,8 @@ def refine_study(raw):
                   for (name, _), balance in zip(named, balances)}
         v_final = Field(grid, trajectory.v_snapshots[-1],
                         strictly_positive=True)
-        p_half, p_full = check_power_identities(v_final, power_r)
+        p_half, p_full = check_power_identities(v_final,
+                                                values["refine.power_r"])
         rows.append({
             "level": level,
             "h_min": h_min,
@@ -772,30 +796,32 @@ def _mode_refine_study(cfg, outputs, asserts):
 # mode: oracle
 # ---------------------------------------------------------------------------
 
-def _ensemble_from_config(raw, seed):
-    section = _get(raw, "oracle.ensemble", {}) or {}
-    amplitude = section.get("amplitude", [0.2, 1.0])
-    return EnsembleSpec(
-        count=int(section.get("count", 200)),
-        seed=int(section.get("seed", seed)),
-        cutoff=int(section.get("cutoff", 4)),
-        amplitude=(float(amplitude[0]), float(amplitude[1])),
-        floor=float(section.get("floor", 0.05)),
-        delta=float(section.get("delta", 0.5)),
-        eta=float(section.get("eta", 0.05)),
-        b_selector=section.get("b_selector", "threshold"),
-    )
+def _ensemble(values, grid):
+    """The EnsembleSpec of oracle.ensemble (its seed the run's unless given),
+    checked against the grid."""
+    spec = _mapped("oracle.ensemble", EnsembleSpec, **{
+        "seed": values["seed"], **_section(values, "oracle.ensemble.")})
+    if not grid.cell_volume <= spec.delta <= grid.volume:
+        raise ConfigError("oracle.ensemble.delta",
+                          "must lie between the cell and the domain volume")
+    if spec.eta >= grid.volume:
+        raise ConfigError("oracle.ensemble.eta", "must be below the domain volume")
+    smallest = min(_default(mean_poincare_delta_trend, "fractions"))
+    if smallest * grid.volume < grid.cell_volume:
+        raise ConfigError("grid.cells", f"the oracle's smallest |B|, {smallest} of "
+                                        "the domain, is below one cell")
+    return spec
 
 
 def _mode_oracle(cfg, outputs, asserts):
-    raw = cfg.raw
-    grid = _build_grid(raw)
+    values = cfg.values
+    grid = _build_grid(values)
     rng = np.random.default_rng(cfg.seed)
     reports = {}
 
     # square completion on random positive fields and exponents
-    trials = int(_get(raw, "oracle.square_trials", 1000))
-    spec = _ensemble_from_config(raw, cfg.seed)
+    trials = values["oracle.square_trials"]
+    spec = _ensemble(values, grid)
     worst_rel = 0.0
     for i in range(trials):
         member = np.random.default_rng([cfg.seed, 7, i])
@@ -814,14 +840,13 @@ def _mode_oracle(cfg, outputs, asserts):
                 tolerance=1e-10, value=worst_rel)
 
     # power identities at three resolutions of a fixed smooth field
-    r_power = _get(raw, "oracle.power_r", 1.6)
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
     res = []
     for factor in (1, 2, 4):
         fine = Grid(cells=[c * factor for c in grid.cells],
                     extents=list(grid.extents))
         w = Field(fine, shape.values(fine), strictly_positive=True)
-        res.append(check_power_identities(w, r_power))
+        res.append(check_power_identities(w, values["oracle.power_r"]))
     orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]
     orders_full = [_observed_order(a[1], b[1]) for a, b in zip(res, res[1:])]
     reports["power_identities"] = {
@@ -834,7 +859,7 @@ def _mode_oracle(cfg, outputs, asserts):
                 tolerance=1.9, value=reports["power_identities"])
 
     # Riccati comparison on random parameter boxes
-    cases = int(_get(raw, "oracle.ode_cases", 100))
+    cases = values["oracle.ode_cases"]
     specs = [OdeComparison(a=float(rng.uniform(0.1, 10.0)),
                            b=float(rng.uniform(0.1, 10.0)),
                            y0=float(rng.uniform(0.1, 10.0)), T=1.0)
@@ -855,10 +880,9 @@ def _mode_oracle(cfg, outputs, asserts):
                 log_report.degenerate or np.isfinite(log_report.max_ratio),
                 value=reports["log_poincare"])
 
-    p_norm = _get(raw, "oracle.p_norm", 2.0)
+    p_norm = values["oracle.p_norm"]
     mean_report = mean_poincare_ratio(
-        spec, grid, p_norm,
-        include_riesz=_get(raw, "oracle.include_riesz", False))
+        spec, grid, p_norm, include_riesz=values["oracle.include_riesz"])
     reports["mean_poincare"] = mean_report.as_dict()
     reports["mean_poincare_delta_trend"] = mean_poincare_delta_trend(
         spec, grid, p_norm)
@@ -969,7 +993,11 @@ def main(argv=None):
         print(str(exc), file=sys.stderr)
         return 2
 
-    code, manifest = run_experiment(cfg)
+    try:
+        code, manifest = run_experiment(cfg)
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 1
     failed = [e["name"] for e in manifest["assertions"] if not e["passed"]]
     if failed:
         print("failed assertions: " + ", ".join(failed), file=sys.stderr)

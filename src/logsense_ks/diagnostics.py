@@ -42,6 +42,9 @@ ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
     "grad_vq_sq", "grad_up_sq", "grad_log_u_sq",
 )
+# A time integral over (0, T) needs samples at most T / MIN_SAMPLE_COUNT
+# apart unless its caller allows a wider spacing.
+MIN_SAMPLE_COUNT = 50
 
 
 class SamplingError(ValueError):
@@ -488,7 +491,7 @@ def _check_sampling(trajectory, max_sample_dt):
         raise SamplingError("need at least two samples for time integrals")
     gap = float(np.diff(times).max())
     if max_sample_dt is None:
-        max_sample_dt = max(trajectory.final_time, 1e-300) / 50.0
+        max_sample_dt = max(trajectory.final_time, 1e-300) / MIN_SAMPLE_COUNT
     if gap > max_sample_dt * (1.0 + 1e-9):
         raise SamplingError(
             f"sampling interval {gap} exceeds the allowed {max_sample_dt}")
@@ -585,20 +588,19 @@ def entropy_balances(trajectory, params, phis, max_sample_dt=None):
     return balances
 
 
-def entropy_identity_residual(record, trajectory, params, phi, max_sample_dt=None,
+def entropy_identity_residual(trajectory, params, phi, max_sample_dt=None,
                               return_terms=False):
     """|two-sided entropy identity mismatch| for the sampled trajectory.
 
-    The record argument is accepted for interface symmetry with the other
-    checks; all integrals are reassembled from the snapshots so that
-    arbitrary phi weights are supported.
+    All integrals are assembled from the snapshots, so arbitrary phi weights
+    are supported.
     """
     resid, info = entropy_balances(trajectory, params, [phi],
                                    max_sample_dt)[0].identity()
     return (resid, info) if return_terms else resid
 
 
-def supersolution_residual(record, trajectory, params, phi, max_sample_dt=None):
+def supersolution_residual(trajectory, params, phi, max_sample_dt=None):
     """Signed residual of the one-sided (supersolution) inequality.
 
     Computed as production side minus time side with the unsaturated reaction
@@ -608,7 +610,6 @@ def supersolution_residual(record, trajectory, params, phi, max_sample_dt=None):
     inequality direction.  phi must be nonnegative, zero-flux compatible and
     compactly supported in time.
     """
-    _check_sampling(trajectory, max_sample_dt)
     phi.check_one_sided(trajectory.grid, trajectory.final_time)
     return entropy_balances(trajectory, params, [phi],
                             max_sample_dt)[0].supersolution()

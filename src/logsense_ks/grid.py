@@ -110,22 +110,17 @@ class Field:
         self.values = values
         self.strictly_positive = strictly_positive
 
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.strictly_positive)
-
-    def min(self):
-        return float(self.values.min())
-
-    def max(self):
-        return float(self.values.max())
-
 
 # low-level kernels on raw arrays ------------------------------------------------
 
+def _span(axis, start, stop):
+    """Index of the entries start:stop along `axis`, all entries elsewhere."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def end_slabs(a, axis):
     """Views of the first and the last one-entry-thick layer of `a` along `axis`."""
-    head = (slice(None),) * axis
-    return a[head + (slice(0, 1),)], a[head + (slice(-1, None),)]
+    return a[_span(axis, 0, 1)], a[_span(axis, -1, None)]
 
 
 def lap_values(a, h):
@@ -134,11 +129,8 @@ def lap_values(a, h):
     for ax, ha in enumerate(h):
         first, last = end_slabs(a, ax)
         padded = np.concatenate([first, a, last], axis=ax)
-        lo = [slice(None)] * a.ndim
-        hi = [slice(None)] * a.ndim
-        lo[ax] = slice(0, a.shape[ax])
-        hi[ax] = slice(2, a.shape[ax] + 2)
-        out += (padded[tuple(hi)] - 2.0 * a + padded[tuple(lo)]) / ha**2
+        n = a.shape[ax]
+        out += (padded[_span(ax, 2, n + 2)] - 2.0 * a + padded[_span(ax, 0, n)]) / ha**2
     return out
 
 
@@ -147,9 +139,7 @@ def face_grad_values(a, h, axis):
     shape = list(a.shape)
     shape[axis] += 1
     g = np.zeros(shape, dtype=np.float64)
-    interior = [slice(None)] * a.ndim
-    interior[axis] = slice(1, a.shape[axis])
-    g[tuple(interior)] = np.diff(a, axis=axis) / h[axis]
+    g[_span(axis, 1, a.shape[axis])] = np.diff(a, axis=axis) / h[axis]
     return g
 
 
@@ -157,11 +147,8 @@ def face_div_values(fluxes, h, shape):
     """Divergence of per-axis face fluxes back onto cells."""
     out = np.zeros(shape, dtype=np.float64)
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
-        hi = [slice(None)] * len(shape)
-        lo = [slice(None)] * len(shape)
-        hi[ax] = slice(1, shape[ax] + 1)
-        lo[ax] = slice(0, shape[ax])
-        out += (flux[tuple(hi)] - flux[tuple(lo)]) / ha
+        n = shape[ax]
+        out += (flux[_span(ax, 1, n + 1)] - flux[_span(ax, 0, n)]) / ha
     return out
 
 
@@ -170,13 +157,8 @@ def face_mean_values(a, axis):
     shape = list(a.shape)
     shape[axis] += 1
     m = np.empty(shape, dtype=np.float64)
-    interior = [slice(None)] * a.ndim
-    interior[axis] = slice(1, a.shape[axis])
-    lo = [slice(None)] * a.ndim
-    hi = [slice(None)] * a.ndim
-    lo[axis] = slice(0, a.shape[axis] - 1)
-    hi[axis] = slice(1, a.shape[axis])
-    m[tuple(interior)] = 0.5 * (a[tuple(lo)] + a[tuple(hi)])
+    n = a.shape[axis]
+    m[_span(axis, 1, n)] = 0.5 * (a[_span(axis, 0, n - 1)] + a[_span(axis, 1, n)])
     for face, cell in zip(end_slabs(m, axis), end_slabs(a, axis)):
         face[...] = cell
     return m
@@ -184,12 +166,8 @@ def face_mean_values(a, axis):
 
 def faces_to_cells(face_array, axis):
     """Average the two bounding faces of each cell along `axis`."""
-    lo = [slice(None)] * face_array.ndim
-    hi = [slice(None)] * face_array.ndim
     n = face_array.shape[axis] - 1
-    lo[axis] = slice(0, n)
-    hi[axis] = slice(1, n + 1)
-    return 0.5 * (face_array[tuple(lo)] + face_array[tuple(hi)])
+    return 0.5 * (face_array[_span(axis, 0, n)] + face_array[_span(axis, 1, n + 1)])
 
 
 # public field operations --------------------------------------------------------

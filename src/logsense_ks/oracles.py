@@ -275,8 +275,9 @@ class EnsembleSpec:
             raise ValueError("floor must be positive")
         if self.delta <= 0.0 or self.eta <= 0.0:
             raise ValueError("delta and eta must be positive")
-        if self.amplitude[0] > self.amplitude[1] or self.amplitude[0] < 0.0:
-            raise ValueError("amplitude range must be 0 <= lo <= hi")
+        if len(self.amplitude) != 2 or \
+                not 0.0 <= self.amplitude[0] <= self.amplitude[1]:
+            raise ValueError("amplitude range must be a pair 0 <= lo <= hi")
         if self.b_selector not in ("threshold", "random"):
             raise ValueError(f"unknown B selector: {self.b_selector!r}")
 

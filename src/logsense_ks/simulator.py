@@ -24,6 +24,7 @@ time.
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    _span,
     face_div_values,
     face_grad_values,
     face_mean_values,
@@ -57,7 +59,7 @@ class StepRejected(RuntimeError):
     """A candidate step lost positivity and must be retried with smaller dt."""
 
 
-class SingularityError(RuntimeError):
+class SingularityError(SimulationError):
     """v dropped below the evaluation floor of the u/v mobility."""
 
 
@@ -124,7 +126,7 @@ def _tendency(state, v_floor):
     v = state.v.values
     if v.min() < v_floor:
         raise SingularityError(
-            f"min v = {v.min()} fell below the mobility floor {v_floor}")
+            f"min v = {v.min()} fell below the mobility floor {v_floor}", state.t)
     if state._tendency is not None:
         return state._tendency
     grid = state.grid
@@ -135,9 +137,8 @@ def _tendency(state, v_floor):
         g = face_grad_values(v, grid.h, ax)
         v_face = face_mean_values(v, ax)
         worst = max(worst, float(np.abs(g / v_face).max()))
-        head = (slice(None),) * ax
-        inner = head + (slice(1, grid.shape[ax]),)  # interior faces = upper cells
-        lower = head + (slice(0, grid.shape[ax] - 1),)
+        inner = _span(ax, 1, grid.shape[ax])  # interior faces = upper cells
+        lower = _span(ax, 0, grid.shape[ax] - 1)
         g_in = g[inner]
         donor = np.where(g_in > 0.0, u[lower], u[inner])
         flux = np.zeros_like(g)
@@ -227,12 +228,6 @@ class Trajectory:
     @property
     def final_time(self):
         return self.times[-1] if self.times else 0.0
-
-    def snapshot(self, k):
-        return self.times[k], self.u_snapshots[k], self.v_snapshots[k]
-
-    def initial_mass(self):
-        return integrate_values(self.u_snapshots[0], self.grid)
 
     def mass_series(self):
         return np.array([integrate_values(u, self.grid) for u in self.u_snapshots])
@@ -338,6 +333,8 @@ def gaussian_bump(grid, amplitude, width, center=None, baseline=0.0):
     """baseline + amplitude * exp(-|x - center|^2 / (2 width^2))."""
     if center is None:
         center = [0.5 * L for L in grid.extents]
+    if len(center) != grid.dim:
+        raise ValueError(f"center needs {grid.dim} coordinates, got {len(center)}")
     coords = grid.meshgrid()
     rsq = np.zeros(grid.shape)
     for x, c in zip(coords, center):
@@ -345,7 +342,7 @@ def gaussian_bump(grid, amplitude, width, center=None, baseline=0.0):
     return Field(grid, baseline + amplitude * np.exp(-rsq / (2.0 * width**2)))
 
 
-def cosine_perturbation(grid, baseline, amplitude, cutoff, seed):
+def cosine_perturbation(grid, baseline, amplitude, cutoff=3, seed=0):
     """baseline plus a seeded random zero-flux cosine series, clipped positive.
 
     Coefficients are uniform in [-amplitude, amplitude] with a 1/(1+|k|^2)
@@ -372,40 +369,33 @@ def cosine_perturbation(grid, baseline, amplitude, cutoff, seed):
     return Field(grid, vals)
 
 
+INITIAL_KINDS = {
+    "constant": constant_field,
+    "gaussian": gaussian_bump,
+    "cosine": cosine_perturbation,
+}
+
+
 def make_initial_field(grid, spec):
-    """Build a field from a JSON-style description.
+    """Build a field from a JSON-style description: `kind` names one of
+    INITIAL_KINDS and the other entries are that function's arguments.
 
     Kinds: constant {value}, gaussian {amplitude, width, center?, baseline?},
     cosine {baseline, amplitude, cutoff?, seed?}.
     """
-    kind = spec.get("kind")
-    if kind == "constant":
-        return constant_field(grid, spec["value"])
-    if kind == "gaussian":
-        return gaussian_bump(
-            grid,
-            amplitude=spec["amplitude"],
-            width=spec["width"],
-            center=spec.get("center"),
-            baseline=spec.get("baseline", 0.0),
-        )
-    if kind == "cosine":
-        return cosine_perturbation(
-            grid,
-            baseline=spec["baseline"],
-            amplitude=spec["amplitude"],
-            cutoff=int(spec.get("cutoff", 3)),
-            seed=int(spec.get("seed", 0)),
-        )
-    raise ValueError(f"unknown initial data kind: {kind!r}")
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if kind not in INITIAL_KINDS:
+        raise ValueError(f"unknown initial data kind: {kind!r}")
+    build = INITIAL_KINDS[kind]
+    try:
+        inspect.signature(build).bind(grid, **args)
+    except TypeError as exc:
+        raise ValueError(f"{kind} initial data: {exc}") from None
+    return build(grid, **args)
 
 
-def initial_state(grid, params, u_spec, v_spec, v_min_floor=1e-6):
-    """Assemble a SimState from initial data descriptions; v is floored positive."""
-    u0 = make_initial_field(grid, u_spec)
-    v0 = make_initial_field(grid, v_spec)
-    if u0.values.min() < 0.0:
-        raise ValueError("initial u must be nonnegative")
-    v_vals = np.maximum(v0.values, v_min_floor)
-    return SimState(t=0.0, u=u0, v=Field(grid, v_vals, strictly_positive=True),
-                    params=params)
+def initial_state(params, u0, v0, v_min_floor=1e-6):
+    """The SimState at t = 0 of the initial fields; v is floored positive."""
+    v = Field(v0.grid, np.maximum(v0.values, v_min_floor), strictly_positive=True)
+    return SimState(t=0.0, u=u0, v=v, params=params)

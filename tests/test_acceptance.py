@@ -164,7 +164,7 @@ def test_criterion_06_entropy_identity_refinement():
     trajectory = run(state, 0.2, sample_times=np.linspace(0.0, 0.2, 201))
     record = collect(trajectory, params)
     residuals = [
-        entropy_identity_residual(record, trajectory, params, phi)
+        entropy_identity_residual(trajectory, params, phi)
         for phi in (
             diagnostics.TestFunction(diagnostics.ConstantSpatial(1.0),
                                      diagnostics.OneTemporal()),
@@ -184,8 +184,8 @@ def test_criterion_07_supersolution_direction(super_runs):
         T = trajectory.final_time
         for phi in builtin_supersolution_family(trajectory.grid, T):
             ident, info = entropy_identity_residual(
-                record, trajectory, params, phi, return_terms=True)
-            slack = supersolution_residual(record, trajectory, params, phi)
+                trajectory, params, phi, return_terms=True)
+            slack = supersolution_residual(trajectory, params, phi)
             margin = slack + 1e-6 * info["scale"] + ident
             worst = min(worst, margin)
     ok = worst >= 0.0
@@ -198,7 +198,7 @@ def _apriori_with_measured_disc(trajectory, record, params):
     # the measured discretization allowance the tolerance admits
     phi_one = diagnostics.TestFunction(diagnostics.ConstantSpatial(1.0),
                                        diagnostics.OneTemporal())
-    disc = entropy_identity_residual(record, trajectory, params, phi_one)
+    disc = entropy_identity_residual(trajectory, params, phi_one)
     return apriori_bounds_check(record, params, disc_estimate=disc)
 
 

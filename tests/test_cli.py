@@ -131,7 +131,7 @@ def test_out_dir_resolution(tmp_path, monkeypatch):
     assert cfg.out_dir == tmp_path / "cli"
 
 
-def test_seed_and_threads_resolution():
+def test_seed_resolution():
     raw = simulate_config(seed=7)
     assert validate_config(raw).seed == 7
     assert validate_config(raw, seed_override=11).seed == 11

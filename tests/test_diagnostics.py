@@ -220,7 +220,7 @@ def test_identity_residual_constant_state_time_constant_phi():
     for spatial in (ConstantSpatial(1.0),
                     CosineSpatial((1, 1), amplitude=0.5, offset=1.0)):
         phi = diagnostics.TestFunction(spatial, OneTemporal())
-        resid = entropy_identity_residual(rec, traj, params, phi)
+        resid = entropy_identity_residual(traj, params, phi)
         assert resid <= 1e-10
 
 
@@ -228,7 +228,7 @@ def test_identity_residual_small_on_smooth_run(smooth_run):
     traj, rec, params = smooth_run
     phi = diagnostics.TestFunction(CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
                        RampDownTemporal(0.45))
-    resid, info = entropy_identity_residual(rec, traj, params, phi,
+    resid, info = entropy_identity_residual(traj, params, phi,
                                             return_terms=True)
     assert resid <= 0.02 * info["scale"]
     assert set(info["terms"]) == {
@@ -247,19 +247,19 @@ def test_identity_requires_dense_sampling():
     rec = collect(sparse, params)
     phi = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
     with pytest.raises(SamplingError):
-        entropy_identity_residual(rec, sparse, params, phi)
+        entropy_identity_residual(sparse, params, phi)
     single = run(state, T=0.0)
     rec1 = collect(single, params)
     with pytest.raises(SamplingError):
-        entropy_identity_residual(rec1, single, params, phi)
+        entropy_identity_residual(single, params, phi)
 
 
 def test_supersolution_residual_nonnegative(smooth_run):
     traj, rec, params = smooth_run
     family = builtin_supersolution_family(traj.grid, traj.final_time)
     for phi in family:
-        resid = supersolution_residual(rec, traj, params, phi)
-        ident, info = entropy_identity_residual(rec, traj, params, phi,
+        resid = supersolution_residual(traj, params, phi)
+        ident, info = entropy_identity_residual(traj, params, phi,
                                                 return_terms=True)
         assert resid >= -(1e-6 * info["scale"] + ident)
 
@@ -268,16 +268,16 @@ def test_supersolution_rejects_bad_phi(smooth_run):
     traj, rec, params = smooth_run
     T = traj.final_time
     with pytest.raises(ValueError):  # not compact in time
-        supersolution_residual(rec, traj, params,
+        supersolution_residual(traj, params,
                                diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()))
     with pytest.raises(ValueError):  # negative spatial part
         supersolution_residual(
-            rec, traj, params,
+            traj, params,
             diagnostics.TestFunction(CosineSpatial((1, 0), amplitude=2.0, offset=0.0),
                          RampDownTemporal(0.5 * T)))
     with pytest.raises(ValueError):  # nonzero boundary normal derivative
         supersolution_residual(
-            rec, traj, params,
+            traj, params,
             diagnostics.TestFunction(BumpSpatial(center=(0.2, 0.5), width=(0.5, 0.4)),
                          RampDownTemporal(0.5 * T)))
 

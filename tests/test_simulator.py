@@ -229,10 +229,8 @@ def test_initial_state_validation_and_flooring():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
     with pytest.raises(ValueError):
-        initial_state(g, params, {"kind": "constant", "value": -1.0},
-                      {"kind": "constant", "value": 1.0})
-    st = initial_state(g, params, {"kind": "constant", "value": 1.0},
-                       {"kind": "constant", "value": 0.0})
+        initial_state(params, constant_field(g, -1.0), constant_field(g, 1.0))
+    st = initial_state(params, constant_field(g, 1.0), constant_field(g, 0.0))
     assert st.v.values.min() == pytest.approx(1e-6)
 
 
