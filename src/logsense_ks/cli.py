@@ -58,6 +58,7 @@ from .oracles import (
     EnsembleSpec,
     OdeComparison,
     check_power_identities,
+    check_synth_amplitude,
     check_square_completion,
     log_poincare_ratio,
     mean_poincare_delta_trend,
@@ -138,12 +139,12 @@ CONFIG_KEYS = {
         ("kind", Key("str", tuple(INITIAL_KINDS), required=SOLVER_MODES)),
         ("value", Key("number")), ("amplitude", Key("number")),
         ("width", Key("number", "(0, inf)")), ("center", Key("number list")),
-        ("baseline", Key("number")), ("cutoff", Key("int", "[0, inf)")),
+        ("baseline", Key("number")), ("cutoff", Key("int", "[0, 16]")),
         ("seed", Key("int", "[0, inf)")))},
     "initial.v_floor": Key("number", "(0, inf)",
                            _default(initial_state, "v_min_floor")),
     "run.T": Key("number", "(0, inf)", required=RUN_MODES),
-    "run.sample_count": Key("int", "[1, inf)", DEFAULT_SAMPLE_COUNT),
+    "run.sample_count": Key("int", "[1, 100000]", DEFAULT_SAMPLE_COUNT),
     "run.safety": Key("number", "(0, inf)", DEFAULT_SAFETY),
     "run.max_dt": Key("number", "(0, inf)"),
     "run.v_floor": Key("number", "[0, inf)", DEFAULT_V_FLOOR),
@@ -151,24 +152,24 @@ CONFIG_KEYS = {
     "checks.identity_tol_rel": Key("number", "[0, inf)", 0.02),
     "eps_ladder": Key("number list", "[0, 1)", required=("eps-study",)),
     "refine.T": Key("number", "(0, inf)", required=("refine-study",)),
-    "refine.levels": Key("int", "[2, inf)", 3),
+    "refine.levels": Key("int", "[2, 24]", 3),
     "refine.dt_factor": Key("number", "(0, inf)", 1.0 / 16.0),
-    "refine.sample_count": Key("int", "[1, inf)", 40),
+    "refine.sample_count": Key("int", "[1, 100000]", 40),
     "refine.power_r": Key("number", "(0, inf)", 1.6),
     "params_query.export_region": Key("bool", None, False),
-    "params_query.p_count": Key("int", "[1, inf)",
+    "params_query.p_count": Key("int", "[1, 1000000]",
                                 _default(export_exponent_region, "p_count")),
     "oracle": Key("object", required=("oracle",)),
-    "oracle.square_trials": Key("int", "[0, inf)", 1000),
+    "oracle.square_trials": Key("int", "[0, 1000000]", 1000),
     "oracle.power_r": Key("number", "(0, inf)", 1.6),
-    "oracle.ode_cases": Key("int", "[1, inf)", 100),
+    "oracle.ode_cases": Key("int", "[1, 10000]", 100),
     "oracle.p_norm": Key("number", "[1, inf)", 2.0),
     "oracle.include_riesz": Key("bool", None,
                                 _default(mean_poincare_ratio, "include_riesz")),
     "oracle.ensemble.seed": Key("int", "[0, inf)"),
     **{f"oracle.ensemble.{name}": Key(kind, valid, _default(EnsembleSpec, name))
        for name, kind, valid in (
-           ("count", "int", "[1, inf)"), ("cutoff", "int", "[1, inf)"),
+           ("count", "int", "[1, 100000]"), ("cutoff", "int", "[1, 16]"),
            ("amplitude", "number list", "[0, inf)"), ("floor", "number", "(0, inf)"),
            ("delta", "number", "(0, inf)"), ("eta", "number", "(0, inf)"),
            ("b_selector", "str", ("threshold", "random")))},
@@ -801,6 +802,8 @@ def _ensemble(values, grid):
     checked against the grid."""
     spec = _mapped("oracle.ensemble", EnsembleSpec, **{
         "seed": values["seed"], **_section(values, "oracle.ensemble.")})
+    _mapped("oracle.ensemble.amplitude", check_synth_amplitude, grid.dim,
+            spec.cutoff, spec.amplitude)
     if not grid.cell_volume <= spec.delta <= grid.volume:
         raise ConfigError("oracle.ensemble.delta",
                           "must lie between the cell and the domain volume")

@@ -19,12 +19,14 @@ asserted against theoretical values (none are given in closed form).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import (
+    Grid,
     face_grad_values,
     faces_to_cells,
     gradient_cell_magnitude,
@@ -34,6 +36,11 @@ from .grid import (
 from .params import entropy_coefficients
 
 DEFAULT_ODE_SUBSTEPS = 10**5
+# RK4 steps held before the comparison bound is formed for all of them at once
+_ODE_CHUNK = 64
+# probe cells whose distances to every cell are formed at once; keeps each
+# (block, cells) temporary near 128 KiB on a 32 x 32 grid
+_RIESZ_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +200,23 @@ def verify_ode_comparison(spec, substeps=DEFAULT_ODE_SUBSTEPS, tolerance=1e-6):
     return verify_ode_comparison_batch([spec], substeps, tolerance)[0]
 
 
+def _riccati_rhs(a, b, y, out):
+    """out = b - a y^2, formed as b - (a * y) * y."""
+    np.multiply(a, y, out=out)
+    out *= y
+    return np.subtract(b, out, out=out)
+
+
 def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
                                 tolerance=1e-6):
-    """Vectorized form of verify_ode_comparison for many parameter sets."""
+    """Vectorized form of verify_ode_comparison for many parameter sets.
+
+    Every case and y0 variant is one row of a classical RK4 integration run
+    in preallocated buffers.  The states of up to _ODE_CHUNK consecutive steps
+    are held and compared with the bound in one pass over the chunk.
+    """
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     if not specs:
         return []
     rows = []
@@ -211,25 +232,45 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
     y = np.array([r[2] for r in rows], dtype=np.float64)
     T = np.array([r[3] for r in rows])
     dt = T / substeps
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
     eq = np.sqrt(b / a)
     w = np.sqrt(a * b)
     # solutions from y0 < -eq blow down in finite time; freeze them once they
     # are far below the equilibrium (the bound is positive, so they pass)
     floor = -10.0 * (eq + 1.0)
     max_excess = np.full(len(rows), -np.inf)
+    k1, k2, k3, k4, stage = (np.empty(len(rows)) for _ in range(5))
+    moving = np.empty(len(rows), dtype=bool)
+    chunk = np.empty((min(_ODE_CHUNK, substeps), len(rows)))
 
-    for n in range(1, substeps + 1):
-        k1 = b - a * y * y
-        y2 = y + 0.5 * dt * k1
-        k2 = b - a * y2 * y2
-        y3 = y + 0.5 * dt * k2
-        k3 = b - a * y3 * y3
-        y4 = y + dt * k3
-        k4 = b - a * y4 * y4
-        y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = np.where(y > floor, y_next, y)
-        bound = eq / np.tanh(w * (n * dt))
-        np.maximum(max_excess, y - bound, out=max_excess)
+    for start in range(0, substeps, len(chunk)):
+        held = chunk[:min(len(chunk), substeps - start)]
+        for row in held:
+            _riccati_rhs(a, b, y, k1)
+            np.multiply(half_dt, k1, out=stage)
+            stage += y
+            _riccati_rhs(a, b, stage, k2)
+            np.multiply(half_dt, k2, out=stage)
+            stage += y
+            _riccati_rhs(a, b, stage, k3)
+            np.multiply(dt, k3, out=stage)
+            stage += y
+            _riccati_rhs(a, b, stage, k4)
+            # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= sixth_dt
+            k2 += y
+            np.greater(y, floor, out=moving)
+            np.copyto(y, k2, where=moving)
+            row[...] = y
+        steps = np.arange(start + 1, start + len(held) + 1)[:, None]
+        held -= eq / np.tanh(w * (steps * dt))
+        np.maximum(max_excess, held.max(axis=0), out=max_excess)
 
     reports = []
     idx = 0
@@ -282,6 +323,57 @@ class EnsembleSpec:
             raise ValueError(f"unknown B selector: {self.b_selector!r}")
 
 
+# a quarter of ln(largest float): a series of at most this magnitude keeps a
+# synthesized field, its square and its squared gradient finite
+MAX_SERIES_MAGNITUDE = float(np.log(np.finfo(np.float64).max)) / 4.0
+
+
+def _modes(dim, cutoff):
+    """Each mode k of the synthesis series with its 1 + |k|^2, in draw order."""
+    for k in itertools.product(range(cutoff + 1), repeat=dim):
+        yield k, 1.0 + sum(ki * ki for ki in k)
+
+
+def check_synth_amplitude(dim, cutoff, amplitude):
+    """Raise ValueError unless every series synth_positive_field can draw on a
+    dim-dimensional grid stays within MAX_SERIES_MAGNITUDE.
+
+    |series| <= amplitude[1] * sum_k 1/(1 + |k|^2) over the (cutoff + 1)^dim
+    modes, since every draw lies in [-1, 1] and every cosine in [-1, 1].
+    """
+    bound = amplitude[1] * sum(1.0 / d for _, d in _modes(dim, cutoff))
+    if bound > MAX_SERIES_MAGNITUDE:
+        raise ValueError(
+            f"the upper amplitude {amplitude[1]:g} lets the log-field series "
+            f"reach {bound:.4g}, above {MAX_SERIES_MAGNITUDE:.4g}, where the "
+            "fields overflow")
+
+
+@functools.lru_cache(maxsize=8)
+def _cosine_table(cells, extents, cutoff):
+    """Per-mode cosine factors and 1 + |k|^2 denominators of the synthesis series.
+
+    Modes run over range(cutoff + 1)^dim in lexicographic order.  A mode's
+    factors are the vectors cos(k_a pi x_a / L_a) of its nonzero k_a, each
+    shaped to broadcast along its own axis, so the table grows with the
+    cells per axis, not with the grid.
+    """
+    grid = Grid(cells, extents, max_cells=np.inf)
+    cosines = []
+    for ax in range(grid.dim):
+        x = grid.axis_centers(ax).reshape(
+            [-1 if a == ax else 1 for a in range(grid.dim)])
+        cosines.append([np.cos(ki * np.pi * x / extents[ax])
+                        for ki in range(cutoff + 1)])
+        for vector in cosines[-1]:
+            vector.flags.writeable = False  # shared by every cached caller
+    factors, denominators = [], []
+    for k, denominator in _modes(grid.dim, cutoff):
+        factors.append(tuple(cosines[ax][ki] for ax, ki in enumerate(k) if ki))
+        denominators.append(denominator)
+    return tuple(factors), np.array(denominators)
+
+
 def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     """floor + exp(random cosine series): smooth, zero-flux, >= floor strictly.
 
@@ -290,19 +382,24 @@ def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     mode acts as a global log-offset; without it every sample would sit above
     any level delta < 1 on average and the small-field branch of the level-set
     inequalities could never occur.
+
+    The per-axis cosine vectors and the denominators come from a small cache
+    keyed on (cells, extents, cutoff), so a field costs one draw of all its
+    coefficients and a few broadcast products per mode.  A mode's term is
+    the product of its cosines in axis order, scaled by its coefficient and
+    added in mode order.
     """
+    factors, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
     amp = rng.uniform(*amplitude)
-    coords = grid.meshgrid()
+    coeffs = rng.uniform(-1.0, 1.0, size=len(denominators)) * amp / denominators
     series = np.zeros(grid.shape)
-    for k in itertools.product(range(cutoff + 1), repeat=grid.dim):
-        coeff = rng.uniform(-1.0, 1.0) * amp / (1.0 + sum(ki * ki for ki in k))
-        if not any(k):
+    for coeff, vectors in zip(coeffs, factors):
+        if not vectors:
             series += coeff
             continue
-        term = np.ones(grid.shape)
-        for ax, ki in enumerate(k):
-            if ki:
-                term = term * np.cos(ki * np.pi * coords[ax] / grid.extents[ax])
+        term = vectors[0]
+        for vector in vectors[1:]:
+            term = term * vector
         series += coeff * term
     return floor + np.exp(series)
 
@@ -486,27 +583,45 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
     return report
 
 
+def _riesz_ratios(grid, values, u_b, grad_mag, cells):
+    """|u(x) - u_B| over the kernel bound at each probe cell x in `cells`.
+
+    The bound is vol * sum_y |Du(y)| / d(x, y)^(dim-1), with the distance d
+    floored at half the min spacing.  Probes go in blocks of _RIESZ_BLOCK:
+    a block forms its squared distances to every cell as per-axis squares
+    summed in axis order (what a Euclidean norm over the axes reduces), then
+    one kernel-weighted row sum per probe.
+    """
+    axes = [c.ravel() for c in grid.meshgrid()]
+    h_min = min(grid.h)
+    power = grid.dim - 1
+    gm = grad_mag.ravel()
+    bound = np.empty(len(cells))
+    for lo in range(0, len(cells), _RIESZ_BLOCK):
+        block = cells[lo:lo + _RIESZ_BLOCK, None]
+        dist = np.zeros((len(block), len(gm)))
+        for x in axes:
+            diff = x - x[block]
+            diff *= diff
+            dist += diff
+        np.sqrt(dist, out=dist)
+        np.maximum(dist, 0.5 * h_min, out=dist)
+        kernel = dist**-power if power else np.ones_like(dist)
+        kernel *= gm
+        kernel.sum(axis=1, out=bound[lo:lo + _RIESZ_BLOCK])
+    bound *= grid.cell_volume
+    return np.divide(np.abs(values.ravel()[cells] - u_b), bound,
+                     out=np.zeros(len(cells)), where=bound > 0)
+
+
 def _riesz_probe(results, spec, grid, probes):
     """Fit-then-check of the pointwise Riesz kernel bound at random cells."""
     rng = np.random.default_rng([spec.seed, 10**9])
-    centers = grid.meshgrid()
-    coords = np.stack([c.ravel() for c in centers], axis=1)
-    h_min = min(grid.h)
-    vol = grid.cell_volume
-    power = grid.dim - 1
+    cell_count = int(np.prod(grid.shape))
 
     def probe_ratios(values, u_b, grad_mag):
-        flat = values.ravel()
-        gm = grad_mag.ravel()
-        idx = rng.integers(0, len(flat), size=probes)
-        out = np.empty(probes)
-        for j, cell in enumerate(idx):
-            dist = np.linalg.norm(coords - coords[cell], axis=1)
-            np.maximum(dist, 0.5 * h_min, out=dist)
-            kernel = dist**-power if power else np.ones_like(dist)
-            bound = float((gm * kernel).sum()) * vol
-            out[j] = abs(flat[cell] - u_b) / bound if bound > 0 else 0.0
-        return out
+        cells = rng.integers(0, cell_count, size=probes)
+        return _riesz_ratios(grid, values, u_b, grad_mag, cells)
 
     half = max(1, len(results) // 2)
     calibration = [probe_ratios(v, ub, gm) for _, v, ub, gm in results[:half]]

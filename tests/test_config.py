@@ -125,6 +125,20 @@ PROBES = [
     ("oracle", "oracle.ode_cases", 0, "oracle.ode_cases"),
     ("oracle", "oracle.p_norm", 0.5, "oracle.p_norm"),
     ("simulate", "run.sampel_count", 100, "run.sampel_count"),
+    ("oracle", "oracle.ensemble.amplitude", [0.2, 1000],
+     "oracle.ensemble.amplitude"),
+    # every count has a finite upper end
+    ("simulate", "run.sample_count", 10**30, "run.sample_count"),
+    ("simulate", "initial.u", {"kind": "cosine", "baseline": 1.0,
+                               "amplitude": 0.3, "cutoff": 10**30},
+     "initial.u.cutoff"),
+    ("refine-study", "refine.levels", 10**30, "refine.levels"),
+    ("refine-study", "refine.sample_count", 10**30, "refine.sample_count"),
+    ("params", "params_query.p_count", 10**30, "params_query.p_count"),
+    ("oracle", "oracle.square_trials", 10**30, "oracle.square_trials"),
+    ("oracle", "oracle.ode_cases", 10**30, "oracle.ode_cases"),
+    ("oracle", "oracle.ensemble.count", 10**30, "oracle.ensemble.count"),
+    ("oracle", "oracle.ensemble.cutoff", 10**30, "oracle.ensemble.cutoff"),
 ]
 
 

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import Field, Grid
+from logsense_ks.grid import Field, Grid, gradient_cell_magnitude
 from logsense_ks.oracles import (
+    _ODE_CHUNK,
+    _RIESZ_BLOCK,
+    _riesz_ratios,
     EnsembleSpec,
     OdeComparison,
     check_power_identities,
@@ -193,6 +198,13 @@ def test_ode_comparison_random_batch():
     assert {"a", "b", "y0", "T", "passed", "max_excess"} <= set(d)
 
 
+@pytest.mark.parametrize("substeps", [0, -3])
+def test_ode_comparison_rejects_no_substeps(substeps):
+    spec = OdeComparison(a=1.0, b=4.0, y0=1.0, T=1.0)
+    with pytest.raises(ValueError, match="substeps"):
+        verify_ode_comparison_batch([spec], substeps=substeps)
+
+
 # random-field ensembles -------------------------------------------------------------
 
 def test_ensemble_spec_validation():
@@ -319,3 +331,119 @@ def test_mean_poincare_delta_trend_grows():
     # smaller reference sets can only loosen the constant (small slack for ties)
     for a, b in zip(ratios, ratios[1:]):
         assert b >= a * 0.95
+
+
+# reference loops --------------------------------------------------------------------
+# The kernels as first written: one mode, one RK4 step and one probe cell at a
+# time.  The buffered kernels keep every floating-point operation and its
+# order, so they must match these byte for byte.
+
+def _synth_reference(grid, rng, cutoff, amplitude, floor):
+    amp = rng.uniform(*amplitude)
+    coords = grid.meshgrid()
+    series = np.zeros(grid.shape)
+    for k in itertools.product(range(cutoff + 1), repeat=grid.dim):
+        coeff = rng.uniform(-1.0, 1.0) * amp / (1.0 + sum(ki * ki for ki in k))
+        if not any(k):
+            series += coeff
+            continue
+        term = np.ones(grid.shape)
+        for ax, ki in enumerate(k):
+            if ki:
+                term = term * np.cos(ki * np.pi * coords[ax] / grid.extents[ax])
+        series += coeff * term
+    return floor + np.exp(series)
+
+
+def _ode_reference(specs, substeps):
+    """Per-spec max excess over its three y0 variants, and whether any row
+    reached the floor freeze."""
+    rows = []
+    for s in specs:
+        eq = np.sqrt(s.b / s.a)
+        rows += [(s.a, s.b, y0, s.T) for y0 in (s.y0, 0.5 * eq, 2.0 * eq)]
+    a, b, y, T = (np.array(col, dtype=np.float64) for col in zip(*rows))
+    dt = T / substeps
+    eq = np.sqrt(b / a)
+    w = np.sqrt(a * b)
+    floor = -10.0 * (eq + 1.0)
+    max_excess = np.full(len(rows), -np.inf)
+    froze = False
+    for n in range(1, substeps + 1):
+        k1 = b - a * y * y
+        y2 = y + 0.5 * dt * k1
+        k2 = b - a * y2 * y2
+        y3 = y + 0.5 * dt * k2
+        k3 = b - a * y3 * y3
+        y4 = y + dt * k3
+        k4 = b - a * y4 * y4
+        y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        froze |= bool((y <= floor).any())
+        y = np.where(y > floor, y_next, y)
+        bound = eq / np.tanh(w * (n * dt))
+        np.maximum(max_excess, y - bound, out=max_excess)
+    return [float(max_excess[i:i + 3].max()) for i in range(0, len(rows), 3)], froze
+
+
+def _riesz_reference(grid, values, u_b, grad_mag, cells):
+    coords = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
+    flat = values.ravel()
+    gm = grad_mag.ravel()
+    power = grid.dim - 1
+    out = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        dist = np.linalg.norm(coords - coords[cell], axis=1)
+        np.maximum(dist, 0.5 * min(grid.h), out=dist)
+        kernel = dist**-power if power else np.ones_like(dist)
+        bound = float((gm * kernel).sum()) * grid.cell_volume
+        out[j] = abs(flat[cell] - u_b) / bound if bound > 0 else 0.0
+    return out
+
+
+UNEQUAL_GRIDS = [
+    Grid(cells=[37], extents=[1.7]),
+    Grid(cells=[12, 9], extents=[1.0, 2.5]),
+    Grid(cells=[6, 5, 7], extents=[0.7, 1.3, 2.1]),
+]
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_synth_matches_reference_loop(grid, cutoff):
+    for seed in range(3):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = synth_positive_field(grid, fast, cutoff, (0.2, 1.0), 0.05)
+        b = _synth_reference(grid, slow, cutoff, (0.2, 1.0), 0.05)
+        assert a.tobytes() == b.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_ode_batch_matches_reference_loop():
+    # short horizons from far-off starts: the max excess falls mid-transient,
+    # where a reordered sum moves the last bits instead of settling at the
+    # equilibrium
+    rng = np.random.default_rng(23)
+    specs = [OdeComparison(a=float(rng.uniform(0.1, 10.0)),
+                           b=float(rng.uniform(0.1, 10.0)),
+                           y0=float(rng.uniform(0.1, 1000.0)),
+                           T=float(rng.uniform(0.01, 0.1)))
+             for _ in range(12)]
+    specs.append(OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0))  # y0 < -eq
+    substeps = 1000 + 37
+    assert substeps % _ODE_CHUNK
+    expected, froze = _ode_reference(specs, substeps)
+    assert froze
+    reports = verify_ode_comparison_batch(specs, substeps=substeps)
+    assert [r.max_excess for r in reports] == expected
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_riesz_ratios_match_reference_loop(grid):
+    rng = np.random.default_rng(31)
+    values = synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05)
+    grad_mag = gradient_cell_magnitude(values, grid)
+    u_b = float(values.min())
+    cells = rng.integers(0, values.size, size=2 * _RIESZ_BLOCK + 5)
+    fast = _riesz_ratios(grid, values, u_b, grad_mag, cells)
+    slow = _riesz_reference(grid, values, u_b, grad_mag, cells)
+    assert fast.tobytes() == slow.tobytes()
