@@ -12,7 +12,8 @@ Modes:
 Configs are JSON, checked against one table of keys (CONFIG_KEYS); validation
 reports dotted field paths before any compute.
 Every mode writes a manifest JSON holding the config echo, library versions,
-seeds, wall time, and one entry per evaluated assertion; the process exit
+seeds, wall time, one entry per evaluated assertion and, in the solver modes,
+step counters per trajectory; the process exit
 status is nonzero exactly when an assertion failed.  All outputs except the
 manifest's wall-time entry are bit-reproducible for a fixed config and seed.
 """
@@ -86,6 +87,7 @@ MODES = ("simulate", "params", "entropy-check", "eps-study", "refine-study",
 GRID_MODES = tuple(m for m in MODES if m != "params")
 SOLVER_MODES = ("simulate", "entropy-check", "eps-study", "refine-study")
 RUN_MODES = ("simulate", "entropy-check", "eps-study")  # the modes reading run.T
+POWER_BASE_CELLS = 16
 
 
 class ConfigError(ValueError):
@@ -272,6 +274,7 @@ def validate_config(raw, out_override=None, seed_override=None):
     if mode == "refine-study":
         _build_grid(values, 2 ** (values["refine.levels"] - 1))  # the finest
     if mode == "oracle":
+        _mapped("grid", _power_grids, grid)
         _ensemble(values, grid)
 
     out_dir = out_override or values["out"] or os.environ.get(OUT_ENV_VAR) or "."
@@ -320,6 +323,11 @@ def _initial_state(values, grid, params):
 def _run_trajectory(values, state, T, sample_times, max_dt):
     return run(state, T, sample_times=sample_times, safety=values["run.safety"],
                max_dt=max_dt, v_floor=values["run.v_floor"])
+
+
+def _counters(trajectory, **label):
+    """The manifest's counters entry of one trajectory, after its label."""
+    return dict(label, **trajectory.counters())
 
 
 def _standard_run(values, state):
@@ -481,7 +489,7 @@ def _mode_simulate(cfg, outputs, asserts):
     _dump_json({"record": record.summary(), "checks": asserts.entries},
                summary_path)
     outputs.append(summary_path.name)
-    return {"summary": record.summary()}
+    return {"summary": record.summary(), "counters": [_counters(trajectory)]}
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ def _mode_entropy_check(cfg, outputs, asserts):
     path = cfg.out_dir / "residuals.json"
     _dump_json(residuals, path)
     outputs.append(path.name)
-    return {"residuals": residuals}
+    return {"residuals": residuals, "counters": [_counters(trajectory)]}
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +667,9 @@ def _mode_eps_study(cfg, outputs, asserts):
             "monotone_flags": flags,
             "min_log_u_band": band,
             "summaries": study.summaries,
-        }
+        },
+        "counters": [_counters(trajectory, eps=eps)
+                     for eps, (trajectory, _) in zip(study.ladder, results)],
     }
 
 
@@ -700,7 +710,9 @@ def _observed_order(coarse, fine, tiny=1e-13):
 
 
 def refine_study(raw):
-    """Run (h, h/2, h/4), compute errors and observed convergence orders."""
+    """Run (h, h/2, h/4), compute errors and observed convergence orders.
+
+    Each row also holds its level's step counters under "counters"."""
     values = validate_config(dict(raw, mode="refine-study")).values
     levels = values["refine.levels"]
     T = values["refine.T"]
@@ -736,6 +748,7 @@ def refine_study(raw):
             "identity_bump": resids["bump_bump"],
             "power_half": p_half,
             "power_full": p_full,
+            "counters": _counters(trajectory, level=level),
         })
         trajectories.append((grid, trajectory))
 
@@ -769,6 +782,7 @@ def _final_order(order_list):
 
 def _mode_refine_study(cfg, outputs, asserts):
     rows, orders = refine_study(cfg.raw)
+    counters = [row.pop("counters") for row in rows]
 
     csv_path = cfg.out_dir / "refine_study.csv"
     keys = ["level", "h_min", "final_u_l1_error", "identity_constant",
@@ -790,12 +804,20 @@ def _mode_refine_study(cfg, outputs, asserts):
     asserts.add("order_final_u_l1",
                 u_order == "exact" or u_order >= 1.5,
                 tolerance=1.5, value=orders["final_u_l1_error"])
-    return {"refine": {"rows": rows, "orders": orders}}
+    return {"refine": {"rows": rows, "orders": orders}, "counters": counters}
 
 
 # ---------------------------------------------------------------------------
 # mode: oracle
 # ---------------------------------------------------------------------------
+
+def _power_grids(grid):
+    """The oracle's power-identity ladder: 1x, 2x and 4x a base grid of at
+    least POWER_BASE_CELLS per axis, as coarser grids are pre-asymptotic."""
+    base = [max(c, POWER_BASE_CELLS) for c in grid.cells]
+    return [Grid(cells=[c * factor for c in base], extents=list(grid.extents))
+            for factor in (1, 2, 4)]
+
 
 def _ensemble(values, grid):
     """The EnsembleSpec of oracle.ensemble (its seed the run's unless given),
@@ -845,9 +867,7 @@ def _mode_oracle(cfg, outputs, asserts):
     # power identities at three resolutions of a fixed smooth field
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
     res = []
-    for factor in (1, 2, 4):
-        fine = Grid(cells=[c * factor for c in grid.cells],
-                    extents=list(grid.extents))
+    for fine in _power_grids(grid):
         w = Field(fine, shape.values(fine), strictly_positive=True)
         res.append(check_power_identities(w, values["oracle.power_r"]))
     orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]

@@ -14,6 +14,7 @@ entries along axis a; entry i sits between cells i-1 and i.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -132,6 +133,47 @@ def lap_values(a, h):
         n = a.shape[ax]
         out += (padded[_span(ax, 2, n + 2)] - 2.0 * a + padded[_span(ax, 0, n)]) / ha**2
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def dct_modes(cells, h):
+    """Orthonormal DCT-II basis of the zero-flux Laplacian on a (cells, h) mesh.
+
+    Returns (matrices, eigenvalues): per axis the N x N matrix
+    C[k, j] = s_k cos(pi k (j + 1/2) / N), and the eigenvalue sum
+    sum_a -(4 / h_a^2) sin^2(pi k_a / (2 N_a)) over the mode grid, so that
+    `lap_values` equals the inverse transform of eigenvalues * forward
+    transform.  Built once per mesh; the arrays are read-only.
+    """
+    mats = []
+    eig = np.zeros(cells)
+    for ax, (n, ha) in enumerate(zip(cells, h)):
+        k = np.arange(n)
+        c = np.cos(np.pi * np.outer(k, k + 0.5) / n) * np.sqrt(2.0 / n)
+        c[0] = np.sqrt(1.0 / n)
+        shape = [1] * len(cells)
+        shape[ax] = n
+        eig = eig - (4.0 / ha**2) * np.sin(0.5 * np.pi * k / n).reshape(shape) ** 2
+        c.flags.writeable = False
+        mats.append(c)
+    eig.flags.writeable = False
+    return tuple(mats), eig
+
+
+def _along(a, m, axis):
+    """`m` applied to every line of `a` along the (negative) `axis`."""
+    if axis == -1:
+        return a @ m.T
+    return np.swapaxes(m @ np.swapaxes(a, axis, -2), axis, -2)
+
+
+def dct_values(a, mats, inverse=False):
+    """Forward (or inverse) transform over the trailing len(mats) axes of `a`;
+    any leading axes are a stack of fields transformed together."""
+    d = len(mats)
+    for ax, m in enumerate(mats):
+        a = _along(a, m.T if inverse else m, ax - d)
+    return a
 
 
 def face_grad_values(a, h, axis):

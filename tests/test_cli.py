@@ -286,6 +286,28 @@ def test_eps_study_mode(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_solver_manifests_count_steps_per_trajectory(tmp_path):
+    cases = {
+        "simulate": (simulate_config(), [{}]),
+        "eps-study": (simulate_config(mode="eps-study", eps_ladder=[0.1, 0.05]),
+                      [{"eps": 0.1}, {"eps": 0.05}]),
+        "refine-study": (simulate_config(mode="refine-study",
+                                         refine={"T": 0.01, "levels": 2}),
+                         [{"level": 0}, {"level": 1}]),
+    }
+    for mode, (raw, labels) in cases.items():
+        _, manifest = run_experiment(
+            validate_config(raw, out_override=tmp_path / mode))
+        counters = manifest["counters"]
+        assert [{k: c[k] for k in label} for c, label in
+                zip(counters, labels)] == labels, mode
+        assert len(counters) == len(labels), mode
+        for c in counters:
+            assert c["steps"] == sum(c["set_by"].values()) > 0
+            assert 0.0 < c["dt_min"] <= c["dt_max"]
+            assert c["rejected"] == 0
+
+
 def test_refine_study_constant_state_is_exact(tmp_path, capsys):
     c, eps = 0.7, 0.1
     cfg = {

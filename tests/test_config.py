@@ -124,6 +124,8 @@ PROBES = [
     ("oracle", "oracle.ensemble.b_selector", "x", "oracle.ensemble.b_selector"),
     ("oracle", "oracle.ode_cases", 0, "oracle.ode_cases"),
     ("oracle", "oracle.p_norm", 0.5, "oracle.p_norm"),
+    # the power-identity ladder's 4x grid passes the cell limit
+    ("oracle", "grid.cells", [2100, 2100], "grid"),
     ("simulate", "run.sampel_count", 100, "run.sampel_count"),
     ("oracle", "oracle.ensemble.amplitude", [0.2, 1000],
      "oracle.ensemble.amplitude"),
@@ -171,6 +173,16 @@ def test_eps_study_reports_singularity_with_its_rung(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["aborted"]["eps"] == 0.1
+
+
+def test_oracle_power_identities_pass_on_a_coarse_grid(tmp_path, capsys):
+    # the 8 x 8 config grid is below the ladder's 16-cell base
+    _, out = _main(tmp_path, "oracle", VALID["oracle"])
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    entry = next(e for e in manifest["assertions"]
+                 if e["name"] == "power_identity_order")
+    assert entry["passed"], entry["value"]
 
 
 def test_seed_flag_and_output_dir_errors(tmp_path, capsys):

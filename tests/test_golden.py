@@ -5,8 +5,9 @@ experiments (simulate, entropy-check, refine-study, eps-study and oracle on
 a 16 x 16 base grid with short end times and small ensembles).  A
 refactor that claims unchanged behaviour must leave them unchanged; a change
 that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
-they were recorded with (numpy 2.4 on x86-64 Linux): another numpy or CPU
-may round some reductions differently.
+they were recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64
+Linux): another numpy, BLAS or CPU may round some reductions, and the
+solver's DCT matrix products, differently.
 """
 
 import hashlib
@@ -56,15 +57,15 @@ CASES = {
 
 DIGESTS = {
     "record.csv":
-        "348a87d2df7885b986f53a63aa11acb2adfd59e2f5eaf52ba1041b4f447b099e",
+        "b3c22b18e19c32efca668d8e8368f408051ec491d788fb39abe83a3a432039a7",
     "steps.csv":
-        "d5e9f5aad3a2eeeb31f9418a6ecd65022b65635b32d997ef2e50931ce5e81e60",
+        "a8cd82219baa4339c811bac1a8bcf13a87c919ea77dd7961d9afea8af4605889",
     "residuals.json":
-        "9b9f1ebbb8db44e84d1c4b67baa1cf11662284e90b0dbb7a6dad8df76e112dae",
+        "e0b6505b64e0c4982ad256764fb0a53e8f657ebee55e9e4313157089f87c0551",
     "refine_study.csv":
-        "481868b34e07cc58c1b7abde65ab6534d039113b395f2bf2c93398773d7f3e15",
+        "2932612091e98c13272466eb68547987a9c90742a6e3c553f3bb1d50e57621b4",
     "eps_study.csv":
-        "bdc4211fc0fa7e0bafb02a0b2384fced47549250d79dc886dd8caee739c9bd6f",
+        "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
     "oracle_reports.json":
         "d8cfa9a33e0d4475fa4b2040747e35a9e63041b85dedd1a62378d15595afed01",
 }

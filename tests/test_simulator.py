@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import Field, Grid
+from logsense_ks.grid import Field, Grid, dct_modes, dct_values, lap_values
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
     SimulationError,
+    STEP_LIMITS,
     SingularityError,
     StepRejected,
     _advance_with_retries,
@@ -80,11 +81,9 @@ def test_mass_conservation():
 
 
 def test_cfl_dt_flat_v():
-    # no chemotactic drift: bound reduces to safety * h^2 / (2 dim)
+    # no chemotactic drift: the diffusion sets no bound, so it is safety * 1
     state = constant_steady_state(cells=16)
-    h = state.grid.h[0]
-    expected = 0.4 * min(h * h / 4.0, 1.0)
-    assert cfl_dt(state) == pytest.approx(expected, rel=1e-14)
+    assert cfl_dt(state) == pytest.approx(0.4 * 1.0, rel=1e-14)
 
 
 def test_run_reports_respect_cfl():
@@ -94,7 +93,6 @@ def test_run_reports_respect_cfl():
     for r in traj.reports:
         assert r.dt_used <= r.cfl_bound * (1.0 + 1e-12)
         assert r.retries == 0
-        assert r.positivity_ok
         assert r.min_v > 0.0
 
 
@@ -124,7 +122,9 @@ def test_sample_time_validation():
 
 
 def test_temporal_convergence_first_order():
-    # forward Euler: halving the step cap should halve the final-state error
+    # exponential Euler: the diffusion is exact and the drift and source are
+    # first order in dt, so at a fixed grid halving the step cap should halve
+    # the final-state error
     base_dt = 2.0e-4
     finals = {}
     for frac in (1.0, 0.5, 0.125):
@@ -137,20 +137,95 @@ def test_temporal_convergence_first_order():
     assert order >= 0.9
 
 
-def test_step_rejects_positivity_loss():
-    # a one-cell spike under pure diffusion goes negative for dt >> h^2
-    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
-    u = np.zeros(g.shape)
-    u[8, 8] = 1.0
-    state = SimState(t=0.0, u=Field(g, u),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+def test_temporal_self_convergence_at_fixed_grid():
+    # successive differences as max_dt halves; steps far above h^2 / 4
+    finals = []
+    for frac in (1.0, 0.5, 0.25):
+        traj = run(gaussian_state(), T=0.1, sample_times=[0.1],
+                   max_dt=1.0e-2 * frac)
+        finals.append(traj.u_snapshots[-1])
+    e_coarse = np.abs(finals[0] - finals[1]).max()
+    e_fine = np.abs(finals[1] - finals[2]).max()
+    assert np.log2(e_coarse / e_fine) >= 0.9
+
+
+@pytest.mark.parametrize("cells, extents", [
+    ((37,), (1.3,)),
+    ((12, 17), (1.0, 2.5)),
+    ((6, 9, 11), (1.0, 0.7, 2.0)),
+])
+def test_dct_modes_reproduce_the_laplacian(cells, extents):
+    h = tuple(L / n for L, n in zip(extents, cells))
+    mats, eig = dct_modes(cells, h)
+    rng = np.random.default_rng(len(cells))
+    fields = rng.uniform(-1.0, 1.0, size=(2,) + cells)
+    got = dct_values(eig * dct_values(fields, mats), mats, inverse=True)
+    for a, lap in zip(fields, got):
+        ref = lap_values(a, h)
+        assert np.abs(lap - ref).max() <= 1e-13 * np.abs(ref).max()
+    back = dct_values(dct_values(fields, mats), mats, inverse=True)
+    assert np.abs(back - fields).max() <= 1e-13
+
+
+def test_step_decays_a_cosine_mode_exactly():
+    # constant v: no drift, so one step of any length is the exact decay
+    # 1 + a e^{lambda dt} cos(pi x / L) of the discrete Laplacian's mode
+    g = Grid(cells=[24, 10], extents=[2.0, 1.0])
+    x, _ = g.meshgrid()
+    a = 0.3
+    state = SimState(t=0.0, u=Field(g, 1.0 + a * np.cos(np.pi * x / 2.0)),
+                     v=Field(g, np.full(g.shape, 0.8), strictly_positive=True),
                      params=default_params())
-    h2 = g.h[0] ** 2
+    h = g.h[0]
+    lam = -(4.0 / h**2) * np.sin(np.pi / (2 * g.cells[0])) ** 2
+    for dt in (1e-3, 0.05, 0.4):
+        new_state, _ = step(state, dt)
+        exact = 1.0 + a * np.exp(lam * dt) * np.cos(np.pi * x / 2.0)
+        assert_allclose(new_state.u.values, exact, rtol=0.0, atol=1e-14)
+
+
+def test_counters_say_what_set_each_step():
+    state = gaussian_state()
+    traj = run(state, T=0.05, sample_times=[0.01, 0.05], max_dt=0.015)
+    counters = traj.counters()
+    assert counters["steps"] == len(traj.reports) == 4
+    assert counters["set_by"] == {"drift": 0, "max_dt": 2, "sample": 2}
+    assert counters["rejected"] == 0
+    assert counters["dt_min"] == min(r.dt_used for r in traj.reports)
+    assert counters["dt_max"] == 0.015
+    assert all(r.set_by in STEP_LIMITS for r in traj.reports)
+
+    # a sample gap equal to the cap counts as landing on the sample
+    traj = run(gaussian_state(), T=0.02, sample_times=[0.01, 0.02], max_dt=0.01)
+    assert traj.counters()["set_by"] == {"drift": 0, "max_dt": 0, "sample": 2}
+
+    # one sample at T = 1: the drift bound sets every step but the last
+    traj = run(gaussian_state(), T=1.0, sample_times=[1.0])
+    assert traj.counters()["set_by"] == {"drift": 3, "max_dt": 0, "sample": 1}
+    assert all(r.dt_used == r.cfl_bound for r in traj.reports[:-1])
+
+
+def spike_in_drift_state():
+    # a unit spike on a thin u floor, driven by the drift of v = exp(8 x)
+    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
+    x, _ = g.meshgrid()
+    u = np.full(g.shape, 1e-3)
+    u[8, 8] += 1.0
+    return SimState(t=0.0, u=Field(g, u),
+                    v=Field(g, np.exp(8.0 * x), strictly_positive=True),
+                    params=default_params())
+
+
+def test_step_rejects_positivity_loss():
+    # exact diffusion keeps u positive; a drift step far past the CFL bound
+    # empties the spike's downwind neighbours
+    state = spike_in_drift_state()
+    bound = cfl_dt(state)
     with pytest.raises(StepRejected):
-        step(state, dt=10.0 * h2)
-    new_state, report = step(state, dt=0.05 * h2)
+        step(state, dt=4.0 * bound)
+    new_state, report = step(state, dt=bound)
     assert new_state.u.values.min() >= 0.0
-    assert report.dt_used == 0.05 * h2
+    assert report.dt_used == bound
 
 
 def test_step_dt_validation():
@@ -183,21 +258,16 @@ def test_retry_exhaustion_raises_simulation_error():
 
 
 def test_retry_halving_recovers():
-    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
-    u = np.zeros(g.shape)
-    u[8, 8] = 1.0
-    state = SimState(t=0.0, u=Field(g, u),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
-                     params=default_params())
-    h2 = g.h[0] ** 2
+    state = spike_in_drift_state()
+    trial = 4.0 * cfl_dt(state)
 
     def stepper(st, dt):
         return step(st, dt)
 
-    new_state, report = _advance_with_retries(state, 10.0 * h2, stepper,
+    new_state, report = _advance_with_retries(state, trial, stepper,
                                               max_retries=12)
     assert report.retries > 0
-    assert report.dt_used < 10.0 * h2
+    assert report.dt_used < trial
     assert new_state.u.values.min() >= 0.0
 
 
@@ -241,6 +311,6 @@ def test_step_reports_csv(tmp_path):
     traj.write_step_reports_csv(path)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
-    assert header == ["step", "t", "dt_used", "cfl_bound", "max_u", "min_v",
-                      "positivity_ok", "retries"]
+    assert header == ["step", "t", "dt_used", "cfl_bound", "set_by", "max_u",
+                      "min_v", "retries"]
     assert len(lines) == len(traj.reports) + 1
