@@ -325,11 +325,6 @@ def _run_trajectory(values, state, T, sample_times, max_dt):
                max_dt=max_dt, v_floor=values["run.v_floor"])
 
 
-def _counters(trajectory, **label):
-    """The manifest's counters entry of one trajectory, after its label."""
-    return dict(label, **trajectory.counters())
-
-
 def _standard_run(values, state):
     """The trajectory from `state` that the run section asks for."""
     T = values["run.T"]
@@ -489,7 +484,7 @@ def _mode_simulate(cfg, outputs, asserts):
     _dump_json({"record": record.summary(), "checks": asserts.entries},
                summary_path)
     outputs.append(summary_path.name)
-    return {"summary": record.summary(), "counters": [_counters(trajectory)]}
+    return {"summary": record.summary(), "counters": [trajectory.counters()]}
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +553,7 @@ def _mode_entropy_check(cfg, outputs, asserts):
     path = cfg.out_dir / "residuals.json"
     _dump_json(residuals, path)
     outputs.append(path.name)
-    return {"residuals": residuals, "counters": [_counters(trajectory)]}
+    return {"residuals": residuals, "counters": [trajectory.counters()]}
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +663,7 @@ def _mode_eps_study(cfg, outputs, asserts):
             "min_log_u_band": band,
             "summaries": study.summaries,
         },
-        "counters": [_counters(trajectory, eps=eps)
+        "counters": [dict(eps=eps, **trajectory.counters())
                      for eps, (trajectory, _) in zip(study.ladder, results)],
     }
 
@@ -712,7 +707,8 @@ def _observed_order(coarse, fine, tiny=1e-13):
 def refine_study(raw):
     """Run (h, h/2, h/4), compute errors and observed convergence orders.
 
-    Each row also holds its level's step counters under "counters"."""
+    Returns (rows, orders, counters): one row and one step-counters entry per
+    level."""
     values = validate_config(dict(raw, mode="refine-study")).values
     levels = values["refine.levels"]
     T = values["refine.T"]
@@ -748,7 +744,6 @@ def refine_study(raw):
             "identity_bump": resids["bump_bump"],
             "power_half": p_half,
             "power_full": p_full,
-            "counters": _counters(trajectory, level=level),
         })
         trajectories.append((grid, trajectory))
 
@@ -770,7 +765,9 @@ def refine_study(raw):
     err_seq = [rows[k]["final_u_l1_error"] for k in range(levels - 1)]
     orders["final_u_l1_error"] = [
         _observed_order(a, b) for a, b in zip(err_seq, err_seq[1:])]
-    return rows, orders
+    counters = [dict(level=level, **trajectory.counters())
+                for level, (_, trajectory) in enumerate(trajectories)]
+    return rows, orders, counters
 
 
 def _final_order(order_list):
@@ -781,8 +778,7 @@ def _final_order(order_list):
 
 
 def _mode_refine_study(cfg, outputs, asserts):
-    rows, orders = refine_study(cfg.raw)
-    counters = [row.pop("counters") for row in rows]
+    rows, orders, counters = refine_study(cfg.raw)
 
     csv_path = cfg.out_dir / "refine_study.csv"
     keys = ["level", "h_min", "final_u_l1_error", "identity_constant",

@@ -206,7 +206,9 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
     The tendencies du and dv are carried to DCT modes together, scaled by
     phi1(dt L) and phi1(dt (L - 1)) and carried back, so that the diffusion
     and the v decay over dt are exact.  Raises StepRejected when the
-    candidate update loses positivity (u' < 0 anywhere or v' <= 0 anywhere).
+    candidate update loses positivity (u' below the transforms' round-off
+    level anywhere, or v' <= 0 anywhere); u' cells within that level of zero
+    are set to zero.
     The report's cfl_bound is left NaN and its set_by empty: the caller that
     chose dt knows why and fills them in.
     """
@@ -224,7 +226,20 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
     u_new = u + dt * du
     v_new = v + dt * dv
 
-    if u_new.min() < 0.0 or v_new.min() <= 0.0:
+    # The dense transforms leave every cell a round-off of either sign of
+    # about eps * dt * max|du|, which a cell of u at or near zero reads as a
+    # negative value.  Halving dt shrinks it no faster than it shrinks the
+    # step, so only a loss beyond that level is a rejection; the rest is
+    # zero.  The sum(cells) factor bounds the 2 * dim dense N x N products
+    # generously: a unit spike showed 2-12 eps * dt * max|du| at 16^2-128^2.
+    low = u_new.min()
+    if low < 0.0:
+        eps = np.finfo(np.float64).eps
+        roundoff = eps * sum(grid.cells) * dt * np.abs(rhs.du).max()
+        if low >= -roundoff:
+            np.maximum(u_new, 0.0, out=u_new)
+            low = 0.0
+    if low < 0.0 or v_new.min() <= 0.0:
         raise StepRejected(
             f"positivity lost at t = {state.t} with dt = {dt}")
 
@@ -277,8 +292,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([
-                "step", "t", "dt_used", "cfl_bound", "set_by", "max_u", "min_v",
-                "retries",
+                "step", "t", "dt_used", "cfl_bound", "max_u", "min_v", "retries",
             ])
             for i, r in enumerate(self.reports):
                 writer.writerow([
@@ -286,7 +300,6 @@ class Trajectory:
                     format(r.t, ".17g"),
                     format(r.dt_used, ".17g"),
                     format(r.cfl_bound, ".17g"),
-                    r.set_by,
                     format(r.max_u, ".17g"),
                     format(r.min_v, ".17g"),
                     r.retries,

@@ -147,7 +147,7 @@ def test_criterion_06_entropy_identity_refinement():
         },
         "refine": {"T": 0.1, "levels": 3},
     }
-    _, orders = refine_study(raw)
+    _, orders, _ = refine_study(raw)
     finest = {key: orders[key][-1] for key in
               ("identity_constant", "identity_cosine", "identity_bump")}
     order_ok = all(o == "exact" or o >= 1.5 for o in finest.values())

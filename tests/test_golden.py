@@ -59,7 +59,7 @@ DIGESTS = {
     "record.csv":
         "b3c22b18e19c32efca668d8e8368f408051ec491d788fb39abe83a3a432039a7",
     "steps.csv":
-        "a8cd82219baa4339c811bac1a8bcf13a87c919ea77dd7961d9afea8af4605889",
+        "59b51f1c068a04972490b48b056eda3e0c7fed597058e311e4abcc32f344d826",
     "residuals.json":
         "e0b6505b64e0c4982ad256764fb0a53e8f657ebee55e9e4313157089f87c0551",
     "refine_study.csv":

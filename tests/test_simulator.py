@@ -228,6 +228,34 @@ def test_step_rejects_positivity_loss():
     assert report.dt_used == bound
 
 
+def test_step_from_a_zero_background_is_accepted():
+    # the transforms' round-off of either sign must not read as a loss of
+    # positivity where u is zero: a small step spreads the spike and stays >= 0
+    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
+    u = np.zeros(g.shape)
+    u[8, 8] = 1.0
+    state = SimState(t=0.0, u=Field(g, u),
+                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     params=default_params())
+    for dt in (1e-6, 1e-4):
+        new_state, _ = step(state, dt)
+        assert new_state.u.values.min() >= 0.0
+        assert new_state.u.values[8, 8] < 1.0
+        assert new_state.u.values.sum() == pytest.approx(1.0, rel=1e-13)
+
+
+def test_narrow_bump_on_zero_baseline_runs():
+    # corner values of about 1e-41 sit far below the transforms' round-off
+    g = Grid(cells=[32, 32], extents=[1.0, 1.0])
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.05, baseline=0.0)
+    state = initial_state(default_params(), u0, constant_field(g, 1.0))
+    traj = run(state, T=0.01)
+    assert traj.counters()["rejected"] == 0
+    assert traj.final_time == 0.01
+    mass = traj.mass_series()
+    assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
+
+
 def test_step_dt_validation():
     state = gaussian_state()
     with pytest.raises(ValueError):
@@ -311,6 +339,6 @@ def test_step_reports_csv(tmp_path):
     traj.write_step_reports_csv(path)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
-    assert header == ["step", "t", "dt_used", "cfl_bound", "set_by", "max_u",
-                      "min_v", "retries"]
+    assert header == ["step", "t", "dt_used", "cfl_bound", "max_u", "min_v",
+                      "retries"]
     assert len(lines) == len(traj.reports) + 1
