@@ -11,6 +11,7 @@ solver's DCT matrix products, differently.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -37,7 +38,7 @@ def _config(mode, **extra):
 CASES = {
     "simulate": (_config("simulate", run={"T": 0.02, "sample_count": 40,
                                           "save_fields": "none"}),
-                 ("record.csv", "steps.csv")),
+                 ("record.csv", "steps.csv", "summary.json")),
     "entropy-check": (_config("entropy-check",
                               run={"T": 0.02, "sample_count": 60}),
                       ("residuals.json",)),
@@ -68,7 +69,25 @@ DIGESTS = {
         "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
     "oracle_reports.json":
         "d8cfa9a33e0d4475fa4b2040747e35a9e63041b85dedd1a62378d15595afed01",
+    "summary.json":
+        "eb5e4572154a06d48404476c9ef53eef6a7695a4aa4e7164decd31ba7d884fea",
 }
+
+# The manifests' assertions blocks, serialised with sorted keys: they hold
+# the checks that read whole trajectories (u_lr_pointwise, v_floor_comparison,
+# apriori_bounds, log_mass).
+ASSERTION_DIGESTS = {
+    "simulate":
+        "c39a63e011c6b18421d698de291de4d1617a49040bd7df859955b1c9f338229e",
+    "entropy-check":
+        "56ad1dbda2a59ecf9cc171a38ce22ee38954dc301a165eed47c56049c69d13bc",
+}
+
+# Every fields/*.bin of a simulate run that saves all samples, in name order.
+ALL_FIELDS_CONFIG = _config("simulate", run={"T": 0.02, "sample_count": 40,
+                                            "save_fields": "all"})
+ALL_FIELDS_DIGEST = \
+    "35ae167a68ca1a9831d0b93ef007b2aef8dc55a55be5d9ad745e7139f59b2bb2"
 
 
 @pytest.mark.parametrize("mode", sorted(CASES))
@@ -81,3 +100,25 @@ def test_output_digests(tmp_path, mode):
     for name in files:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == DIGESTS[name], name
+
+
+@pytest.mark.parametrize("mode", sorted(ASSERTION_DIGESTS))
+def test_assertion_digests(tmp_path, mode):
+    raw, _ = CASES[mode]
+    _, manifest = run_experiment(validate_config(raw, out_override=tmp_path))
+    assert "aborted" not in manifest
+    written = json.loads((tmp_path / "manifest.json").read_bytes())
+    block = json.dumps(written["assertions"], sort_keys=True).encode()
+    assert hashlib.sha256(block).hexdigest() == ASSERTION_DIGESTS[mode]
+
+
+def test_all_fields_digest(tmp_path):
+    _, manifest = run_experiment(validate_config(ALL_FIELDS_CONFIG,
+                                                 out_override=tmp_path))
+    assert "aborted" not in manifest
+    paths = sorted((tmp_path / "fields").glob("*.bin"))
+    assert len(paths) == 2 * 41
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == ALL_FIELDS_DIGEST
