@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -35,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    Accumulator,
     BumpSpatial,
     BumpTemporal,
     ConstantSpatial,
@@ -46,13 +48,9 @@ from .diagnostics import (
     apriori_bounds_check,
     builtin_supersolution_family,
     collect,
-    entropy_balances,
-    entropy_identity_residual,
     grad_vq_bound,
     log_mass_check,
     trace_positivity_check,
-    u_lr_bound,
-    v_weak_residual,
 )
 from .grid import Field, Grid, face_grad_values, write_field_binary
 from .oracles import (
@@ -88,6 +86,10 @@ GRID_MODES = tuple(m for m in MODES if m != "params")
 SOLVER_MODES = ("simulate", "entropy-check", "eps-study", "refine-study")
 RUN_MODES = ("simulate", "entropy-check", "eps-study")  # the modes reading run.T
 POWER_BASE_CELLS = 16
+# eps-study holds every sample of every rung (u and v, 16 B a cell) until it
+# takes the pairwise differences; validation rejects a config whose store
+# would pass this many bytes.
+EPS_STUDY_STORE_BUDGET = 2**30
 
 
 class ConfigError(ValueError):
@@ -237,6 +239,7 @@ class ExperimentConfig:
     out_dir: Path
     seed: int
     state: object = None  # the solver modes' initial SimState on the config grid
+    progress: bool = False  # print one stderr line per sample of each run
 
 
 def validate_config(raw, out_override=None, seed_override=None):
@@ -271,6 +274,14 @@ def validate_config(raw, out_override=None, seed_override=None):
         ladder = values["eps_ladder"]
         if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("eps_ladder", "must be nonempty and strictly decreasing")
+        samples, cells = values["run.sample_count"] + 1, int(np.prod(grid.shape))
+        store = len(ladder) * samples * cells * 16
+        if store > EPS_STUDY_STORE_BUDGET:
+            raise ConfigError(
+                "run.sample_count",
+                f"eps-study would hold {store / 2**20:.0f} MiB of samples "
+                f"({len(ladder)} rungs x {samples} samples x {cells} cells x "
+                f"16 B), above its {EPS_STUDY_STORE_BUDGET / 2**20:.0f} MiB budget")
     if mode == "refine-study":
         _build_grid(values, 2 ** (values["refine.levels"] - 1))  # the finest
     if mode == "oracle":
@@ -320,16 +331,41 @@ def _initial_state(values, grid, params):
     return _mapped("initial.u", initial_state, params, u, v, values["initial.v_floor"])
 
 
-def _run_trajectory(values, state, T, sample_times, max_dt):
+def _run_trajectory(values, state, T, sample_times, max_dt, on_sample=None):
     return run(state, T, sample_times=sample_times, safety=values["run.safety"],
-               max_dt=max_dt, v_floor=values["run.v_floor"])
+               max_dt=max_dt, v_floor=values["run.v_floor"],
+               on_sample=on_sample)
 
 
-def _standard_run(values, state):
+def _standard_run(values, state, on_sample=None):
     """The trajectory from `state` that the run section asks for."""
     T = values["run.T"]
     times = np.linspace(0.0, T, values["run.sample_count"] + 1)
-    return _run_trajectory(values, state, T, times, values["run.max_dt"])
+    return _run_trajectory(values, state, T, times, values["run.max_dt"],
+                           on_sample)
+
+
+def _chain(*hooks):
+    """One sample hook calling the given ones in turn; None entries are skipped."""
+    hooks = [hook for hook in hooks if hook is not None]
+
+    def on_sample(t, u, v):
+        for hook in hooks:
+            hook(t, u, v)
+    return on_sample
+
+
+def _progress(enabled, label, intervals):
+    """A sample hook printing `label: sample k/intervals t = ...` to stderr,
+    or None when progress is off."""
+    if not enabled:
+        return None
+    counter = itertools.count()
+
+    def report(t, u, v):
+        print(f"{label}: sample {next(counter)}/{intervals} t = {t:.6g}",
+              file=sys.stderr, flush=True)
+    return report
 
 
 class Assertions:
@@ -420,8 +456,11 @@ def _mode_params(cfg, outputs, asserts):
 # mode: simulate
 # ---------------------------------------------------------------------------
 
-def _standard_checks(record, trajectory, params, asserts, disc=None):
-    """Bound checks every simulate-style run evaluates."""
+def _standard_checks(result, trajectory, asserts, disc):
+    """Bound checks every simulate-style run evaluates, on the Accumulated
+    pass over its samples; `disc`, the phi == 1 identity residual, is the a
+    priori bound's measured discretization allowance."""
+    record, params = result.record, result.params
     grid = trajectory.grid
     mass = record.mass
     drift = float(np.abs(mass - mass[0]).max() / abs(mass[0]))
@@ -435,29 +474,51 @@ def _standard_checks(record, trajectory, params, asserts, disc=None):
                 value=worst)
 
     asserts.add_report(trace_positivity_check(record))
-    asserts.add_report(u_lr_bound(record, trajectory, params))
+    asserts.add_report(result.u_lr_bound())
     asserts.add_report(grad_vq_bound(record, params))
     if params.entropy_exponents_ok():
-        # the bound rearranges the phi == 1 balance, so that residual is the
-        # measured discretization allowance; the sampling guard is moot here
-        # because the residual is evaluated at whatever sampling the run used;
-        # a caller that has already assembled it passes it as `disc`
-        if disc is None:
-            phi_one = TestFunction(ConstantSpatial(1.0), OneTemporal())
-            disc = entropy_identity_residual(
-                trajectory, params, phi_one,
-                max_sample_dt=float(np.diff(trajectory.times).max()))
         asserts.add_report(apriori_bounds_check(record, params, rel_tol=1e-6,
                                                 disc_estimate=disc))
     if not np.isnan(record.log_u).any():
         asserts.add_report(log_mass_check(record, trajectory, params))
 
 
+def _write_fields(out_dir, grid, k, u, v):
+    """Write sample k's fields/u_<k>.bin and fields/v_<k>.bin; returns their
+    output names."""
+    fields_dir = out_dir / "fields"
+    fields_dir.mkdir(exist_ok=True)
+    names = []
+    for name, values in (("u", u), ("v", v)):
+        path = fields_dir / f"{name}_{k:04d}.bin"
+        write_field_binary(Field(grid, values), path)
+        names.append(f"fields/{path.name}")
+    return names
+
+
 def _mode_simulate(cfg, outputs, asserts):
     values = cfg.values
-    trajectory = _standard_run(values, cfg.state)
-    grid, params = trajectory.grid, trajectory.params
-    record = collect(trajectory, params)
+    grid, params = cfg.state.grid, cfg.state.params
+    # the a priori bound rearranges the phi == 1 balance, whose residual is
+    # its discretization allowance
+    phis = ([TestFunction(ConstantSpatial(1.0), OneTemporal())]
+            if params.entropy_exponents_ok() else [])
+    accumulator = Accumulator(grid, params, phis)
+    save = values["run.save_fields"]
+    fields = []
+    index = itertools.count()
+
+    def save_all(t, u, v):
+        fields.extend(_write_fields(cfg.out_dir, grid, next(index), u, v))
+
+    trajectory = _standard_run(values, cfg.state, _chain(
+        accumulator.add, save_all if save == "all" else None,
+        _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
+    # the sampling guard is moot here: the residual is evaluated at whatever
+    # sampling the run used
+    result = accumulator.finish(
+        max_sample_dt=float(np.diff(trajectory.times).max()))
+    record = result.record
 
     record_path = cfg.out_dir / "record.csv"
     record.to_csv(record_path)
@@ -465,21 +526,14 @@ def _mode_simulate(cfg, outputs, asserts):
     steps_path = cfg.out_dir / "steps.csv"
     trajectory.write_step_reports_csv(steps_path)
     outputs.append(steps_path.name)
+    if save == "final":
+        fields = _write_fields(cfg.out_dir, grid, len(trajectory.times) - 1,
+                               trajectory.u_snapshots[-1],
+                               trajectory.v_snapshots[-1])
+    outputs.extend(fields)
 
-    save = values["run.save_fields"]
-    if save != "none":
-        fields_dir = cfg.out_dir / "fields"
-        fields_dir.mkdir(exist_ok=True)
-        indices = (range(len(trajectory.times)) if save == "all"
-                   else [len(trajectory.times) - 1])
-        for k in indices:
-            for name, snap in (("u", trajectory.u_snapshots[k]),
-                               ("v", trajectory.v_snapshots[k])):
-                path = fields_dir / f"{name}_{k:04d}.bin"
-                write_field_binary(Field(grid, snap), path)
-                outputs.append(f"fields/{path.name}")
-
-    _standard_checks(record, trajectory, params, asserts)
+    disc = result.balances[0].identity()[0] if phis else None
+    _standard_checks(result, trajectory, asserts, disc)
     summary_path = cfg.out_dir / "summary.json"
     _dump_json({"record": record.summary(), "checks": asserts.entries},
                summary_path)
@@ -509,18 +563,24 @@ def _residual_test_functions(grid, T):
 
 def _mode_entropy_check(cfg, outputs, asserts):
     values = cfg.values
-    trajectory = _standard_run(values, cfg.state)
-    grid, params = trajectory.grid, trajectory.params
-    record = collect(trajectory, params)
-    T = trajectory.final_time
+    grid, params = cfg.state.grid, cfg.state.params
+    T = values["run.T"]  # the run lands on it exactly
     tol_rel = values["checks.identity_tol_rel"]
 
     named = _residual_test_functions(grid, T)
     family = builtin_supersolution_family(grid, T)
     for phi in family:
         phi.check_one_sided(grid, T)
-    balances = entropy_balances(trajectory, params,
-                                [phi for _, phi in named] + family)
+    phi_v = TestFunction(
+        CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.0),
+        RampDownTemporal(0.9 * T))
+    accumulator = Accumulator(grid, params, [phi for _, phi in named] + family,
+                              phi_v)
+    trajectory = _standard_run(values, cfg.state, _chain(
+        accumulator.add,
+        _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
+    result = accumulator.finish()
+    record, balances = result.record, result.balances
 
     residuals = {}
     for (name, _), balance in zip(named, balances):
@@ -539,16 +599,13 @@ def _mode_entropy_check(cfg, outputs, asserts):
         asserts.add(f"supersolution_direction_{i}", signed >= -tol,
                     tolerance=tol, value=signed)
 
-    phi_v = TestFunction(
-        CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.0),
-        RampDownTemporal(0.9 * T))
-    vres = v_weak_residual(trajectory, phi_v)
+    vres = result.v_weak
     v_scale = max(float(np.abs(record.v_lq).max()), 1.0)
     residuals["v_weak"] = vres
     asserts.add("v_weak_residual", vres <= tol_rel * v_scale,
                 tolerance=tol_rel, value=vres)
 
-    _standard_checks(record, trajectory, params, asserts,
+    _standard_checks(result, trajectory, asserts,
                      disc=residuals["identity_constant"])
     path = cfg.out_dir / "residuals.json"
     _dump_json(residuals, path)
@@ -599,13 +656,30 @@ def _pairwise_l1(traj_a, traj_b, params):
     return {key: float(np.trapezoid(vals, times)) for key, vals in series.items()}
 
 
-def eps_convergence_study(raw):
+def _stored_run(values, state, on_sample=None):
+    """The standard run with every sample stored, also while `on_sample`
+    watches them go by."""
+    if on_sample is None:
+        return _standard_run(values, state)
+    u_snapshots, v_snapshots = [], []
+
+    def keep(t, u, v):
+        u_snapshots.append(u.copy())
+        v_snapshots.append(v.copy())
+        on_sample(t, u, v)
+    trajectory = _standard_run(values, state, keep)
+    trajectory.u_snapshots, trajectory.v_snapshots = u_snapshots, v_snapshots
+    return trajectory
+
+
+def eps_convergence_study(raw, progress=False):
     """Run the ladder and assemble pairwise Cauchy differences.
 
     The u-difference monotonicity (within 1.2x slack) is the hard assertion;
     the v, gradient, and entropy-density sequences are reported with flags
     only, since the underlying compactness argument guarantees subsequential
-    convergence rather than monotonicity.
+    convergence rather than monotonicity.  Every rung's samples are stored,
+    as _pairwise_l1 reads two rungs at each sample.
     """
     cfg = validate_config(dict(raw, mode="eps-study"))
     values, ladder = cfg.values, cfg.values["eps_ladder"]
@@ -613,7 +687,10 @@ def eps_convergence_study(raw):
     for eps in ladder:
         params = _build_params(values, eps)
         try:
-            trajectory = _standard_run(values, replace(cfg.state, params=params))
+            trajectory = _stored_run(
+                values, replace(cfg.state, params=params),
+                _progress(progress, f"eps-study eps={eps:g}",
+                          values["run.sample_count"]))
         except SimulationError as exc:
             raise StudyError(f"ladder run failed at eps={eps}: {exc}",
                              eps=eps) from exc
@@ -632,7 +709,7 @@ def eps_convergence_study(raw):
 
 
 def _mode_eps_study(cfg, outputs, asserts):
-    study, results = eps_convergence_study(cfg.raw)
+    study, results = eps_convergence_study(cfg.raw, cfg.progress)
 
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:
@@ -704,11 +781,12 @@ def _observed_order(coarse, fine, tiny=1e-13):
     return float(np.log2(coarse / fine))
 
 
-def refine_study(raw):
+def refine_study(raw, progress=False):
     """Run (h, h/2, h/4), compute errors and observed convergence orders.
 
-    Returns (rows, orders, counters): one row and one step-counters entry per
-    level."""
+    Each level's three entropy balances are accumulated as the run samples,
+    and only its final fields are kept.  Returns (rows, orders, counters):
+    one row and one step-counters entry per level."""
     values = validate_config(dict(raw, mode="refine-study")).values
     levels = values["refine.levels"]
     T = values["refine.T"]
@@ -723,13 +801,16 @@ def refine_study(raw):
         h_min = min(grid.h)
         sample_times = np.linspace(0.0, T, base_samples * factor + 1)
         state = _initial_state(values, grid, params)
-        trajectory = _run_trajectory(values, state, T, sample_times,
-                                     values["refine.dt_factor"] * h_min**2)
         named = _residual_test_functions(grid, T)
+        accumulator = Accumulator(grid, params, [phi for _, phi in named])
+        report = _progress(progress, f"refine-study level {level}",
+                           base_samples * factor)
+        trajectory = _run_trajectory(values, state, T, sample_times,
+                                     values["refine.dt_factor"] * h_min**2,
+                                     _chain(accumulator.add, report))
         # the configured sample count overrides the default T/50 spacing rule
-        balances = entropy_balances(trajectory, params,
-                                    [phi for _, phi in named],
-                                    max_sample_dt=float(T) / base_samples)
+        balances = accumulator.finish(
+            max_sample_dt=float(T) / base_samples).balances
         resids = {name: balance.identity()[0]
                   for (name, _), balance in zip(named, balances)}
         v_final = Field(grid, trajectory.v_snapshots[-1],
@@ -778,7 +859,7 @@ def _final_order(order_list):
 
 
 def _mode_refine_study(cfg, outputs, asserts):
-    rows, orders, counters = refine_study(cfg.raw)
+    rows, orders, counters = refine_study(cfg.raw, cfg.progress)
 
     csv_path = cfg.out_dir / "refine_study.csv"
     keys = ["level", "h_min", "final_u_l1_error", "identity_constant",
@@ -988,6 +1069,9 @@ def main(argv=None):
                              f"${OUT_ENV_VAR}, then the working directory)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed override")
+    parser.add_argument("--progress", action="store_true",
+                        help="print one stderr line per sample of each run: "
+                             "mode, sample k/N and t")
     args = parser.parse_args(argv)
 
     try:
@@ -1011,6 +1095,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    cfg.progress = args.progress
 
     try:
         code, manifest = run_experiment(cfg)

@@ -36,7 +36,7 @@ from .grid import (
     face_mean_values,
     gradient_cell_magnitude,
 )
-from .params import entropy_coefficients
+from .params import ModelParams, entropy_coefficients
 
 ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
@@ -425,31 +425,81 @@ def _densities(u, v, params, kappa, grid):
     return d
 
 
-def collect(trajectory, params):
-    """Evaluate the full diagnostic record along a trajectory."""
-    grid = trajectory.grid
-    r, s = params.r, params.s
-    kappa = entropy_coefficients(params.p, params.q, params.chi).kappa
-    vol = grid.cell_volume
-    n = len(trajectory.times)
+class Accumulator:
+    """The diagnostics of a run, fed one sample at a time.
 
-    cols = {name: np.empty(n) for name in DiagnosticsRecord._columns}
-    for k, (u, v) in enumerate(zip(trajectory.u_snapshots, trajectory.v_snapshots)):
-        d = _densities(u, v, params, kappa, grid)
+    add(t, u, v) computes the sample's densities once and appends its spatial
+    integrals: the record columns, the seven per-phi series of the entropy
+    balances against `phis`, the v weak form's series against `phi_v` when
+    one is given, and the worst relative violation of the pointwise u^r
+    splitting (when r < p + 1).  Only these scalars outlive the sample, so a
+    run can hand its samples over as it reaches them (simulator.run's
+    on_sample) and never store them.  finish() integrates the series in time
+    with the trapezoid rule.  The trajectory functions below (collect,
+    entropy_balances, v_weak_residual, u_lr_bound) feed stored snapshots
+    through this class, so a figure is the same floating-point expression
+    whichever way it was computed.
+    """
 
-        cols["mass"][k] = u.sum() * vol
-        cols["v_min"][k] = v.min()
-        cols["v_lr"][k] = (v**r).sum() * vol
-        cols["grad_v_ls"][k] = (gradient_cell_magnitude(v, grid) ** s).sum() * vol
-        cols["entropy"][k] = d.upq.sum() * vol
-        cols["reaction_minus"][k] = cols["entropy"][k]
-        cols["reaction_plus"][k] = d.gain.sum() * vol
-        cols["reaction_raw"][k] = d.gain_raw.sum() * vol
-        cols["u_lr"][k] = (u**r).sum() * vol
-        cols["v_lq"][k] = (v**params.q).sum() * vol
-        cols["boundary_min_upq"][k] = min(
+    def __init__(self, grid, params, phis=(), phi_v=None):
+        self.grid = grid
+        self.params = params
+        self.coef = entropy_coefficients(params.p, params.q, params.chi)
+        self.phis = list(phis)
+        self.phi_v = phi_v
+        self.times = []
+        self._cols = {name: [] for name in DiagnosticsRecord._columns}
+        self._weights = []
+        for phi in self.phis:
+            psi = phi.values(grid)
+            self._weights.append((
+                psi, [face_mean_values(psi, ax) for ax in range(grid.dim)],
+                [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)],
+                phi.laplacian(grid)))
+        self._series = []  # per sample, the (7, len(phis)) integrals
+        if phi_v is not None:
+            self._v_weights = (phi_v.values(grid), [
+                phi_v.grad_at_faces(grid, ax) for ax in range(grid.dim)])
+        self._v_series = []  # per sample, (V, B, F) of v_weak_residual
+        try:
+            self._u_lr_expo = _u_lr_exponent(params)
+        except ValueError:
+            self._u_lr_expo = None  # the splitting does not hold; not checked
+        self.u_lr_worst = -np.inf
+
+    def add(self, t, u, v):
+        """Take the sample (t, u, v); the arrays are read, never kept."""
+        d = _densities(u, v, self.params, self.coef.kappa, self.grid)
+        u_r = u**self.params.r
+        self.times.append(t)
+        self._add_record(u, v, d, u_r)
+        if self.phis:
+            self._series.append(self._contract(d))
+        if self.phi_v is not None:
+            self._v_series.append(self._v_terms(u, v))
+        if self._u_lr_expo is not None:
+            rhs = d.gain_raw + v**self._u_lr_expo
+            violation = float(((u_r - rhs) / np.maximum(rhs, 1e-300)).max())
+            self.u_lr_worst = max(self.u_lr_worst, violation)
+
+    def _add_record(self, u, v, d, u_r):
+        grid, params = self.grid, self.params
+        vol = grid.cell_volume
+        cols = self._cols
+        cols["mass"].append(u.sum() * vol)
+        cols["v_min"].append(v.min())
+        cols["v_lr"].append((v**params.r).sum() * vol)
+        cols["grad_v_ls"].append(
+            (gradient_cell_magnitude(v, grid) ** params.s).sum() * vol)
+        cols["entropy"].append(d.upq.sum() * vol)
+        cols["reaction_minus"].append(cols["entropy"][-1])
+        cols["reaction_plus"].append(d.gain.sum() * vol)
+        cols["reaction_raw"].append(d.gain_raw.sum() * vol)
+        cols["u_lr"].append(u_r.sum() * vol)
+        cols["v_lq"].append((v**params.q).sum() * vol)
+        cols["boundary_min_upq"].append(min(
             float(slab.min()) for ax in range(grid.dim)
-            for slab in end_slabs(d.upq, ax))
+            for slab in end_slabs(d.upq, ax)))
 
         d1 = d2 = gup = gvq = 0.0
         for ax in range(grid.dim):
@@ -458,40 +508,151 @@ def collect(trajectory, params):
             d2 += float(d.diss_square[ax].sum())
             gup += float((gu * gu).sum())
             gvq += float((gv * gv).sum())
-        cols["diss_grad_u"][k] = d1 * vol
-        cols["diss_square"][k] = d2 * vol
-        cols["grad_up_sq"][k] = gup * vol
-        cols["grad_vq_sq"][k] = gvq * vol
+        cols["diss_grad_u"].append(d1 * vol)
+        cols["diss_square"].append(d2 * vol)
+        cols["grad_up_sq"].append(gup * vol)
+        cols["grad_vq_sq"].append(gvq * vol)
 
         if u.min() > 0.0:
             log_u = np.log(u)
-            cols["log_u"][k] = log_u.sum() * vol
+            cols["log_u"].append(log_u.sum() * vol)
             gl = 0.0
             for ax in range(grid.dim):
                 g = face_grad_values(log_u, grid.h, ax)
                 gl += float((g * g).sum())
-            cols["grad_log_u_sq"][k] = gl * vol
+            cols["grad_log_u_sq"].append(gl * vol)
         else:
-            cols["log_u"][k] = np.nan
-            cols["grad_log_u_sq"][k] = np.nan
-        cols["log_v"][k] = np.log(v).sum() * vol
+            cols["log_u"].append(np.nan)
+            cols["grad_log_u_sq"].append(np.nan)
+        cols["log_v"].append(np.log(v).sum() * vol)
 
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    acc = {name: _cumtrapz(cols[name], times) for name in ACC_FIELDS}
-    return DiagnosticsRecord(times=times, accumulated=acc, **cols)
+    def _contract(self, d):
+        """Per phi: I u^p v^q psi, I v^q |grad u^{p/2}|^2 psi, the completed
+        square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
+        I u^p v^q lap psi, and the saturated and unsaturated gains against
+        psi; psi's face means weight the face densities."""
+        grid = self.grid
+        vol = grid.cell_volume
+        out = np.empty((7, len(self.phis)))
+        for i, (psi, psi_face, grad_psi, lap_psi) in enumerate(self._weights):
+            d1 = d2 = gt = 0.0
+            for ax in range(grid.dim):
+                d1 += float((d.diss_grad_u[ax] * psi_face[ax]).sum())
+                d2 += float((d.diss_square[ax] * psi_face[ax]).sum())
+                gt += float((d.grad_phi[ax] * grad_psi[ax]).sum())
+            out[:, i] = ((d.upq * psi).sum() * vol, d1 * vol, d2 * vol,
+                         gt * vol, (d.upq * lap_psi).sum() * vol,
+                         (d.gain * psi).sum() * vol,
+                         (d.gain_raw * psi).sum() * vol)
+        return out
+
+    def _v_terms(self, u, v):
+        """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi."""
+        grid = self.grid
+        eps = self.params.eps
+        vol = grid.cell_volume
+        psi, grad_psi = self._v_weights
+        acc = 0.0
+        for ax in range(grid.dim):
+            acc += float((face_grad_values(v, grid.h, ax) * grad_psi[ax]).sum())
+        return ((v * psi).sum() * vol, acc * vol,
+                ((u / (1.0 + eps * u) if eps > 0.0 else u) * psi).sum() * vol)
+
+    def finish(self, max_sample_dt=None):
+        """Integrate the series in time.
+
+        With test functions the samples must be at most max_sample_dt apart
+        (by default T / MIN_SAMPLE_COUNT), else SamplingError; phi_v must
+        vanish at the final time, else ValueError.
+        """
+        times = np.asarray(self.times, dtype=np.float64)
+        if self.phis or self.phi_v is not None:
+            _check_sampling(times, max_sample_dt)
+        cols = {name: np.array(vals, dtype=np.float64)
+                for name, vals in self._cols.items()}
+        acc = {name: _cumtrapz(cols[name], times) for name in ACC_FIELDS}
+        record = DiagnosticsRecord(times=times, accumulated=acc, **cols)
+        return Accumulated(record, self._balances(times), self._v_weak(times),
+                           self.u_lr_worst, self.params)
+
+    def _balances(self, times):
+        if not self.phis:
+            return []
+        p, q, chi = self.params.p, self.params.q, self.params.chi
+        coef = self.coef
+        E, D1, D2, GT, LT, RP, RR = np.stack(self._series, axis=-1)
+        balances = []
+        for i, phi in enumerate(self.phis):
+            zeta = np.array([phi.zeta(t) for t in times])
+            zeta_dt = np.array([phi.zeta_dt(t) for t in times])
+            balances.append(EntropyBalance(
+                time_side=-_trapz(E[i] * zeta_dt, times),
+                boundary_0=E[i, 0] * zeta[0],
+                boundary_T=E[i, -1] * zeta[-1],
+                terms={
+                    "diss_grad_u": coef.c1 * _trapz(D1[i] * zeta, times),
+                    "diss_square": coef.c2 * _trapz(D2[i] * zeta, times),
+                    "grad_phi": -(2.0 * p * chi / q) * _trapz(GT[i] * zeta, times),
+                    "lap_phi": (1.0 - p * chi / q) * _trapz(LT[i] * zeta, times),
+                    "reaction_minus": -q * _trapz(E[i] * zeta, times),
+                    "reaction_plus": q * _trapz(RP[i] * zeta, times),
+                },
+                reaction_unsaturated=q * _trapz(RR[i] * zeta, times),
+            ))
+        return balances
+
+    def _v_weak(self, times):
+        phi = self.phi_v
+        if phi is None:
+            return None
+        if not phi.is_compact_in_time(float(times[-1])):
+            raise ValueError("phi must vanish at the final time (compact support)")
+        V, B, F = np.array(self._v_series).T
+        zeta = np.array([phi.zeta(t) for t in times])
+        zeta_dt = np.array([phi.zeta_dt(t) for t in times])
+        resid = (-_trapz(V * zeta_dt, times) - V[0] * zeta[0]
+                 + _trapz(B * zeta, times) + _trapz(V * zeta, times)
+                 - _trapz(F * zeta, times))
+        return abs(resid)
+
+
+@dataclass
+class Accumulated:
+    """What one pass of an Accumulator yields."""
+
+    record: DiagnosticsRecord
+    balances: list         # one EntropyBalance per phi, in order
+    v_weak: float | None   # |v weak-form mismatch| against phi_v, if given
+    u_lr_worst: float      # worst relative violation of the u^r splitting
+    params: ModelParams
+
+    def u_lr_bound(self, rel_tol=1e-12):
+        return _u_lr_report(self.u_lr_worst, self.record, self.params, rel_tol)
+
+
+def _feed(trajectory, accumulator):
+    """The accumulator after every stored sample of the trajectory."""
+    for t, u, v in zip(trajectory.times, trajectory.u_snapshots,
+                       trajectory.v_snapshots):
+        accumulator.add(t, u, v)
+    return accumulator
+
+
+def collect(trajectory, params):
+    """Evaluate the full diagnostic record along a trajectory."""
+    return _feed(trajectory, Accumulator(trajectory.grid, params)).finish().record
 
 
 # ---------------------------------------------------------------------------
 # weak-form residuals
 # ---------------------------------------------------------------------------
 
-def _check_sampling(trajectory, max_sample_dt):
-    times = np.asarray(trajectory.times)
+def _check_sampling(times, max_sample_dt):
     if len(times) < 2:
         raise SamplingError("need at least two samples for time integrals")
     gap = float(np.diff(times).max())
     if max_sample_dt is None:
-        max_sample_dt = max(trajectory.final_time, 1e-300) / MIN_SAMPLE_COUNT
+        max_sample_dt = max(float(times[-1]), 1e-300) / MIN_SAMPLE_COUNT
     if gap > max_sample_dt * (1.0 + 1e-9):
         raise SamplingError(
             f"sampling interval {gap} exceeds the allowed {max_sample_dt}")
@@ -534,58 +695,8 @@ def entropy_balances(trajectory, params, phis, max_sample_dt=None):
     once and contracted against the weights (psi, its face means, grad psi,
     lap psi) of every phi.  Returns one EntropyBalance per phi, in order.
     """
-    _check_sampling(trajectory, max_sample_dt)
-    grid = trajectory.grid
-    p, q, chi = params.p, params.q, params.chi
-    coef = entropy_coefficients(p, q, chi)
-    vol = grid.cell_volume
-    times = np.asarray(trajectory.times)
-    weights = []
-    for phi in phis:
-        psi = phi.values(grid)
-        weights.append((psi, [face_mean_values(psi, ax) for ax in range(grid.dim)],
-                        [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)],
-                        phi.laplacian(grid)))
-
-    # per phi and sample: I u^p v^q psi, I v^q |grad u^{p/2}|^2 psi, the
-    # completed square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
-    # I u^p v^q lap psi, and the saturated and unsaturated gains against psi
-    E, D1, D2, GT, LT, RP, RR = np.empty((7, len(phis), len(times)))
-    for k, (u, v) in enumerate(zip(trajectory.u_snapshots, trajectory.v_snapshots)):
-        d = _densities(u, v, params, coef.kappa, grid)
-        for i, (psi, psi_face, grad_psi, lap_psi) in enumerate(weights):
-            E[i, k] = (d.upq * psi).sum() * vol
-            LT[i, k] = (d.upq * lap_psi).sum() * vol
-            d1 = d2 = gt = 0.0
-            for ax in range(grid.dim):
-                d1 += float((d.diss_grad_u[ax] * psi_face[ax]).sum())
-                d2 += float((d.diss_square[ax] * psi_face[ax]).sum())
-                gt += float((d.grad_phi[ax] * grad_psi[ax]).sum())
-            D1[i, k] = d1 * vol
-            D2[i, k] = d2 * vol
-            GT[i, k] = gt * vol
-            RP[i, k] = (d.gain * psi).sum() * vol
-            RR[i, k] = (d.gain_raw * psi).sum() * vol
-
-    balances = []
-    for i, phi in enumerate(phis):
-        zeta = np.array([phi.zeta(t) for t in times])
-        zeta_dt = np.array([phi.zeta_dt(t) for t in times])
-        balances.append(EntropyBalance(
-            time_side=-_trapz(E[i] * zeta_dt, times),
-            boundary_0=E[i, 0] * zeta[0],
-            boundary_T=E[i, -1] * zeta[-1],
-            terms={
-                "diss_grad_u": coef.c1 * _trapz(D1[i] * zeta, times),
-                "diss_square": coef.c2 * _trapz(D2[i] * zeta, times),
-                "grad_phi": -(2.0 * p * chi / q) * _trapz(GT[i] * zeta, times),
-                "lap_phi": (1.0 - p * chi / q) * _trapz(LT[i] * zeta, times),
-                "reaction_minus": -q * _trapz(E[i] * zeta, times),
-                "reaction_plus": q * _trapz(RP[i] * zeta, times),
-            },
-            reaction_unsaturated=q * _trapz(RR[i] * zeta, times),
-        ))
-    return balances
+    accumulator = Accumulator(trajectory.grid, params, phis)
+    return _feed(trajectory, accumulator).finish(max_sample_dt).balances
 
 
 def entropy_identity_residual(trajectory, params, phi, max_sample_dt=None,
@@ -622,37 +733,8 @@ def v_weak_residual(trajectory, phi, max_sample_dt=None):
       - II (u / (1 + eps u)) phi  -> 0 under refinement.
     phi must be compactly supported in time.
     """
-    _check_sampling(trajectory, max_sample_dt)
-    grid = trajectory.grid
-    eps = trajectory.params.eps
-    T = trajectory.final_time
-    if not phi.is_compact_in_time(T):
-        raise ValueError("phi must vanish at the final time (compact support)")
-    vol = grid.cell_volume
-    times = np.asarray(trajectory.times)
-    n = len(times)
-    psi = phi.values(grid)
-    grad_psi = [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)]
-
-    V = np.empty(n)
-    B = np.empty(n)
-    F = np.empty(n)
-    for k in range(n):
-        u = trajectory.u_snapshots[k]
-        v = trajectory.v_snapshots[k]
-        V[k] = (v * psi).sum() * vol
-        F[k] = ((u / (1.0 + eps * u) if eps > 0.0 else u) * psi).sum() * vol
-        acc = 0.0
-        for ax in range(grid.dim):
-            acc += float((face_grad_values(v, grid.h, ax) * grad_psi[ax]).sum())
-        B[k] = acc * vol
-
-    zeta = np.array([phi.zeta(t) for t in times])
-    zeta_dt = np.array([phi.zeta_dt(t) for t in times])
-    resid = (-_trapz(V * zeta_dt, times) - V[0] * zeta[0]
-             + _trapz(B * zeta, times) + _trapz(V * zeta, times)
-             - _trapz(F * zeta, times))
-    return abs(resid)
+    accumulator = Accumulator(trajectory.grid, trajectory.params, phi_v=phi)
+    return _feed(trajectory, accumulator).finish(max_sample_dt).v_weak
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +793,21 @@ def apriori_bounds_check(record, params, rel_tol=1e-6, disc_estimate=0.0):
                        extras={"integrals": integrals})
 
 
+def _u_lr_exponent(params):
+    """(1 - q) r / (p + 1 - r), the v exponent of the u^r splitting."""
+    p, q, r = params.p, params.q, params.r
+    if not p + 1.0 - r > 0.0:
+        raise ValueError(f"need r < p + 1, got r = {r}, p = {p}")
+    return (1.0 - q) * r / (p + 1.0 - r)
+
+
+def _u_lr_report(worst, record, params, rel_tol):
+    expo = _u_lr_exponent(params)
+    return BoundReport("u_lr_pointwise", worst, 0.0, rel_tol, worst <= rel_tol,
+                       extras={"u_lr_total": float(record.accumulated["u_lr"][-1]),
+                               "norm_exponent": expo})
+
+
 def u_lr_bound(record, trajectory, params, rel_tol=1e-12):
     """Pointwise splitting u^r <= u^{p+1} v^{q-1} + v^{(1-q) r / (p+1-r)}.
 
@@ -718,22 +815,9 @@ def u_lr_bound(record, trajectory, params, rel_tol=1e-12):
     dominating side); reports the worst relative violation and the final
     accumulated II u^r.
     """
-    p, q, r = params.p, params.q, params.r
-    if not p + 1.0 - r > 0.0:
-        raise ValueError(f"need r < p + 1, got r = {r}, p = {p}")
-    expo = (1.0 - q) * r / (p + 1.0 - r)
-    worst = -np.inf
-    for k in range(len(trajectory.times)):
-        u = trajectory.u_snapshots[k]
-        v = trajectory.v_snapshots[k]
-        lhs = u**r
-        rhs = u ** (p + 1.0) * v ** (q - 1.0) + v**expo
-        violation = float(((lhs - rhs) / np.maximum(rhs, 1e-300)).max())
-        worst = max(worst, violation)
-    passed = worst <= rel_tol
-    return BoundReport("u_lr_pointwise", worst, 0.0, rel_tol, passed,
-                       extras={"u_lr_total": float(record.accumulated["u_lr"][-1]),
-                               "norm_exponent": expo})
+    _u_lr_exponent(params)
+    worst = _feed(trajectory, Accumulator(trajectory.grid, params)).finish().u_lr_worst
+    return _u_lr_report(worst, record, params, rel_tol)
 
 
 def grad_vq_bound(record, params, rel_tol=1e-6):

@@ -261,7 +261,8 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run at the requested sample times."""
+    """Snapshots of a run at the requested sample times, or of its final
+    time only when the run handed its samples to a hook."""
 
     grid: Grid
     params: ModelParams
@@ -321,11 +322,16 @@ def _advance_with_retries(state, dt, stepper, max_retries):
 
 
 def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
-        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR):
+        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
+        on_sample=None):
     """Advance a state to time T, recording snapshots at the sample times.
 
     Sample times must be sorted inside [0, T]; they are hit exactly by
     clipping dt.  T = 0 records the initial state only.
+    With `on_sample`, each sample, t = 0 included, is handed to
+    on_sample(t, u, v) as the run reaches it, as the state's own arrays
+    (states are never changed in place), and the trajectory keeps the sample
+    times, the step reports and the final sample only.
     Step failures surface as SimulationError carrying the failing time.
     """
     if T < 0.0:
@@ -347,8 +353,11 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
 
     def record(st):
         traj.times.append(st.t)
-        traj.u_snapshots.append(st.u.values.copy())
-        traj.v_snapshots.append(st.v.values.copy())
+        if on_sample is not None:
+            on_sample(st.t, st.u.values, st.v.values)
+        else:
+            traj.u_snapshots.append(st.u.values.copy())
+            traj.v_snapshots.append(st.v.values.copy())
 
     record(state)
     next_sample = 1
@@ -378,6 +387,9 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
         if state.t == target:
             record(state)
             next_sample += 1
+    if on_sample is not None:
+        traj.u_snapshots = [state.u.values]
+        traj.v_snapshots = [state.v.values]
     return traj
 
 

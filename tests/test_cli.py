@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,22 @@ def test_validate_eps_ladder():
     assert ok.mode == "eps-study"
     single = validate_config(dict(base, eps_ladder=[0.5]))
     assert single.raw["eps_ladder"] == [0.5]
+
+
+def test_eps_study_store_budget(tmp_path, monkeypatch, capsys):
+    raw = simulate_config(mode="eps-study", eps_ladder=[0.1, 0.05])
+    store = 2 * 101 * 64 * 16  # rungs x samples x cells x 16 B
+    monkeypatch.setattr(cli, "EPS_STUDY_STORE_BUDGET", store)
+    validate_config(raw)
+    monkeypatch.setattr(cli, "EPS_STUDY_STORE_BUDGET", store - 1)
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.path == "run.sample_count"
+    out = tmp_path / "out"
+    path = write_config(tmp_path, raw)
+    assert main(["eps-study", "--config", path, "--out", str(out)]) == 2
+    assert "config.run.sample_count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_refine_and_oracle_sections():
@@ -442,4 +459,76 @@ def test_simulate_determinism(tmp_path, capsys):
     manifests = [read_manifest(o) for o in outs]
     for m in manifests:
         m.pop("wall_time_s")
+    assert manifests[0] == manifests[1]
+
+
+# streamed samples ---------------------------------------------------------------------
+
+def _traced_peak(out, raw):
+    cfg = validate_config(raw, out_override=out)
+    tracemalloc.start()
+    try:
+        _, manifest = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "aborted" not in manifest
+    return peak
+
+
+def test_entropy_check_memory_does_not_grow_with_samples(tmp_path):
+    def raw(samples):
+        return simulate_config(mode="entropy-check",
+                               grid={"cells": [32, 32], "extents": [1.0, 1.0]},
+                               run={"T": 0.02, "sample_count": samples})
+    run_experiment(validate_config(raw(100), out_override=tmp_path / "warm"))
+    few = _traced_peak(tmp_path / "few", raw(100))
+    many = _traced_peak(tmp_path / "many", raw(400))
+    # storing the 300 extra samples of u and v would take 4.7 MiB
+    assert many - few < 2**20
+
+
+PROGRESS_CASES = {
+    "simulate": simulate_config(run={"T": 0.02, "sample_count": 20,
+                                     "save_fields": "all"}),
+    "entropy-check": simulate_config(mode="entropy-check",
+                                     run={"T": 0.02, "sample_count": 50}),
+    "eps-study": simulate_config(mode="eps-study", eps_ladder=[0.1, 0.05],
+                                 run={"T": 0.02, "sample_count": 10}),
+    "refine-study": simulate_config(mode="refine-study",
+                                    refine={"T": 0.002, "levels": 2,
+                                            "sample_count": 8}),
+}
+# (label, sample intervals) of each run a mode makes
+PROGRESS_RUNS = {
+    "simulate": [("simulate", 20)],
+    "entropy-check": [("entropy-check", 50)],
+    "eps-study": [("eps-study eps=0.1", 10), ("eps-study eps=0.05", 10)],
+    "refine-study": [("refine-study level 0", 8), ("refine-study level 1", 16)],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PROGRESS_CASES))
+def test_progress_reports_samples_and_changes_no_output(tmp_path, capsys, mode):
+    path = write_config(tmp_path, PROGRESS_CASES[mode])
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    code = main([mode, "--config", path, "--out", str(quiet)])
+    assert ": sample " not in capsys.readouterr().err
+    assert main([mode, "--config", path, "--out", str(loud), "--progress"]) == code
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if ": sample " in line]
+    expected = [f"{label}: sample {k}/{n}" for label, n in PROGRESS_RUNS[mode]
+                for k in range(n + 1)]
+    assert [line.split(" t = ")[0] for line in lines] == expected
+    assert lines[0].endswith(" t = 0")
+
+    names = sorted(p.relative_to(quiet) for p in quiet.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(loud) for p in loud.rglob("*")
+                           if p.is_file())
+    for name in names:
+        if name.name != "manifest.json":
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
+    manifests = [read_manifest(out) for out in (quiet, loud)]
+    for manifest in manifests:
+        manifest.pop("wall_time_s")
     assert manifests[0] == manifests[1]

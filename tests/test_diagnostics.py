@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from logsense_ks import diagnostics
 from logsense_ks.diagnostics import (
     ACC_FIELDS,
+    Accumulator,
     BumpSpatial,
     BumpTemporal,
     ConstantSpatial,
@@ -19,6 +20,7 @@ from logsense_ks.diagnostics import (
     collect,
     default_dual_family,
     dual_norm_surrogate,
+    entropy_balances,
     entropy_identity_residual,
     grad_vq_bound,
     log_mass_check,
@@ -393,3 +395,45 @@ def test_default_dual_family_normalized(smooth_run):
     sur = dual_norm_surrogate(traj, params, family=fam)
     assert np.isfinite(sur.u_total) and sur.u_total >= 0.0
     assert len(sur.interval_times) == len(traj.times) - 1
+
+
+# one streamed pass ------------------------------------------------------------------
+
+def test_streamed_pass_equals_the_stored_trajectory_functions():
+    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
+    params = default_params(eps=0.01)
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
+    state = SimState(t=0.0, u=u0, v=constant_field(g, 1.0), params=params)
+    T = 0.02
+    times = np.linspace(0.0, T, 61)
+    phis = [diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()),
+            diagnostics.TestFunction(CosineSpatial((1, 0), 0.5, 1.0),
+                                     RampDownTemporal(0.9 * T)),
+            diagnostics.TestFunction(BumpSpatial([0.5, 0.5], [0.4, 0.4]),
+                                     BumpTemporal(0.05 * T, 0.85 * T)),
+            ] + builtin_supersolution_family(g, T)
+    assert len(phis) == 8
+    phi_v = diagnostics.TestFunction(CosineSpatial((1, 1), 0.5, 1.0),
+                                     RampDownTemporal(0.9 * T))
+
+    accumulator = Accumulator(g, params, phis, phi_v)
+    streamed = run(state, T, sample_times=times, on_sample=accumulator.add)
+    result = accumulator.finish()
+    stored = run(state, T, sample_times=times)
+    record = collect(stored, params)
+
+    assert streamed.times == stored.times
+    assert np.array_equal(result.record.times, record.times)
+    for name in record._columns:
+        assert np.array_equal(getattr(result.record, name),
+                              getattr(record, name), equal_nan=True), name
+    for name in ACC_FIELDS:
+        assert np.array_equal(result.record.accumulated[name],
+                              record.accumulated[name], equal_nan=True), name
+    for got, want in zip(result.balances, entropy_balances(stored, params, phis)):
+        assert got == want
+    for phi, balance in zip(phis, result.balances):
+        assert balance.identity()[0] == entropy_identity_residual(
+            stored, params, phi)
+    assert result.v_weak == v_weak_residual(stored, phi_v)
+    assert result.u_lr_bound() == u_lr_bound(record, stored, params)

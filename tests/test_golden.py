@@ -2,7 +2,9 @@
 
 The sha256 digests below were recorded for the outputs of five small
 experiments (simulate, entropy-check, refine-study, eps-study and oracle on
-a 16 x 16 base grid with short end times and small ensembles).  A
+a 16 x 16 base grid with short end times and small ensembles), for the
+assertions blocks of two of their manifests, and for the field files of a
+simulate run that saves every sample.  A
 refactor that claims unchanged behaviour must leave them unchanged; a change
 that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
 they were recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64

@@ -111,6 +111,24 @@ def test_zero_horizon_records_initial_state_only():
     assert np.array_equal(traj.u_snapshots[0], state.u.values)
 
 
+def test_on_sample_sees_every_sample_and_keeps_the_final_one():
+    state = gaussian_state()
+    wanted = np.linspace(0.0, 0.05, 11)
+    stored = run(state, T=0.05, sample_times=wanted)
+    seen = []
+    streamed = run(state, T=0.05, sample_times=wanted,
+                   on_sample=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
+    assert [t for t, _, _ in seen] == stored.times == streamed.times
+    for (_, u, v), u_kept, v_kept in zip(seen, stored.u_snapshots,
+                                         stored.v_snapshots):
+        assert np.array_equal(u, u_kept) and np.array_equal(v, v_kept)
+    assert len(streamed.u_snapshots) == len(streamed.v_snapshots) == 1
+    assert np.array_equal(streamed.u_snapshots[0], stored.u_snapshots[-1])
+    assert np.array_equal(streamed.v_snapshots[0], stored.v_snapshots[-1])
+    assert [r.dt_used for r in streamed.reports] == [
+        r.dt_used for r in stored.reports]
+
+
 def test_sample_time_validation():
     state = gaussian_state()
     with pytest.raises(ValueError):
