@@ -657,16 +657,15 @@ def _pairwise_l1(traj_a, traj_b, params):
 
 
 def _stored_run(values, state, on_sample=None):
-    """The standard run with every sample stored, also while `on_sample`
-    watches them go by."""
-    if on_sample is None:
-        return _standard_run(values, state)
+    """The standard run with every sample stored, each handed on to
+    `on_sample` too when one is given."""
     u_snapshots, v_snapshots = [], []
 
     def keep(t, u, v):
         u_snapshots.append(u.copy())
         v_snapshots.append(v.copy())
-        on_sample(t, u, v)
+        if on_sample is not None:
+            on_sample(t, u, v)
     trajectory = _standard_run(values, state, keep)
     trajectory.u_snapshots, trajectory.v_snapshots = u_snapshots, v_snapshots
     return trajectory
