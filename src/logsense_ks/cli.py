@@ -5,12 +5,14 @@ Modes:
 * simulate      - one trajectory with full diagnostics and bound checks
 * params        - exponent algebra queries (admissibility, infimum, selection)
 * entropy-check - weak-form residuals against the built-in test functions
-* eps-study     - regularization ladder with pairwise Cauchy differences
+* eps-study     - regularization ladder with pairwise Cauchy differences,
+                  its rungs stepped in lockstep
 * refine-study  - (h, h/2, h/4) refinement with observed convergence orders
 * oracle        - standalone analytic verifiers and Monte-Carlo constants
 
 Configs are JSON, checked against one table of keys (CONFIG_KEYS); validation
-reports dotted field paths before any compute.
+reports dotted field paths before any compute.  No mode stores its samples:
+each hands them to its diagnostics as the run reaches them.
 Every mode writes a manifest JSON holding the config echo, library versions,
 seeds, wall time, one entry per evaluated assertion and, in the solver modes,
 step counters per trajectory; the process exit
@@ -47,12 +49,12 @@ from .diagnostics import (
     TestFunction,
     apriori_bounds_check,
     builtin_supersolution_family,
-    collect,
     grad_vq_bound,
     log_mass_check,
     trace_positivity_check,
 )
-from .grid import Field, Grid, face_grad_values, write_field_binary
+from .grid import (DEFAULT_MAX_CELLS, Field, Grid, face_grad_values,
+                   write_field_binary)
 from .oracles import (
     EnsembleSpec,
     OdeComparison,
@@ -76,8 +78,8 @@ from .params import (
     select_exponents,
 )
 from .simulator import (DEFAULT_SAFETY, DEFAULT_SAMPLE_COUNT, DEFAULT_V_FLOOR,
-                        INITIAL_KINDS, SimulationError, initial_state,
-                        make_initial_field, run)
+                        INITIAL_KINDS, SimulationError, Trajectory,
+                        initial_state, make_initial_field, run, samples)
 
 OUT_ENV_VAR = "LOGSENSE_KS_OUT"
 MODES = ("simulate", "params", "entropy-check", "eps-study", "refine-study",
@@ -86,10 +88,6 @@ GRID_MODES = tuple(m for m in MODES if m != "params")
 SOLVER_MODES = ("simulate", "entropy-check", "eps-study", "refine-study")
 RUN_MODES = ("simulate", "entropy-check", "eps-study")  # the modes reading run.T
 POWER_BASE_CELLS = 16
-# eps-study holds every sample of every rung (u and v, 16 B a cell) until it
-# takes the pairwise differences; validation rejects a config whose store
-# would pass this many bytes.
-EPS_STUDY_STORE_BUDGET = 2**30
 
 
 class ConfigError(ValueError):
@@ -131,7 +129,7 @@ CONFIG_KEYS = {
     "seed": Key("int", "[0, inf)", 0),
     "grid.cells": Key("int list", required=GRID_MODES),
     "grid.extents": Key("number list", "(0, inf)", required=GRID_MODES),
-    "model.chi": Key("number", "(0, inf)", required=MODES),
+    "model.chi": Key("number", "(0, 1e154)", required=MODES),  # chi^2 finite
     "model.n": Key("int", "[1, inf)", required=MODES),
     "model.eps": Key("number", "[0, 1)", _default(ModelParams, "eps")),
     "model.p": Key("number", "(0, 1)"),
@@ -259,8 +257,11 @@ def validate_config(raw, out_override=None, seed_override=None):
 
     grid = _build_grid(values) if mode in GRID_MODES else None
     state = None
-    if mode == "params":
-        _mapped("model", chi_admissible, values["model.chi"], values["model.n"])
+    if mode == "params" and _mapped("model", chi_admissible, values["model.chi"],
+                                    values["model.n"]):
+        # the mode reports the exponents selected for an admissible chi
+        _mapped("model", select_exponents, values["model.chi"], values["model.n"],
+                margin=values["model.margin"])
     if mode in SOLVER_MODES:
         params = _build_params(values)
         if mode in ("simulate", "entropy-check") and not params.r < params.p + 1:
@@ -274,14 +275,13 @@ def validate_config(raw, out_override=None, seed_override=None):
         ladder = values["eps_ladder"]
         if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("eps_ladder", "must be nonempty and strictly decreasing")
-        samples, cells = values["run.sample_count"] + 1, int(np.prod(grid.shape))
-        store = len(ladder) * samples * cells * 16
-        if store > EPS_STUDY_STORE_BUDGET:
-            raise ConfigError(
-                "run.sample_count",
-                f"eps-study would hold {store / 2**20:.0f} MiB of samples "
-                f"({len(ladder)} rungs x {samples} samples x {cells} cells x "
-                f"16 B), above its {EPS_STUDY_STORE_BUDGET / 2**20:.0f} MiB budget")
+        # the rungs step together, so together they may hold one run of the
+        # largest grid
+        cells = int(np.prod(grid.shape))
+        if len(ladder) * cells > DEFAULT_MAX_CELLS:
+            raise ConfigError("eps_ladder",
+                              f"{len(ladder)} rungs of {cells} cells pass the "
+                              f"{DEFAULT_MAX_CELLS}-cell limit of one run")
     if mode == "refine-study":
         _build_grid(values, 2 ** (values["refine.levels"] - 1))  # the finest
     if mode == "oracle":
@@ -331,18 +331,18 @@ def _initial_state(values, grid, params):
     return _mapped("initial.u", initial_state, params, u, v, values["initial.v_floor"])
 
 
-def _run_trajectory(values, state, T, sample_times, max_dt, on_sample=None):
-    return run(state, T, sample_times=sample_times, safety=values["run.safety"],
-               max_dt=max_dt, v_floor=values["run.v_floor"],
-               on_sample=on_sample)
+def _run_args(values, T, intervals, max_dt):
+    """`run`'s and `samples`' keyword arguments: T, `intervals` equal sample
+    spacings, the step cap and the run section's other stepping options."""
+    return {"T": T, "sample_times": np.linspace(0.0, T, intervals + 1),
+            "safety": values["run.safety"], "max_dt": max_dt,
+            "v_floor": values["run.v_floor"]}
 
 
-def _standard_run(values, state, on_sample=None):
-    """The trajectory from `state` that the run section asks for."""
-    T = values["run.T"]
-    times = np.linspace(0.0, T, values["run.sample_count"] + 1)
-    return _run_trajectory(values, state, T, times, values["run.max_dt"],
-                           on_sample)
+def _standard_args(values):
+    """_run_args of the run section."""
+    return _run_args(values, values["run.T"], values["run.sample_count"],
+                     values["run.max_dt"])
 
 
 def _chain(*hooks):
@@ -511,7 +511,7 @@ def _mode_simulate(cfg, outputs, asserts):
     def save_all(t, u, v):
         fields.extend(_write_fields(cfg.out_dir, grid, next(index), u, v))
 
-    trajectory = _standard_run(values, cfg.state, _chain(
+    trajectory = run(cfg.state, **_standard_args(values), on_sample=_chain(
         accumulator.add, save_all if save == "all" else None,
         _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
     # the sampling guard is moot here: the residual is evaluated at whatever
@@ -576,7 +576,7 @@ def _mode_entropy_check(cfg, outputs, asserts):
         RampDownTemporal(0.9 * T))
     accumulator = Accumulator(grid, params, [phi for _, phi in named] + family,
                               phi_v)
-    trajectory = _standard_run(values, cfg.state, _chain(
+    trajectory = run(cfg.state, **_standard_args(values), on_sample=_chain(
         accumulator.add,
         _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
     result = accumulator.finish()
@@ -630,85 +630,74 @@ class EpsStudyResult:
         return all(b <= slack * a for a, b in zip(seq, seq[1:]))
 
 
-def _pairwise_l1(traj_a, traj_b, params):
-    """L1(domain x (0,T)) differences of u, v, grad v^{q/2}, u^p v^q."""
-    grid = traj_a.grid
-    times = np.asarray(traj_a.times)
-    if len(traj_a.times) != len(traj_b.times) or not np.allclose(
-            traj_a.times, traj_b.times, rtol=0.0, atol=1e-12):
-        raise StudyError("ladder trajectories have mismatched sample times")
+def _l1_integrands(a, b):
+    """Spatial L1 differences of u, v, grad v^{q/2} and u^p v^q between two
+    rungs' states at one sample (p and q do not depend on the rung)."""
+    grid, p, q = a.grid, a.params.p, a.params.q
     vol = grid.cell_volume
-    p, q = params.p, params.q
-    series = {"u": [], "v": [], "grad_vq": [], "upq": []}
-    for k in range(len(times)):
-        ua, va = traj_a.u_snapshots[k], traj_a.v_snapshots[k]
-        ub, vb = traj_b.u_snapshots[k], traj_b.v_snapshots[k]
-        series["u"].append(np.abs(ua - ub).sum() * vol)
-        series["v"].append(np.abs(va - vb).sum() * vol)
-        g = 0.0
-        for ax in range(grid.dim):
-            ga = face_grad_values(va ** (q / 2.0), grid.h, ax)
-            gb = face_grad_values(vb ** (q / 2.0), grid.h, ax)
-            g += float(np.abs(ga - gb).sum()) * vol
-        series["grad_vq"].append(g)
-        series["upq"].append(
+    ua, va, ub, vb = a.u.values, a.v.values, b.u.values, b.v.values
+    g = 0.0
+    for ax in range(grid.dim):
+        ga = face_grad_values(va ** (q / 2.0), grid.h, ax)
+        gb = face_grad_values(vb ** (q / 2.0), grid.h, ax)
+        g += float(np.abs(ga - gb).sum()) * vol
+    return (np.abs(ua - ub).sum() * vol, np.abs(va - vb).sum() * vol, g,
             float(np.abs(ua**p * va**q - ub**p * vb**q).sum()) * vol)
-    return {key: float(np.trapezoid(vals, times)) for key, vals in series.items()}
 
 
-def _stored_run(values, state, on_sample=None):
-    """The standard run with every sample stored, each handed on to
-    `on_sample` too when one is given."""
-    u_snapshots, v_snapshots = [], []
-
-    def keep(t, u, v):
-        u_snapshots.append(u.copy())
-        v_snapshots.append(v.copy())
-        if on_sample is not None:
-            on_sample(t, u, v)
-    trajectory = _standard_run(values, state, keep)
-    trajectory.u_snapshots, trajectory.v_snapshots = u_snapshots, v_snapshots
-    return trajectory
+def _rung(values, state, eps, reports):
+    """The run section's samples from `state` at one ladder rung; a failure
+    names the rung."""
+    try:
+        yield from samples(state, reports=reports, **_standard_args(values))
+    except SimulationError as exc:
+        raise StudyError(f"ladder run failed at eps={eps}: {exc}",
+                         eps=eps) from exc
 
 
-def eps_convergence_study(raw, progress=False):
+def eps_convergence_study(cfg):
     """Run the ladder and assemble pairwise Cauchy differences.
 
     The u-difference monotonicity (within 1.2x slack) is the hard assertion;
     the v, gradient, and entropy-density sequences are reported with flags
     only, since the underlying compactness argument guarantees subsequential
-    convergence rather than monotonicity.  Every rung's samples are stored,
-    as _pairwise_l1 reads two rungs at each sample.
+    convergence rather than monotonicity.  The rungs step in lockstep, one
+    sample at a time: each sample feeds every rung's Accumulator and the L1
+    integrands of each adjacent pair, so the study holds one state per rung.
+    Returns the study and, per rung, (trajectory, record): the trajectory
+    holds the step reports only.
     """
-    cfg = validate_config(dict(raw, mode="eps-study"))
     values, ladder = cfg.values, cfg.values["eps_ladder"]
-    results = []
-    for eps in ladder:
-        params = _build_params(values, eps)
-        try:
-            trajectory = _stored_run(
-                values, replace(cfg.state, params=params),
-                _progress(progress, f"eps-study eps={eps:g}",
-                          values["run.sample_count"]))
-        except SimulationError as exc:
-            raise StudyError(f"ladder run failed at eps={eps}: {exc}",
-                             eps=eps) from exc
-        results.append((trajectory, collect(trajectory, params)))
+    grid = cfg.state.grid
+    trajectories = [Trajectory(grid, _build_params(values, eps)) for eps in ladder]
+    accumulators = [Accumulator(grid, tr.params) for tr in trajectories]
+    hooks = [_chain(acc.add, _progress(cfg.progress, f"eps-study eps={eps:g}",
+                                       values["run.sample_count"]))
+             for eps, acc in zip(ladder, accumulators)]
+    streams = [_rung(values, replace(cfg.state, params=tr.params), eps,
+                     tr.reports) for eps, tr in zip(ladder, trajectories)]
+    integrands = [[] for _ in ladder[1:]]  # per pair, per sample
+    for states in zip(*streams):
+        for state, hook in zip(states, hooks):
+            hook(state.t, state.u.values, state.v.values)
+        for pair, a, b in zip(integrands, states, states[1:]):
+            pair.append(_l1_integrands(a, b))
 
     study = EpsStudyResult(ladder=ladder)
-    params = _build_params(values, eps=0.0)
-    for k in range(len(ladder) - 1):
-        diffs = _pairwise_l1(results[k][0], results[k + 1][0], params)
-        study.u_diffs.append(diffs["u"])
-        study.v_diffs.append(diffs["v"])
-        study.grad_vq_diffs.append(diffs["grad_vq"])
-        study.entropy_density_diffs.append(diffs["upq"])
-    study.summaries = [rec.summary() for _, rec in results]
-    return study, results
+    for pair in integrands:
+        u, v, grad_vq, upq = (float(np.trapezoid(series, accumulators[0].times))
+                              for series in zip(*pair))
+        study.u_diffs.append(u)
+        study.v_diffs.append(v)
+        study.grad_vq_diffs.append(grad_vq)
+        study.entropy_density_diffs.append(upq)
+    records = [acc.finish().record for acc in accumulators]
+    study.summaries = [rec.summary() for rec in records]
+    return study, list(zip(trajectories, records))
 
 
 def _mode_eps_study(cfg, outputs, asserts):
-    study, results = eps_convergence_study(cfg.raw, cfg.progress)
+    study, results = eps_convergence_study(cfg)
 
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:
@@ -745,13 +734,9 @@ def _mode_eps_study(cfg, outputs, asserts):
 
 
 def _log_mass_band(results):
-    values = []
-    for _, rec in results:
-        if not np.isnan(rec.log_u).any():
-            values.append(float(rec.log_u.min()))
-    if not values:
-        return {}
-    return {"min": min(values), "max": max(values)}
+    mins = [float(rec.log_u.min()) for _, rec in results
+            if not np.isnan(rec.log_u).any()]
+    return {"min": min(mins), "max": max(mins)} if mins else {}
 
 
 # ---------------------------------------------------------------------------
@@ -780,33 +765,34 @@ def _observed_order(coarse, fine, tiny=1e-13):
     return float(np.log2(coarse / fine))
 
 
-def refine_study(raw, progress=False):
+def refine_study(cfg):
     """Run (h, h/2, h/4), compute errors and observed convergence orders.
 
     Each level's three entropy balances are accumulated as the run samples,
     and only its final fields are kept.  Returns (rows, orders, counters):
     one row and one step-counters entry per level."""
-    values = validate_config(dict(raw, mode="refine-study")).values
+    values = cfg.values
     levels = values["refine.levels"]
     T = values["refine.T"]
     base_samples = values["refine.sample_count"]
-    params = _build_params(values)
+    params = cfg.state.params
 
     rows = []
     trajectories = []
     for level in range(levels):
         factor = 2**level
-        grid = _build_grid(values, factor)
+        state = cfg.state if level == 0 else _initial_state(
+            values, _build_grid(values, factor), params)
+        grid = state.grid
         h_min = min(grid.h)
-        sample_times = np.linspace(0.0, T, base_samples * factor + 1)
-        state = _initial_state(values, grid, params)
         named = _residual_test_functions(grid, T)
         accumulator = Accumulator(grid, params, [phi for _, phi in named])
-        report = _progress(progress, f"refine-study level {level}",
+        report = _progress(cfg.progress, f"refine-study level {level}",
                            base_samples * factor)
-        trajectory = _run_trajectory(values, state, T, sample_times,
-                                     values["refine.dt_factor"] * h_min**2,
-                                     _chain(accumulator.add, report))
+        trajectory = run(state, **_run_args(
+            values, T, base_samples * factor,
+            values["refine.dt_factor"] * h_min**2),
+            on_sample=_chain(accumulator.add, report))
         # the configured sample count overrides the default T/50 spacing rule
         balances = accumulator.finish(
             max_sample_dt=float(T) / base_samples).balances
@@ -858,7 +844,7 @@ def _final_order(order_list):
 
 
 def _mode_refine_study(cfg, outputs, asserts):
-    rows, orders, counters = refine_study(cfg.raw, cfg.progress)
+    rows, orders, counters = refine_study(cfg)
 
     csv_path = cfg.out_dir / "refine_study.csv"
     keys = ["level", "h_min", "final_u_l1_error", "identity_constant",

@@ -133,7 +133,9 @@ def _tendency(state, v_floor):
 
     One pass over the axes forms v's face gradient and face mean, and from
     them the drift speed (boundary faces contribute none) and the flux on
-    interior faces; boundary faces carry exactly zero flux.
+    interior faces; boundary faces carry exactly zero flux.  Raises
+    SingularityError when v is below the mobility floor and SimulationError
+    when the tendency is not finite.
     """
     u = state.u.values
     v = state.v.values
@@ -162,7 +164,11 @@ def _tendency(state, v_floor):
     dv = lap_values(v, grid.h)
     dv -= v
     dv += _saturated_source(u, state.params.eps)
-    state._tendency = Tendency(fluxes, du, dv, chi * worst)
+    drift = chi * worst  # an overflow here would surface as a zero CFL bound
+    if not (np.isfinite(drift) and np.isfinite(du).all()
+            and np.isfinite(dv).all()):
+        raise SimulationError("the right-hand side is not finite", state.t)
+    state._tendency = Tendency(fluxes, du, dv, drift)
     return state._tendency
 
 
@@ -207,8 +213,8 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
     phi1(dt L) and phi1(dt (L - 1)) and carried back, so that the diffusion
     and the v decay over dt are exact.  Raises StepRejected when the
     candidate update loses positivity (u' below the transforms' round-off
-    level anywhere, or v' <= 0 anywhere); u' cells within that level of zero
-    are set to zero.
+    level anywhere, or v' <= 0 anywhere) or overflows; u' cells within that
+    level of zero are set to zero.
     The report's cfl_bound is left NaN and its set_by empty: the caller that
     chose dt knows why and fills them in.
     """
@@ -239,9 +245,12 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
         if low >= -roundoff:
             np.maximum(u_new, 0.0, out=u_new)
             low = 0.0
-    if low < 0.0 or v_new.min() <= 0.0:
+    max_u, min_v = float(u_new.max()), float(v_new.min())
+    # negated, so that a NaN or an infinity fails it too
+    if not (0.0 <= low and max_u < math.inf and 0.0 < min_v
+            and v_new.max() < math.inf):
         raise StepRejected(
-            f"positivity lost at t = {state.t} with dt = {dt}")
+            f"positivity or finiteness lost at t = {state.t} with dt = {dt}")
 
     new_state = SimState(
         t=state.t + dt,
@@ -253,8 +262,8 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
         t=state.t + dt,
         dt_used=dt,
         cfl_bound=float("nan"),
-        max_u=float(u_new.max()),
-        min_v=float(v_new.min()),
+        max_u=max_u,
+        min_v=min_v,
     )
     return new_state, report
 
@@ -321,18 +330,15 @@ def _advance_with_retries(state, dt, stepper, max_retries):
         f"step rejected {max_retries + 1} times (last dt = {trial})", state.t)
 
 
-def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
-        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
-        on_sample=None):
-    """Advance a state to time T, recording snapshots at the sample times.
+def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
+            max_dt=None, max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR):
+    """Advance a state to time T, yielding the state at each sample time and
+    appending each accepted step's StepReport to `reports`.
 
     Sample times must be sorted inside [0, T]; they are hit exactly by
-    clipping dt.  T = 0 records the initial state only.
-    With `on_sample`, each sample, t = 0 included, is handed to
-    on_sample(t, u, v) as the run reaches it, as the state's own arrays
-    (states are never changed in place), and the trajectory keeps the sample
-    times, the step reports and the final sample only.
-    Step failures surface as SimulationError carrying the failing time.
+    clipping dt, and t = 0 and T are always samples.  A yielded state is
+    never changed.  Step failures surface as SimulationError carrying the
+    failing time.
     """
     if T < 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -349,22 +355,9 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
         sample_times = sample_times + [float(T)]
 
     state = initial
-    traj = Trajectory(grid=state.grid, params=state.params)
-
-    def record(st):
-        traj.times.append(st.t)
-        if on_sample is not None:
-            on_sample(st.t, st.u.values, st.v.values)
-        else:
-            traj.u_snapshots.append(st.u.values.copy())
-            traj.v_snapshots.append(st.v.values.copy())
-
-    record(state)
+    yield state
     next_sample = 1
-
-    def stepper(st, dt):
-        return step(st, dt, v_floor=v_floor)
-
+    stepper = functools.partial(step, v_floor=v_floor)
     while state.t < T:
         target = sample_times[next_sample]
         gap = target - state.t
@@ -383,10 +376,30 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
             report.set_by = set_by
             if report.dt_used == clipped and clipped == gap:
                 state.t = target  # land exactly on the requested time
-            traj.reports.append(report)
+            reports.append(report)
         if state.t == target:
-            record(state)
+            yield state
             next_sample += 1
+
+
+def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
+        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
+        on_sample=None):
+    """The Trajectory of `samples`, with a snapshot at each sample time.
+
+    With `on_sample`, each sample, t = 0 included, is handed to
+    on_sample(t, u, v) as the state's own arrays instead, and the trajectory
+    keeps the final sample only.  T = 0 records the initial state only.
+    """
+    traj = Trajectory(grid=initial.grid, params=initial.params)
+    for state in samples(initial, T, traj.reports, sample_times, safety, max_dt,
+                         max_retries, v_floor):
+        traj.times.append(state.t)
+        if on_sample is not None:
+            on_sample(state.t, state.u.values, state.v.values)
+        else:
+            traj.u_snapshots.append(state.u.values.copy())
+            traj.v_snapshots.append(state.v.values.copy())
     if on_sample is not None:
         traj.u_snapshots = [state.u.values]
         traj.v_snapshots = [state.v.values]

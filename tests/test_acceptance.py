@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from logsense_ks import diagnostics
-from logsense_ks.cli import eps_convergence_study, main, refine_study
+from logsense_ks.cli import (eps_convergence_study, main, refine_study,
+                             validate_config)
 from logsense_ks.diagnostics import (
     apriori_bounds_check,
     builtin_supersolution_family,
@@ -147,7 +148,7 @@ def test_criterion_06_entropy_identity_refinement():
         },
         "refine": {"T": 0.1, "levels": 3},
     }
-    _, orders, _ = refine_study(raw)
+    _, orders, _ = refine_study(validate_config(dict(raw, mode="refine-study")))
     finest = {key: orders[key][-1] for key in
               ("identity_constant", "identity_cosine", "identity_bump")}
     order_ok = all(o == "exact" or o >= 1.5 for o in finest.values())
@@ -311,7 +312,7 @@ def test_criterion_12_eps_ladder_contraction():
         "run": {"T": 1.0, "sample_count": 200},
         "eps_ladder": [0.1, 0.05, 0.025, 0.0125],
     }
-    result, _ = eps_convergence_study(raw)
+    result, _ = eps_convergence_study(validate_config(dict(raw, mode="eps-study")))
     elapsed = time.monotonic() - t0
     mono_ok = result.monotone_within(result.u_diffs, slack=1.2)
     ok = mono_ok and elapsed < 300.0

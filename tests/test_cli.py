@@ -14,6 +14,7 @@ from logsense_ks.cli import (
     run_experiment,
     validate_config,
 )
+from logsense_ks.grid import DEFAULT_MAX_CELLS
 from logsense_ks.simulator import SimulationError
 
 
@@ -97,19 +98,24 @@ def test_validate_eps_ladder():
     assert single.raw["eps_ladder"] == [0.5]
 
 
-def test_eps_study_store_budget(tmp_path, monkeypatch, capsys):
-    raw = simulate_config(mode="eps-study", eps_ladder=[0.1, 0.05])
-    store = 2 * 101 * 64 * 16  # rungs x samples x cells x 16 B
-    monkeypatch.setattr(cli, "EPS_STUDY_STORE_BUDGET", store)
-    validate_config(raw)
-    monkeypatch.setattr(cli, "EPS_STUDY_STORE_BUDGET", store - 1)
+def test_eps_study_rung_cap(tmp_path, capsys):
+    # 512^2 cells a rung: the rungs of one 2^24-cell run make 64
+    cap = DEFAULT_MAX_CELLS // 512**2
+    assert cap == 64
+
+    def raw(rungs):
+        return simulate_config(mode="eps-study",
+                               grid={"cells": [512, 512], "extents": [1.0, 1.0]},
+                               eps_ladder=[0.5 * (1.0 - k / rungs)
+                                           for k in range(rungs)])
+    validate_config(raw(cap))
     with pytest.raises(ConfigError) as err:
-        validate_config(raw)
-    assert err.value.path == "run.sample_count"
+        validate_config(raw(cap + 1))
+    assert err.value.path == "eps_ladder"
     out = tmp_path / "out"
-    path = write_config(tmp_path, raw)
+    path = write_config(tmp_path, raw(cap + 1))
     assert main(["eps-study", "--config", path, "--out", str(out)]) == 2
-    assert "config.run.sample_count" in capsys.readouterr().err
+    assert "config.eps_ladder:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -488,6 +494,18 @@ def test_entropy_check_memory_does_not_grow_with_samples(tmp_path):
     assert many - few < 2**20
 
 
+def test_eps_study_memory_does_not_grow_with_samples(tmp_path):
+    def raw(samples):
+        return simulate_config(mode="eps-study", eps_ladder=[0.1, 0.05],
+                               grid={"cells": [32, 32], "extents": [1.0, 1.0]},
+                               run={"T": 0.02, "sample_count": samples})
+    run_experiment(validate_config(raw(100), out_override=tmp_path / "warm"))
+    few = _traced_peak(tmp_path / "few", raw(100))
+    many = _traced_peak(tmp_path / "many", raw(400))
+    # storing the 300 extra samples of both rungs would take 9.4 MiB
+    assert many - few < 2**20
+
+
 PROGRESS_CASES = {
     "simulate": simulate_config(run={"T": 0.02, "sample_count": 20,
                                      "save_fields": "all"}),
@@ -499,12 +517,25 @@ PROGRESS_CASES = {
                                     refine={"T": 0.002, "levels": 2,
                                             "sample_count": 8}),
 }
-# (label, sample intervals) of each run a mode makes
+
+
+def _run_by_run(*runs):
+    """The progress lines of runs made one after another: (label, intervals)."""
+    return [f"{label}: sample {k}/{n}" for label, n in runs for k in range(n + 1)]
+
+
+def _in_lockstep(n, *labels):
+    """The progress lines of runs stepped together, interleaved by sample."""
+    return [f"{label}: sample {k}/{n}" for k in range(n + 1) for label in labels]
+
+
+# the progress lines of each mode, up to " t = "
 PROGRESS_RUNS = {
-    "simulate": [("simulate", 20)],
-    "entropy-check": [("entropy-check", 50)],
-    "eps-study": [("eps-study eps=0.1", 10), ("eps-study eps=0.05", 10)],
-    "refine-study": [("refine-study level 0", 8), ("refine-study level 1", 16)],
+    "simulate": _run_by_run(("simulate", 20)),
+    "entropy-check": _run_by_run(("entropy-check", 50)),
+    "eps-study": _in_lockstep(10, "eps-study eps=0.1", "eps-study eps=0.05"),
+    "refine-study": _run_by_run(("refine-study level 0", 8),
+                                ("refine-study level 1", 16)),
 }
 
 
@@ -517,9 +548,7 @@ def test_progress_reports_samples_and_changes_no_output(tmp_path, capsys, mode):
     assert main([mode, "--config", path, "--out", str(loud), "--progress"]) == code
     lines = [line for line in capsys.readouterr().err.splitlines()
              if ": sample " in line]
-    expected = [f"{label}: sample {k}/{n}" for label, n in PROGRESS_RUNS[mode]
-                for k in range(n + 1)]
-    assert [line.split(" t = ")[0] for line in lines] == expected
+    assert [line.split(" t = ")[0] for line in lines] == PROGRESS_RUNS[mode]
     assert lines[0].endswith(" t = 0")
 
     names = sorted(p.relative_to(quiet) for p in quiet.rglob("*") if p.is_file())

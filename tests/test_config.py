@@ -141,6 +141,8 @@ PROBES = [
     ("oracle", "oracle.ode_cases", 10**30, "oracle.ode_cases"),
     ("oracle", "oracle.ensemble.count", 10**30, "oracle.ensemble.count"),
     ("oracle", "oracle.ensemble.cutoff", 10**30, "oracle.ensemble.cutoff"),
+    # an admissible chi with no exponent triple under the n = 2 cap
+    ("params", "model.chi", 1e4, "model"),
 ]
 
 
@@ -152,6 +154,65 @@ def test_bad_config_exits_two_with_its_path(tmp_path, capsys, mode, path,
     assert code == 2
     assert f"config.{reported}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _huge_chi(mode, n=None, select=False):
+    """VALID[mode] with chi = 1e200, whose square overflows; optionally in
+    dimension n, or with p, q and r left to the selection."""
+    raw = _with(mode, "model.chi", 1e200)
+    if n is not None:
+        raw["model"]["n"] = n
+    if select:
+        for name in "pqr":
+            raw["model"].pop(name, None)
+    return raw
+
+
+HUGE_CHI = {
+    "params-n2": ("params", _huge_chi("params")),
+    "params-n3": ("params", _huge_chi("params", n=3)),
+    "simulate-given": ("simulate", _huge_chi("simulate")),
+    "simulate-selected": ("simulate", _huge_chi("simulate", select=True)),
+    **{mode: (mode, _huge_chi(mode))
+       for mode in ("entropy-check", "eps-study", "refine-study", "oracle")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_CHI))
+def test_chi_with_an_overflowing_square_exits_two(tmp_path, capsys, case):
+    mode, raw = HUGE_CHI[case]
+    code, out = _main(tmp_path, mode, raw)
+    assert code == 2
+    assert "config.model.chi:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# initial data that pass the table but overflow the right-hand side: the
+# Laplacian of u, or the drift speed of v
+OVERFLOWING = {
+    "u": {"kind": "constant", "value": 1e308},
+    "v": {"kind": "gaussian", "amplitude": 1e308, "width": 0.12,
+          "baseline": 1.0},
+}
+
+
+# numpy warns of the overflow before the run stops; the suite would raise it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("field", sorted(OVERFLOWING))
+@pytest.mark.parametrize("mode", ["simulate", "entropy-check", "eps-study",
+                                  "refine-study"])
+def test_overflowing_initial_data_abort_the_run(tmp_path, capsys, mode, field):
+    code, out = _main(tmp_path, mode,
+                      _with(mode, f"initial.{field}", OVERFLOWING[field]))
+    assert code == 1
+    assert "aborted" in capsys.readouterr().err
+    aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+    assert "not finite (t = 0.0)" in aborted["message"]
+    if mode == "eps-study":
+        assert aborted["eps"] == 0.1
+    else:
+        assert aborted["time"] == 0.0
 
 
 def test_runtime_singularity_writes_aborted_manifest(tmp_path, capsys):

@@ -3,8 +3,8 @@
 The sha256 digests below were recorded for the outputs of five small
 experiments (simulate, entropy-check, refine-study, eps-study and oracle on
 a 16 x 16 base grid with short end times and small ensembles), for the
-assertions blocks of two of their manifests, and for the field files of a
-simulate run that saves every sample.  A
+assertions blocks of two of their manifests, for the whole eps-study
+manifest and for the field files of a simulate run that saves every sample.  A
 refactor that claims unchanged behaviour must leave them unchanged; a change
 that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
 they were recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64
@@ -85,6 +85,13 @@ ASSERTION_DIGESTS = {
         "56ad1dbda2a59ecf9cc171a38ce22ee38954dc301a165eed47c56049c69d13bc",
 }
 
+# The eps-study manifest, serialised with sorted keys, without its wall time
+# and without the library versions, which describe the machine and not the
+# run: it holds the per-rung summaries, the log-mass band, the monotonicity
+# flags and the step counters.
+EPS_STUDY_MANIFEST_DIGEST = \
+    "5da0e46450906a04b7c09110c0eb2ecfa4b5bc43b709849a0f00b3e330678215"
+
 # Every fields/*.bin of a simulate run that saves all samples, in name order.
 ALL_FIELDS_CONFIG = _config("simulate", run={"T": 0.02, "sample_count": 40,
                                             "save_fields": "all"})
@@ -112,6 +119,16 @@ def test_assertion_digests(tmp_path, mode):
     written = json.loads((tmp_path / "manifest.json").read_bytes())
     block = json.dumps(written["assertions"], sort_keys=True).encode()
     assert hashlib.sha256(block).hexdigest() == ASSERTION_DIGESTS[mode]
+
+
+def test_eps_study_manifest_digest(tmp_path):
+    raw, _ = CASES["eps-study"]
+    _, manifest = run_experiment(validate_config(raw, out_override=tmp_path))
+    assert "aborted" not in manifest
+    written = json.loads((tmp_path / "manifest.json").read_bytes())
+    del written["wall_time_s"], written["versions"]
+    block = json.dumps(written, sort_keys=True).encode()
+    assert hashlib.sha256(block).hexdigest() == EPS_STUDY_MANIFEST_DIGEST
 
 
 def test_all_fields_digest(tmp_path):

@@ -246,6 +246,17 @@ def test_step_rejects_positivity_loss():
     assert report.dt_used == bound
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_step_rejects_an_overflowing_update():
+    # the tendency is finite (max |du| about 1.4e308), the update is not
+    g = Grid(cells=[4, 4], extents=[1.0, 1.0])
+    state = SimState(t=0.0, u=gaussian_bump(g, 1e307, 0.3, baseline=1e306),
+                     v=constant_field(g, 1.0), params=default_params())
+    with pytest.raises(StepRejected):
+        step(state, dt=cfl_dt(state))
+
+
 def test_step_from_a_zero_background_is_accepted():
     # the transforms' round-off of either sign must not read as a loss of
     # positivity where u is zero: a small step spreads the spike and stays >= 0
