@@ -32,6 +32,7 @@ import numpy as np
 
 from .grid import (
     end_slabs,
+    face_cell_magnitude,
     face_grad_values,
     face_mean_values,
     gradient_cell_magnitude,
@@ -55,11 +56,39 @@ class SamplingError(ValueError):
 # test functions phi(x, t) = psi(x) * zeta(t)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Separable:
+    """psi = offset + prod_a f_a(x_a) on a grid, held as 1-D factors.
+
+    `factors` holds one triple per axis a: f_a at the cell centres, its
+    analytic derivative f_a' at the faces and f_a'' at the cell centres.  The
+    amplitude sits in axis 0's triple only.  No factors means psi is the
+    constant `offset`.  The dense weights follow as outer products:
+    d_a psi on a-faces is f_a' times the other f_b, lap psi is the sum over a
+    of f_a'' times the other f_b, and psi's face mean along a is the offset
+    plus the 1-D face mean of f_a times the other f_b.
+    """
+
+    offset: float
+    factors: tuple = ()
+
+
+def _scaled(offset, amplitude, factors):
+    """The Separable with `amplitude` folded into axis 0's triple."""
+    (f, df, d2f), *rest = factors
+    return Separable(offset, ((amplitude * f, amplitude * df, amplitude * d2f),
+                              *rest))
+
+
 class ConstantSpatial:
-    """psi identically equal to `value`."""
+    """psi identically equal to `value`; its Separable form is the offset
+    alone, so its gradient and Laplacian terms are exactly zero."""
 
     def __init__(self, value=1.0):
         self.value = float(value)
+
+    def separable(self, grid):
+        return Separable(self.value)
 
     def values(self, grid):
         return np.full(grid.shape, self.value)
@@ -78,13 +107,24 @@ class CosineSpatial:
 
     Zero-flux compatible for integer wavenumbers: the analytic normal
     derivative vanishes on every boundary face, and cell-centered samples are
-    mirror symmetric across the boundary.
+    mirror symmetric across the boundary.  Separable with factors
+    cos(k_a pi x_a / L_a); a zero wavenumber gives a factor of ones.
     """
 
     def __init__(self, wavenumbers, amplitude=1.0, offset=0.0):
         self.wavenumbers = tuple(int(k) for k in wavenumbers)
         self.amplitude = float(amplitude)
         self.offset = float(offset)
+
+    def separable(self, grid):
+        factors = []
+        for ax, k in enumerate(self.wavenumbers):
+            w = k * np.pi / grid.extents[ax]
+            x = grid.axis_centers(ax)
+            factors.append((np.cos(w * x),
+                            -w * np.sin(w * grid.axis_faces(ax)),
+                            -w * w * np.cos(w * x)))
+        return _scaled(self.offset, self.amplitude, factors)
 
     def _mode(self, coords, extents):
         term = np.ones_like(coords[0])
@@ -118,7 +158,8 @@ class BumpSpatial:
 
     C^3 smooth and identically zero outside the support box, so both the
     function and its normal derivative vanish near the boundary when the
-    support stays inside the domain.
+    support stays inside the domain.  Separable with factors (1 - s_a^2)^4
+    and offset 0.
     """
 
     def __init__(self, center, width, amplitude=1.0):
@@ -146,6 +187,15 @@ class BumpSpatial:
 
     def _s(self, coords):
         return [(x - c) / w for x, c, w in zip(coords, self.center, self.width)]
+
+    def separable(self, grid):
+        factors = []
+        for ax, (c, w) in enumerate(zip(self.center, self.width)):
+            s = (grid.axis_centers(ax) - c) / w
+            factors.append((self._b(s),
+                            self._db((grid.axis_faces(ax) - c) / w) / w,
+                            self._d2b(s) / w**2))
+        return _scaled(0.0, self.amplitude, factors)
 
     def values(self, grid):
         s = self._s(grid.meshgrid())
@@ -239,6 +289,9 @@ class TestFunction:
     def __init__(self, spatial, temporal):
         self.spatial = spatial
         self.temporal = temporal
+
+    def separable(self, grid):
+        return self.spatial.separable(grid)
 
     def values(self, grid):
         return self.spatial.values(grid)
@@ -389,7 +442,9 @@ class _Densities:
     (v^q |grad u^{p/2}|^2), diss_square (the completed square) and grad_phi
     (u^{p/2} v^q grad u^{p/2}, to be dotted with grad phi).  The record is
     the phi == 1 contraction of these densities and every weak-form residual
-    contracts them against its test-function weights.
+    contracts them against its test-function weights.  sums holds the plain
+    sums the record and every phi's offset share: of upq, gain, gain_raw and
+    v^q, and per axis of diss_grad_u and diss_square.
     """
 
     upq: np.ndarray
@@ -400,6 +455,7 @@ class _Densities:
     diss_grad_u: list
     diss_square: list
     grad_phi: list
+    sums: dict
 
 
 def _densities(u, v, params, kappa, grid):
@@ -412,7 +468,8 @@ def _densities(u, v, params, kappa, grid):
     gain_raw = u ** (p + 1.0) * v ** (q - 1.0)
     d = _Densities(upq=u**p * vq, gain_raw=gain_raw,
                    gain=gain_raw / (1.0 + params.eps * u), grad_up=[],
-                   grad_vq=[], diss_grad_u=[], diss_square=[], grad_phi=[])
+                   grad_vq=[], diss_grad_u=[], diss_square=[], grad_phi=[],
+                   sums={"vq": float(vq.sum())})
     for ax in range(grid.dim):
         gu = face_grad_values(up2, grid.h, ax)
         gv = face_grad_values(vq2, grid.h, ax)
@@ -422,7 +479,56 @@ def _densities(u, v, params, kappa, grid):
         d.diss_grad_u.append(face_mean_values(vq, ax) * gu * gu)
         d.diss_square.append(cross * cross)
         d.grad_phi.append(face_mean_values(w, ax) * gu)
+    for name in ("upq", "gain", "gain_raw"):
+        d.sums[name] = float(getattr(d, name).sum())
+    for name in ("diss_grad_u", "diss_square"):
+        d.sums[name] = [float(a.sum()) for a in getattr(d, name)]
     return d
+
+
+@dataclass
+class _Factored:
+    """A test function's weights as rank-1 terms over its Separable factors.
+
+    A term is a tuple of 1-D vectors, one per axis, standing for their outer
+    product.  psi is the offset plus the `psi` terms at cells, lap psi the
+    `lap` terms; on axis a's faces, psi's face mean is the offset plus the
+    `face_mean[a]` terms and d_a psi the `grad[a]` terms.
+    """
+
+    offset: float
+    psi: list
+    lap: list
+    face_mean: list
+    grad: list
+
+
+def _factored(phi, grid):
+    sep = phi.separable(grid)
+    dim = grid.dim
+    if not sep.factors:
+        return _Factored(sep.offset, [], [], [[]] * dim, [[]] * dim)
+    f, df, d2f = zip(*sep.factors)
+
+    def swap(ax, vec):  # f with axis ax's vector replaced by vec
+        return f[:ax] + (vec,) + f[ax + 1:]
+
+    return _Factored(
+        sep.offset, [f], [swap(ax, d2f[ax]) for ax in range(dim)],
+        [[swap(ax, face_mean_values(f[ax], 0))] for ax in range(dim)],
+        [[swap(ax, df[ax])] for ax in range(dim)])
+
+
+def _contracted(density, terms):
+    """Sum over the terms of density * (the term's outer product), contracted
+    one axis at a time from the last; 0.0 without terms."""
+    total = 0.0
+    for term in terms:
+        part = density
+        for vec in reversed(term):
+            part = part @ vec
+        total += float(part)
+    return total
 
 
 class Accumulator:
@@ -434,11 +540,14 @@ class Accumulator:
     one is given, and the worst relative violation of the pointwise u^r
     splitting (when r < p + 1).  Only these scalars outlive the sample, so a
     run can hand its samples over as it reaches them (simulator.run's
-    on_sample) and never store them.  finish() integrates the series in time
-    with the trapezoid rule.  The trajectory functions below (collect,
-    entropy_balances, v_weak_residual, u_lr_bound) feed stored snapshots
-    through this class, so a figure is the same floating-point expression
-    whichever way it was computed.
+    on_sample) and never store them.  The test functions' weights are held
+    as their Separable factors, 1-D vectors per axis, never as grids: an
+    integral is the offset times the density's sum plus the density
+    contracted with the vectors one axis at a time.  finish() integrates
+    the series in time with the trapezoid rule.  The trajectory functions
+    below (collect, entropy_balances, v_weak_residual, u_lr_bound) feed
+    stored snapshots through this class, so a figure is the same
+    floating-point expression whichever way it was computed.
     """
 
     def __init__(self, grid, params, phis=(), phi_v=None):
@@ -449,17 +558,10 @@ class Accumulator:
         self.phi_v = phi_v
         self.times = []
         self._cols = {name: [] for name in DiagnosticsRecord._columns}
-        self._weights = []
-        for phi in self.phis:
-            psi = phi.values(grid)
-            self._weights.append((
-                psi, [face_mean_values(psi, ax) for ax in range(grid.dim)],
-                [phi.grad_at_faces(grid, ax) for ax in range(grid.dim)],
-                phi.laplacian(grid)))
+        self._factored = [_factored(phi, grid) for phi in self.phis]
         self._series = []  # per sample, the (7, len(phis)) integrals
         if phi_v is not None:
-            self._v_weights = (phi_v.values(grid), [
-                phi_v.grad_at_faces(grid, ax) for ax in range(grid.dim)])
+            self._v_factored = _factored(phi_v, grid)
         self._v_series = []  # per sample, (V, B, F) of v_weak_residual
         try:
             self._u_lr_expo = _u_lr_exponent(params)
@@ -469,34 +571,37 @@ class Accumulator:
 
     def add(self, t, u, v):
         """Take the sample (t, u, v); the arrays are read, never kept."""
-        d = _densities(u, v, self.params, self.coef.kappa, self.grid)
+        grid = self.grid
+        d = _densities(u, v, self.params, self.coef.kappa, grid)
+        grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
         u_r = u**self.params.r
         self.times.append(t)
-        self._add_record(u, v, d, u_r)
+        self._add_record(u, v, d, u_r, grad_v)
         if self.phis:
             self._series.append(self._contract(d))
         if self.phi_v is not None:
-            self._v_series.append(self._v_terms(u, v))
+            self._v_series.append(self._v_terms(u, v, grad_v))
         if self._u_lr_expo is not None:
             rhs = d.gain_raw + v**self._u_lr_expo
             violation = float(((u_r - rhs) / np.maximum(rhs, 1e-300)).max())
             self.u_lr_worst = max(self.u_lr_worst, violation)
 
-    def _add_record(self, u, v, d, u_r):
+    def _add_record(self, u, v, d, u_r, grad_v):
         grid, params = self.grid, self.params
         vol = grid.cell_volume
         cols = self._cols
+        sums = d.sums
         cols["mass"].append(u.sum() * vol)
         cols["v_min"].append(v.min())
         cols["v_lr"].append((v**params.r).sum() * vol)
         cols["grad_v_ls"].append(
-            (gradient_cell_magnitude(v, grid) ** params.s).sum() * vol)
-        cols["entropy"].append(d.upq.sum() * vol)
+            (face_cell_magnitude(grad_v, grid) ** params.s).sum() * vol)
+        cols["entropy"].append(sums["upq"] * vol)
         cols["reaction_minus"].append(cols["entropy"][-1])
-        cols["reaction_plus"].append(d.gain.sum() * vol)
-        cols["reaction_raw"].append(d.gain_raw.sum() * vol)
+        cols["reaction_plus"].append(sums["gain"] * vol)
+        cols["reaction_raw"].append(sums["gain_raw"] * vol)
         cols["u_lr"].append(u_r.sum() * vol)
-        cols["v_lq"].append((v**params.q).sum() * vol)
+        cols["v_lq"].append(sums["vq"] * vol)
         cols["boundary_min_upq"].append(min(
             float(slab.min()) for ax in range(grid.dim)
             for slab in end_slabs(d.upq, ax)))
@@ -504,8 +609,8 @@ class Accumulator:
         d1 = d2 = gup = gvq = 0.0
         for ax in range(grid.dim):
             gu, gv = d.grad_up[ax], d.grad_vq[ax]
-            d1 += float(d.diss_grad_u[ax].sum())
-            d2 += float(d.diss_square[ax].sum())
+            d1 += sums["diss_grad_u"][ax]
+            d2 += sums["diss_square"][ax]
             gup += float((gu * gu).sum())
             gvq += float((gv * gv).sum())
         cols["diss_grad_u"].append(d1 * vol)
@@ -530,33 +635,42 @@ class Accumulator:
         """Per phi: I u^p v^q psi, I v^q |grad u^{p/2}|^2 psi, the completed
         square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
         I u^p v^q lap psi, and the saturated and unsaturated gains against
-        psi; psi's face means weight the face densities."""
+        psi; psi's face means weight the face densities.  Each integral is
+        the offset times the density's sum plus its rank-1 contractions, so
+        a phi's figures do not depend on the other phis."""
         grid = self.grid
         vol = grid.cell_volume
+        sums = d.sums
         out = np.empty((7, len(self.phis)))
-        for i, (psi, psi_face, grad_psi, lap_psi) in enumerate(self._weights):
+        for i, w in enumerate(self._factored):
+            c = w.offset
             d1 = d2 = gt = 0.0
             for ax in range(grid.dim):
-                d1 += float((d.diss_grad_u[ax] * psi_face[ax]).sum())
-                d2 += float((d.diss_square[ax] * psi_face[ax]).sum())
-                gt += float((d.grad_phi[ax] * grad_psi[ax]).sum())
-            out[:, i] = ((d.upq * psi).sum() * vol, d1 * vol, d2 * vol,
-                         gt * vol, (d.upq * lap_psi).sum() * vol,
-                         (d.gain * psi).sum() * vol,
-                         (d.gain_raw * psi).sum() * vol)
+                d1 += (c * sums["diss_grad_u"][ax]
+                       + _contracted(d.diss_grad_u[ax], w.face_mean[ax]))
+                d2 += (c * sums["diss_square"][ax]
+                       + _contracted(d.diss_square[ax], w.face_mean[ax]))
+                gt += _contracted(d.grad_phi[ax], w.grad[ax])
+            out[:, i] = (
+                (c * sums["upq"] + _contracted(d.upq, w.psi)) * vol,
+                d1 * vol, d2 * vol, gt * vol, _contracted(d.upq, w.lap) * vol,
+                (c * sums["gain"] + _contracted(d.gain, w.psi)) * vol,
+                (c * sums["gain_raw"] + _contracted(d.gain_raw, w.psi)) * vol)
         return out
 
-    def _v_terms(self, u, v):
+    def _v_terms(self, u, v, grad_v):
         """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi."""
         grid = self.grid
         eps = self.params.eps
         vol = grid.cell_volume
-        psi, grad_psi = self._v_weights
+        w = self._v_factored
+        src = u / (1.0 + eps * u) if eps > 0.0 else u
         acc = 0.0
         for ax in range(grid.dim):
-            acc += float((face_grad_values(v, grid.h, ax) * grad_psi[ax]).sum())
-        return ((v * psi).sum() * vol, acc * vol,
-                ((u / (1.0 + eps * u) if eps > 0.0 else u) * psi).sum() * vol)
+            acc += _contracted(grad_v[ax], w.grad[ax])
+        return ((w.offset * float(v.sum()) + _contracted(v, w.psi)) * vol,
+                acc * vol,
+                (w.offset * float(src.sum()) + _contracted(src, w.psi)) * vol)
 
     def finish(self, max_sample_dt=None):
         """Integrate the series in time.
@@ -693,7 +807,8 @@ def entropy_balances(trajectory, params, phis, max_sample_dt=None):
 
     One pass over the snapshots: the densities of each sample are computed
     once and contracted against the weights (psi, its face means, grad psi,
-    lap psi) of every phi.  Returns one EntropyBalance per phi, in order.
+    lap psi, all in Separable form) of every phi.  Returns one
+    EntropyBalance per phi, in order.
     """
     accumulator = Accumulator(trajectory.grid, params, phis)
     return _feed(trajectory, accumulator).finish(max_sample_dt).balances

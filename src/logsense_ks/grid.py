@@ -125,13 +125,25 @@ def end_slabs(a, axis):
 
 
 def lap_values(a, h):
-    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values."""
+    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values.
+
+    Per axis, (upper neighbour - 2 a) + lower neighbour, with an end cell its
+    own mirrored neighbour, is formed in one buffer without a padded copy.
+    """
     out = np.zeros_like(a)
+    two_a = 2.0 * a
+    term = np.empty_like(a)
     for ax, ha in enumerate(h):
-        first, last = end_slabs(a, ax)
-        padded = np.concatenate([first, a, last], axis=ax)
         n = a.shape[ax]
-        out += (padded[_span(ax, 2, n + 2)] - 2.0 * a + padded[_span(ax, 0, n)]) / ha**2
+        lo, hi = _span(ax, 0, n - 1), _span(ax, 1, n)
+        np.subtract(a[hi], two_a[lo], out=term[lo])
+        last = _span(ax, n - 1, n)
+        np.subtract(a[last], two_a[last], out=term[last])
+        term[hi] += a[lo]
+        first = _span(ax, 0, 1)
+        term[first] += a[first]
+        term /= ha**2
+        out += term
     return out
 
 
@@ -191,6 +203,23 @@ def face_div_values(fluxes, h, shape):
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
         n = shape[ax]
         out += (flux[_span(ax, 1, n + 1)] - flux[_span(ax, 0, n)]) / ha
+    return out
+
+
+def interior_div_values(fluxes, h, shape):
+    """Divergence of per-axis fluxes given on interior faces only (n_a - 1
+    entries along axis a); the boundary faces carry zero flux."""
+    out = np.zeros(shape, dtype=np.float64)
+    term = np.empty(shape, dtype=np.float64)
+    for ax, (flux, ha) in enumerate(zip(fluxes, h)):
+        n = shape[ax]
+        first, last = _span(ax, 0, 1), _span(ax, n - 1, n)
+        np.subtract(flux[_span(ax, 1, n - 1)], flux[_span(ax, 0, n - 2)],
+                    out=term[_span(ax, 1, n - 1)])
+        term[first] = flux[first]  # flux - 0.0 at the lower boundary
+        np.subtract(0.0, flux[_span(ax, n - 2, n - 1)], out=term[last])
+        term /= ha
+        out += term
     return out
 
 
@@ -259,9 +288,14 @@ def face_square_integral(face_arrays, grid):
 
 def gradient_cell_magnitude(values, grid):
     """Cell-centered Euclidean norm of the gradient (face averages per axis)."""
+    return face_cell_magnitude(
+        [face_grad_values(values, grid.h, ax) for ax in range(grid.dim)], grid)
+
+
+def face_cell_magnitude(face_arrays, grid):
+    """Cell-centered Euclidean norm of per-axis face arrays (face averages)."""
     sq = np.zeros(grid.shape, dtype=np.float64)
-    for ax in range(grid.dim):
-        g = face_grad_values(values, grid.h, ax)
+    for ax, g in enumerate(face_arrays):
         c = faces_to_cells(g, ax)
         sq += c * c
     return np.sqrt(sq)

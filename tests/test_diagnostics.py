@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from logsense_ks.diagnostics import (
     u_lr_bound,
     v_weak_residual,
 )
-from logsense_ks.grid import Field, Grid, face_grad_values, lap_values
+from logsense_ks.cli import _residual_test_functions
+from logsense_ks.grid import (
+    Field,
+    Grid,
+    face_grad_values,
+    face_mean_values,
+    lap_values,
+)
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
@@ -99,6 +108,135 @@ def test_bump_spatial_support_and_derivatives():
     lap_an = psi.laplacian(g)
     # the narrow support inflates the fourth derivative; stay relative
     assert np.abs(lap_fd - lap_an).max() < 0.02 * np.abs(lap_an).max()
+
+
+# separable weights ------------------------------------------------------------------
+
+SEPARABLE_GRIDS = {
+    1: Grid(cells=[12], extents=[1.3]),
+    2: Grid(cells=[12, 10], extents=[1.3, 0.9]),
+    3: Grid(cells=[8, 10, 12], extents=[1.0, 1.3, 0.7]),
+}
+
+
+def _shapes(dim):
+    """Every kind of spatial shape on a dim-dimensional grid."""
+    grid = SEPARABLE_GRIDS[dim]
+    return [
+        CosineSpatial((2, 1, 3)[:dim], amplitude=0.7, offset=1.2),
+        CosineSpatial((0, 1, 0)[:dim], amplitude=-0.4, offset=0.3),
+        CosineSpatial((0,) * dim, amplitude=0.5, offset=1.0),
+        # support closing inside the box, then one crossing the boundary
+        BumpSpatial([0.45 * L for L in grid.extents],
+                    [0.3 * L for L in grid.extents], amplitude=1.7),
+        BumpSpatial([0.1 * L for L in grid.extents],
+                    [0.5 * L for L in grid.extents]),
+    ]
+
+
+def _outer(vecs):
+    return functools.reduce(np.multiply.outer, vecs)
+
+
+def _swap(vecs, ax, vec):
+    return vecs[:ax] + (vec,) + vecs[ax + 1:]
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+@pytest.mark.parametrize("index", range(5))
+def test_separable_factors_reproduce_the_dense_weights(dim, index):
+    grid = SEPARABLE_GRIDS[dim]
+    shape = _shapes(dim)[index]
+    sep = shape.separable(grid)
+    f, df, d2f = zip(*sep.factors)
+    values = shape.values(grid)
+    _close(sep.offset + _outer(f), values)
+    _close(sum(_outer(_swap(f, ax, d2f[ax])) for ax in range(dim)),
+           shape.laplacian(grid))
+    for ax in range(dim):
+        _close(_outer(_swap(f, ax, df[ax])), shape.grad_at_faces(grid, ax))
+        _close(sep.offset + _outer(_swap(f, ax, face_mean_values(f[ax], 0))),
+               face_mean_values(values, ax))
+
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+def test_constant_shape_is_its_offset(dim):
+    grid = SEPARABLE_GRIDS[dim]
+    sep = ConstantSpatial(0.7).separable(grid)
+    assert sep.offset == 0.7 and sep.factors == ()
+    assert np.all(ConstantSpatial(0.7).values(grid) == sep.offset)
+
+
+def _entropy_check_phis(grid, T):
+    """entropy-check's eight test functions and its phi_v."""
+    named = [phi for _, phi in _residual_test_functions(grid, T)]
+    phi_v = diagnostics.TestFunction(
+        CosineSpatial((1,) * grid.dim, amplitude=0.5, offset=1.0),
+        RampDownTemporal(0.9 * T))
+    return named + builtin_supersolution_family(grid, T), phi_v
+
+
+def test_accumulator_integrals_match_the_dense_formulas():
+    g = SEPARABLE_GRIDS[3]
+    params = default_params(n=3, eps=0.05)
+    u = gaussian_bump(g, amplitude=1.5, width=0.2, baseline=0.2).values
+    v = 1.0 + 0.3 * CosineSpatial((1, 2, 1)).values(g)
+    phis, phi_v = _entropy_check_phis(g, 1.0)
+    accumulator = Accumulator(g, params, phis, phi_v)
+    accumulator.add(0.0, u, v)
+    got = accumulator._series[0]
+    d = diagnostics._densities(u, v, params, accumulator.coef.kappa, g)
+    vol = g.cell_volume
+
+    def integral(pairs):
+        """(sum of density * weight, sum of |density * weight|) times vol."""
+        terms = [density * weight for density, weight in pairs]
+        return (sum(float(t.sum()) for t in terms) * vol,
+                sum(float(np.abs(t).sum()) for t in terms) * vol)
+
+    for i, phi in enumerate(phis):
+        psi = phi.values(g)
+        psi_face = [face_mean_values(psi, ax) for ax in range(g.dim)]
+        grad_psi = [phi.grad_at_faces(g, ax) for ax in range(g.dim)]
+        want = [
+            integral([(d.upq, psi)]),
+            integral(zip(d.diss_grad_u, psi_face)),
+            integral(zip(d.diss_square, psi_face)),
+            integral(zip(d.grad_phi, grad_psi)),
+            integral([(d.upq, phi.laplacian(g))]),
+            integral([(d.gain, psi)]),
+            integral([(d.gain_raw, psi)]),
+        ]
+        for k, (value, magnitude) in enumerate(want):
+            assert abs(got[k, i] - value) <= 1e-12 * magnitude, (i, k)
+
+    psi = phi_v.values(g)
+    want = [integral([(v, psi)]),
+            integral((face_grad_values(v, g.h, ax), phi_v.grad_at_faces(g, ax))
+                     for ax in range(g.dim)),
+            integral([(u / (1.0 + params.eps * u), psi)])]
+    for value, (ref, magnitude) in zip(accumulator._v_series[0], want):
+        assert abs(value - ref) <= 1e-12 * magnitude
+
+
+def test_accumulator_weights_are_one_dimensional():
+    g = Grid(cells=[48, 48, 48], extents=[1.0, 1.0, 1.0])
+    params = default_params(n=3)
+    phis, phi_v = _entropy_check_phis(g, 1.0)
+    assert len(phis) == 8
+    tracemalloc.start()
+    try:
+        Accumulator(g, params, phis, phi_v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 48^3 weight alone is 0.84 MiB
+    assert peak < 2**20
 
 
 def test_temporal_profiles():

@@ -64,9 +64,9 @@ DIGESTS = {
     "steps.csv":
         "59b51f1c068a04972490b48b056eda3e0c7fed597058e311e4abcc32f344d826",
     "residuals.json":
-        "e0b6505b64e0c4982ad256764fb0a53e8f657ebee55e9e4313157089f87c0551",
+        "e0ae01d475345a7c055a4b25a32f8ffc67e79c3400f9fdc197258b7889ade5d3",
     "refine_study.csv":
-        "2932612091e98c13272466eb68547987a9c90742a6e3c553f3bb1d50e57621b4",
+        "d35c6bec23d6250188aadee02064363ae9e6874a1c37197cc78652cd74154f51",
     "eps_study.csv":
         "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
     "oracle_reports.json":
@@ -82,7 +82,7 @@ ASSERTION_DIGESTS = {
     "simulate":
         "c39a63e011c6b18421d698de291de4d1617a49040bd7df859955b1c9f338229e",
     "entropy-check":
-        "56ad1dbda2a59ecf9cc171a38ce22ee38954dc301a165eed47c56049c69d13bc",
+        "2cd06b518584d0423fccf8c4fa82d7e1fdfdd65301f1c61f871e453b99d4e6e5",
 }
 
 # The eps-study manifest, serialised with sorted keys, without its wall time
