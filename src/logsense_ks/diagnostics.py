@@ -26,6 +26,7 @@ same discretization error.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,6 +74,43 @@ class Separable:
     factors: tuple = ()
 
 
+def _outer(vecs):
+    """The outer product of 1-D vectors, one per axis."""
+    return functools.reduce(np.multiply.outer, vecs)
+
+
+def _swapped(factors, axis, which):
+    """The per-axis f_a of `factors` (triples, or the accumulator's
+    (f, f', f'', face mean of f)) with axis `axis`'s replaced by entry
+    `which`; empty for a constant psi."""
+    return [triple[which] if a == axis else triple[0]
+            for a, triple in enumerate(factors)]
+
+
+class _Shape:
+    """Base of the spatial shapes psi.  Each shape gives its dense
+    values(grid) and its Separable form, separable(grid); the analytic
+    derivatives below are outer products of the Separable factors."""
+
+    def grad_at_faces(self, grid, axis):
+        """d_axis psi on the axis-faces: f_axis' times the other f_b."""
+        factors = self.separable(grid).factors
+        if not factors:
+            shape = list(grid.shape)
+            shape[axis] += 1
+            return np.zeros(shape)
+        return _outer(_swapped(factors, axis, 1))
+
+    def laplacian(self, grid):
+        """lap psi at the cell centres: the sum over a of f_a'' times the
+        other f_b."""
+        factors = self.separable(grid).factors
+        out = np.zeros(grid.shape)
+        for ax in range(len(factors)):
+            out += _outer(_swapped(factors, ax, 2))
+        return out
+
+
 def _scaled(offset, amplitude, factors):
     """The Separable with `amplitude` folded into axis 0's triple."""
     (f, df, d2f), *rest = factors
@@ -80,7 +118,7 @@ def _scaled(offset, amplitude, factors):
                               *rest))
 
 
-class ConstantSpatial:
+class ConstantSpatial(_Shape):
     """psi identically equal to `value`; its Separable form is the offset
     alone, so its gradient and Laplacian terms are exactly zero."""
 
@@ -93,16 +131,8 @@ class ConstantSpatial:
     def values(self, grid):
         return np.full(grid.shape, self.value)
 
-    def grad_at_faces(self, grid, axis):
-        shape = list(grid.shape)
-        shape[axis] += 1
-        return np.zeros(shape)
 
-    def laplacian(self, grid):
-        return np.zeros(grid.shape)
-
-
-class CosineSpatial:
+class CosineSpatial(_Shape):
     """psi = offset + amplitude * prod_a cos(k_a pi x_a / L_a).
 
     Zero-flux compatible for integer wavenumbers: the analytic normal
@@ -126,34 +156,15 @@ class CosineSpatial:
                             -w * w * np.cos(w * x)))
         return _scaled(self.offset, self.amplitude, factors)
 
-    def _mode(self, coords, extents):
-        term = np.ones_like(coords[0])
-        for x, k, L in zip(coords, self.wavenumbers, extents):
+    def values(self, grid):
+        term = np.ones(grid.shape)
+        for x, k, L in zip(grid.meshgrid(), self.wavenumbers, grid.extents):
             if k:
                 term = term * np.cos(k * np.pi * x / L)
-        return term
-
-    def values(self, grid):
-        return self.offset + self.amplitude * self._mode(grid.meshgrid(), grid.extents)
-
-    def grad_at_faces(self, grid, axis):
-        coords = grid.face_meshgrid(axis)
-        k = self.wavenumbers[axis]
-        if k == 0:
-            return np.zeros_like(coords[0])
-        w = k * np.pi / grid.extents[axis]
-        out = -self.amplitude * w * np.sin(w * coords[axis])
-        for a, (x, ka, L) in enumerate(zip(coords, self.wavenumbers, grid.extents)):
-            if a != axis and ka:
-                out = out * np.cos(ka * np.pi * x / L)
-        return out
-
-    def laplacian(self, grid):
-        lam = sum((k * np.pi / L) ** 2 for k, L in zip(self.wavenumbers, grid.extents))
-        return -lam * self.amplitude * self._mode(grid.meshgrid(), grid.extents)
+        return self.offset + self.amplitude * term
 
 
-class BumpSpatial:
+class BumpSpatial(_Shape):
     """Compactly supported polynomial bump prod_a (1 - s_a^2)^4, s = (x-c)/w.
 
     C^3 smooth and identically zero outside the support box, so both the
@@ -185,9 +196,6 @@ class BumpSpatial:
         core = np.where(inside, 1.0 - s * s, 0.0)
         return core**2 * (56.0 * s * s - 8.0) * inside
 
-    def _s(self, coords):
-        return [(x - c) / w for x, c, w in zip(coords, self.center, self.width)]
-
     def separable(self, grid):
         factors = []
         for ax, (c, w) in enumerate(zip(self.center, self.width)):
@@ -198,34 +206,10 @@ class BumpSpatial:
         return _scaled(0.0, self.amplitude, factors)
 
     def values(self, grid):
-        s = self._s(grid.meshgrid())
         out = np.full(grid.shape, self.amplitude)
-        for sa in s:
-            out = out * self._b(sa)
+        for x, c, w in zip(grid.meshgrid(), self.center, self.width):
+            out = out * self._b((x - c) / w)
         return out
-
-    def grad_at_faces(self, grid, axis):
-        s = self._s(grid.face_meshgrid(axis))
-        out = np.full_like(s[0], self.amplitude)
-        for a, sa in enumerate(s):
-            if a == axis:
-                out = out * self._db(sa) / self.width[a]
-            else:
-                out = out * self._b(sa)
-        return out
-
-    def laplacian(self, grid):
-        s = self._s(grid.meshgrid())
-        total = np.zeros(grid.shape)
-        for a in range(len(s)):
-            term = np.full(grid.shape, self.amplitude)
-            for b, sb in enumerate(s):
-                if b == a:
-                    term = term * self._d2b(sb) / self.width[b] ** 2
-                else:
-                    term = term * self._b(sb)
-            total += term
-        return total
 
 
 class OneTemporal:
@@ -442,9 +426,9 @@ class _Densities:
     (v^q |grad u^{p/2}|^2), diss_square (the completed square) and grad_phi
     (u^{p/2} v^q grad u^{p/2}, to be dotted with grad phi).  The record is
     the phi == 1 contraction of these densities and every weak-form residual
-    contracts them against its test-function weights.  sums holds the plain
-    sums the record and every phi's offset share: of upq, gain, gain_raw and
-    v^q, and per axis of diss_grad_u and diss_square.
+    contracts them against its test-function weights.  The plain sums, which
+    the record and every phi's offset share, are taken once: of upq, gain,
+    gain_raw and v^q, and per axis of diss_grad_u and diss_square.
     """
 
     upq: np.ndarray
@@ -455,7 +439,12 @@ class _Densities:
     diss_grad_u: list
     diss_square: list
     grad_phi: list
-    sums: dict
+    upq_sum: float
+    gain_raw_sum: float
+    gain_sum: float
+    vq_sum: float
+    diss_grad_u_sums: list
+    diss_square_sums: list
 
 
 def _densities(u, v, params, kappa, grid):
@@ -465,70 +454,35 @@ def _densities(u, v, params, kappa, grid):
     vq2 = v ** (q / 2.0)
     vq = v**q
     w = up2 * vq
+    upq = u**p * vq
     gain_raw = u ** (p + 1.0) * v ** (q - 1.0)
-    d = _Densities(upq=u**p * vq, gain_raw=gain_raw,
-                   gain=gain_raw / (1.0 + params.eps * u), grad_up=[],
-                   grad_vq=[], diss_grad_u=[], diss_square=[], grad_phi=[],
-                   sums={"vq": float(vq.sum())})
+    gain = gain_raw / (1.0 + params.eps * u)
+    grad_up, grad_vq, diss_grad_u, diss_square, grad_phi = [], [], [], [], []
     for ax in range(grid.dim):
         gu = face_grad_values(up2, grid.h, ax)
         gv = face_grad_values(vq2, grid.h, ax)
         cross = face_mean_values(up2, ax) * gv - kappa * face_mean_values(vq2, ax) * gu
-        d.grad_up.append(gu)
-        d.grad_vq.append(gv)
-        d.diss_grad_u.append(face_mean_values(vq, ax) * gu * gu)
-        d.diss_square.append(cross * cross)
-        d.grad_phi.append(face_mean_values(w, ax) * gu)
-    for name in ("upq", "gain", "gain_raw"):
-        d.sums[name] = float(getattr(d, name).sum())
-    for name in ("diss_grad_u", "diss_square"):
-        d.sums[name] = [float(a.sum()) for a in getattr(d, name)]
-    return d
+        grad_up.append(gu)
+        grad_vq.append(gv)
+        diss_grad_u.append(face_mean_values(vq, ax) * gu * gu)
+        diss_square.append(cross * cross)
+        grad_phi.append(face_mean_values(w, ax) * gu)
+    return _Densities(
+        upq, gain_raw, gain, grad_up, grad_vq, diss_grad_u, diss_square,
+        grad_phi, upq_sum=float(upq.sum()), gain_raw_sum=float(gain_raw.sum()),
+        gain_sum=float(gain.sum()), vq_sum=float(vq.sum()),
+        diss_grad_u_sums=[float(a.sum()) for a in diss_grad_u],
+        diss_square_sums=[float(a.sum()) for a in diss_square])
 
 
-@dataclass
-class _Factored:
-    """A test function's weights as rank-1 terms over its Separable factors.
-
-    A term is a tuple of 1-D vectors, one per axis, standing for their outer
-    product.  psi is the offset plus the `psi` terms at cells, lap psi the
-    `lap` terms; on axis a's faces, psi's face mean is the offset plus the
-    `face_mean[a]` terms and d_a psi the `grad[a]` terms.
-    """
-
-    offset: float
-    psi: list
-    lap: list
-    face_mean: list
-    grad: list
-
-
-def _factored(phi, grid):
-    sep = phi.separable(grid)
-    dim = grid.dim
-    if not sep.factors:
-        return _Factored(sep.offset, [], [], [[]] * dim, [[]] * dim)
-    f, df, d2f = zip(*sep.factors)
-
-    def swap(ax, vec):  # f with axis ax's vector replaced by vec
-        return f[:ax] + (vec,) + f[ax + 1:]
-
-    return _Factored(
-        sep.offset, [f], [swap(ax, d2f[ax]) for ax in range(dim)],
-        [[swap(ax, face_mean_values(f[ax], 0))] for ax in range(dim)],
-        [[swap(ax, df[ax])] for ax in range(dim)])
-
-
-def _contracted(density, terms):
-    """Sum over the terms of density * (the term's outer product), contracted
-    one axis at a time from the last; 0.0 without terms."""
-    total = 0.0
-    for term in terms:
-        part = density
-        for vec in reversed(term):
-            part = part @ vec
-        total += float(part)
-    return total
+def _contracted(density, vecs):
+    """density contracted with the outer product of `vecs`, one axis at a
+    time from the last; 0.0 without vectors (a constant psi)."""
+    if not vecs:
+        return 0.0
+    for vec in reversed(vecs):
+        density = density @ vec
+    return float(density)
 
 
 class Accumulator:
@@ -558,10 +512,14 @@ class Accumulator:
         self.phi_v = phi_v
         self.times = []
         self._cols = {name: [] for name in DiagnosticsRecord._columns}
-        self._factored = [_factored(phi, grid) for phi in self.phis]
+        # per phi, the offset and per axis (f, f', f'', face mean of f)
+        seps = [phi.separable(grid) for phi in self.phis]
+        self._offsets = [sep.offset for sep in seps]
+        self._factors = [[(*triple, face_mean_values(triple[0], 0))
+                          for triple in sep.factors] for sep in seps]
         self._series = []  # per sample, the (7, len(phis)) integrals
         if phi_v is not None:
-            self._v_factored = _factored(phi_v, grid)
+            self._v_sep = phi_v.separable(grid)
         self._v_series = []  # per sample, (V, B, F) of v_weak_residual
         try:
             self._u_lr_expo = _u_lr_exponent(params)
@@ -590,18 +548,17 @@ class Accumulator:
         grid, params = self.grid, self.params
         vol = grid.cell_volume
         cols = self._cols
-        sums = d.sums
         cols["mass"].append(u.sum() * vol)
         cols["v_min"].append(v.min())
         cols["v_lr"].append((v**params.r).sum() * vol)
         cols["grad_v_ls"].append(
             (face_cell_magnitude(grad_v, grid) ** params.s).sum() * vol)
-        cols["entropy"].append(sums["upq"] * vol)
+        cols["entropy"].append(d.upq_sum * vol)
         cols["reaction_minus"].append(cols["entropy"][-1])
-        cols["reaction_plus"].append(sums["gain"] * vol)
-        cols["reaction_raw"].append(sums["gain_raw"] * vol)
+        cols["reaction_plus"].append(d.gain_sum * vol)
+        cols["reaction_raw"].append(d.gain_raw_sum * vol)
         cols["u_lr"].append(u_r.sum() * vol)
-        cols["v_lq"].append(sums["vq"] * vol)
+        cols["v_lq"].append(d.vq_sum * vol)
         cols["boundary_min_upq"].append(min(
             float(slab.min()) for ax in range(grid.dim)
             for slab in end_slabs(d.upq, ax)))
@@ -609,8 +566,8 @@ class Accumulator:
         d1 = d2 = gup = gvq = 0.0
         for ax in range(grid.dim):
             gu, gv = d.grad_up[ax], d.grad_vq[ax]
-            d1 += sums["diss_grad_u"][ax]
-            d2 += sums["diss_square"][ax]
+            d1 += d.diss_grad_u_sums[ax]
+            d2 += d.diss_square_sums[ax]
             gup += float((gu * gu).sum())
             gvq += float((gv * gv).sum())
         cols["diss_grad_u"].append(d1 * vol)
@@ -636,26 +593,28 @@ class Accumulator:
         square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
         I u^p v^q lap psi, and the saturated and unsaturated gains against
         psi; psi's face means weight the face densities.  Each integral is
-        the offset times the density's sum plus its rank-1 contractions, so
-        a phi's figures do not depend on the other phis."""
+        the offset times the density's sum plus its contractions with the
+        phi's own factors, so a phi's figures do not depend on the other
+        phis."""
         grid = self.grid
         vol = grid.cell_volume
-        sums = d.sums
         out = np.empty((7, len(self.phis)))
-        for i, w in enumerate(self._factored):
-            c = w.offset
-            d1 = d2 = gt = 0.0
+        for i, (c, factors) in enumerate(zip(self._offsets, self._factors)):
+            f = [quad[0] for quad in factors]
+            d1 = d2 = gt = lt = 0.0
             for ax in range(grid.dim):
-                d1 += (c * sums["diss_grad_u"][ax]
-                       + _contracted(d.diss_grad_u[ax], w.face_mean[ax]))
-                d2 += (c * sums["diss_square"][ax]
-                       + _contracted(d.diss_square[ax], w.face_mean[ax]))
-                gt += _contracted(d.grad_phi[ax], w.grad[ax])
+                mean = _swapped(factors, ax, 3)
+                d1 += (c * d.diss_grad_u_sums[ax]
+                       + _contracted(d.diss_grad_u[ax], mean))
+                d2 += (c * d.diss_square_sums[ax]
+                       + _contracted(d.diss_square[ax], mean))
+                gt += _contracted(d.grad_phi[ax], _swapped(factors, ax, 1))
+                lt += _contracted(d.upq, _swapped(factors, ax, 2))
             out[:, i] = (
-                (c * sums["upq"] + _contracted(d.upq, w.psi)) * vol,
-                d1 * vol, d2 * vol, gt * vol, _contracted(d.upq, w.lap) * vol,
-                (c * sums["gain"] + _contracted(d.gain, w.psi)) * vol,
-                (c * sums["gain_raw"] + _contracted(d.gain_raw, w.psi)) * vol)
+                (c * d.upq_sum + _contracted(d.upq, f)) * vol,
+                d1 * vol, d2 * vol, gt * vol, lt * vol,
+                (c * d.gain_sum + _contracted(d.gain, f)) * vol,
+                (c * d.gain_raw_sum + _contracted(d.gain_raw, f)) * vol)
         return out
 
     def _v_terms(self, u, v, grad_v):
@@ -663,14 +622,15 @@ class Accumulator:
         grid = self.grid
         eps = self.params.eps
         vol = grid.cell_volume
-        w = self._v_factored
+        c, factors = self._v_sep.offset, self._v_sep.factors
+        f = [triple[0] for triple in factors]
         src = u / (1.0 + eps * u) if eps > 0.0 else u
         acc = 0.0
         for ax in range(grid.dim):
-            acc += _contracted(grad_v[ax], w.grad[ax])
-        return ((w.offset * float(v.sum()) + _contracted(v, w.psi)) * vol,
+            acc += _contracted(grad_v[ax], _swapped(factors, ax, 1))
+        return ((c * float(v.sum()) + _contracted(v, f)) * vol,
                 acc * vol,
-                (w.offset * float(src.sum()) + _contracted(src, w.psi)) * vol)
+                (c * float(src.sum()) + _contracted(src, f)) * vol)
 
     def finish(self, max_sample_dt=None):
         """Integrate the series in time.

@@ -79,14 +79,6 @@ class Grid:
         axes = [self.axis_centers(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def face_meshgrid(self, axis):
-        """Coordinates of the face centers of `axis`-normal faces."""
-        axes = [
-            self.axis_faces(a) if a == axis else self.axis_centers(a)
-            for a in range(self.dim)
-        ]
-        return np.meshgrid(*axes, indexing="ij")
-
     def same_mesh(self, other):
         return self.cells == other.cells and self.extents == other.extents
 
@@ -125,25 +117,13 @@ def end_slabs(a, axis):
 
 
 def lap_values(a, h):
-    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values.
-
-    Per axis, (upper neighbour - 2 a) + lower neighbour, with an end cell its
-    own mirrored neighbour, is formed in one buffer without a padded copy.
-    """
+    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values."""
     out = np.zeros_like(a)
-    two_a = 2.0 * a
-    term = np.empty_like(a)
     for ax, ha in enumerate(h):
+        first, last = end_slabs(a, ax)
+        padded = np.concatenate([first, a, last], axis=ax)
         n = a.shape[ax]
-        lo, hi = _span(ax, 0, n - 1), _span(ax, 1, n)
-        np.subtract(a[hi], two_a[lo], out=term[lo])
-        last = _span(ax, n - 1, n)
-        np.subtract(a[last], two_a[last], out=term[last])
-        term[hi] += a[lo]
-        first = _span(ax, 0, 1)
-        term[first] += a[first]
-        term /= ha**2
-        out += term
+        out += (padded[_span(ax, 2, n + 2)] - 2.0 * a + padded[_span(ax, 0, n)]) / ha**2
     return out
 
 
@@ -203,23 +183,6 @@ def face_div_values(fluxes, h, shape):
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
         n = shape[ax]
         out += (flux[_span(ax, 1, n + 1)] - flux[_span(ax, 0, n)]) / ha
-    return out
-
-
-def interior_div_values(fluxes, h, shape):
-    """Divergence of per-axis fluxes given on interior faces only (n_a - 1
-    entries along axis a); the boundary faces carry zero flux."""
-    out = np.zeros(shape, dtype=np.float64)
-    term = np.empty(shape, dtype=np.float64)
-    for ax, (flux, ha) in enumerate(zip(fluxes, h)):
-        n = shape[ax]
-        first, last = _span(ax, 0, 1), _span(ax, n - 1, n)
-        np.subtract(flux[_span(ax, 1, n - 1)], flux[_span(ax, 0, n - 2)],
-                    out=term[_span(ax, 1, n - 1)])
-        term[first] = flux[first]  # flux - 0.0 at the lower boundary
-        np.subtract(0.0, flux[_span(ax, n - 2, n - 1)], out=term[last])
-        term /= ha
-        out += term
     return out
 
 

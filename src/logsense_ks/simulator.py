@@ -44,8 +44,10 @@ from .grid import (
     _span,
     dct_modes,
     dct_values,
+    face_div_values,
+    face_grad_values,
+    face_mean_values,
     integrate_values,
-    interior_div_values,
     lap_values,
 )
 from .params import ModelParams
@@ -77,8 +79,8 @@ class SingularityError(SimulationError):
 
 @dataclass
 class Tendency:
-    """Right-hand side of one state: the upwind fluxes on interior faces,
-    du/dt, dv/dt and the largest face drift speed chi |grad v| / v_face."""
+    """Right-hand side of one state: the upwind face fluxes, du/dt, dv/dt and
+    the largest face drift speed chi |grad v| / v_face."""
 
     fluxes: list
     du: np.ndarray
@@ -123,23 +125,15 @@ class StepReport:
 def chemotactic_flux(state, v_floor=DEFAULT_V_FLOOR):
     """Per-axis face fluxes chi * u_donor / v_face * (face gradient of v), with
     u from the upwind cell; boundary faces carry zero flux."""
-    fluxes = []
-    for ax, inner in enumerate(_tendency(state, v_floor).fluxes):
-        shape = list(inner.shape)
-        shape[ax] += 2
-        flux = np.zeros(shape)
-        flux[_span(ax, 1, shape[ax] - 1)] = inner
-        fluxes.append(flux)
-    return fluxes
+    return _tendency(state, v_floor).fluxes
 
 
 def _tendency(state, v_floor):
     """The state's tendency, evaluated on first use and held on the state.
 
-    One pass over the axes forms v's face gradient and face mean on the
-    interior faces, and from them the drift speed and the flux there; the
-    boundary faces carry no drift and exactly zero flux, so no array holds
-    them.  Raises
+    One pass over the axes forms v's face gradient and face mean, and from
+    them the drift speed (boundary faces contribute none) and the flux on
+    interior faces; boundary faces carry exactly zero flux.  Raises
     SingularityError when v is below the mobility floor and SimulationError
     when the tendency is not finite.
     """
@@ -155,15 +149,18 @@ def _tendency(state, v_floor):
     fluxes = []
     worst = 0.0
     for ax in range(grid.dim):
-        upper = _span(ax, 1, grid.shape[ax])  # interior face i sits below cell i + 1
-        lower = _span(ax, 0, grid.shape[ax] - 1)
-        g = np.diff(v, axis=ax) / grid.h[ax]
-        v_face = 0.5 * (v[lower] + v[upper])
+        g = face_grad_values(v, grid.h, ax)
+        v_face = face_mean_values(v, ax)
         worst = max(worst, float(np.abs(g / v_face).max()))
-        donor = np.where(g > 0.0, u[lower], u[upper])
-        fluxes.append(chi * donor / v_face * g)
+        inner = _span(ax, 1, grid.shape[ax])  # interior faces = upper cells
+        lower = _span(ax, 0, grid.shape[ax] - 1)
+        g_in = g[inner]
+        donor = np.where(g_in > 0.0, u[lower], u[inner])
+        flux = np.zeros_like(g)
+        flux[inner] = chi * donor / v_face[inner] * g_in
+        fluxes.append(flux)
     du = lap_values(u, grid.h)
-    du -= interior_div_values(fluxes, grid.h, grid.shape)
+    du -= face_div_values(fluxes, grid.h, grid.shape)
     dv = lap_values(v, grid.h)
     dv -= v
     dv += _saturated_source(u, state.params.eps)

@@ -156,12 +156,30 @@ def test_separable_factors_reproduce_the_dense_weights(dim, index):
     f, df, d2f = zip(*sep.factors)
     values = shape.values(grid)
     _close(sep.offset + _outer(f), values)
-    _close(sum(_outer(_swap(f, ax, d2f[ax])) for ax in range(dim)),
-           shape.laplacian(grid))
+    lap = shape.laplacian(grid)
+    assert lap.shape == grid.shape
+    _close(sum(_outer(_swap(f, ax, d2f[ax])) for ax in range(dim)), lap)
     for ax in range(dim):
         _close(_outer(_swap(f, ax, df[ax])), shape.grad_at_faces(grid, ax))
         _close(sep.offset + _outer(_swap(f, ax, face_mean_values(f[ax], 0))),
                face_mean_values(values, ax))
+
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+@pytest.mark.parametrize("index", range(5))
+def test_separable_derivatives_match_finite_differences(dim, index):
+    """Each factor's f' (at faces) and f'' (at centres) against the
+    differences of its f on a fine mesh of the same box."""
+    coarse = SEPARABLE_GRIDS[dim]
+    n = 2000
+    fine = Grid(cells=[n] * dim, extents=coarse.extents, max_cells=n**dim)
+    for ax, (f, df, d2f) in enumerate(_shapes(dim)[index].separable(fine).factors):
+        h = fine.h[ax]
+        assert df.shape == (n + 1,) and d2f.shape == (n,)
+        first = np.diff(f) / h  # at the interior faces
+        second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+        assert np.abs(first - df[1:-1]).max() <= 1e-5 * np.abs(df).max()
+        assert np.abs(second - d2f[1:-1]).max() <= 1e-4 * np.abs(d2f).max()
 
 
 @pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))

@@ -9,14 +9,11 @@ from logsense_ks.grid import (
     face_divergence,
     face_gradient,
     face_square_integral,
-    face_div_values,
     faces_to_cells,
     gradient_cell_magnitude,
     integrate,
     integrate_values,
-    interior_div_values,
     interior_max_abs,
-    lap_values,
     laplacian_neumann,
     read_field_binary,
     write_field_binary,
@@ -91,47 +88,6 @@ def test_divergence_of_gradient_matches_laplacian():
     f = random_field(g, seed=7)
     div = face_divergence(g, face_gradient(f))
     assert_allclose(div.values, laplacian_neumann(f).values, rtol=0, atol=1e-12)
-
-
-STENCIL_GRIDS = [Grid(cells=[7], extents=[1.3]),
-                 Grid(cells=[12, 9], extents=[1.0, 2.0]),
-                 Grid(cells=[4, 6, 5], extents=[1.0, 0.5, 2.0])]
-
-
-def _span(ax, start, stop):
-    return (slice(None),) * ax + (slice(start, stop),)
-
-
-@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.dim}d")
-def test_lap_values_equals_the_padded_stencil_bit_for_bit(g):
-    a = np.random.default_rng(3).uniform(-1.0, 1.0, size=g.shape)
-    a[_span(0, 1, 2)] = 0.0  # signed zeros must come out alike too
-    want = np.zeros_like(a)
-    for ax, ha in enumerate(g.h):
-        n = a.shape[ax]
-        padded = np.concatenate([a[_span(ax, 0, 1)], a, a[_span(ax, n - 1, n)]],
-                                axis=ax)
-        want += (padded[_span(ax, 2, n + 2)] - 2.0 * a
-                 + padded[_span(ax, 0, n)]) / ha**2
-    assert lap_values(a, g.h).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.dim}d")
-def test_interior_divergence_equals_the_zero_padded_one_bit_for_bit(g):
-    rng = np.random.default_rng(5)
-    inner, padded = [], []
-    for ax, n in enumerate(g.shape):
-        shape = list(g.shape)
-        shape[ax] = n - 1
-        flux = rng.uniform(-1.0, 1.0, size=shape)
-        flux[_span(ax, 0, 1)] = 0.0
-        flux[_span(ax, n - 2, n - 1)] = -0.0
-        full = np.zeros(shape[:ax] + [n + 1] + shape[ax + 1:])
-        full[_span(ax, 1, n)] = flux
-        inner.append(flux)
-        padded.append(full)
-    got = interior_div_values(inner, g.h, g.shape)
-    assert got.tobytes() == face_div_values(padded, g.h, g.shape).tobytes()
 
 
 def test_face_divergence_shape_checks():

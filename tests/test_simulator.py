@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import (
-    Field,
-    Grid,
-    dct_modes,
-    dct_values,
-    face_grad_values,
-    face_mean_values,
-    lap_values,
-)
+from logsense_ks.grid import Field, Grid, dct_modes, dct_values, lap_values
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
@@ -297,23 +289,6 @@ def test_step_dt_validation():
     state = gaussian_state()
     with pytest.raises(ValueError):
         step(state, dt=0.0)
-
-
-def test_chemotactic_flux_is_the_upwind_flux_on_full_face_arrays():
-    state = gaussian_state(cells=12)
-    g, chi = state.grid, state.params.chi
-    u = state.u.values
-    v = gaussian_bump(g, amplitude=0.5, width=0.2, baseline=1.0).values
-    state = SimState(t=0.0, u=state.u, v=Field(g, v, strictly_positive=True),
-                     params=state.params)
-    for ax, flux in enumerate(chemotactic_flux(state)):
-        grad, mean = face_grad_values(v, g.h, ax), face_mean_values(v, ax)
-        up = np.concatenate([u, u.take([-1], axis=ax)], axis=ax)
-        down = np.concatenate([u.take([0], axis=ax), u], axis=ax)
-        want = chi * np.where(grad > 0.0, down, up) / mean * grad
-        # boundary faces carry exactly zero flux
-        assert np.all(flux.take([0, -1], axis=ax) == 0.0)
-        assert np.array_equal(flux, want)
 
 
 def test_singularity_guard():
