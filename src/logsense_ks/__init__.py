@@ -52,21 +52,15 @@ from .simulator import (
     step,
 )
 from .diagnostics import (
+    Accumulator,
     BoundReport,
     DiagnosticsRecord,
     TestFunction,
     apriori_bounds_check,
     builtin_supersolution_family,
-    collect,
-    dual_norm_surrogate,
-    entropy_balances,
-    entropy_identity_residual,
     grad_vq_bound,
     log_mass_check,
-    supersolution_residual,
     trace_positivity_check,
-    u_lr_bound,
-    v_weak_residual,
 )
 from .oracles import (
     EnsembleSpec,
@@ -92,6 +86,7 @@ from .cli import (
 
 __all__ = [
     "__version__",
+    "Accumulator",
     "BoundReport",
     "ConfigError",
     "DiagnosticsRecord",
@@ -116,12 +111,8 @@ __all__ = [
     "check_power_identities",
     "check_square_completion",
     "chi_admissible",
-    "collect",
     "coth_bound",
-    "dual_norm_surrogate",
-    "entropy_balances",
     "entropy_coefficients",
-    "entropy_identity_residual",
     "eps_convergence_study",
     "exponent_infimum",
     "exponent_infimum_bruteforce",
@@ -145,11 +136,8 @@ __all__ = [
     "run_experiment",
     "select_exponents",
     "step",
-    "supersolution_residual",
     "synth_positive_field",
     "trace_positivity_check",
-    "u_lr_bound",
-    "v_weak_residual",
     "validate_config",
     "verify_ode_comparison",
     "verify_ode_comparison_batch",

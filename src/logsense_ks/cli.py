@@ -456,12 +456,11 @@ def _mode_params(cfg, outputs, asserts):
 # mode: simulate
 # ---------------------------------------------------------------------------
 
-def _standard_checks(result, trajectory, asserts, disc):
+def _standard_checks(result, grid, asserts, disc):
     """Bound checks every simulate-style run evaluates, on the Accumulated
     pass over its samples; `disc`, the phi == 1 identity residual, is the a
     priori bound's measured discretization allowance."""
     record, params = result.record, result.params
-    grid = trajectory.grid
     mass = record.mass
     drift = float(np.abs(mass - mass[0]).max() / abs(mass[0]))
     asserts.add("mass_conservation", drift <= 1e-12, tolerance=1e-12,
@@ -480,7 +479,7 @@ def _standard_checks(result, trajectory, asserts, disc):
         asserts.add_report(apriori_bounds_check(record, params, rel_tol=1e-6,
                                                 disc_estimate=disc))
     if not np.isnan(record.log_u).any():
-        asserts.add_report(log_mass_check(record, trajectory, params))
+        asserts.add_report(log_mass_check(record, grid, params))
 
 
 def _write_fields(out_dir, grid, k, u, v):
@@ -533,7 +532,7 @@ def _mode_simulate(cfg, outputs, asserts):
     outputs.extend(fields)
 
     disc = result.balances[0].identity()[0] if phis else None
-    _standard_checks(result, trajectory, asserts, disc)
+    _standard_checks(result, grid, asserts, disc)
     summary_path = cfg.out_dir / "summary.json"
     _dump_json({"record": record.summary(), "checks": asserts.entries},
                summary_path)
@@ -605,7 +604,7 @@ def _mode_entropy_check(cfg, outputs, asserts):
     asserts.add("v_weak_residual", vres <= tol_rel * v_scale,
                 tolerance=tol_rel, value=vres)
 
-    _standard_checks(result, trajectory, asserts,
+    _standard_checks(result, grid, asserts,
                      disc=residuals["identity_constant"])
     path = cfg.out_dir / "residuals.json"
     _dump_json(residuals, path)

@@ -36,7 +36,6 @@ from .grid import (
     face_cell_magnitude,
     face_grad_values,
     face_mean_values,
-    gradient_cell_magnitude,
 )
 from .params import ModelParams, entropy_coefficients
 
@@ -498,10 +497,7 @@ class Accumulator:
     as their Separable factors, 1-D vectors per axis, never as grids: an
     integral is the offset times the density's sum plus the density
     contracted with the vectors one axis at a time.  finish() integrates
-    the series in time with the trapezoid rule.  The trajectory functions
-    below (collect, entropy_balances, v_weak_residual, u_lr_bound) feed
-    stored snapshots through this class, so a figure is the same
-    floating-point expression whichever way it was computed.
+    the series in time with the trapezoid rule.
     """
 
     def __init__(self, grid, params, phis=(), phi_v=None):
@@ -520,7 +516,7 @@ class Accumulator:
         self._series = []  # per sample, the (7, len(phis)) integrals
         if phi_v is not None:
             self._v_sep = phi_v.separable(grid)
-        self._v_series = []  # per sample, (V, B, F) of v_weak_residual
+        self._v_series = []  # per sample, (V, B, F) of _v_weak
         try:
             self._u_lr_expo = _u_lr_exponent(params)
         except ValueError:
@@ -676,6 +672,9 @@ class Accumulator:
         return balances
 
     def _v_weak(self, times):
+        """|weak-form mismatch| of the v equation against phi_v:
+        - II v phi_t - I v0 phi(0) + II grad v . grad phi + II v phi
+        - II (u / (1 + eps u)) phi, which tends to 0 under refinement."""
         phi = self.phi_v
         if phi is None:
             return None
@@ -701,20 +700,16 @@ class Accumulated:
     params: ModelParams
 
     def u_lr_bound(self, rel_tol=1e-12):
-        return _u_lr_report(self.u_lr_worst, self.record, self.params, rel_tol)
-
-
-def _feed(trajectory, accumulator):
-    """The accumulator after every stored sample of the trajectory."""
-    for t, u, v in zip(trajectory.times, trajectory.u_snapshots,
-                       trajectory.v_snapshots):
-        accumulator.add(t, u, v)
-    return accumulator
-
-
-def collect(trajectory, params):
-    """Evaluate the full diagnostic record along a trajectory."""
-    return _feed(trajectory, Accumulator(trajectory.grid, params)).finish().record
+        """Pointwise splitting u^r <= u^{p+1} v^{q-1} + v^{(1-q) r / (p+1-r)},
+        checked cell by cell on every sample (relative to the dominating
+        side): the worst relative violation and the final accumulated II u^r.
+        """
+        expo = _u_lr_exponent(self.params)
+        return BoundReport(
+            "u_lr_pointwise", self.u_lr_worst, 0.0, rel_tol,
+            self.u_lr_worst <= rel_tol,
+            extras={"u_lr_total": float(self.record.accumulated["u_lr"][-1]),
+                    "norm_exponent": expo})
 
 
 # ---------------------------------------------------------------------------
@@ -757,59 +752,17 @@ class EntropyBalance:
         return abs(lhs - rhs), {"lhs": lhs, "terms": self.terms, "scale": scale}
 
     def supersolution(self):
-        """Production side minus time side with the unsaturated gain."""
+        """Signed residual of the one-sided (supersolution) inequality:
+        production side minus time side with the unsaturated gain.
+
+        For a saturated trajectory this equals the nonnegative saturation gap
+        q II u^{p+1} v^{q-1} (1 - 1/(1 + eps u)) phi plus discretization
+        error, so values at or above a small negative tolerance confirm the
+        inequality direction.  It holds only for a phi that passes
+        TestFunction.check_one_sided.
+        """
         terms = {**self.terms, "reaction_plus": self.reaction_unsaturated}
         return sum(terms.values()) - (self.time_side - self.boundary_0)
-
-
-def entropy_balances(trajectory, params, phis, max_sample_dt=None):
-    """Entropy balances of a sampled trajectory against several test functions.
-
-    One pass over the snapshots: the densities of each sample are computed
-    once and contracted against the weights (psi, its face means, grad psi,
-    lap psi, all in Separable form) of every phi.  Returns one
-    EntropyBalance per phi, in order.
-    """
-    accumulator = Accumulator(trajectory.grid, params, phis)
-    return _feed(trajectory, accumulator).finish(max_sample_dt).balances
-
-
-def entropy_identity_residual(trajectory, params, phi, max_sample_dt=None,
-                              return_terms=False):
-    """|two-sided entropy identity mismatch| for the sampled trajectory.
-
-    All integrals are assembled from the snapshots, so arbitrary phi weights
-    are supported.
-    """
-    resid, info = entropy_balances(trajectory, params, [phi],
-                                   max_sample_dt)[0].identity()
-    return (resid, info) if return_terms else resid
-
-
-def supersolution_residual(trajectory, params, phi, max_sample_dt=None):
-    """Signed residual of the one-sided (supersolution) inequality.
-
-    Computed as production side minus time side with the unsaturated reaction
-    gain; for a saturated trajectory this equals the nonnegative saturation
-    gap q II u^{p+1} v^{q-1} (1 - 1/(1 + eps u)) phi plus discretization
-    error, so values at or above a small negative tolerance confirm the
-    inequality direction.  phi must be nonnegative, zero-flux compatible and
-    compactly supported in time.
-    """
-    phi.check_one_sided(trajectory.grid, trajectory.final_time)
-    return entropy_balances(trajectory, params, [phi],
-                            max_sample_dt)[0].supersolution()
-
-
-def v_weak_residual(trajectory, phi, max_sample_dt=None):
-    """|weak-form mismatch| of the v equation against phi.
-
-    - II v phi_t - I v0 phi(0) + II grad v . grad phi + II v phi
-      - II (u / (1 + eps u)) phi  -> 0 under refinement.
-    phi must be compactly supported in time.
-    """
-    accumulator = Accumulator(trajectory.grid, trajectory.params, phi_v=phi)
-    return _feed(trajectory, accumulator).finish(max_sample_dt).v_weak
 
 
 # ---------------------------------------------------------------------------
@@ -876,25 +829,6 @@ def _u_lr_exponent(params):
     return (1.0 - q) * r / (p + 1.0 - r)
 
 
-def _u_lr_report(worst, record, params, rel_tol):
-    expo = _u_lr_exponent(params)
-    return BoundReport("u_lr_pointwise", worst, 0.0, rel_tol, worst <= rel_tol,
-                       extras={"u_lr_total": float(record.accumulated["u_lr"][-1]),
-                               "norm_exponent": expo})
-
-
-def u_lr_bound(record, trajectory, params, rel_tol=1e-12):
-    """Pointwise splitting u^r <= u^{p+1} v^{q-1} + v^{(1-q) r / (p+1-r)}.
-
-    Verified cell by cell on every snapshot (relative tolerance on the
-    dominating side); reports the worst relative violation and the final
-    accumulated II u^r.
-    """
-    _u_lr_exponent(params)
-    worst = _feed(trajectory, Accumulator(trajectory.grid, params)).finish().u_lr_worst
-    return _u_lr_report(worst, record, params, rel_tol)
-
-
 def grad_vq_bound(record, params, rel_tol=1e-6):
     """(4(1-q)/q^2) II |grad v^{q/2}|^2 <= (1/q) I v^q(T) + II v^q + tau.
 
@@ -913,7 +847,7 @@ def grad_vq_bound(record, params, rel_tol=1e-6):
                        extras={"degenerate": degenerate})
 
 
-def log_mass_check(record, trajectory, params, rel_tol=1e-6, tau0_fraction=0.05):
+def log_mass_check(record, grid, params, rel_tol=1e-6, tau0_fraction=0.05):
     """Log-mass functional control after an initial waiting time.
 
     With tau0 the first sample after tau0_fraction * T, checks for every
@@ -938,7 +872,7 @@ def log_mass_check(record, trajectory, params, rel_tol=1e-6, tau0_fraction=0.05)
         raise SamplingError("no samples after the waiting time tau0")
     i0 = int(after[0])
     tau0 = float(t[i0])
-    volume = np.prod(trajectory.grid.extents)
+    volume = np.prod(grid.extents)
     min_v0 = float(record.v_min[0])
     mass0 = float(record.mass[0])
     seg = record.accumulated["grad_log_u_sq"] - record.accumulated["grad_log_u_sq"][i0]
@@ -969,93 +903,3 @@ def trace_positivity_check(record):
     """Positivity of the boundary trace of u^p v^q at every sample."""
     worst = float(record.boundary_min_upq.min())
     return BoundReport("trace_positivity", worst, 0.0, 0.0, worst > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# dual-norm surrogate
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DualSurrogate:
-    interval_times: np.ndarray
-    u_series: np.ndarray
-    v_series: np.ndarray
-    u_total: float
-    v_total: float
-    family_size: int
-
-
-def default_dual_family(grid, widths=(0.3, 0.18), seed=0):
-    """Interior bumps normalized to discrete sup|psi| + sup|grad psi| <= 1.
-
-    Centers stay in [0.4, 0.6] L and widths below 0.3 L so every support
-    closes at least 0.1 L away from the boundary.
-    """
-    rng = np.random.default_rng(seed)
-    fams = []
-    for w in widths:
-        for _ in range(3):
-            center = [L * rng.uniform(0.4, 0.6) for L in grid.extents]
-            width = [w * L for L in grid.extents]
-            fams.append(BumpSpatial(center, width))
-    out = []
-    for psi in fams:
-        vals = psi.values(grid)
-        sup = float(np.abs(vals).max())
-        gmax = float(gradient_cell_magnitude(vals, grid).max())
-        norm = sup + gmax
-        if norm == 0.0:
-            continue
-        out.append(BumpSpatial(psi.center, psi.width,
-                               amplitude=psi.amplitude / norm * (1.0 - 1e-12)))
-    return out
-
-
-def dual_norm_surrogate(trajectory, params, family=None):
-    """Weak time-derivative size of (u+1)^{p/2} and v against a test family.
-
-    Per sample interval the difference quotient is tested against every
-    member (all of which vanish near the boundary and satisfy the discrete
-    W^{1,inf} normalization); the series of maxima and their time integrals
-    are returned.  A larger family can only increase the surrogate.
-    """
-    grid = trajectory.grid
-    if family is None:
-        family = default_dual_family(grid)
-    if not family:
-        raise ValueError("test family is empty")
-    vol = grid.cell_volume
-    for psi in family:
-        vals = psi.values(grid)
-        sup = float(np.abs(vals).max())
-        gmax = float(gradient_cell_magnitude(vals, grid).max())
-        if sup + gmax > 1.0 + 1e-9:
-            raise ValueError("family member exceeds the W^{1,inf} normalization")
-        if max(float(np.abs(slab).max()) for ax in range(grid.dim)
-               for slab in end_slabs(vals, ax)) > 1e-9:
-            raise ValueError("family member does not vanish near the boundary")
-
-    times = np.asarray(trajectory.times)
-    n = len(times)
-    psis = [psi.values(grid) for psi in family]
-    u_series = np.empty(n - 1)
-    v_series = np.empty(n - 1)
-    mids = 0.5 * (times[1:] + times[:-1])
-    p = params.p
-    for k in range(n - 1):
-        dt = times[k + 1] - times[k]
-        du = ((trajectory.u_snapshots[k + 1] + 1.0) ** (p / 2.0)
-              - (trajectory.u_snapshots[k] + 1.0) ** (p / 2.0)) / dt
-        dv = (trajectory.v_snapshots[k + 1] - trajectory.v_snapshots[k]) / dt
-        u_series[k] = max(abs(float((du * psi).sum() * vol)) for psi in psis)
-        v_series[k] = max(abs(float((dv * psi).sum() * vol)) for psi in psis)
-    dts = np.diff(times)
-    return DualSurrogate(
-        interval_times=mids,
-        u_series=u_series,
-        v_series=v_series,
-        u_total=float((u_series * dts).sum()),
-        v_total=float((v_series * dts).sum()),
-        family_size=len(family),
-    )
-

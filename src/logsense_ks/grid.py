@@ -237,18 +237,6 @@ def integrate_values(values, grid):
     return float(values.sum() * grid.cell_volume)
 
 
-def face_square_integral(face_arrays, grid):
-    """Sum of squared face values over all axes, weighted by cell volume.
-
-    Boundary faces carry zero gradient, so this is the natural quadrature of
-    |grad w|^2 for zero-flux fields.
-    """
-    total = 0.0
-    for g in face_arrays:
-        total += float((g * g).sum())
-    return total * grid.cell_volume
-
-
 def gradient_cell_magnitude(values, grid):
     """Cell-centered Euclidean norm of the gradient (face averages per axis)."""
     return face_cell_magnitude(

@@ -47,7 +47,6 @@ from .grid import (
     face_div_values,
     face_grad_values,
     face_mean_values,
-    integrate_values,
     lap_values,
 )
 from .params import ModelParams
@@ -120,12 +119,6 @@ class StepReport:
     min_v: float
     retries: int = 0
     set_by: str = ""  # one of STEP_LIMITS
-
-
-def chemotactic_flux(state, v_floor=DEFAULT_V_FLOOR):
-    """Per-axis face fluxes chi * u_donor / v_face * (face gradient of v), with
-    u from the upwind cell; boundary faces carry zero flux."""
-    return _tendency(state, v_floor).fluxes
 
 
 def _tendency(state, v_floor):
@@ -270,12 +263,13 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run at the requested sample times, or of its final
-    time only when the run handed its samples to a hook."""
+    """What a run keeps: its sample times, its final sample and the report
+    of every accepted step."""
 
     grid: Grid
     params: ModelParams
     times: list = dc_field(default_factory=list)
+    # the final sample as one-element lists, the form bench/layers.py reads
     u_snapshots: list = dc_field(default_factory=list)
     v_snapshots: list = dc_field(default_factory=list)
     reports: list = dc_field(default_factory=list)
@@ -294,9 +288,6 @@ class Trajectory:
                 "rejected": sum(r.retries for r in self.reports),
                 "dt_min": min(dts, default=None), "dt_max": max(dts, default=None),
                 "set_by": set_by}
-
-    def mass_series(self):
-        return np.array([integrate_values(u, self.grid) for u in self.u_snapshots])
 
     def write_step_reports_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -385,11 +376,11 @@ def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
 def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
         max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
         on_sample=None):
-    """The Trajectory of `samples`, with a snapshot at each sample time.
+    """The Trajectory of `samples`.
 
-    With `on_sample`, each sample, t = 0 included, is handed to
-    on_sample(t, u, v) as the state's own arrays instead, and the trajectory
-    keeps the final sample only.  T = 0 records the initial state only.
+    Each sample, t = 0 included, is handed to on_sample(t, u, v), when
+    given, as the state's own arrays; the trajectory keeps the final sample
+    only.  T = 0 records the initial state only.
     """
     traj = Trajectory(grid=initial.grid, params=initial.params)
     for state in samples(initial, T, traj.reports, sample_times, safety, max_dt,
@@ -397,12 +388,8 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
         traj.times.append(state.t)
         if on_sample is not None:
             on_sample(state.t, state.u.values, state.v.values)
-        else:
-            traj.u_snapshots.append(state.u.values.copy())
-            traj.v_snapshots.append(state.v.values.copy())
-    if on_sample is not None:
-        traj.u_snapshots = [state.u.values]
-        traj.v_snapshots = [state.v.values]
+    traj.u_snapshots = [state.u.values]
+    traj.v_snapshots = [state.v.values]
     return traj
 
 

@@ -10,13 +10,10 @@ from logsense_ks import diagnostics
 from logsense_ks.cli import (eps_convergence_study, main, refine_study,
                              validate_config)
 from logsense_ks.diagnostics import (
+    Accumulator,
     apriori_bounds_check,
     builtin_supersolution_family,
-    collect,
-    entropy_identity_residual,
     log_mass_check,
-    supersolution_residual,
-    u_lr_bound,
 )
 from logsense_ks.grid import Field, Grid
 from logsense_ks.oracles import (
@@ -43,23 +40,32 @@ def _verdict(num, label, ok):
     return ok
 
 
+def _phi_one():
+    return diagnostics.TestFunction(diagnostics.ConstantSpatial(1.0),
+                                    diagnostics.OneTemporal())
+
+
 def _gaussian_run(cells, T, eps, sample_count=200):
+    """The run and its one diagnostics pass, against phi = 1 and then the
+    built-in supersolution family."""
     grid = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = ModelParams(chi=2.0, n=2, eps=eps, p=0.2, q=0.35, r=1.1)
     u0 = gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2)
     v0 = Field(grid, np.ones(grid.shape), strictly_positive=True)
     state = SimState(t=0.0, u=u0, v=v0, params=params)
     times = np.linspace(0.0, T, sample_count + 1)
-    trajectory = run(state, T, sample_times=times)
-    return trajectory, collect(trajectory, params), params
+    accumulator = Accumulator(
+        grid, params, [_phi_one()] + builtin_supersolution_family(grid, T))
+    trajectory = run(state, T, sample_times=times, on_sample=accumulator.add)
+    return trajectory, accumulator.finish(), params
 
 
 @pytest.fixture(scope="module")
 def std_run():
     t0 = time.monotonic()
-    trajectory, record, params = _gaussian_run(64, 1.0, 0.01)
+    trajectory, result, params = _gaussian_run(64, 1.0, 0.01)
     wall = time.monotonic() - t0
-    return trajectory, record, params, wall
+    return trajectory, result, params, wall
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +124,8 @@ def test_criterion_03_admissibility_table():
 
 
 def test_criterion_04_mass_conservation(std_run):
-    _, record, _, wall = std_run
+    _, result, _, wall = std_run
+    record = result.record
     drift = float(np.abs(record.mass - record.mass[0]).max() / record.mass[0])
     ok = drift <= 1e-12 and wall < 60.0
     assert _verdict(4, "relative mass drift on the standard run", ok), \
@@ -126,7 +133,8 @@ def test_criterion_04_mass_conservation(std_run):
 
 
 def test_criterion_05_v_exponential_floor(std_run):
-    trajectory, record, _, _ = std_run
+    trajectory, result, _, _ = std_run
+    record = result.record
     h = max(trajectory.grid.h)
     t = record.times
     floor = record.v_min[0] * np.exp(-t) - 10.0 * h**2
@@ -162,17 +170,15 @@ def test_criterion_06_entropy_identity_refinement():
         v=Field(grid, np.full(grid.shape, c / (1.0 + eps * c)),
                 strictly_positive=True),
         params=params)
-    trajectory = run(state, 0.2, sample_times=np.linspace(0.0, 0.2, 201))
-    record = collect(trajectory, params)
-    residuals = [
-        entropy_identity_residual(trajectory, params, phi)
-        for phi in (
-            diagnostics.TestFunction(diagnostics.ConstantSpatial(1.0),
-                                     diagnostics.OneTemporal()),
-            diagnostics.TestFunction(
-                diagnostics.CosineSpatial((1, 1), amplitude=0.5, offset=1.0),
-                diagnostics.OneTemporal()),
-        )]
+    accumulator = Accumulator(grid, params, [
+        _phi_one(),
+        diagnostics.TestFunction(
+            diagnostics.CosineSpatial((1, 1), amplitude=0.5, offset=1.0),
+            diagnostics.OneTemporal())])
+    run(state, 0.2, sample_times=np.linspace(0.0, 0.2, 201),
+        on_sample=accumulator.add)
+    residuals = [balance.identity()[0]
+                 for balance in accumulator.finish().balances]
     const_ok = max(residuals) <= 1e-10
     ok = order_ok and const_ok
     assert _verdict(6, "entropy identity refinement orders", ok), \
@@ -181,12 +187,13 @@ def test_criterion_06_entropy_identity_refinement():
 
 def test_criterion_07_supersolution_direction(super_runs):
     worst = np.inf
-    for eps, (trajectory, record, params) in super_runs.items():
+    for eps, (trajectory, result, params) in super_runs.items():
         T = trajectory.final_time
-        for phi in builtin_supersolution_family(trajectory.grid, T):
-            ident, info = entropy_identity_residual(
-                trajectory, params, phi, return_terms=True)
-            slack = supersolution_residual(trajectory, params, phi)
+        family = builtin_supersolution_family(trajectory.grid, T)
+        for phi, balance in zip(family, result.balances[1:], strict=True):
+            phi.check_one_sided(trajectory.grid, T)
+            ident, info = balance.identity()
+            slack = balance.supersolution()
             margin = slack + 1e-6 * info["scale"] + ident
             worst = min(worst, margin)
     ok = worst >= 0.0
@@ -194,19 +201,18 @@ def test_criterion_07_supersolution_direction(super_runs):
         f"worst margin {worst:.3e}"
 
 
-def _apriori_with_measured_disc(trajectory, record, params):
+def _apriori_with_measured_disc(result):
     # the bound rearranges the phi == 1 balance; that identity's residual is
     # the measured discretization allowance the tolerance admits
-    phi_one = diagnostics.TestFunction(diagnostics.ConstantSpatial(1.0),
-                                       diagnostics.OneTemporal())
-    disc = entropy_identity_residual(trajectory, params, phi_one)
-    return apriori_bounds_check(record, params, disc_estimate=disc)
+    disc = result.balances[0].identity()[0]
+    return apriori_bounds_check(result.record, result.params,
+                                disc_estimate=disc)
 
 
 def test_criterion_08_apriori_band(std_run, eps_ensemble):
-    reports = [_apriori_with_measured_disc(trajectory, record, params)
-               for trajectory, record, params in eps_ensemble.values()]
-    reports.append(_apriori_with_measured_disc(*std_run[:3]))
+    reports = [_apriori_with_measured_disc(result)
+               for _, result, _ in eps_ensemble.values()]
+    reports.append(_apriori_with_measured_disc(std_run[1]))
     apriori_ok = all(rep.passed for rep in reports)
 
     keys = ("diss_grad_u", "grad_up_sq", "c2_diss_square", "reaction_plus")
@@ -216,8 +222,8 @@ def test_criterion_08_apriori_band(std_run, eps_ensemble):
         vals = [rep.extras["integrals"][key] for rep in reports[:3]]
         finite_ok = finite_ok and all(np.isfinite(vals))
         band_ok = band_ok and max(vals) <= 3.0 * min(vals)
-    raw_finals = [float(record.accumulated["reaction_raw"][-1])
-                  for _, record, _ in eps_ensemble.values()]
+    raw_finals = [float(result.record.accumulated["reaction_raw"][-1])
+                  for _, result, _ in eps_ensemble.values()]
     finite_ok = finite_ok and all(np.isfinite(raw_finals))
     band_ok = band_ok and max(raw_finals) <= 3.0 * min(raw_finals)
     ok = apriori_ok and finite_ok and band_ok
@@ -230,9 +236,8 @@ def test_criterion_09_pointwise_young_split(std_run, super_runs,
     runs = [std_run[:3]] + list(super_runs.values()) \
         + list(eps_ensemble.values())
     worst = -np.inf
-    for trajectory, record, params in runs:
-        report = u_lr_bound(record, trajectory, params)
-        worst = max(worst, report.lhs)
+    for _, result, _ in runs:
+        worst = max(worst, result.u_lr_bound().lhs)
     ok = worst <= 1e-12
     assert _verdict(9, "pointwise power splitting on every snapshot", ok), \
         f"worst relative violation {worst:.3e}"
@@ -321,8 +326,8 @@ def test_criterion_12_eps_ladder_contraction():
 
 
 def test_criterion_13_log_mass_band(eps_ensemble):
-    reports = [log_mass_check(record, trajectory, params)
-               for trajectory, record, params in eps_ensemble.values()]
+    reports = [log_mass_check(result.record, trajectory.grid, params)
+               for trajectory, result, params in eps_ensemble.values()]
     passed_ok = all(rep.passed for rep in reports)
     mins = [rep.extras["min_log_u"] for rep in reports]
     finite_ok = all(np.isfinite(mins))
@@ -343,10 +348,15 @@ def test_criterion_14_determinism(tmp_path):
             u=gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2),
             v=Field(grid, np.ones(grid.shape), strictly_positive=True),
             params=params)
-        trajectory = run(state, 0.05,
-                         sample_times=np.linspace(0.0, 0.05, 51))
-        snapshots.append((np.stack(trajectory.u_snapshots),
-                          np.stack(trajectory.v_snapshots)))
+        us, vs = [], []
+
+        def keep(t, u, v):
+            us.append(u.copy())
+            vs.append(v.copy())
+
+        run(state, 0.05, sample_times=np.linspace(0.0, 0.05, 51),
+            on_sample=keep)
+        snapshots.append((np.stack(us), np.stack(vs)))
     direct_ok = (np.array_equal(snapshots[0][0], snapshots[1][0])
                  and np.array_equal(snapshots[0][1], snapshots[1][1]))
 

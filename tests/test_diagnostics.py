@@ -19,17 +19,9 @@ from logsense_ks.diagnostics import (
     SamplingError,
     apriori_bounds_check,
     builtin_supersolution_family,
-    collect,
-    default_dual_family,
-    dual_norm_surrogate,
-    entropy_balances,
-    entropy_identity_residual,
     grad_vq_bound,
     log_mass_check,
-    supersolution_residual,
     trace_positivity_check,
-    u_lr_bound,
-    v_weak_residual,
 )
 from logsense_ks.cli import _residual_test_functions
 from logsense_ks.grid import (
@@ -54,24 +46,49 @@ def default_params(**kw):
     return ModelParams(**base)
 
 
-def steady_trajectory(cells=12, c=0.7, eps=0.1, T=0.2):
+def streamed(state, T, sample_times=None, phis=(), phi_v=None):
+    """The run of `state` and the Accumulated pass over its samples."""
+    accumulator = Accumulator(state.grid, state.params, phis, phi_v)
+    traj = run(state, T=T, sample_times=sample_times,
+               on_sample=accumulator.add)
+    return traj, accumulator.finish()
+
+
+def steady_pass(phis=(), cells=12, c=0.7, eps=0.1, T=0.2):
     g = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = default_params(eps=eps)
     u = constant_field(g, c)
     v = Field(g, np.full(g.shape, c / (1.0 + eps * c)), strictly_positive=True)
     state = SimState(t=0.0, u=u, v=v, params=params)
-    return run(state, T=T, sample_times=np.linspace(T / 100, T, 100))
+    return streamed(state, T, np.linspace(T / 100, T, 100), phis)[1]
+
+
+SMOOTH_T = 0.5
 
 
 @pytest.fixture(scope="module")
-def smooth_run():
+def smooth_pass():
+    """A 24^2 Gaussian run to T = 0.5; its pass holds a cosine ramp-down
+    phi, then the built-in supersolution family, and a v test function."""
     g = Grid(cells=[24, 24], extents=[1.0, 1.0])
     params = default_params()
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
     v0 = Field(g, np.ones(g.shape), strictly_positive=True)
     state = SimState(t=0.0, u=u0, v=v0, params=params)
-    traj = run(state, T=0.5)
-    return traj, collect(traj, params), params
+    phis = [diagnostics.TestFunction(
+        CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
+        RampDownTemporal(0.45))] + builtin_supersolution_family(g, SMOOTH_T)
+    phi_v = diagnostics.TestFunction(
+        CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
+        RampDownTemporal(0.9 * SMOOTH_T))
+    traj, result = streamed(state, SMOOTH_T, phis=phis, phi_v=phi_v)
+    return traj, result, params, phis
+
+
+@pytest.fixture(scope="module")
+def smooth_run(smooth_pass):
+    traj, result, params, _ = smooth_pass
+    return traj, result.record, params
 
 
 # spatial / temporal test-function parts -------------------------------------------
@@ -315,9 +332,8 @@ def test_builtin_family_is_admissible():
 
 def test_constant_state_record_values():
     c, eps, T = 0.7, 0.1, 0.2
-    traj = steady_trajectory(c=c, eps=eps, T=T)
     params = default_params(eps=eps)
-    rec = collect(traj, params)
+    rec = steady_pass(c=c, eps=eps, T=T).record
     vw = c / (1.0 + eps * c)
     vol = 1.0  # unit box
 
@@ -372,22 +388,17 @@ def test_record_csv_roundtrip(tmp_path, smooth_run):
 # entropy identity -------------------------------------------------------------------
 
 def test_identity_residual_constant_state_time_constant_phi():
-    traj = steady_trajectory()
-    params = default_params()
-    rec = collect(traj, params)
-    for spatial in (ConstantSpatial(1.0),
-                    CosineSpatial((1, 1), amplitude=0.5, offset=1.0)):
-        phi = diagnostics.TestFunction(spatial, OneTemporal())
-        resid = entropy_identity_residual(traj, params, phi)
+    phis = [diagnostics.TestFunction(spatial, OneTemporal())
+            for spatial in (ConstantSpatial(1.0),
+                            CosineSpatial((1, 1), amplitude=0.5, offset=1.0))]
+    for balance in steady_pass(phis).balances:
+        resid, _ = balance.identity()
         assert resid <= 1e-10
 
 
-def test_identity_residual_small_on_smooth_run(smooth_run):
-    traj, rec, params = smooth_run
-    phi = diagnostics.TestFunction(CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
-                       RampDownTemporal(0.45))
-    resid, info = entropy_identity_residual(traj, params, phi,
-                                            return_terms=True)
+def test_identity_residual_small_on_smooth_run(smooth_pass):
+    _, result, _, _ = smooth_pass
+    resid, info = result.balances[0].identity()
     assert resid <= 0.02 * info["scale"]
     assert set(info["terms"]) == {
         "diss_grad_u", "diss_square", "grad_phi", "lap_phi",
@@ -401,24 +412,20 @@ def test_identity_requires_dense_sampling():
     state = SimState(t=0.0, u=constant_field(g, 1.0),
                      v=Field(g, np.ones(g.shape), strictly_positive=True),
                      params=params)
-    sparse = run(state, T=0.2, sample_times=[0.1, 0.2])
-    rec = collect(sparse, params)
     phi = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
-    with pytest.raises(SamplingError):
-        entropy_identity_residual(sparse, params, phi)
-    single = run(state, T=0.0)
-    rec1 = collect(single, params)
-    with pytest.raises(SamplingError):
-        entropy_identity_residual(single, params, phi)
+    for T, times in ((0.2, [0.1, 0.2]), (0.0, None)):
+        # the record alone takes any sampling; a time integral does not
+        streamed(state, T, times)
+        with pytest.raises(SamplingError):
+            streamed(state, T, times, phis=[phi])
 
 
-def test_supersolution_residual_nonnegative(smooth_run):
-    traj, rec, params = smooth_run
-    family = builtin_supersolution_family(traj.grid, traj.final_time)
-    for phi in family:
-        resid = supersolution_residual(traj, params, phi)
-        ident, info = entropy_identity_residual(traj, params, phi,
-                                                return_terms=True)
+def test_supersolution_residual_nonnegative(smooth_pass):
+    traj, result, _, phis = smooth_pass
+    for phi, balance in zip(phis[1:], result.balances[1:]):
+        phi.check_one_sided(traj.grid, traj.final_time)
+        resid = balance.supersolution()
+        ident, info = balance.identity()
         assert resid >= -(1e-6 * info["scale"] + ident)
 
 
@@ -426,30 +433,29 @@ def test_supersolution_rejects_bad_phi(smooth_run):
     traj, rec, params = smooth_run
     T = traj.final_time
     with pytest.raises(ValueError):  # not compact in time
-        supersolution_residual(traj, params,
-                               diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()))
+        diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()) \
+            .check_one_sided(traj.grid, T)
     with pytest.raises(ValueError):  # negative spatial part
-        supersolution_residual(
-            traj, params,
-            diagnostics.TestFunction(CosineSpatial((1, 0), amplitude=2.0, offset=0.0),
-                         RampDownTemporal(0.5 * T)))
+        diagnostics.TestFunction(
+            CosineSpatial((1, 0), amplitude=2.0, offset=0.0),
+            RampDownTemporal(0.5 * T)).check_one_sided(traj.grid, T)
     with pytest.raises(ValueError):  # nonzero boundary normal derivative
-        supersolution_residual(
-            traj, params,
-            diagnostics.TestFunction(BumpSpatial(center=(0.2, 0.5), width=(0.5, 0.4)),
-                         RampDownTemporal(0.5 * T)))
+        diagnostics.TestFunction(
+            BumpSpatial(center=(0.2, 0.5), width=(0.5, 0.4)),
+            RampDownTemporal(0.5 * T)).check_one_sided(traj.grid, T)
 
 
-def test_v_weak_residual_small(smooth_run):
-    traj, rec, params = smooth_run
-    T = traj.final_time
-    phi = diagnostics.TestFunction(CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
-                       RampDownTemporal(0.9 * T))
-    resid = v_weak_residual(traj, phi)
-    scale = max(float(rec.v_lq.max()), 1.0)
-    assert resid <= 0.02 * scale
-    with pytest.raises(ValueError):
-        v_weak_residual(traj, diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()))
+def test_v_weak_residual_small(smooth_pass):
+    _, result, _, _ = smooth_pass
+    scale = max(float(result.record.v_lq.max()), 1.0)
+    assert result.v_weak <= 0.02 * scale
+    g = Grid(cells=[8, 8], extents=[1.0, 1.0])
+    state = SimState(t=0.0, u=constant_field(g, 1.0),
+                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     params=default_params())
+    not_compact = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
+    with pytest.raises(ValueError, match="compact"):
+        streamed(state, 0.1, np.linspace(0.001, 0.1, 100), phi_v=not_compact)
 
 
 # integrated bound checks -----------------------------------------------------------
@@ -467,13 +473,14 @@ def test_apriori_bounds_on_smooth_run(smooth_run):
         apriori_bounds_check(rec, bad)
 
 
-def test_u_lr_bound(smooth_run):
-    traj, rec, params = smooth_run
-    report = u_lr_bound(rec, traj, params)
+def test_u_lr_bound(smooth_pass):
+    _, result, params, _ = smooth_pass
+    report = result.u_lr_bound()
     assert report.passed
     assert report.lhs <= 1e-12
-    with pytest.raises(ValueError):
-        u_lr_bound(rec, traj, dataclasses.replace(params, r=1.3))
+    with pytest.raises(ValueError):  # r >= p + 1: no splitting
+        dataclasses.replace(
+            result, params=dataclasses.replace(params, r=1.3)).u_lr_bound()
 
 
 def test_grad_vq_bound(smooth_run):
@@ -489,7 +496,7 @@ def test_grad_vq_bound(smooth_run):
 
 def test_log_mass_check(smooth_run):
     traj, rec, params = smooth_run
-    report = log_mass_check(rec, traj, params)
+    report = log_mass_check(rec, traj.grid, params)
     assert report.passed
     assert np.isfinite(report.extras["min_log_u"])
     assert report.extras["tau0"] > 0.0
@@ -501,10 +508,9 @@ def test_log_mass_undefined_on_vanishing_u():
     state = SimState(t=0.0, u=constant_field(g, 0.0),
                      v=Field(g, np.ones(g.shape), strictly_positive=True),
                      params=params)
-    traj = run(state, T=0.1, sample_times=np.linspace(0.001, 0.1, 100))
-    rec = collect(traj, params)
+    rec = streamed(state, 0.1, np.linspace(0.001, 0.1, 100))[1].record
     assert np.isnan(rec.log_u).all()
-    report = log_mass_check(rec, traj, params)
+    report = log_mass_check(rec, g, params)
     assert not report.passed
     assert report.extras["undefined_from"] == 0.0
 
@@ -514,48 +520,12 @@ def test_trace_positivity(smooth_run):
     assert trace_positivity_check(rec).passed
 
 
-# dual-norm surrogate ----------------------------------------------------------------
-
-def test_dual_surrogate_vanishes_at_steady_state():
-    traj = steady_trajectory()
-    params = default_params()
-    sur = dual_norm_surrogate(traj, params)
-    assert sur.u_total == 0.0
-    assert sur.v_total == 0.0
-    assert sur.family_size > 0
-
-
-def test_dual_surrogate_family_validation(smooth_run):
-    traj, rec, params = smooth_run
-    g = traj.grid
-    oversized = [BumpSpatial(center=(0.5, 0.5), width=(0.3, 0.3), amplitude=5.0)]
-    with pytest.raises(ValueError):
-        dual_norm_surrogate(traj, params, family=oversized)
-    crossing = BumpSpatial(center=(0.5, 0.5), width=(0.9, 0.9))
-    vals = crossing.values(g)
-    from logsense_ks.grid import gradient_cell_magnitude
-    norm = np.abs(vals).max() + gradient_cell_magnitude(vals, g).max()
-    shrunk = [BumpSpatial(crossing.center, crossing.width,
-                          amplitude=0.5 / norm)]
-    with pytest.raises(ValueError):
-        dual_norm_surrogate(traj, params, family=shrunk)
-    with pytest.raises(ValueError):
-        dual_norm_surrogate(traj, params, family=[])
-
-
-def test_default_dual_family_normalized(smooth_run):
-    traj, rec, params = smooth_run
-    g = traj.grid
-    fam = default_dual_family(g)
-    assert fam
-    sur = dual_norm_surrogate(traj, params, family=fam)
-    assert np.isfinite(sur.u_total) and sur.u_total >= 0.0
-    assert len(sur.interval_times) == len(traj.times) - 1
-
-
 # one streamed pass ------------------------------------------------------------------
 
-def test_streamed_pass_equals_the_stored_trajectory_functions():
+def test_a_phis_figures_do_not_depend_on_the_other_phis():
+    # what lets one pass serve many criteria: a pass with eight phis gives
+    # each phi the balance a pass with that phi alone gives it, and the same
+    # record and v weak form as a pass without phis
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     params = default_params(eps=0.01)
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
@@ -572,24 +542,28 @@ def test_streamed_pass_equals_the_stored_trajectory_functions():
     phi_v = diagnostics.TestFunction(CosineSpatial((1, 1), 0.5, 1.0),
                                      RampDownTemporal(0.9 * T))
 
-    accumulator = Accumulator(g, params, phis, phi_v)
-    streamed = run(state, T, sample_times=times, on_sample=accumulator.add)
-    result = accumulator.finish()
-    stored = run(state, T, sample_times=times)
-    record = collect(stored, params)
+    full = Accumulator(g, params, phis, phi_v)
+    singles = [Accumulator(g, params, [phi]) for phi in phis]
+    bare = Accumulator(g, params)
+    v_only = Accumulator(g, params, phi_v=phi_v)
+    passes = [full, bare, v_only] + singles
 
-    assert streamed.times == stored.times
-    assert np.array_equal(result.record.times, record.times)
-    for name in record._columns:
-        assert np.array_equal(getattr(result.record, name),
-                              getattr(record, name), equal_nan=True), name
+    def feed(t, u, v):
+        for accumulator in passes:
+            accumulator.add(t, u, v)
+
+    run(state, T, sample_times=times, on_sample=feed)
+    full, bare, v_only, *singles = [a.finish() for a in passes]
+
+    for balance, single in zip(full.balances, singles):
+        assert balance == single.balances[0]
+    assert full.v_weak == v_only.v_weak
+    assert np.array_equal(full.record.times, bare.record.times)
+    for name in bare.record._columns:
+        assert np.array_equal(getattr(full.record, name),
+                              getattr(bare.record, name), equal_nan=True), name
     for name in ACC_FIELDS:
-        assert np.array_equal(result.record.accumulated[name],
-                              record.accumulated[name], equal_nan=True), name
-    for got, want in zip(result.balances, entropy_balances(stored, params, phis)):
-        assert got == want
-    for phi, balance in zip(phis, result.balances):
-        assert balance.identity()[0] == entropy_identity_residual(
-            stored, params, phi)
-    assert result.v_weak == v_weak_residual(stored, phi_v)
-    assert result.u_lr_bound() == u_lr_bound(record, stored, params)
+        assert np.array_equal(full.record.accumulated[name],
+                              bare.record.accumulated[name],
+                              equal_nan=True), name
+    assert full.u_lr_bound() == bare.u_lr_bound()

@@ -8,7 +8,6 @@ from logsense_ks.grid import (
     GridError,
     face_divergence,
     face_gradient,
-    face_square_integral,
     faces_to_cells,
     gradient_cell_magnitude,
     integrate,
@@ -131,15 +130,6 @@ def test_gradient_cell_magnitude_interior():
     mag = gradient_cell_magnitude(f.values, g)
     inner = mag[1:-1, 1:-1]
     assert_allclose(inner, np.sqrt(5.0), rtol=1e-12)
-
-
-def test_face_square_integral_consistency():
-    g = Grid(cells=[10, 12], extents=[1.0, 1.0])
-    f = random_field(g, seed=9)
-    faces = face_gradient(f)
-    total = face_square_integral(faces, g)
-    manual = sum(float((fa**2).sum()) for fa in faces) * g.cell_volume
-    assert_allclose(total, manual, rtol=1e-14)
 
 
 def test_faces_to_cells_constant():

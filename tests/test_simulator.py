@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import Field, Grid, dct_modes, dct_values, lap_values
+from logsense_ks.grid import (Field, Grid, dct_modes, dct_values,
+                              integrate_values, lap_values)
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
@@ -12,7 +13,6 @@ from logsense_ks.simulator import (
     StepRejected,
     _advance_with_retries,
     cfl_dt,
-    chemotactic_flux,
     constant_field,
     cosine_perturbation,
     gaussian_bump,
@@ -63,18 +63,29 @@ def test_state_validation():
                  params=params)
 
 
+def sample_masses(state, T, **kw):
+    """The run and the mass of u at each of its samples."""
+    masses = []
+    traj = run(state, T, on_sample=lambda t, u, v: masses.append(
+        integrate_values(u, state.grid)), **kw)
+    return traj, np.array(masses)
+
+
 def test_constant_steady_state_is_fixed_point():
     state = constant_steady_state()
-    traj = run(state, T=0.1, sample_times=[0.05, 0.1])
-    assert np.array_equal(traj.u_snapshots[-1], traj.u_snapshots[0])
-    assert np.array_equal(traj.v_snapshots[-1], traj.v_snapshots[0])
+    seen = []
+    run(state, T=0.1, sample_times=[0.05, 0.1],
+        on_sample=lambda t, u, v: seen.append((u.copy(), v.copy())))
+    assert len(seen) == 3
+    for u, v in seen:
+        assert np.array_equal(u, state.u.values)
+        assert np.array_equal(v, state.v.values)
 
 
 def test_mass_conservation():
     state = gaussian_state()
-    m0 = None
-    traj = run(state, T=0.2, sample_times=np.linspace(0.01, 0.2, 20))
-    masses = traj.mass_series()
+    _, masses = sample_masses(state, T=0.2,
+                              sample_times=np.linspace(0.01, 0.2, 20))
     m0 = masses[0]
     drift = np.abs(masses - m0).max() / m0
     assert drift <= 1e-12
@@ -107,26 +118,30 @@ def test_zero_horizon_records_initial_state_only():
     state = gaussian_state()
     traj = run(state, T=0.0)
     assert traj.times == [0.0]
-    assert len(traj.u_snapshots) == 1
+    assert len(traj.u_snapshots) == len(traj.v_snapshots) == 1
     assert np.array_equal(traj.u_snapshots[0], state.u.values)
+    assert np.array_equal(traj.v_snapshots[0], state.v.values)
+    assert traj.reports == []
 
 
 def test_on_sample_sees_every_sample_and_keeps_the_final_one():
     state = gaussian_state()
     wanted = np.linspace(0.0, 0.05, 11)
-    stored = run(state, T=0.05, sample_times=wanted)
+    plain = run(state, T=0.05, sample_times=wanted)
     seen = []
     streamed = run(state, T=0.05, sample_times=wanted,
                    on_sample=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
-    assert [t for t, _, _ in seen] == stored.times == streamed.times
-    for (_, u, v), u_kept, v_kept in zip(seen, stored.u_snapshots,
-                                         stored.v_snapshots):
-        assert np.array_equal(u, u_kept) and np.array_equal(v, v_kept)
-    assert len(streamed.u_snapshots) == len(streamed.v_snapshots) == 1
-    assert np.array_equal(streamed.u_snapshots[0], stored.u_snapshots[-1])
-    assert np.array_equal(streamed.v_snapshots[0], stored.v_snapshots[-1])
+    assert [t for t, _, _ in seen] == plain.times == streamed.times
+    assert len(seen) == len(wanted)
+    assert np.array_equal(seen[0][1], state.u.values)
+    assert np.array_equal(seen[0][2], state.v.values)
+    # with or without a hook, the run keeps the final sample only
+    for traj in (plain, streamed):
+        assert len(traj.u_snapshots) == len(traj.v_snapshots) == 1
+        assert np.array_equal(traj.u_snapshots[0], seen[-1][1])
+        assert np.array_equal(traj.v_snapshots[0], seen[-1][2])
     assert [r.dt_used for r in streamed.reports] == [
-        r.dt_used for r in stored.reports]
+        r.dt_used for r in plain.reports]
 
 
 def test_sample_time_validation():
@@ -278,10 +293,9 @@ def test_narrow_bump_on_zero_baseline_runs():
     g = Grid(cells=[32, 32], extents=[1.0, 1.0])
     u0 = gaussian_bump(g, amplitude=1.5, width=0.05, baseline=0.0)
     state = initial_state(default_params(), u0, constant_field(g, 1.0))
-    traj = run(state, T=0.01)
+    traj, mass = sample_masses(state, T=0.01)
     assert traj.counters()["rejected"] == 0
     assert traj.final_time == 0.01
-    mass = traj.mass_series()
     assert np.abs(mass - mass[0]).max() <= 1e-12 * mass[0]
 
 
@@ -297,8 +311,6 @@ def test_singularity_guard():
     state = SimState(t=0.0, u=constant_field(g, 1.0),
                      v=Field(g, v, strictly_positive=True),
                      params=default_params())
-    with pytest.raises(SingularityError):
-        chemotactic_flux(state)
     with pytest.raises(SingularityError):
         cfl_dt(state)
 
