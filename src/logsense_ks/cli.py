@@ -952,10 +952,12 @@ def _mode_oracle(cfg, outputs, asserts):
     worst_excess = max(float(r.max_excess) for r in ode_reports)
     reports["ode_comparison"] = {
         "cases": cases, "worst_excess": worst_excess,
+        "worst_error_estimate": max(r.error_estimate for r in ode_reports),
+        "substeps": ode_reports[0].substeps,
         "all_passed": all(r.passed for r in ode_reports),
     }
     asserts.add("ode_comparison_bound", all(r.passed for r in ode_reports),
-                tolerance=1e-6, value=worst_excess)
+                tolerance=ode_reports[0].tolerance, value=worst_excess)
 
     # Poincare-type ensembles (empirical constants, reported)
     log_report = log_poincare_ratio(spec, grid)

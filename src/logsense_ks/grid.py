@@ -233,10 +233,6 @@ def integrate(field):
     return float(field.values.sum() * field.grid.cell_volume)
 
 
-def integrate_values(values, grid):
-    return float(values.sum() * grid.cell_volume)
-
-
 def gradient_cell_magnitude(values, grid):
     """Cell-centered Euclidean norm of the gradient (face averages per axis)."""
     return face_cell_magnitude(

@@ -7,7 +7,8 @@ Four groups:
 * the algebraic square completion behind the entropy production, checked to
   round-off (it is exact algebra in three computed quadratic quantities);
 * the Riccati comparison bound sqrt(b/a) * coth(sqrt(ab) t) for
-  y' = -a y^2 + b, checked against a high-resolution Runge-Kutta integration;
+  y' = -a y^2 + b, checked at every step of an RK4 integration whose error
+  a step-doubling estimate bounds;
 * Monte-Carlo estimates of the constants in two Poincare-type inequalities
   (logarithmic and mean-deviation forms) over ensembles of random smooth
   positive fields.
@@ -35,7 +36,8 @@ from .grid import (
 )
 from .params import entropy_coefficients
 
-DEFAULT_ODE_SUBSTEPS = 10**5
+# RK4 steps over [0, T]; the step-doubling estimate certifies the verdict
+DEFAULT_ODE_SUBSTEPS = 2000
 # RK4 steps held before the comparison bound is formed for all of them at once
 _ODE_CHUNK = 64
 # probe cells whose distances to every cell are formed at once; keeps each
@@ -157,6 +159,8 @@ class OdeComparison:
     T: float
 
     def __post_init__(self):
+        if not np.isfinite([self.a, self.b, self.y0, self.T]).all():
+            raise ValueError("a, b, y0 and T must be finite")
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("a and b must be positive")
         if self.T <= 0.0:
@@ -165,9 +169,17 @@ class OdeComparison:
 
 @dataclass
 class OdeComparisonReport:
+    """One case's verdict: passed iff max_excess + error_estimate <= tolerance.
+
+    max_excess is the largest y - bound over every step of the main run;
+    error_estimate is the step-doubling error estimate at the shared mesh
+    point where excess plus estimate is largest.
+    """
+
     spec: OdeComparison
     passed: bool
     max_excess: float
+    error_estimate: float
     y0_variants: list
     substeps: int
     tolerance: float
@@ -176,7 +188,9 @@ class OdeComparisonReport:
         return {
             "a": self.spec.a, "b": self.spec.b, "y0": self.spec.y0,
             "T": self.spec.T, "passed": bool(self.passed),
-            "max_excess": self.max_excess, "y0_variants": self.y0_variants,
+            "max_excess": self.max_excess,
+            "error_estimate": self.error_estimate,
+            "y0_variants": self.y0_variants,
             "substeps": self.substeps, "tolerance": self.tolerance,
         }
 
@@ -207,6 +221,47 @@ def _riccati_rhs(a, b, y, out):
     return np.subtract(b, out, out=out)
 
 
+class _Rk4:
+    """Classical RK4 for y' = b - a y^2 on every row, in preallocated buffers.
+
+    A row at or below `floor` is frozen: its state no longer changes.
+    """
+
+    def __init__(self, a, b, y0, dt, floor):
+        self.a, self.b, self.floor = a, b, floor
+        self.y = np.array(y0, dtype=np.float64)
+        self.dt, self.half_dt, self.sixth_dt = dt, 0.5 * dt, dt / 6.0
+        self.k1, self.k2, self.k3, self.k4, self.stage = (
+            np.empty(len(self.y)) for _ in range(5))
+        self.moving = np.empty(len(self.y), dtype=bool)
+
+    def step(self, out):
+        """Advance every row by one step and copy the new states into out."""
+        a, b, y, stage = self.a, self.b, self.y, self.stage
+        k1, k2, k3, k4 = self.k1, self.k2, self.k3, self.k4
+        _riccati_rhs(a, b, y, k1)
+        np.multiply(self.half_dt, k1, out=stage)
+        stage += y
+        _riccati_rhs(a, b, stage, k2)
+        np.multiply(self.half_dt, k2, out=stage)
+        stage += y
+        _riccati_rhs(a, b, stage, k3)
+        np.multiply(self.dt, k3, out=stage)
+        stage += y
+        _riccati_rhs(a, b, stage, k4)
+        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= self.sixth_dt
+        k2 += y
+        np.greater(y, self.floor, out=self.moving)
+        np.copyto(y, k2, where=self.moving)
+        out[...] = y
+
+
 def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
                                 tolerance=1e-6):
     """Vectorized form of verify_ode_comparison for many parameter sets.
@@ -214,9 +269,20 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
     Every case and y0 variant is one row of a classical RK4 integration run
     in preallocated buffers.  The states of up to _ODE_CHUNK consecutive steps
     are held and compared with the bound in one pass over the chunk.
+
+    The verdict is certified by step doubling (Richardson extrapolation): a
+    companion run at substeps // 2 advances in lockstep, one step per two
+    main steps.  At each shared mesh point err = |y_N - y_{N/2}| / 15
+    estimates the main run's error (RK4 is fourth order, 2^4 - 1 = 15).
+    Points where either run sits at or below the freeze floor are left out
+    of the estimate; a row that starts above -sqrt(b/a) can reach the floor
+    only through an unstable step, and its estimate is then infinite.  A
+    case passes iff its estimate is finite and
+    max_excess + error_estimate <= tolerance, which bounds excess + err at
+    every shared point.  No trajectory is held beyond one chunk.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
+    if substeps < 1 or substeps % 2:
+        raise ValueError(f"substeps must be a positive even count, got {substeps}")
     if not specs:
         return []
     rows = []
@@ -229,58 +295,62 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
             rows.append((s.a, s.b, y0, s.T))
     a = np.array([r[0] for r in rows])
     b = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows], dtype=np.float64)
+    y0 = np.array([r[2] for r in rows], dtype=np.float64)
     T = np.array([r[3] for r in rows])
     dt = T / substeps
-    half_dt = 0.5 * dt
-    sixth_dt = dt / 6.0
     eq = np.sqrt(b / a)
     w = np.sqrt(a * b)
     # solutions from y0 < -eq blow down in finite time; freeze them once they
     # are far below the equilibrium (the bound is positive, so they pass)
     floor = -10.0 * (eq + 1.0)
+    main = _Rk4(a, b, y0, dt, floor)
+    companion = _Rk4(a, b, y0, 2.0 * dt, floor)
     max_excess = np.full(len(rows), -np.inf)
-    k1, k2, k3, k4, stage = (np.empty(len(rows)) for _ in range(5))
-    moving = np.empty(len(rows), dtype=bool)
+    # per row: the largest excess + err over the shared points, and its err
+    certified = np.full(len(rows), -np.inf)
+    error_at = np.zeros(len(rows))
+    columns = np.arange(len(rows))
     chunk = np.empty((min(_ODE_CHUNK, substeps), len(rows)))
+    coarse = np.empty((len(chunk) // 2, len(rows)))
 
     for start in range(0, substeps, len(chunk)):
         held = chunk[:min(len(chunk), substeps - start)]
-        for row in held:
-            _riccati_rhs(a, b, y, k1)
-            np.multiply(half_dt, k1, out=stage)
-            stage += y
-            _riccati_rhs(a, b, stage, k2)
-            np.multiply(half_dt, k2, out=stage)
-            stage += y
-            _riccati_rhs(a, b, stage, k3)
-            np.multiply(dt, k3, out=stage)
-            stage += y
-            _riccati_rhs(a, b, stage, k4)
-            # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= sixth_dt
-            k2 += y
-            np.greater(y, floor, out=moving)
-            np.copyto(y, k2, where=moving)
-            row[...] = y
+        paired = coarse[:len(held) // 2]
+        for fine_rows, coarse_row in zip(held.reshape(-1, 2, len(rows)), paired):
+            for row in fine_rows:
+                main.step(row)
+            companion.step(coarse_row)
+        shared = held[1::2]  # main states at the companion's mesh points
+        err = np.abs(shared - paired)
+        err /= 15.0
+        frozen = (shared <= floor) | (paired <= floor)
         steps = np.arange(start + 1, start + len(held) + 1)[:, None]
         held -= eq / np.tanh(w * (steps * dt))
         np.maximum(max_excess, held.max(axis=0), out=max_excess)
+        total = shared + err
+        total[frozen] = -np.inf
+        at = total.argmax(axis=0)  # a NaN wins, so a non-finite err is kept
+        best = total[at, columns]
+        better = (best > certified) | np.isnan(best)
+        certified[better] = best[better]
+        error_at[better] = err[at, columns][better]
+    # a solution from y0 > -eq stays above -eq, so such a row that froze was
+    # thrown down by an unstable step and its estimate is unbounded
+    thrown = ((main.y <= floor) | (companion.y <= floor)) & (y0 > -eq)
+    certified[thrown] = error_at[thrown] = np.inf
 
     reports = []
     idx = 0
     for s, var in zip(specs, variants):
-        excess = float(max_excess[idx:idx + len(var)].max())
+        span = slice(idx, idx + len(var))
+        excess = float(max_excess[span].max())
+        estimate = float(error_at[idx + certified[span].argmax()])
         idx += len(var)
+        passed = np.isfinite(estimate) and excess + estimate <= tolerance
         reports.append(OdeComparisonReport(
-            spec=s, passed=bool(excess <= tolerance), max_excess=excess,
-            y0_variants=[float(x) for x in var], substeps=substeps,
-            tolerance=tolerance,
+            spec=s, passed=bool(passed), max_excess=excess,
+            error_estimate=estimate, y0_variants=[float(x) for x in var],
+            substeps=substeps, tolerance=tolerance,
         ))
     return reports
 

@@ -70,7 +70,7 @@ DIGESTS = {
     "eps_study.csv":
         "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
     "oracle_reports.json":
-        "d8cfa9a33e0d4475fa4b2040747e35a9e63041b85dedd1a62378d15595afed01",
+        "70c4ea8a0c634d90d0fb229906536b5c004d0742ddd141b2aedb3a1ea66c1b27",
     "summary.json":
         "eb5e4572154a06d48404476c9ef53eef6a7695a4aa4e7164decd31ba7d884fea",
 }

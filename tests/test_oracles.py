@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from logsense_ks.grid import Field, Grid, gradient_cell_magnitude
 from logsense_ks.oracles import (
@@ -171,6 +170,14 @@ def test_ode_comparison_spec_validation():
         OdeComparison(a=1.0, b=1.0, y0=1.0, T=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "b", "y0", "T"])
+def test_ode_comparison_rejects_non_finite_spec(name, bad):
+    fields = {"a": 1.0, "b": 4.0, "y0": 1.0, "T": 1.0, name: bad}
+    with pytest.raises(ValueError, match="finite"):
+        OdeComparison(**fields)
+
+
 def test_ode_comparison_single_case():
     rep = verify_ode_comparison(OdeComparison(a=1.0, b=4.0, y0=1000.0, T=1.0))
     assert rep.passed
@@ -195,14 +202,70 @@ def test_ode_comparison_random_batch():
     reports = verify_ode_comparison_batch(specs, substeps=2 * 10**4)
     assert all(r.passed for r in reports)
     d = reports[0].as_dict()
-    assert {"a", "b", "y0", "T", "passed", "max_excess"} <= set(d)
+    assert {"a", "b", "y0", "T", "passed", "max_excess", "error_estimate"} <= set(d)
 
 
-@pytest.mark.parametrize("substeps", [0, -3])
+@pytest.mark.parametrize("substeps", [0, -3, 1, 1037])
 def test_ode_comparison_rejects_no_substeps(substeps):
+    # the step-doubling companion runs at substeps // 2, so the count is even
     spec = OdeComparison(a=1.0, b=4.0, y0=1.0, T=1.0)
     with pytest.raises(ValueError, match="substeps"):
         verify_ode_comparison_batch([spec], substeps=substeps)
+
+
+def test_ode_error_estimate_is_fourth_order():
+    spec = OdeComparison(a=1.0, b=1.0, y0=3.0, T=1.0)
+    coarse, fine = (verify_ode_comparison(spec, substeps=n) for n in (128, 256))
+    assert 12.0 <= coarse.error_estimate / fine.error_estimate <= 20.0
+
+
+def test_ode_coarse_count_fails_on_its_error_estimate():
+    spec = OdeComparison(a=2.0, b=2.0, y0=1.0, T=2.0)
+    rep = verify_ode_comparison(spec, substeps=8)
+    assert rep.max_excess <= rep.tolerance  # the bare excess would pass
+    assert rep.max_excess + rep.error_estimate > rep.tolerance
+    assert not rep.passed
+    assert verify_ode_comparison(spec).passed
+
+
+def test_ode_unstable_count_is_not_certified():
+    # sqrt(ab) dt = 5 throws every row below the freeze floor at once, which
+    # would leave no shared point for the estimate
+    spec = OdeComparison(a=1.0, b=1e4, y0=1.0, T=1.0)
+    rep = verify_ode_comparison(spec, substeps=20)
+    assert rep.max_excess < 0.0
+    assert rep.error_estimate == np.inf
+    assert not rep.passed
+    assert verify_ode_comparison(spec).passed
+
+
+def test_ode_floor_freeze_case_passes():
+    # from y0 < -sqrt(b/a) the solution blows down and its row freezes below
+    # the floor; the frozen points stay out of the error estimate
+    rep = verify_ode_comparison(OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0))
+    assert rep.passed
+    assert np.isfinite(rep.error_estimate)
+    assert rep.max_excess + rep.error_estimate <= rep.tolerance
+
+
+def test_ode_default_agrees_with_a_fine_run_within_its_estimate():
+    # criterion 10's cases.  The 10^5-step run carries its own rounding, up
+    # to one ulp of the largest |y| per step, which the 2,000-step estimate
+    # does not see
+    rng = np.random.default_rng(17)
+    specs = [OdeComparison(a=float(rng.uniform(0.1, 10.0)),
+                           b=float(rng.uniform(0.1, 10.0)),
+                           y0=float(rng.uniform(0.1, 10.0)),
+                           T=1.0)
+             for _ in range(100)]
+    fine_steps = 10**5
+    default = verify_ode_comparison_batch(specs)
+    fine = verify_ode_comparison_batch(specs, substeps=fine_steps)
+    assert all(r.passed for r in default)
+    for d, f in zip(default, fine):
+        rounding = fine_steps * np.finfo(np.float64).eps * max(
+            abs(y) for y in d.y0_variants)
+        assert abs(d.max_excess - f.max_excess) <= d.error_estimate + rounding
 
 
 # random-field ensembles -------------------------------------------------------------
@@ -429,7 +492,7 @@ def test_ode_batch_matches_reference_loop():
                            T=float(rng.uniform(0.01, 0.1)))
              for _ in range(12)]
     specs.append(OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0))  # y0 < -eq
-    substeps = 1000 + 37
+    substeps = 1000 + 38
     assert substeps % _ODE_CHUNK
     expected, froze = _ode_reference(specs, substeps)
     assert froze

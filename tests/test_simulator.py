@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import (Field, Grid, dct_modes, dct_values,
-                              integrate_values, lap_values)
+from logsense_ks.grid import (Field, Grid, dct_modes, dct_values, integrate,
+                              lap_values)
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
@@ -67,7 +67,7 @@ def sample_masses(state, T, **kw):
     """The run and the mass of u at each of its samples."""
     masses = []
     traj = run(state, T, on_sample=lambda t, u, v: masses.append(
-        integrate_values(u, state.grid)), **kw)
+        integrate(Field(state.grid, u))), **kw)
     return traj, np.array(masses)
 
 
