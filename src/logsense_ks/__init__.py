@@ -31,14 +31,10 @@ from .grid import (
     Field,
     Grid,
     GridError,
-    face_divergence,
-    face_gradient,
     gradient_cell_magnitude,
     integrate,
-    laplacian_neumann,
     read_field_binary,
     write_field_binary,
-    write_field_csv,
 )
 from .simulator import (
     SimState,
@@ -117,13 +113,10 @@ __all__ = [
     "exponent_infimum",
     "exponent_infimum_bruteforce",
     "export_exponent_region",
-    "face_divergence",
-    "face_gradient",
     "grad_vq_bound",
     "gradient_cell_magnitude",
     "initial_state",
     "integrate",
-    "laplacian_neumann",
     "log_mass_check",
     "log_poincare_ratio",
     "main",
@@ -142,5 +135,4 @@ __all__ = [
     "verify_ode_comparison",
     "verify_ode_comparison_batch",
     "write_field_binary",
-    "write_field_csv",
 ]

@@ -60,12 +60,11 @@ from .oracles import (
     OdeComparison,
     check_power_identities,
     check_synth_amplitude,
-    check_square_completion,
     log_poincare_ratio,
     mean_poincare_delta_trend,
     mean_poincare_ratio,
-    synth_positive_field,
     verify_ode_comparison_batch,
+    worst_square_completion,
 )
 from .params import (
     ModelParams,
@@ -79,6 +78,7 @@ from .params import (
 )
 from .simulator import (DEFAULT_SAFETY, DEFAULT_SAMPLE_COUNT, DEFAULT_V_FLOOR,
                         INITIAL_KINDS, SimulationError, Trajectory,
+                        dense_transform_bytes,
                         initial_state, make_initial_field, run, samples)
 
 OUT_ENV_VAR = "LOGSENSE_KS_OUT"
@@ -88,6 +88,10 @@ GRID_MODES = tuple(m for m in MODES if m != "params")
 SOLVER_MODES = ("simulate", "entropy-check", "eps-study", "refine-study")
 RUN_MODES = ("simulate", "entropy-check", "eps-study")  # the modes reading run.T
 POWER_BASE_CELLS = 16
+# bytes the solver modes' dense transforms may hold on their finest grid
+# (simulator.dense_transform_bytes): 1.38 GiB on the largest 2-D grid,
+# 4096^2, so the bound bites on long 1-D axes, above 16,379 cells
+DENSE_MEMORY_LIMIT = 2**31
 
 
 class ConfigError(ValueError):
@@ -256,6 +260,8 @@ def validate_config(raw, out_override=None, seed_override=None):
         values["seed"] = _checked(seed_override, "seed", CONFIG_KEYS["seed"])
 
     grid = _build_grid(values) if mode in GRID_MODES else None
+    if mode in SOLVER_MODES:
+        _check_dense_memory(grid, "grid.cells")
     state = None
     if mode == "params" and _mapped("model", chi_admissible, values["model.chi"],
                                     values["model.n"]):
@@ -283,7 +289,8 @@ def validate_config(raw, out_override=None, seed_override=None):
                               f"{len(ladder)} rungs of {cells} cells pass the "
                               f"{DEFAULT_MAX_CELLS}-cell limit of one run")
     if mode == "refine-study":
-        _build_grid(values, 2 ** (values["refine.levels"] - 1))  # the finest
+        finest = _build_grid(values, 2 ** (values["refine.levels"] - 1))
+        _check_dense_memory(finest, "refine.levels")
     if mode == "oracle":
         _mapped("grid", _power_grids, grid)
         _ensemble(values, grid)
@@ -303,6 +310,17 @@ def _build_grid(values, factor=1):
     if len(cells) != len(extents):
         raise ConfigError("grid.extents", "must have one extent per cell axis")
     return _mapped("grid", Grid, cells=[c * factor for c in cells], extents=extents)
+
+
+def _check_dense_memory(grid, path):
+    """Raise ConfigError at `path` when the stepper's dense transforms on
+    `grid` would pass DENSE_MEMORY_LIMIT; they are N x N per axis."""
+    need = dense_transform_bytes(grid.cells)
+    if need > DENSE_MEMORY_LIMIT:
+        shape = "x".join(str(n) for n in grid.cells)
+        raise ConfigError(path, f"the dense transforms of a {shape} grid take "
+                                f"{need / 2**30:.3g} GiB, above the "
+                                f"{DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
 
 
 def _mapped(path, fn, *args, **kwargs):
@@ -908,19 +926,7 @@ def _mode_oracle(cfg, outputs, asserts):
     # square completion on random positive fields and exponents
     trials = values["oracle.square_trials"]
     spec = _ensemble(values, grid)
-    worst_rel = 0.0
-    for i in range(trials):
-        member = np.random.default_rng([cfg.seed, 7, i])
-        u = Field(grid, _synth(grid, member, spec), strictly_positive=True)
-        v = Field(grid, _synth(grid, member, spec), strictly_positive=True)
-        chi = float(member.uniform(0.3, 3.0))
-        p = float(member.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
-        qm, qp = q_bounds(p, chi)
-        q = float(member.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
-            else 0.5 * (qm + qp)
-        rep = check_square_completion(u, v, p, q, chi)
-        if rep.scale > 0:
-            worst_rel = max(worst_rel, float(rep.residual / rep.scale))
+    worst_rel = worst_square_completion(grid, spec, cfg.seed, trials)
     reports["square_completion"] = {"trials": trials, "worst_rel": worst_rel}
     asserts.add("square_completion_roundoff", worst_rel <= 1e-10,
                 tolerance=1e-10, value=worst_rel)
@@ -983,11 +989,6 @@ def _mode_oracle(cfg, outputs, asserts):
     _dump_json(reports, path)
     outputs.append(path.name)
     return {"oracle": reports}
-
-
-def _synth(grid, rng, spec):
-    return synth_positive_field(grid, rng, spec.cutoff, spec.amplitude,
-                                spec.floor)
 
 
 # ---------------------------------------------------------------------------

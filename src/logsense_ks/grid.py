@@ -107,7 +107,10 @@ class Field:
 # low-level kernels on raw arrays ------------------------------------------------
 
 def _span(axis, start, stop):
-    """Index of the entries start:stop along `axis`, all entries elsewhere."""
+    """Index of the entries start:stop along `axis`, all entries elsewhere; a
+    negative axis counts from the last, past any leading stack axes."""
+    if axis < 0:
+        return (Ellipsis, slice(start, stop)) + (slice(None),) * (-axis - 1)
     return (slice(None),) * axis + (slice(start, stop),)
 
 
@@ -169,7 +172,8 @@ def dct_values(a, mats, inverse=False):
 
 
 def face_grad_values(a, h, axis):
-    """Face-centered gradient along one axis; boundary faces are zero."""
+    """Face-centered gradient along one axis; boundary faces are zero.  A
+    negative axis counts from the last and indexes h the same way."""
     shape = list(a.shape)
     shape[axis] += 1
     g = np.zeros(shape, dtype=np.float64)
@@ -206,45 +210,27 @@ def faces_to_cells(face_array, axis):
 
 # public field operations --------------------------------------------------------
 
-def laplacian_neumann(field):
-    """Second-order zero-flux Laplacian of a field."""
-    return Field(field.grid, lap_values(field.values, field.grid.h))
-
-
-def face_gradient(field):
-    """Per-axis face gradients of a field (list of face arrays)."""
-    return [face_grad_values(field.values, field.grid.h, ax) for ax in range(field.grid.dim)]
-
-
-def face_divergence(grid, fluxes):
-    """Conservative divergence of per-axis face fluxes."""
-    if len(fluxes) != grid.dim:
-        raise GridError(f"expected {grid.dim} flux arrays, got {len(fluxes)}")
-    for ax, flux in enumerate(fluxes):
-        want = list(grid.shape)
-        want[ax] += 1
-        if flux.shape != tuple(want):
-            raise GridError(f"flux array {ax} has shape {flux.shape}, expected {tuple(want)}")
-    return Field(grid, face_div_values(fluxes, grid.h, grid.shape))
-
-
 def integrate(field):
     """Midpoint quadrature: cell sum times cell volume."""
     return float(field.values.sum() * field.grid.cell_volume)
 
 
 def gradient_cell_magnitude(values, grid):
-    """Cell-centered Euclidean norm of the gradient (face averages per axis)."""
+    """Cell-centered Euclidean norm of the gradient (face averages per axis).
+    Leading axes of `values` beyond the grid's are a stack of fields."""
     return face_cell_magnitude(
-        [face_grad_values(values, grid.h, ax) for ax in range(grid.dim)], grid)
+        [face_grad_values(values, grid.h, ax - grid.dim)
+         for ax in range(grid.dim)], grid)
 
 
 def face_cell_magnitude(face_arrays, grid):
-    """Cell-centered Euclidean norm of per-axis face arrays (face averages)."""
-    sq = np.zeros(grid.shape, dtype=np.float64)
+    """Cell-centered Euclidean norm of per-axis face arrays (face averages);
+    leading axes beyond the grid's are a stack."""
+    sq = 0.0
     for ax, g in enumerate(face_arrays):
-        c = faces_to_cells(g, ax)
-        sq += c * c
+        c = faces_to_cells(g, ax - grid.dim)
+        c *= c
+        sq += c
     return np.sqrt(sq)
 
 
@@ -281,16 +267,3 @@ def read_field_binary(path):
         count = int(np.prod(cells))
         values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(cells)
     return cells, spacing, values
-
-
-def write_field_csv(field, path):
-    """Flat CSV: one row per cell, coordinates then value."""
-    g = field.grid
-    coords = [c.ravel() for c in g.meshgrid()]
-    vals = field.values.ravel()
-    headers = ["x", "y", "z"][: g.dim] + ["value"]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for i in range(vals.size):
-            row = [format(c[i], ".17g") for c in coords] + [format(vals[i], ".17g")]
-            fh.write(",".join(row) + "\n")

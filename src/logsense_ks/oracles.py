@@ -15,18 +15,21 @@ Four groups:
 
 Ensemble members draw their seeds deterministically from a master seed, so
 reports are reproducible bit-for-bit; empirical constants are reported, never
-asserted against theoretical values (none are given in closed form).
+asserted against theoretical values (none are given in closed form).  The
+ensembles synthesize and reduce their members a block at a time, and a
+member's figures do not depend on the block it falls in.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .grid import (
+    Field,
     Grid,
     face_grad_values,
     faces_to_cells,
@@ -34,15 +37,19 @@ from .grid import (
     interior_max_abs,
     lap_values,
 )
-from .params import entropy_coefficients
+from .params import entropy_coefficients, q_bounds
 
 # RK4 steps over [0, T]; the step-doubling estimate certifies the verdict
 DEFAULT_ODE_SUBSTEPS = 2000
 # RK4 steps held before the comparison bound is formed for all of them at once
 _ODE_CHUNK = 64
-# probe cells whose distances to every cell are formed at once; keeps each
+# distinct probe cells whose kernel rows are formed at once; keeps each
 # (block, cells) temporary near 128 KiB on a 32 x 32 grid
 _RIESZ_BLOCK = 16
+# ensemble members synthesized and reduced together; keeps each
+# (block, cells) array near 128 KiB on a 32 x 32 grid, where wider blocks
+# ran no faster and held more memory
+_ENSEMBLE_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +152,41 @@ def check_square_completion(u, v, p, q, chi):
         residual=float(np.abs(raw - completed).max()),
         scale=float(scale_field.max()),
     )
+
+
+def worst_square_completion(grid, spec, seed, trials):
+    """Worst residual / scale of check_square_completion over random trials.
+
+    Trial i draws from default_rng([seed, 7, i]), in order: u's series, v's
+    series, chi in [0.3, 3], p in [0.05, 0.95] * min(1, 1/chi^2) and q inside
+    its window (its midpoint when the window is narrower than 2e-6).  The
+    fields take spec's cutoff, amplitude and floor and are synthesized a
+    block of trials at a time.
+    """
+    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    worst = 0.0
+    for block in _blocks(trials):
+        drawn = []
+        for i in block:
+            rng = np.random.default_rng([seed, 7, i])
+            u = _series_coefficients(rng, spec.amplitude, denominators)
+            v = _series_coefficients(rng, spec.amplitude, denominators)
+            chi = float(rng.uniform(0.3, 3.0))
+            p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
+            qm, qp = q_bounds(p, chi)
+            q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
+                else 0.5 * (qm + qp)
+            drawn.append((u, v, chi, p, q))
+        fields = _synthesize(grid, spec.cutoff, spec.floor,
+                             [d[0] for d in drawn] + [d[1] for d in drawn])
+        for u, v, (_, _, chi, p, q) in zip(fields, fields[len(drawn):], drawn):
+            rep = check_square_completion(
+                Field(grid, u, strictly_positive=True),
+                Field(grid, v, strictly_positive=True), p, q, chi)
+            if rep.scale > 0:
+                worst = max(worst, float(rep.residual / rep.scale))
+    return worst
+
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +354,42 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
     columns = np.arange(len(rows))
     chunk = np.empty((min(_ODE_CHUNK, substeps), len(rows)))
     coarse = np.empty((len(chunk) // 2, len(rows)))
+    # per-chunk work buffers, each the companion's chunk size
+    err, total = np.empty_like(coarse), np.empty_like(coarse)
+    frozen, paired_frozen = (np.empty(coarse.shape, dtype=bool) for _ in range(2))
+    row_max = np.empty(len(rows))
 
     for start in range(0, substeps, len(chunk)):
-        held = chunk[:min(len(chunk), substeps - start)]
-        paired = coarse[:len(held) // 2]
+        n = min(len(chunk), substeps - start)
+        held, paired = chunk[:n], coarse[:n // 2]
         for fine_rows, coarse_row in zip(held.reshape(-1, 2, len(rows)), paired):
             for row in fine_rows:
                 main.step(row)
             companion.step(coarse_row)
         shared = held[1::2]  # main states at the companion's mesh points
-        err = np.abs(shared - paired)
-        err /= 15.0
-        frozen = (shared <= floor) | (paired <= floor)
-        steps = np.arange(start + 1, start + len(held) + 1)[:, None]
-        held -= eq / np.tanh(w * (steps * dt))
-        np.maximum(max_excess, held.max(axis=0), out=max_excess)
-        total = shared + err
-        total[frozen] = -np.inf
-        at = total.argmax(axis=0)  # a NaN wins, so a non-finite err is kept
-        best = total[at, columns]
+        e, t, f = err[:n // 2], total[:n // 2], frozen[:n // 2]
+        np.subtract(shared, paired, out=e)
+        np.abs(e, out=e)
+        e /= 15.0
+        np.less_equal(shared, floor, out=f)
+        f |= np.less_equal(paired, floor, out=paired_frozen[:n // 2])
+        # held -= eq / tanh(w * (step * dt)), the bound formed in t for the
+        # odd, then the even steps (n is even)
+        for parity in (0, 1):
+            np.multiply(np.arange(start + 1 + parity, start + n + 1, 2)[:, None],
+                        dt, out=t)
+            t *= w
+            np.tanh(t, out=t)
+            np.divide(eq, t, out=t)
+            held[parity::2] -= t
+        np.maximum(max_excess, held.max(axis=0, out=row_max), out=max_excess)
+        np.add(shared, e, out=t)
+        t[f] = -np.inf
+        at = t.argmax(axis=0)  # a NaN wins, so a non-finite err is kept
+        best = t[at, columns]
         better = (best > certified) | np.isnan(best)
         certified[better] = best[better]
-        error_at[better] = err[at, columns][better]
+        error_at[better] = e[at, columns][better]
     # a solution from y0 > -eq stays above -eq, so such a row that froze was
     # thrown down by an unstable step and its estimate is unbounded
     thrown = ((main.y <= floor) | (companion.y <= floor)) & (y0 > -eq)
@@ -444,6 +500,37 @@ def _cosine_table(cells, extents, cutoff):
     return tuple(factors), np.array(denominators)
 
 
+def _series_coefficients(rng, amplitude, denominators):
+    """One field's series coefficients, drawn from rng in mode order."""
+    amp = rng.uniform(*amplitude)
+    return rng.uniform(-1.0, 1.0, size=len(denominators)) * amp / denominators
+
+
+def _synthesize(grid, cutoff, floor, coefficients):
+    """floor + exp(series) for each row of coefficients, stacked on a leading
+    axis.  A mode's term is the product of its cosines in axis order; each
+    row's series adds coefficient * term in mode order, so a row's field does
+    not depend on the other rows."""
+    factors, _ = _cosine_table(grid.cells, grid.extents, cutoff)
+    coefficients = np.asarray(coefficients)
+    series = np.zeros((len(coefficients),) + grid.shape)
+    scaled = np.empty_like(series)
+    column = (len(coefficients),) + (1,) * grid.dim
+    for coeff, vectors in zip(coefficients.T, factors):
+        coeff = coeff.reshape(column)
+        if not vectors:
+            series += coeff
+            continue
+        term = vectors[0]
+        for vector in vectors[1:]:
+            term = term * vector
+        np.multiply(coeff, term, out=scaled)
+        series += scaled
+    np.exp(series, out=series)
+    series += floor
+    return series
+
+
 def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     """floor + exp(random cosine series): smooth, zero-flux, >= floor strictly.
 
@@ -454,28 +541,29 @@ def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     inequalities could never occur.
 
     The per-axis cosine vectors and the denominators come from a small cache
-    keyed on (cells, extents, cutoff), so a field costs one draw of all its
-    coefficients and a few broadcast products per mode.  A mode's term is
-    the product of its cosines in axis order, scaled by its coefficient and
-    added in mode order.
+    keyed on (cells, extents, cutoff).  Ensembles synthesize their members
+    in blocks of _ENSEMBLE_BLOCK with the same kernel, so a member's field is
+    this function's field for its rng.
     """
-    factors, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
-    amp = rng.uniform(*amplitude)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(denominators)) * amp / denominators
-    series = np.zeros(grid.shape)
-    for coeff, vectors in zip(coeffs, factors):
-        if not vectors:
-            series += coeff
-            continue
-        term = vectors[0]
-        for vector in vectors[1:]:
-            term = term * vector
-        series += coeff * term
-    return floor + np.exp(series)
+    _, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
+    coefficients = _series_coefficients(rng, amplitude, denominators)
+    return _synthesize(grid, cutoff, floor, [coefficients])[0]
 
 
 def _member_rng(seed, index):
     return np.random.default_rng([seed, index])
+
+
+def _blocks(count):
+    """Consecutive index ranges of at most _ENSEMBLE_BLOCK members."""
+    for lo in range(0, count, _ENSEMBLE_BLOCK):
+        yield range(lo, min(count, lo + _ENSEMBLE_BLOCK))
+
+
+def _injected(field_source, members):
+    """The field_source samples of `members`, stacked as float64."""
+    return np.stack([np.asarray(field_source(i), dtype=np.float64)
+                     for i in members])
 
 
 @dataclass
@@ -496,6 +584,30 @@ class LogPoincareReport:
         return {k: getattr(self, k) for k in (
             "max_ratio", "included", "alternative", "excluded", "regenerated",
             "degenerate", "delta", "eta", "seed", "grid_cells", "grid_extents")}
+
+
+def _level_set_fields(spec, grid, members):
+    """Each member's first field whose super-level set {phi > delta} has
+    measure above eta, and how many draws it discarded.  Every round draws
+    the next field of each member still short of it, from its own rng."""
+    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    rngs = [_member_rng(spec.seed, i) for i in members]
+    fields = np.empty((len(members),) + grid.shape)
+    regenerated = np.zeros(len(members), dtype=int)
+    pending = np.arange(len(members))
+    for _attempt in range(64):
+        drawn = _synthesize(grid, spec.cutoff, spec.floor, [
+            _series_coefficients(rngs[j], spec.amplitude, denominators)
+            for j in pending])
+        above = (drawn > spec.delta).reshape(len(pending), -1).sum(axis=1)
+        met = above * grid.cell_volume > spec.eta
+        fields[pending[met]] = drawn[met]
+        pending = pending[~met]
+        if not len(pending):
+            return fields, regenerated
+        regenerated[pending] += 1
+    raise RuntimeError(f"sample {members[pending[0]]} kept violating the "
+                       "level-set measure requirement")
 
 
 def log_poincare_ratio(spec, grid, field_source=None):
@@ -520,33 +632,30 @@ def log_poincare_ratio(spec, grid, field_source=None):
     vol = grid.cell_volume
     tiny = 1e-14
 
-    def member(i):
-        rng = _member_rng(spec.seed, i)
-        regenerated = 0
+    outcomes = []
+    for members in _blocks(spec.count):
         if field_source is not None:
-            phi = np.asarray(field_source(i), dtype=np.float64)
+            phi = _injected(field_source, members)
             if phi.min() <= 0.0:
                 raise ValueError("injected sample must be strictly positive")
+            regenerated = np.zeros(len(members), dtype=int)
         else:
-            for _attempt in range(64):
-                phi = synth_positive_field(grid, rng, spec.cutoff,
-                                           spec.amplitude, spec.floor)
-                if float((phi > spec.delta).sum()) * vol > spec.eta:
-                    break
-                regenerated += 1
+            phi, regenerated = _level_set_fields(spec, grid, members)
+        logs = np.log(spec.delta / phi).reshape(len(members), -1)
+        nums = logs.sum(axis=1)
+        dens = (_cell_grad_sq(phi, grid) / phi**2).reshape(len(members), -1).sum(axis=1)
+        peaks = np.abs(logs).max(axis=1)
+        for log_sum, grad_sum, peak, reg in zip(nums, dens, peaks, regenerated):
+            num = float(log_sum) * vol
+            den = float(grad_sum) * vol
+            scale = max(peak * volume, 1.0)
+            if abs(num) <= tiny * scale and den <= tiny * scale:
+                outcomes.append(("excluded", 0.0, int(reg)))
+            elif num < 0.0:
+                outcomes.append(("alternative", 0.0, int(reg)))
             else:
-                raise RuntimeError(
-                    f"sample {i} kept violating the level-set measure requirement")
-        num = float(np.log(spec.delta / phi).sum()) * vol
-        den = float((_cell_grad_sq(phi, grid) / phi**2).sum()) * vol
-        scale = max(abs(np.log(spec.delta / phi)).max() * volume, 1.0)
-        if abs(num) <= tiny * scale and den <= tiny * scale:
-            return ("excluded", 0.0, regenerated)
-        if num < 0.0:
-            return ("alternative", 0.0, regenerated)
-        return ("included", num * num / den, regenerated)
+                outcomes.append(("included", num * num / den, int(reg)))
 
-    outcomes = [member(i) for i in range(spec.count)]
     ratios = [r for kind, r, _ in outcomes if kind == "included"]
     return LogPoincareReport(
         max_ratio=float(max(ratios)) if ratios else float("nan"),
@@ -585,10 +694,74 @@ class MeanPoincareReport:
         return out
 
 
-def _b_cells(values, spec, rng, cell_count, b_count):
-    if spec.b_selector == "threshold":
-        return np.argsort(values.ravel(), kind="stable")[:b_count]
-    return rng.choice(cell_count, size=b_count, replace=False)
+def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
+    """Every member's mean-deviation ratio at each |B| in deltas, from one
+    ensemble, and with probes > 0 the Riesz probe ratios' maxima over the
+    first and the second half of the ensemble (u_B taken at deltas[0]).
+
+    Members go in blocks of _ENSEMBLE_BLOCK: a block's fields, gradient
+    magnitudes, gradient integrals and threshold sort orders are formed once
+    and shared by every delta.  The random selector draws each delta's B
+    from the member's rng as left after its synthesis draws.
+    """
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    vol = grid.cell_volume
+    for delta in deltas:
+        if not vol <= delta <= grid.volume:
+            raise ValueError(
+                f"delta = {delta} must lie in [cell volume, domain volume]")
+    cell_count = int(np.prod(grid.shape))
+    b_counts = [max(1, int(round(delta / vol))) for delta in deltas]
+    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    probe_rng = np.random.default_rng([spec.seed, 10**9])
+    half = max(1, spec.count // 2)
+    # the calibration and the evaluation half (0 when the second is empty)
+    probe_max = [-np.inf, 0.0]
+    ratios = np.empty((len(deltas), spec.count))
+
+    for members in _blocks(spec.count):
+        rngs = [_member_rng(spec.seed, i) for i in members]
+        if field_source is not None:
+            values = _injected(field_source, members)
+        else:
+            values = _synthesize(grid, spec.cutoff, spec.floor, [
+                _series_coefficients(rng, spec.amplitude, denominators)
+                for rng in rngs])
+        flat = values.reshape(len(members), -1)
+        grad_mag = gradient_cell_magnitude(values, grid)
+        dens = (grad_mag**p).reshape(len(members), -1).sum(axis=1) * vol
+        if spec.b_selector == "threshold":
+            order = np.argsort(flat, axis=1, kind="stable")
+        else:
+            synthesized = [rng.bit_generator.state for rng in rngs]
+        for d, b_count in enumerate(b_counts):
+            if spec.b_selector == "threshold":
+                b_idx = order[:, :b_count]
+            else:
+                for rng, state in zip(rngs, synthesized):
+                    rng.bit_generator.state = state
+                b_idx = np.stack([rng.choice(cell_count, size=b_count, replace=False)
+                                  for rng in rngs])
+            u_b = np.take_along_axis(flat, b_idx, axis=1).mean(axis=1)
+            nums = (np.abs(flat - u_b[:, None]) ** p).sum(axis=1) * vol
+            for i, num, den in zip(members, nums, dens):
+                ratios[d, i] = _ratio(num, den, p)
+            if probes and d == 0:
+                cells = np.stack([probe_rng.integers(0, cell_count, size=probes)
+                                  for _ in members])
+                probed = _riesz_ratios(grid, flat, u_b, grad_mag, cells)
+                split = max(0, half - members[0])
+                for side, rows in enumerate((probed[:split], probed[split:])):
+                    if len(rows):
+                        probe_max[side] = np.maximum(probe_max[side], rows.max())
+    return ratios, [float(m) for m in probe_max]
+
+
+def _ratio(num, den, p):
+    if den == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
+    return (num ** (1.0 / p)) / (den ** (1.0 / p))
 
 
 def mean_poincare_ratio(spec, grid, p, include_riesz=False,
@@ -606,37 +779,9 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
     field_source(i) may override sample generation (used by closed-form
     tests); it must return a values array.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    vol = grid.cell_volume
-    volume = grid.volume
-    if not vol <= spec.delta <= volume:
-        raise ValueError(
-            f"delta = {spec.delta} must lie in [cell volume, domain volume]")
-    cell_count = int(np.prod(grid.shape))
-    b_count = max(1, int(round(spec.delta / vol)))
-
-    def member(i):
-        rng = _member_rng(spec.seed, i)
-        if field_source is not None:
-            values = field_source(i)
-        else:
-            values = synth_positive_field(grid, rng, spec.cutoff,
-                                          spec.amplitude, spec.floor)
-        flat = values.ravel()
-        b_idx = _b_cells(values, spec, rng, cell_count, b_count)
-        u_b = float(flat[b_idx].mean())
-        num = (np.abs(values - u_b) ** p).sum() * vol
-        grad_mag = gradient_cell_magnitude(values, grid)
-        den = (grad_mag**p).sum() * vol
-        if den == 0.0:
-            ratio = 0.0 if num == 0.0 else float("inf")
-        else:
-            ratio = (num ** (1.0 / p)) / (den ** (1.0 / p))
-        return ratio, values, u_b, grad_mag
-
-    results = [member(i) for i in range(spec.count)]
-    ratios = np.array([r[0] for r in results])
+    (ratios,), (fitted, worst) = _mean_ensemble(
+        spec, grid, p, [spec.delta], field_source,
+        riesz_probes if include_riesz else 0)
     report = MeanPoincareReport(
         max_ratio=float(ratios.max()),
         mean_ratio=float(ratios.mean()),
@@ -649,72 +794,70 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
         grid_extents=list(grid.extents),
     )
     if include_riesz:
-        report.riesz = _riesz_probe(results, spec, grid, riesz_probes)
+        report.riesz = {
+            "fitted_constant": fitted,
+            "eval_worst": worst,
+            "headroom": 1.5,
+            "passed": bool(worst <= 1.5 * fitted),
+            "probes": riesz_probes,
+        }
     return report
 
 
-def _riesz_ratios(grid, values, u_b, grad_mag, cells):
-    """|u(x) - u_B| over the kernel bound at each probe cell x in `cells`.
+def _riesz_ratios(grid, flat, u_b, grad_mag, cells):
+    """|u(x) - u_B| over the kernel bound at each probe cell x: row m of
+    cells holds member m's probe cells, of flat its values, of u_b its u_B
+    and of grad_mag its |Du|.
 
     The bound is vol * sum_y |Du(y)| / d(x, y)^(dim-1), with the distance d
-    floored at half the min spacing.  Probes go in blocks of _RIESZ_BLOCK:
-    a block forms its squared distances to every cell as per-axis squares
-    summed in axis order (what a Euclidean norm over the axes reduces), then
-    one kernel-weighted row sum per probe.
+    floored at half the min spacing.  The probes are grouped by cell, and
+    the kernel rows of _RIESZ_BLOCK distinct cells are formed at once: d^2
+    sums the per-axis squared coordinate differences in axis order (what a
+    Euclidean norm over the axes reduces), each looked up in a per-axis
+    table.  Each probe then takes the row sum of its cell's kernel row times
+    its member's |Du|.
     """
-    axes = [c.ravel() for c in grid.meshgrid()]
+    squares = []
+    for ax in range(grid.dim):
+        x = grid.axis_centers(ax)
+        diff = x - x[:, None]  # row c: x - x[c]
+        diff *= diff
+        squares.append(diff)
     h_min = min(grid.h)
     power = grid.dim - 1
-    gm = grad_mag.ravel()
-    bound = np.empty(len(cells))
-    for lo in range(0, len(cells), _RIESZ_BLOCK):
-        block = cells[lo:lo + _RIESZ_BLOCK, None]
-        dist = np.zeros((len(block), len(gm)))
-        for x in axes:
-            diff = x - x[block]
-            diff *= diff
-            dist += diff
+    gm = grad_mag.reshape(len(grad_mag), -1)
+    hit_cells = cells.ravel()
+    hit_members = np.repeat(np.arange(len(cells)), cells.shape[1])
+    by_cell = np.argsort(hit_cells, kind="stable")
+    distinct, counts = np.unique(hit_cells, return_counts=True)
+    ends = np.cumsum(counts)
+    bound = np.empty(len(hit_cells))
+    for lo in range(0, len(distinct), _RIESZ_BLOCK):
+        block = distinct[lo:lo + _RIESZ_BLOCK]
+        dist = 0.0
+        for ax, index in enumerate(np.unravel_index(block, grid.shape)):
+            shape = [len(block)] + [1] * grid.dim
+            shape[ax + 1] = grid.cells[ax]
+            dist = dist + squares[ax][index].reshape(shape)
+        dist = dist.reshape(len(block), -1)
         np.sqrt(dist, out=dist)
         np.maximum(dist, 0.5 * h_min, out=dist)
         kernel = dist**-power if power else np.ones_like(dist)
-        kernel *= gm
-        kernel.sum(axis=1, out=bound[lo:lo + _RIESZ_BLOCK])
+        hits = by_cell[ends[lo] - counts[lo]:ends[lo + len(block) - 1]]
+        product = kernel[np.repeat(np.arange(len(block)),
+                                   counts[lo:lo + len(block)])]
+        product *= gm[hit_members[hits]]
+        bound[hits] = product.sum(axis=1)
     bound *= grid.cell_volume
-    return np.divide(np.abs(values.ravel()[cells] - u_b), bound,
-                     out=np.zeros(len(cells)), where=bound > 0)
-
-
-def _riesz_probe(results, spec, grid, probes):
-    """Fit-then-check of the pointwise Riesz kernel bound at random cells."""
-    rng = np.random.default_rng([spec.seed, 10**9])
-    cell_count = int(np.prod(grid.shape))
-
-    def probe_ratios(values, u_b, grad_mag):
-        cells = rng.integers(0, cell_count, size=probes)
-        return _riesz_ratios(grid, values, u_b, grad_mag, cells)
-
-    half = max(1, len(results) // 2)
-    calibration = [probe_ratios(v, ub, gm) for _, v, ub, gm in results[:half]]
-    fitted = float(np.concatenate(calibration).max())
-    evaluation = [probe_ratios(v, ub, gm) for _, v, ub, gm in results[half:]]
-    worst = float(np.concatenate(evaluation).max()) if evaluation else 0.0
-    return {
-        "fitted_constant": fitted,
-        "eval_worst": worst,
-        "headroom": 1.5,
-        "passed": bool(worst <= 1.5 * fitted),
-        "probes": probes,
-    }
+    bound = bound.reshape(cells.shape)
+    gap = np.abs(np.take_along_axis(flat, cells, axis=1) - u_b[:, None])
+    return np.divide(gap, bound, out=np.zeros(cells.shape), where=bound > 0)
 
 
 def mean_poincare_delta_trend(spec, grid, p, fractions=(0.4, 0.2, 0.1)):
-    """Max ratio as |B| shrinks (reported, not asserted)."""
-    from dataclasses import replace
-
-    out = []
-    for frac in fractions:
-        trial = replace(spec, delta=frac * grid.volume)
-        report = mean_poincare_ratio(trial, grid, p)
-        out.append({"delta": trial.delta, "max_ratio": report.max_ratio})
-    return out
-
+    """Max ratio as |B| shrinks (reported, not asserted), every fraction
+    evaluated on one ensemble."""
+    deltas = [replace(spec, delta=frac * grid.volume).delta for frac in fractions]
+    ratios, _ = _mean_ensemble(spec, grid, p, deltas)
+    return [{"delta": delta, "max_ratio": float(row.max())}
+            for delta, row in zip(deltas, ratios)]

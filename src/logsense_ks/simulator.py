@@ -198,6 +198,15 @@ def _etd_factors(cells, h, dt):
     return factors
 
 
+def dense_transform_bytes(cells):
+    """Bytes the stepper's caches hold for one mesh: the per-axis N x N
+    matrices and the eigenvalue grid of grid.dct_modes, plus the stacked
+    (2, cells) factors of _etd_factors for as many step lengths as it keeps."""
+    total = int(np.prod(cells))
+    kept = _etd_factors.cache_info().maxsize
+    return 8 * (sum(n * n for n in cells) + total + 2 * total * kept)
+
+
 def step(state, dt, v_floor=DEFAULT_V_FLOOR):
     """One exponential-Euler step from the state's held tendency; returns
     (new_state, report).

@@ -506,6 +506,19 @@ def test_eps_study_memory_does_not_grow_with_samples(tmp_path):
     assert many - few < 2**20
 
 
+def test_oracle_experiment_memory(tmp_path):
+    # the bench's oracle-32 experiment; its ensembles go a block of members
+    # at a time and hold no member beyond its block
+    raw = {"mode": "oracle", "seed": 11,
+           "grid": {"cells": [32, 32], "extents": [1.0, 1.0]},
+           "model": {"chi": 2.0, "n": 2},
+           "oracle": {"square_trials": 1000, "ode_cases": 100,
+                      "include_riesz": True, "ensemble": {"count": 200}}}
+    run_experiment(validate_config(raw, out_override=tmp_path / "warm"))
+    # 4.22 MiB when every member's field and gradient were held to the end
+    assert _traced_peak(tmp_path / "run", raw) <= 5.22 * 2**20
+
+
 PROGRESS_CASES = {
     "simulate": simulate_config(run={"T": 0.02, "sample_count": 20,
                                      "save_fields": "all"}),

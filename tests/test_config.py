@@ -143,6 +143,11 @@ PROBES = [
     ("oracle", "oracle.ensemble.cutoff", 10**30, "oracle.ensemble.cutoff"),
     # an admissible chi with no exponent triple under the n = 2 cap
     ("params", "model.chi", 1e4, "model"),
+    # the dense transforms of a long axis pass the memory limit: 74.5 GiB
+    # here, and 2.0 GiB on refine-study's finest 16,384-cell level
+    ("simulate", "grid", {"cells": [100000], "extents": [1.0]}, "grid.cells"),
+    ("refine-study", "grid", {"cells": [8192], "extents": [1.0]},
+     "refine.levels"),
 ]
 
 

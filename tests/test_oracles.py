@@ -1,13 +1,18 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from logsense_ks.grid import Field, Grid, gradient_cell_magnitude
 from logsense_ks.oracles import (
+    _ENSEMBLE_BLOCK,
     _ODE_CHUNK,
     _RIESZ_BLOCK,
+    _cosine_table,
     _riesz_ratios,
+    _series_coefficients,
+    _synthesize,
     EnsembleSpec,
     OdeComparison,
     check_power_identities,
@@ -19,6 +24,7 @@ from logsense_ks.oracles import (
     synth_positive_field,
     verify_ode_comparison,
     verify_ode_comparison_batch,
+    worst_square_completion,
 )
 from logsense_ks.params import q_bounds
 
@@ -501,12 +507,158 @@ def test_ode_batch_matches_reference_loop():
 
 
 @pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("cutoff", [1, 4])
+def test_stacked_synthesis_matches_reference_loop(grid, cutoff):
+    # members drawn one by one, synthesized as one block
+    _, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
+    fast = [np.random.default_rng([seed, 5]) for seed in range(5)]
+    slow = [np.random.default_rng([seed, 5]) for seed in range(5)]
+    block = _synthesize(grid, cutoff, 0.05, [
+        _series_coefficients(rng, (0.2, 1.0), denominators) for rng in fast])
+    assert block.shape == (5,) + grid.shape
+    for row, rng, ref_rng in zip(block, fast, slow):
+        ref = _synth_reference(grid, ref_rng, cutoff, (0.2, 1.0), 0.05)
+        assert row.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
 def test_riesz_ratios_match_reference_loop(grid):
     rng = np.random.default_rng(31)
-    values = synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05)
+    members = 3
+    values = np.stack([synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05)
+                       for _ in range(members)])
     grad_mag = gradient_cell_magnitude(values, grid)
-    u_b = float(values.min())
-    cells = rng.integers(0, values.size, size=2 * _RIESZ_BLOCK + 5)
-    fast = _riesz_ratios(grid, values, u_b, grad_mag, cells)
-    slow = _riesz_reference(grid, values, u_b, grad_mag, cells)
-    assert fast.tobytes() == slow.tobytes()
+    u_b = values.reshape(members, -1).min(axis=1)
+    # more probes than cells, so cells repeat within and across members, and
+    # neither the probe count nor the distinct cells fill whole blocks
+    probes = values[0].size + 2 * _RIESZ_BLOCK + 5
+    cells = rng.integers(0, values[0].size, size=(members, probes))
+    assert len(np.unique(cells)) < cells.size
+    assert len(np.unique(cells)) % _RIESZ_BLOCK
+    fast = _riesz_ratios(grid, values.reshape(members, -1), u_b, grad_mag, cells)
+    for m in range(members):
+        slow = _riesz_reference(grid, values[m], u_b[m], grad_mag[m], cells[m])
+        assert fast[m].tobytes() == slow.tobytes()
+
+
+def _mean_reference(spec, grid, p, probes=0):
+    """mean_poincare_ratio one member at a time: each member's ratio, and
+    with probes the Riesz probe's fitted constant and worst evaluation."""
+    vol = grid.cell_volume
+    b_count = max(1, int(round(spec.delta / vol)))
+    probe_rng = np.random.default_rng([spec.seed, 10**9])
+    ratios, calibration, evaluation = [], [], []
+    for i in range(spec.count):
+        rng = np.random.default_rng([spec.seed, i])
+        values = _synth_reference(grid, rng, spec.cutoff, spec.amplitude,
+                                  spec.floor)
+        flat = values.ravel()
+        if spec.b_selector == "threshold":
+            b_idx = np.argsort(flat, kind="stable")[:b_count]
+        else:
+            b_idx = rng.choice(flat.size, size=b_count, replace=False)
+        u_b = float(flat[b_idx].mean())
+        num = (np.abs(values - u_b) ** p).sum() * vol
+        grad_mag = gradient_cell_magnitude(values, grid)
+        den = (grad_mag**p).sum() * vol
+        ratios.append((num ** (1.0 / p)) / (den ** (1.0 / p)))
+        if probes:
+            cells = probe_rng.integers(0, flat.size, size=probes)
+            side = calibration if i < max(1, spec.count // 2) else evaluation
+            side.append(_riesz_reference(grid, values, u_b, grad_mag, cells))
+    fitted = float(np.concatenate(calibration).max()) if probes else None
+    worst = float(np.concatenate(evaluation).max()) if evaluation else 0.0
+    return np.array(ratios), fitted, worst
+
+
+MEAN_CASES = {
+    "threshold-2d": (Grid(cells=[12, 9], extents=[1.0, 2.5]),
+                     dict(b_selector="threshold"), 2.0),
+    "random-3d": (Grid(cells=[6, 5, 7], extents=[0.7, 1.3, 2.1]),
+                  dict(b_selector="random", cutoff=2), 1.5),
+    "random-1d": (Grid(cells=[37], extents=[1.7]),
+                  dict(b_selector="random", cutoff=6), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEAN_CASES))
+def test_mean_poincare_matches_reference_loop(case):
+    grid, knobs, p = MEAN_CASES[case]
+    count = 2 * _ENSEMBLE_BLOCK + 3  # a partial last block
+    spec = EnsembleSpec(count=count, seed=4, delta=0.3 * grid.volume, **knobs)
+    ratios, fitted, worst = _mean_reference(spec, grid, p, probes=23)
+    rep = mean_poincare_ratio(spec, grid, p, include_riesz=True, riesz_probes=23)
+    assert rep.max_ratio == float(ratios.max())
+    assert rep.mean_ratio == float(ratios.mean())
+    assert rep.riesz["fitted_constant"] == fitted
+    assert rep.riesz["eval_worst"] == worst
+
+
+@pytest.mark.parametrize("selector", ["threshold", "random"])
+def test_delta_trend_matches_per_delta_calls(selector):
+    g = Grid(cells=[12, 9], extents=[1.0, 2.5])
+    spec = EnsembleSpec(count=_ENSEMBLE_BLOCK + 5, seed=6, b_selector=selector)
+    fractions = (0.4, 0.2, 0.1, 0.03)
+    trend = mean_poincare_delta_trend(spec, g, 2.0, fractions)
+    for row, frac in zip(trend, fractions):
+        alone = mean_poincare_ratio(replace(spec, delta=frac * g.volume), g, 2.0)
+        assert row == {"delta": alone.delta, "max_ratio": alone.max_ratio}
+
+
+def _log_reference(spec, grid):
+    """log_poincare_ratio one member at a time, as (kind, ratio, regenerated)."""
+    vol = grid.cell_volume
+    outcomes = []
+    for i in range(spec.count):
+        rng = np.random.default_rng([spec.seed, i])
+        regenerated = 0
+        while True:
+            phi = _synth_reference(grid, rng, spec.cutoff, spec.amplitude,
+                                   spec.floor)
+            if float((phi > spec.delta).sum()) * vol > spec.eta:
+                break
+            regenerated += 1
+        num = float(np.log(spec.delta / phi).sum()) * vol
+        den = float((gradient_cell_magnitude(phi, grid) ** 2 / phi**2).sum()) * vol
+        scale = max(abs(np.log(spec.delta / phi)).max() * grid.volume, 1.0)
+        if abs(num) <= 1e-14 * scale and den <= 1e-14 * scale:
+            outcomes.append(("excluded", 0.0, regenerated))
+        elif num < 0.0:
+            outcomes.append(("alternative", 0.0, regenerated))
+        else:
+            outcomes.append(("included", num * num / den, regenerated))
+    return outcomes
+
+
+def test_log_ensemble_with_regeneration_matches_reference_loop():
+    g = Grid(cells=[12, 9], extents=[1.0, 2.5])
+    # a high eta sends many first draws back for another
+    spec = EnsembleSpec(count=2 * _ENSEMBLE_BLOCK + 3, seed=8, delta=1.0, eta=1.2)
+    outcomes = _log_reference(spec, g)
+    rep = log_poincare_ratio(spec, g)
+    ratios = [r for kind, r, _ in outcomes if kind == "included"]
+    assert rep.regenerated == sum(reg for _, _, reg in outcomes)
+    assert max(reg for _, _, reg in outcomes) >= 2  # several rounds ran
+    assert rep.max_ratio == max(ratios)
+    assert rep.included == len(ratios)
+    assert rep.alternative == sum(kind == "alternative" for kind, _, _ in outcomes)
+
+
+def test_square_completion_trials_match_reference_loop():
+    g = Grid(cells=[12, 9], extents=[1.0, 2.5])
+    spec = EnsembleSpec(cutoff=3)
+    trials = _ENSEMBLE_BLOCK + 5
+    worst = 0.0
+    for i in range(trials):
+        rng = np.random.default_rng([17, 7, i])
+        u, v = (Field(g, _synth_reference(g, rng, 3, spec.amplitude, spec.floor))
+                for _ in range(2))
+        chi = float(rng.uniform(0.3, 3.0))
+        p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
+        qm, qp = q_bounds(p, chi)
+        q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
+            else 0.5 * (qm + qp)
+        rep = check_square_completion(u, v, p, q, chi)
+        worst = max(worst, float(rep.residual / rep.scale))
+    assert worst_square_completion(g, spec, 17, trials) == worst
