@@ -65,10 +65,8 @@ from .oracles import (
     check_square_completion,
     coth_bound,
     log_poincare_ratio,
-    mean_poincare_delta_trend,
     mean_poincare_ratio,
     synth_positive_field,
-    verify_ode_comparison,
     verify_ode_comparison_batch,
 )
 from .cli import (
@@ -120,7 +118,6 @@ __all__ = [
     "log_mass_check",
     "log_poincare_ratio",
     "main",
-    "mean_poincare_delta_trend",
     "mean_poincare_ratio",
     "q_bounds",
     "read_field_binary",
@@ -132,7 +129,6 @@ __all__ = [
     "synth_positive_field",
     "trace_positivity_check",
     "validate_config",
-    "verify_ode_comparison",
     "verify_ode_comparison_batch",
     "write_field_binary",
 ]

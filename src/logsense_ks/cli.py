@@ -56,12 +56,12 @@ from .diagnostics import (
 from .grid import (DEFAULT_MAX_CELLS, Field, Grid, face_grad_values,
                    write_field_binary)
 from .oracles import (
+    DELTA_TREND_FRACTIONS,
     EnsembleSpec,
     OdeComparison,
     check_power_identities,
     check_synth_amplitude,
     log_poincare_ratio,
-    mean_poincare_delta_trend,
     mean_poincare_ratio,
     verify_ode_comparison_batch,
     worst_square_completion,
@@ -410,10 +410,6 @@ class Assertions:
         return all(e["passed"] for e in self.entries)
 
 
-def _float_list(values):
-    return [float(x) for x in values]
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -479,8 +475,7 @@ def _standard_checks(result, grid, asserts, disc):
     pass over its samples; `disc`, the phi == 1 identity residual, is the a
     priori bound's measured discretization allowance."""
     record, params = result.record, result.params
-    mass = record.mass
-    drift = float(np.abs(mass - mass[0]).max() / abs(mass[0]))
+    drift = record.summary()["mass_drift_rel"]
     asserts.add("mass_conservation", drift <= 1e-12, tolerance=1e-12,
                 value=drift)
 
@@ -726,7 +721,7 @@ def _mode_eps_study(cfg, outputs, asserts):
 
     asserts.add("eps_u_diffs_monotone",
                 study.monotone_within(study.u_diffs),
-                tolerance=1.2, value=_float_list(study.u_diffs))
+                tolerance=1.2, value=study.u_diffs)
     flags = {
         "v": study.monotone_within(study.v_diffs),
         "grad_vq": study.monotone_within(study.grad_vq_diffs),
@@ -737,10 +732,10 @@ def _mode_eps_study(cfg, outputs, asserts):
     return {
         "eps_study": {
             "ladder": study.ladder,
-            "u_diffs": _float_list(study.u_diffs),
-            "v_diffs": _float_list(study.v_diffs),
-            "grad_vq_diffs": _float_list(study.grad_vq_diffs),
-            "entropy_density_diffs": _float_list(study.entropy_density_diffs),
+            "u_diffs": study.u_diffs,
+            "v_diffs": study.v_diffs,
+            "grad_vq_diffs": study.grad_vq_diffs,
+            "entropy_density_diffs": study.entropy_density_diffs,
             "monotone_flags": flags,
             "min_log_u_band": band,
             "summaries": study.summaries,
@@ -774,8 +769,8 @@ def _restrict_to_coarse(values, factor):
     return out
 
 
-def _observed_order(coarse, fine, tiny=1e-13):
-    if coarse <= tiny and fine <= tiny:
+def _observed_order(coarse, fine):
+    if coarse <= 1e-13 and fine <= 1e-13:
         return "exact"
     if fine <= 0.0:
         return "exact"
@@ -910,7 +905,7 @@ def _ensemble(values, grid):
                           "must lie between the cell and the domain volume")
     if spec.eta >= grid.volume:
         raise ConfigError("oracle.ensemble.eta", "must be below the domain volume")
-    smallest = min(_default(mean_poincare_delta_trend, "fractions"))
+    smallest = min(DELTA_TREND_FRACTIONS)
     if smallest * grid.volume < grid.cell_volume:
         raise ConfigError("grid.cells", f"the oracle's smallest |B|, {smallest} of "
                                         "the domain, is below one cell")
@@ -972,12 +967,11 @@ def _mode_oracle(cfg, outputs, asserts):
                 log_report.degenerate or np.isfinite(log_report.max_ratio),
                 value=reports["log_poincare"])
 
-    p_norm = values["oracle.p_norm"]
     mean_report = mean_poincare_ratio(
-        spec, grid, p_norm, include_riesz=values["oracle.include_riesz"])
+        spec, grid, values["oracle.p_norm"],
+        include_riesz=values["oracle.include_riesz"])
     reports["mean_poincare"] = mean_report.as_dict()
-    reports["mean_poincare_delta_trend"] = mean_poincare_delta_trend(
-        spec, grid, p_norm)
+    reports["mean_poincare_delta_trend"] = mean_report.delta_trend
     asserts.add("mean_poincare_finite", np.isfinite(mean_report.max_ratio),
                 value=mean_report.max_ratio)
     if mean_report.riesz:

@@ -73,41 +73,12 @@ class Separable:
     factors: tuple = ()
 
 
-def _outer(vecs):
-    """The outer product of 1-D vectors, one per axis."""
-    return functools.reduce(np.multiply.outer, vecs)
-
-
 def _swapped(factors, axis, which):
     """The per-axis f_a of `factors` (triples, or the accumulator's
     (f, f', f'', face mean of f)) with axis `axis`'s replaced by entry
     `which`; empty for a constant psi."""
     return [triple[which] if a == axis else triple[0]
             for a, triple in enumerate(factors)]
-
-
-class _Shape:
-    """Base of the spatial shapes psi.  Each shape gives its dense
-    values(grid) and its Separable form, separable(grid); the analytic
-    derivatives below are outer products of the Separable factors."""
-
-    def grad_at_faces(self, grid, axis):
-        """d_axis psi on the axis-faces: f_axis' times the other f_b."""
-        factors = self.separable(grid).factors
-        if not factors:
-            shape = list(grid.shape)
-            shape[axis] += 1
-            return np.zeros(shape)
-        return _outer(_swapped(factors, axis, 1))
-
-    def laplacian(self, grid):
-        """lap psi at the cell centres: the sum over a of f_a'' times the
-        other f_b."""
-        factors = self.separable(grid).factors
-        out = np.zeros(grid.shape)
-        for ax in range(len(factors)):
-            out += _outer(_swapped(factors, ax, 2))
-        return out
 
 
 def _scaled(offset, amplitude, factors):
@@ -117,7 +88,7 @@ def _scaled(offset, amplitude, factors):
                               *rest))
 
 
-class ConstantSpatial(_Shape):
+class ConstantSpatial:
     """psi identically equal to `value`; its Separable form is the offset
     alone, so its gradient and Laplacian terms are exactly zero."""
 
@@ -131,7 +102,7 @@ class ConstantSpatial(_Shape):
         return np.full(grid.shape, self.value)
 
 
-class CosineSpatial(_Shape):
+class CosineSpatial:
     """psi = offset + amplitude * prod_a cos(k_a pi x_a / L_a).
 
     Zero-flux compatible for integer wavenumbers: the analytic normal
@@ -163,7 +134,7 @@ class CosineSpatial(_Shape):
         return self.offset + self.amplitude * term
 
 
-class BumpSpatial(_Shape):
+class BumpSpatial:
     """Compactly supported polynomial bump prod_a (1 - s_a^2)^4, s = (x-c)/w.
 
     C^3 smooth and identically zero outside the support box, so both the
@@ -276,37 +247,32 @@ class TestFunction:
     def separable(self, grid):
         return self.spatial.separable(grid)
 
-    def values(self, grid):
-        return self.spatial.values(grid)
-
-    def grad_at_faces(self, grid, axis):
-        return self.spatial.grad_at_faces(grid, axis)
-
-    def laplacian(self, grid):
-        return self.spatial.laplacian(grid)
-
     def zeta(self, t):
         return self.temporal.value(t)
 
     def zeta_dt(self, t):
         return self.temporal.derivative(t)
 
-    def min_spatial(self, grid):
-        return float(self.values(grid).min())
-
     def boundary_normal_derivative(self, grid):
-        """Largest |analytic normal derivative| over boundary faces."""
-        return max(float(np.abs(face).max()) for ax in range(grid.dim)
-                   for face in end_slabs(self.grad_at_faces(grid, ax), ax))
+        """Largest |analytic normal derivative| over boundary faces: on the
+        axis-a faces, |f_a'| at either end times the largest |f_b| of every
+        other axis, multiplied in axis order as the outer product would."""
+        factors = self.spatial.separable(grid).factors
+        peaks = [np.abs(f).max() for f, _, _ in factors]
+        worst = 0.0
+        for ax, (_, df, _) in enumerate(factors):
+            edge = max(abs(df[0]), abs(df[-1]))
+            worst = max(worst, float(functools.reduce(
+                np.multiply, peaks[:ax] + [edge] + peaks[ax + 1:])))
+        return worst
 
-    def is_compact_in_time(self, T, tol=1e-12):
-        return abs(self.zeta(T)) <= tol
+    def is_compact_in_time(self, T):
+        return abs(self.zeta(T)) <= 1e-12
 
-    def is_nonnegative(self, grid, T, samples=33):
-        if self.min_spatial(grid) < -1e-12:
+    def is_nonnegative(self, grid, T):
+        if self.spatial.values(grid).min() < -1e-12:
             return False
-        ts = np.linspace(0.0, T, samples)
-        return all(self.zeta(t) >= -1e-12 for t in ts)
+        return all(self.zeta(t) >= -1e-12 for t in np.linspace(0.0, T, 33))
 
     def check_one_sided(self, grid, T):
         """Raise ValueError unless phi is admissible for the one-sided form:
@@ -847,10 +813,10 @@ def grad_vq_bound(record, params, rel_tol=1e-6):
                        extras={"degenerate": degenerate})
 
 
-def log_mass_check(record, grid, params, rel_tol=1e-6, tau0_fraction=0.05):
+def log_mass_check(record, grid, params, rel_tol=1e-6):
     """Log-mass functional control after an initial waiting time.
 
-    With tau0 the first sample after tau0_fraction * T, checks for every
+    With tau0 the first sample after 0.05 T, checks for every
     later sample t:
 
         -I log u(t) + (1/2) II_{tau0}^t |grad log u|^2
@@ -867,7 +833,7 @@ def log_mass_check(record, grid, params, rel_tol=1e-6, tau0_fraction=0.05):
         bad = float(t[np.isnan(record.log_u)][0])
         return BoundReport("log_mass", np.nan, np.nan, np.nan, False,
                            extras={"undefined_from": bad})
-    after = np.nonzero(t > tau0_fraction * T)[0]
+    after = np.nonzero(t > 0.05 * T)[0]
     if len(after) == 0 or after[0] == len(t) - 1:
         raise SamplingError("no samples after the waiting time tau0")
     i0 = int(after[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -50,17 +50,13 @@ _RIESZ_BLOCK = 16
 # (block, cells) array near 128 KiB on a 32 x 32 grid, where wider blocks
 # ran no faster and held more memory
 _ENSEMBLE_BLOCK = 16
+# the mean-deviation trend's |B|, as fractions of the domain volume
+DELTA_TREND_FRACTIONS = (0.4, 0.2, 0.1)
 
 
 # ---------------------------------------------------------------------------
 # pointwise power identities
 # ---------------------------------------------------------------------------
-
-def _cell_grad_sq(values, grid):
-    """Cell-centered |grad f|^2 via face-mean components (matches the
-    gradient_cell_magnitude convention)."""
-    return gradient_cell_magnitude(values, grid) ** 2
-
 
 def check_power_identities(w, r):
     """Residuals of the two power chain-rule identities for a positive field.
@@ -87,7 +83,7 @@ def check_power_identities(w, r):
     lap_w = lap_values(vals, grid.h)
     lap_half = lap_values(half, grid.h)
     lap_full = lap_values(vals**r, grid.h)
-    grad_sq = _cell_grad_sq(half, grid)
+    grad_sq = gradient_cell_magnitude(half, grid) ** 2
     wr1 = vals ** (r - 1.0)
 
     res_half = interior_max_abs(
@@ -105,9 +101,6 @@ def check_power_identities(w, r):
 class SquareCompletionReport:
     residual: float
     scale: float
-
-    def as_dict(self):
-        return {"residual": self.residual, "scale": self.scale}
 
 
 def check_square_completion(u, v, p, q, chi):
@@ -246,16 +239,6 @@ def coth_bound(a, b, t):
     return np.sqrt(b / a) / np.tanh(np.sqrt(a * b) * t)
 
 
-def verify_ode_comparison(spec, substeps=DEFAULT_ODE_SUBSTEPS, tolerance=1e-6):
-    """Check y(t) <= coth bound at every positive mesh point of an RK4 run.
-
-    Integrates y' = -a y^2 + b from the case's y0 and from variants seated
-    below and above the equilibrium sqrt(b/a), so both approach directions
-    are exercised regardless of where y0 sits.
-    """
-    return verify_ode_comparison_batch([spec], substeps, tolerance)[0]
-
-
 def _riccati_rhs(a, b, y, out):
     """out = b - a y^2, formed as b - (a * y) * y."""
     np.multiply(a, y, out=out)
@@ -306,10 +289,14 @@ class _Rk4:
 
 def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
                                 tolerance=1e-6):
-    """Vectorized form of verify_ode_comparison for many parameter sets.
+    """Check y(t) <= coth bound at every positive mesh point of an RK4 run,
+    one report per case.
 
-    Every case and y0 variant is one row of a classical RK4 integration run
-    in preallocated buffers.  The states of up to _ODE_CHUNK consecutive steps
+    Each case integrates y' = -a y^2 + b from its y0 and from variants
+    seated below and above the equilibrium sqrt(b/a), so both approach
+    directions are exercised regardless of where y0 sits.  Every case and
+    y0 variant is one row of a classical RK4 integration run in
+    preallocated buffers.  The states of up to _ODE_CHUNK consecutive steps
     are held and compared with the bound in one pass over the chunk.
 
     The verdict is certified by step doubling (Richardson extrapolation): a
@@ -643,7 +630,8 @@ def log_poincare_ratio(spec, grid, field_source=None):
             phi, regenerated = _level_set_fields(spec, grid, members)
         logs = np.log(spec.delta / phi).reshape(len(members), -1)
         nums = logs.sum(axis=1)
-        dens = (_cell_grad_sq(phi, grid) / phi**2).reshape(len(members), -1).sum(axis=1)
+        dens = (gradient_cell_magnitude(phi, grid) ** 2 / phi**2).reshape(
+            len(members), -1).sum(axis=1)
         peaks = np.abs(logs).max(axis=1)
         for log_sum, grad_sum, peak, reg in zip(nums, dens, peaks, regenerated):
             num = float(log_sum) * vol
@@ -684,6 +672,8 @@ class MeanPoincareReport:
     grid_cells: list
     grid_extents: list
     riesz: dict = dc_field(default_factory=dict)
+    # per fraction of DELTA_TREND_FRACTIONS: {"delta", "max_ratio"}
+    delta_trend: list = dc_field(default_factory=list)
 
     def as_dict(self):
         out = {k: getattr(self, k) for k in (
@@ -770,7 +760,9 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
 
     B is a sublevel set of measure delta (threshold selector) or a seeded
     random cell mask of the same measure; u_B is the mean of u over B.  The
-    max ratio over the ensemble estimates C(domain, delta, p).  With
+    max ratio over the ensemble estimates C(domain, delta, p).  The same
+    ensemble gives delta_trend, the max ratio as |B| shrinks through
+    DELTA_TREND_FRACTIONS of the domain (reported, not asserted).  With
     include_riesz, the pointwise kernel bound |u(x) - u_B| <= C_K I |Du(y)| /
     |x-y|^{dim-1} dy is probed at random cells: the constant is fitted on the
     first half of the ensemble and checked with 1.5x headroom on the second
@@ -779,8 +771,9 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
     field_source(i) may override sample generation (used by closed-form
     tests); it must return a values array.
     """
-    (ratios,), (fitted, worst) = _mean_ensemble(
-        spec, grid, p, [spec.delta], field_source,
+    trend_deltas = [frac * grid.volume for frac in DELTA_TREND_FRACTIONS]
+    (ratios, *trend), (fitted, worst) = _mean_ensemble(
+        spec, grid, p, [spec.delta, *trend_deltas], field_source,
         riesz_probes if include_riesz else 0)
     report = MeanPoincareReport(
         max_ratio=float(ratios.max()),
@@ -792,6 +785,8 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
         seed=spec.seed,
         grid_cells=list(grid.cells),
         grid_extents=list(grid.extents),
+        delta_trend=[{"delta": delta, "max_ratio": float(row.max())}
+                     for delta, row in zip(trend_deltas, trend)],
     )
     if include_riesz:
         report.riesz = {
@@ -852,12 +847,3 @@ def _riesz_ratios(grid, flat, u_b, grad_mag, cells):
     bound = bound.reshape(cells.shape)
     gap = np.abs(np.take_along_axis(flat, cells, axis=1) - u_b[:, None])
     return np.divide(gap, bound, out=np.zeros(cells.shape), where=bound > 0)
-
-
-def mean_poincare_delta_trend(spec, grid, p, fractions=(0.4, 0.2, 0.1)):
-    """Max ratio as |B| shrinks (reported, not asserted), every fraction
-    evaluated on one ensemble."""
-    deltas = [replace(spec, delta=frac * grid.volume).delta for frac in fractions]
-    ratios, _ = _mean_ensemble(spec, grid, p, deltas)
-    return [{"delta": delta, "max_ratio": float(row.max())}
-            for delta, row in zip(deltas, ratios)]

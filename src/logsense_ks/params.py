@@ -80,18 +80,6 @@ class ModelParams:
         qm, qp = q_bounds(self.p, self.chi)
         return qm < self.q < qp
 
-    def norm_exponents_ok(self):
-        """True when (r, s) satisfy r < n/(n-2) and s < n/(n-1)."""
-        if self.n <= 2:
-            r_ok = True
-        else:
-            r_ok = self.r < self.n / (self.n - 2)
-        if self.n <= 1:
-            s_ok = True
-        else:
-            s_ok = self.s < self.n / (self.n - 1)
-        return r_ok and s_ok
-
 
 @dataclass
 class EntropyCoefficients:
@@ -201,10 +189,11 @@ def exponent_infimum_bruteforce(chi, grid_size=10**6):
     return float(vals.min())
 
 
-def _margined_pq(chi, m, target, max_shrink):
-    """First (p, q) on the m-margined q-line with (1 - q)/p below target."""
+def _margined_pq(chi, m, target):
+    """First (p, q) on the m-margined q-line with (1 - q)/p below target,
+    trying 400 geometrically shrinking p."""
     p = (1.0 - m) * min(1.0, 1.0 / chi**2)
-    for _ in range(max_shrink):
+    for _ in range(400):
         qm, qp = q_bounds(p, chi)
         q = qm + (1.0 - m) * (qp - qm)
         if (1.0 - q) / p < target:
@@ -213,15 +202,15 @@ def _margined_pq(chi, m, target, max_shrink):
     return None
 
 
-def select_exponents(chi, n, margin=0.05, n2_cap=DEFAULT_N2_CAP, max_shrink=400):
+def select_exponents(chi, n, margin=0.05):
     """Pick a usable exponent triple (p, q, r) for dimension n.
 
     Strategy: start from p = (1 - m) min(1, 1/chi^2) and shrink p
     geometrically until the first Lebesgue predicate (1 - q)/p <= (1 - m)
     * cap holds at q = q_minus + (1 - m)(q_plus - q_minus); then bisect
     r in (1, p + 1) so the second predicate (1 - q) r / (p + 1 - r) lands on
-    the same margin-reduced cap.  cap is n/(n-2) for n >= 3 and `n2_cap` for
-    n = 2.
+    the same margin-reduced cap.  cap is n/(n-2) for n >= 3 and
+    DEFAULT_N2_CAP for n = 2.
 
     The requested margin is only an upper bound: near the admissibility
     threshold the attainable infimum of (1 - q)/p sits just under the cap,
@@ -233,12 +222,12 @@ def select_exponents(chi, n, margin=0.05, n2_cap=DEFAULT_N2_CAP, max_shrink=400)
         raise ExponentDomainError(f"margin must lie in (0, 1), got {margin}")
     if not chi_admissible(chi, n):
         raise ExponentSelectionError(f"chi = {chi} is not admissible in dimension {n}")
-    cap = n / (n - 2) if n >= 3 else float(n2_cap)
+    cap = n / (n - 2) if n >= 3 else DEFAULT_N2_CAP
     m = margin
     pq = None
     for _ in range(60):
         if (1.0 - m) * cap > exponent_infimum(chi):
-            pq = _margined_pq(chi, m, (1.0 - m) * cap, max_shrink)
+            pq = _margined_pq(chi, m, (1.0 - m) * cap)
             if pq is not None:
                 break
         m *= 0.5
@@ -263,7 +252,7 @@ def select_exponents(chi, n, margin=0.05, n2_cap=DEFAULT_N2_CAP, max_shrink=400)
     return p, q, lo
 
 
-def export_exponent_region(chi, n, path, p_count=200, n2_cap=DEFAULT_N2_CAP):
+def export_exponent_region(chi, n, path, p_count=200):
     """CSV scan of the admissible exponent region at fixed chi.
 
     One row per p on a uniform interior grid of (0, min(1, 1/chi^2)):
@@ -272,7 +261,7 @@ def export_exponent_region(chi, n, path, p_count=200, n2_cap=DEFAULT_N2_CAP):
     """
     if n < 2:
         raise ExponentDomainError(f"region export needs n >= 2, got {n}")
-    cap = n / (n - 2) if n >= 3 else float(n2_cap)
+    cap = n / (n - 2) if n >= 3 else DEFAULT_N2_CAP
     p_max = min(1.0, 1.0 / chi**2)
     ps = p_max * (np.arange(1, p_count + 1)) / (p_count + 1)
     with open(path, "w", newline="") as fh:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logsense_ks import cli
+from logsense_ks import cli, oracles
 from logsense_ks.cli import (
     ConfigError,
     StudyError,
@@ -254,6 +254,17 @@ def test_simulate_mode_outputs(tmp_path, capsys):
     assert all(e["passed"] for e in manifest["assertions"])
 
 
+def test_simulate_zero_mass_conserves_it(tmp_path):
+    # u = 0 keeps mass 0: its relative drift reads 0, never 0/0
+    raw = simulate_config(initial={"u": {"kind": "constant", "value": 0.0},
+                                   "v": {"kind": "constant", "value": 1.0}})
+    _, manifest = run_experiment(validate_config(raw, out_override=tmp_path))
+    checks = {e["name"]: e for e in manifest["assertions"]}
+    assert checks["mass_conservation"]["passed"]
+    assert checks["mass_conservation"]["value"] == 0.0
+    assert not checks["trace_positivity"]["passed"]
+
+
 def test_simulate_save_fields_all_and_none(tmp_path, capsys):
     out_all = tmp_path / "all"
     path = write_config(tmp_path, simulate_config(run={
@@ -386,6 +397,26 @@ def test_oracle_mode(tmp_path, capsys):
     names = [e["name"] for e in manifest["assertions"]]
     assert "riesz_kernel_bound" in names
     assert all(e["passed"] for e in manifest["assertions"])
+
+
+def test_oracle_draws_one_mean_ensemble(tmp_path, monkeypatch):
+    # the mean-deviation report and its |B| trend share one ensemble
+    ensemble = oracles._mean_ensemble
+    calls = []  # each call's list of |B|
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "_mean_ensemble", counted)
+    raw = {"mode": "oracle", "grid": {"cells": [16, 16], "extents": [1.0, 1.0]},
+           "model": {"chi": 2.0, "n": 2},
+           "oracle": {"square_trials": 4, "ode_cases": 2,
+                      "ensemble": {"count": 20}}}
+    _, manifest = run_experiment(validate_config(raw, out_override=tmp_path))
+    assert len(calls) == 1
+    trend = manifest["oracle"]["mean_poincare_delta_trend"]
+    assert [row["delta"] for row in trend] == calls[0][1:]
 
 
 # failure wiring ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from logsense_ks.cli import _residual_test_functions
 from logsense_ks.grid import (
     Field,
     Grid,
+    end_slabs,
     face_grad_values,
     face_mean_values,
     lap_values,
@@ -100,14 +101,14 @@ def test_cosine_spatial_derivatives_match_finite_differences():
     h = g.h
     for ax in range(2):
         fd = face_grad_values(vals, h, ax)
-        an = psi.grad_at_faces(g, ax)
+        an = _dense_grad(psi, g, ax)
         # interior faces only: boundary faces of the discrete grad are zeroed
         sl = [slice(None)] * 2
         sl[ax] = slice(1, -1)
         scale = np.abs(an).max()
         assert np.abs(fd[tuple(sl)] - an[tuple(sl)]).max() < 0.005 * scale
     lap_fd = lap_values(vals, h)
-    lap_an = psi.laplacian(g)
+    lap_an = _dense_laplacian(psi, g)
     assert np.abs(lap_fd - lap_an).max() < 0.005 * np.abs(lap_an).max()
 
 
@@ -122,7 +123,7 @@ def test_bump_spatial_support_and_derivatives():
     outside = (np.abs(X - 0.5) >= 0.3) | (np.abs(Y - 0.5) >= 0.3)
     assert np.all(vals[outside] == 0.0)
     lap_fd = lap_values(vals, g.h)
-    lap_an = psi.laplacian(g)
+    lap_an = _dense_laplacian(psi, g)
     # the narrow support inflates the fourth derivative; stay relative
     assert np.abs(lap_fd - lap_an).max() < 0.02 * np.abs(lap_an).max()
 
@@ -159,6 +160,30 @@ def _swap(vecs, ax, vec):
     return vecs[:ax] + (vec,) + vecs[ax + 1:]
 
 
+def _dense_grad(shape, grid, ax):
+    """d_ax psi on the ax-faces, the outer product of the Separable factors
+    with f_ax' in place of f_ax; `shape` is a spatial shape or a phi."""
+    factors = shape.separable(grid).factors
+    if not factors:
+        cells = list(grid.shape)
+        cells[ax] += 1
+        return np.zeros(cells)
+    f, df, _ = zip(*factors)
+    return _outer(_swap(f, ax, df[ax]))
+
+
+def _dense_laplacian(shape, grid):
+    """lap psi at the cell centres: the sum over axes a of the outer product
+    of the Separable factors with f_a'' in place of f_a."""
+    out = np.zeros(grid.shape)
+    factors = shape.separable(grid).factors
+    if factors:
+        f, _, d2f = zip(*factors)
+        for ax in range(grid.dim):
+            out += _outer(_swap(f, ax, d2f[ax]))
+    return out
+
+
 def _close(got, want):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -170,14 +195,10 @@ def test_separable_factors_reproduce_the_dense_weights(dim, index):
     grid = SEPARABLE_GRIDS[dim]
     shape = _shapes(dim)[index]
     sep = shape.separable(grid)
-    f, df, d2f = zip(*sep.factors)
+    f, _, _ = zip(*sep.factors)
     values = shape.values(grid)
     _close(sep.offset + _outer(f), values)
-    lap = shape.laplacian(grid)
-    assert lap.shape == grid.shape
-    _close(sum(_outer(_swap(f, ax, d2f[ax])) for ax in range(dim)), lap)
     for ax in range(dim):
-        _close(_outer(_swap(f, ax, df[ax])), shape.grad_at_faces(grid, ax))
         _close(sep.offset + _outer(_swap(f, ax, face_mean_values(f[ax], 0))),
                face_mean_values(values, ax))
 
@@ -197,6 +218,18 @@ def test_separable_derivatives_match_finite_differences(dim, index):
         second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
         assert np.abs(first - df[1:-1]).max() <= 1e-5 * np.abs(df).max()
         assert np.abs(second - d2f[1:-1]).max() <= 1e-4 * np.abs(d2f).max()
+
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+@pytest.mark.parametrize("index", range(6))
+def test_boundary_normal_derivative_is_the_dense_boundary_maximum(dim, index):
+    grid = SEPARABLE_GRIDS[dim]
+    shape = (_shapes(dim) + [ConstantSpatial(0.7)])[index]
+    want = max(float(np.abs(slab).max()) for ax in range(dim)
+               for slab in end_slabs(_dense_grad(shape, grid, ax), ax))
+    got = diagnostics.TestFunction(shape, OneTemporal()) \
+        .boundary_normal_derivative(grid)
+    assert got == want
 
 
 @pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
@@ -235,24 +268,24 @@ def test_accumulator_integrals_match_the_dense_formulas():
                 sum(float(np.abs(t).sum()) for t in terms) * vol)
 
     for i, phi in enumerate(phis):
-        psi = phi.values(g)
+        psi = phi.spatial.values(g)
         psi_face = [face_mean_values(psi, ax) for ax in range(g.dim)]
-        grad_psi = [phi.grad_at_faces(g, ax) for ax in range(g.dim)]
+        grad_psi = [_dense_grad(phi, g, ax) for ax in range(g.dim)]
         want = [
             integral([(d.upq, psi)]),
             integral(zip(d.diss_grad_u, psi_face)),
             integral(zip(d.diss_square, psi_face)),
             integral(zip(d.grad_phi, grad_psi)),
-            integral([(d.upq, phi.laplacian(g))]),
+            integral([(d.upq, _dense_laplacian(phi, g))]),
             integral([(d.gain, psi)]),
             integral([(d.gain_raw, psi)]),
         ]
         for k, (value, magnitude) in enumerate(want):
             assert abs(got[k, i] - value) <= 1e-12 * magnitude, (i, k)
 
-    psi = phi_v.values(g)
+    psi = phi_v.spatial.values(g)
     want = [integral([(v, psi)]),
-            integral((face_grad_values(v, g.h, ax), phi_v.grad_at_faces(g, ax))
+            integral((face_grad_values(v, g.h, ax), _dense_grad(phi_v, g, ax))
                      for ax in range(g.dim)),
             integral([(u / (1.0 + params.eps * u), psi)])]
     for value, (ref, magnitude) in zip(accumulator._v_series[0], want):
@@ -326,6 +359,7 @@ def test_builtin_family_is_admissible():
         assert phi.is_nonnegative(g, 1.0)
         assert phi.is_compact_in_time(1.0)
         assert phi.boundary_normal_derivative(g) <= 1e-10
+        phi.check_one_sided(g, 1.0)
 
 
 # record columns --------------------------------------------------------------------

@@ -18,11 +18,10 @@ from logsense_ks.oracles import (
     check_power_identities,
     check_square_completion,
     coth_bound,
+    DELTA_TREND_FRACTIONS,
     log_poincare_ratio,
-    mean_poincare_delta_trend,
     mean_poincare_ratio,
     synth_positive_field,
-    verify_ode_comparison,
     verify_ode_comparison_batch,
     worst_square_completion,
 )
@@ -185,7 +184,8 @@ def test_ode_comparison_rejects_non_finite_spec(name, bad):
 
 
 def test_ode_comparison_single_case():
-    rep = verify_ode_comparison(OdeComparison(a=1.0, b=4.0, y0=1000.0, T=1.0))
+    (rep,) = verify_ode_comparison_batch(
+        [OdeComparison(a=1.0, b=4.0, y0=1000.0, T=1.0)])
     assert rep.passed
     # equilibrium start and both approach directions are always exercised
     assert len(rep.y0_variants) == 3
@@ -193,7 +193,8 @@ def test_ode_comparison_single_case():
 
 
 def test_ode_comparison_equilibrium_stays_below():
-    rep = verify_ode_comparison(OdeComparison(a=2.0, b=2.0, y0=1.0, T=2.0))
+    (rep,) = verify_ode_comparison_batch(
+        [OdeComparison(a=2.0, b=2.0, y0=1.0, T=2.0)])
     assert rep.passed
     assert rep.max_excess < 0.0  # coth factor keeps the bound strictly above
 
@@ -221,34 +222,36 @@ def test_ode_comparison_rejects_no_substeps(substeps):
 
 def test_ode_error_estimate_is_fourth_order():
     spec = OdeComparison(a=1.0, b=1.0, y0=3.0, T=1.0)
-    coarse, fine = (verify_ode_comparison(spec, substeps=n) for n in (128, 256))
+    coarse, fine = (verify_ode_comparison_batch([spec], substeps=n)[0]
+                    for n in (128, 256))
     assert 12.0 <= coarse.error_estimate / fine.error_estimate <= 20.0
 
 
 def test_ode_coarse_count_fails_on_its_error_estimate():
     spec = OdeComparison(a=2.0, b=2.0, y0=1.0, T=2.0)
-    rep = verify_ode_comparison(spec, substeps=8)
+    (rep,) = verify_ode_comparison_batch([spec], substeps=8)
     assert rep.max_excess <= rep.tolerance  # the bare excess would pass
     assert rep.max_excess + rep.error_estimate > rep.tolerance
     assert not rep.passed
-    assert verify_ode_comparison(spec).passed
+    assert verify_ode_comparison_batch([spec])[0].passed
 
 
 def test_ode_unstable_count_is_not_certified():
     # sqrt(ab) dt = 5 throws every row below the freeze floor at once, which
     # would leave no shared point for the estimate
     spec = OdeComparison(a=1.0, b=1e4, y0=1.0, T=1.0)
-    rep = verify_ode_comparison(spec, substeps=20)
+    (rep,) = verify_ode_comparison_batch([spec], substeps=20)
     assert rep.max_excess < 0.0
     assert rep.error_estimate == np.inf
     assert not rep.passed
-    assert verify_ode_comparison(spec).passed
+    assert verify_ode_comparison_batch([spec])[0].passed
 
 
 def test_ode_floor_freeze_case_passes():
     # from y0 < -sqrt(b/a) the solution blows down and its row freezes below
     # the floor; the frozen points stay out of the error estimate
-    rep = verify_ode_comparison(OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0))
+    (rep,) = verify_ode_comparison_batch(
+        [OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0)])
     assert rep.passed
     assert np.isfinite(rep.error_estimate)
     assert rep.max_excess + rep.error_estimate <= rep.tolerance
@@ -393,7 +396,7 @@ def test_mean_poincare_selectors_and_riesz():
 def test_mean_poincare_delta_trend_grows():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     spec = EnsembleSpec(count=50, seed=3)
-    trend = mean_poincare_delta_trend(spec, g, p=2.0)
+    trend = mean_poincare_ratio(spec, g, p=2.0).delta_trend
     ratios = [row["max_ratio"] for row in trend]
     deltas = [row["delta"] for row in trend]
     assert deltas == sorted(deltas, reverse=True)
@@ -597,11 +600,13 @@ def test_mean_poincare_matches_reference_loop(case):
 
 @pytest.mark.parametrize("selector", ["threshold", "random"])
 def test_delta_trend_matches_per_delta_calls(selector):
+    # the trend shares the report's ensemble; each row is what a report at
+    # that |B| alone gives
     g = Grid(cells=[12, 9], extents=[1.0, 2.5])
     spec = EnsembleSpec(count=_ENSEMBLE_BLOCK + 5, seed=6, b_selector=selector)
-    fractions = (0.4, 0.2, 0.1, 0.03)
-    trend = mean_poincare_delta_trend(spec, g, 2.0, fractions)
-    for row, frac in zip(trend, fractions):
+    trend = mean_poincare_ratio(spec, g, 2.0).delta_trend
+    assert len(trend) == len(DELTA_TREND_FRACTIONS)
+    for row, frac in zip(trend, DELTA_TREND_FRACTIONS):
         alone = mean_poincare_ratio(replace(spec, delta=frac * g.volume), g, 2.0)
         assert row == {"delta": alone.delta, "max_ratio": alone.max_ratio}
 

@@ -117,7 +117,9 @@ def test_select_exponents_roundtrip():
         p, q, r = select_exponents(chi, n)
         params = ModelParams(chi=chi, n=n, p=p, q=q, r=r)
         assert params.entropy_exponents_ok()
-        assert params.norm_exponents_ok()
+        # the Lebesgue exponents: r < n/(n-2) and s < n/(n-1)
+        assert n <= 2 or r < n / (n - 2)
+        assert params.s < n / (n - 1)
         qm, qp = q_bounds(p, chi)
         assert qm < q < qp
         assert entropy_coefficients(p, q, chi).c1 > 0.0
