@@ -71,9 +71,7 @@ from .oracles import (
 )
 from .cli import (
     ConfigError,
-    eps_convergence_study,
     main,
-    refine_study,
     run_experiment,
     validate_config,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "chi_admissible",
     "coth_bound",
     "entropy_coefficients",
-    "eps_convergence_study",
     "exponent_infimum",
     "exponent_infimum_bruteforce",
     "export_exponent_region",
@@ -121,7 +118,6 @@ __all__ = [
     "mean_poincare_ratio",
     "q_bounds",
     "read_field_binary",
-    "refine_study",
     "run",
     "run_experiment",
     "select_exponents",

@@ -31,7 +31,7 @@ import platform
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,7 @@ from .diagnostics import (
     log_mass_check,
     trace_positivity_check,
 )
-from .grid import (DEFAULT_MAX_CELLS, Field, Grid, face_grad_values,
-                   write_field_binary)
+from .grid import DEFAULT_MAX_CELLS, Field, Grid, write_field_binary
 from .oracles import (
     DELTA_TREND_FRACTIONS,
     EnsembleSpec,
@@ -160,7 +159,7 @@ CONFIG_KEYS = {
     "refine.T": Key("number", "(0, inf)", required=("refine-study",)),
     "refine.levels": Key("int", "[2, 24]", 3),
     "refine.dt_factor": Key("number", "(0, inf)", 1.0 / 16.0),
-    "refine.sample_count": Key("int", "[1, 100000]", 40),
+    "refine.sample_count": Key("int", "[2, 100000]", 40),
     "refine.power_r": Key("number", "(0, inf)", 1.6),
     "params_query.export_region": Key("bool", None, False),
     "params_query.p_count": Key("int", "[1, 1000000]",
@@ -274,9 +273,11 @@ def validate_config(raw, out_override=None, seed_override=None):
             raise ConfigError("model", "the u^r splitting check needs r < p + 1, "
                                        f"got r = {params.r}, p = {params.p}")
         state = _initial_state(values, grid, params)
-    if mode == "entropy-check" and values["run.sample_count"] < MIN_SAMPLE_COUNT:
-        raise ConfigError("run.sample_count",
-                          f"entropy-check needs at least {MIN_SAMPLE_COUNT}")
+    # simulate's log-mass check starts after a waiting time, so it needs a
+    # sample strictly inside (0, T)
+    least = {"simulate": 2, "entropy-check": MIN_SAMPLE_COUNT}.get(mode, 1)
+    if values["run.sample_count"] < least:
+        raise ConfigError("run.sample_count", f"{mode} needs at least {least}")
     if mode == "eps-study":
         ladder = values["eps_ladder"]
         if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -489,7 +490,7 @@ def _standard_checks(result, grid, asserts, disc):
     asserts.add_report(result.u_lr_bound())
     asserts.add_report(grad_vq_bound(record, params))
     if params.entropy_exponents_ok():
-        asserts.add_report(apriori_bounds_check(record, params, rel_tol=1e-6,
+        asserts.add_report(apriori_bounds_check(record, params,
                                                 disc_estimate=disc))
     if not np.isnan(record.log_u).any():
         asserts.add_report(log_mass_check(record, grid, params))
@@ -629,32 +630,16 @@ def _mode_entropy_check(cfg, outputs, asserts):
 # mode: eps-study
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EpsStudyResult:
-    ladder: list
-    u_diffs: list = dc_field(default_factory=list)
-    v_diffs: list = dc_field(default_factory=list)
-    grad_vq_diffs: list = dc_field(default_factory=list)
-    entropy_density_diffs: list = dc_field(default_factory=list)
-    summaries: list = dc_field(default_factory=list)
-
-    def monotone_within(self, seq, slack=1.2):
-        return all(b <= slack * a for a, b in zip(seq, seq[1:]))
-
-
-def _l1_integrands(a, b):
+def _l1_integrands(a, b, da, db):
     """Spatial L1 differences of u, v, grad v^{q/2} and u^p v^q between two
-    rungs' states at one sample (p and q do not depend on the rung)."""
-    grid, p, q = a.grid, a.params.p, a.params.q
-    vol = grid.cell_volume
-    ua, va, ub, vb = a.u.values, a.v.values, b.u.values, b.v.values
-    g = 0.0
-    for ax in range(grid.dim):
-        ga = face_grad_values(va ** (q / 2.0), grid.h, ax)
-        gb = face_grad_values(vb ** (q / 2.0), grid.h, ax)
-        g += float(np.abs(ga - gb).sum()) * vol
-    return (np.abs(ua - ub).sum() * vol, np.abs(va - vb).sum() * vol, g,
-            float(np.abs(ua**p * va**q - ub**p * vb**q).sum()) * vol)
+    rungs' states `a` and `b` at one sample; the last two are read from the
+    rungs' densities `da` and `db` (p and q do not depend on the rung)."""
+    vol = a.grid.cell_volume
+    g = sum(float(np.abs(ga - gb).sum()) * vol
+            for ga, gb in zip(da.grad_vq, db.grad_vq))
+    return (np.abs(a.u.values - b.u.values).sum() * vol,
+            np.abs(a.v.values - b.v.values).sum() * vol, g,
+            float(np.abs(da.upq - db.upq).sum()) * vol)
 
 
 def _rung(values, state, eps, reports):
@@ -667,88 +652,67 @@ def _rung(values, state, eps, reports):
                          eps=eps) from exc
 
 
-def eps_convergence_study(cfg):
-    """Run the ladder and assemble pairwise Cauchy differences.
+def _mode_eps_study(cfg, outputs, asserts):
+    """Run the ladder and report pairwise Cauchy differences.
 
-    The u-difference monotonicity (within 1.2x slack) is the hard assertion;
-    the v, gradient, and entropy-density sequences are reported with flags
+    The rungs step in lockstep, one sample at a time: each sample feeds every
+    rung's Accumulator, and each adjacent pair's L1 integrands read the two
+    rungs' densities, so the study holds one state per rung.  The
+    u-difference contraction (within a 1.2x slack) is the hard assertion;
+    the v, gradient and entropy-density sequences are reported with flags
     only, since the underlying compactness argument guarantees subsequential
-    convergence rather than monotonicity.  The rungs step in lockstep, one
-    sample at a time: each sample feeds every rung's Accumulator and the L1
-    integrands of each adjacent pair, so the study holds one state per rung.
-    Returns the study and, per rung, (trajectory, record): the trajectory
-    holds the step reports only.
+    convergence rather than monotonicity.
     """
     values, ladder = cfg.values, cfg.values["eps_ladder"]
     grid = cfg.state.grid
     trajectories = [Trajectory(grid, _build_params(values, eps)) for eps in ladder]
     accumulators = [Accumulator(grid, tr.params) for tr in trajectories]
-    hooks = [_chain(acc.add, _progress(cfg.progress, f"eps-study eps={eps:g}",
-                                       values["run.sample_count"]))
-             for eps, acc in zip(ladder, accumulators)]
+    reports = [_chain(_progress(cfg.progress, f"eps-study eps={eps:g}",
+                                values["run.sample_count"])) for eps in ladder]
     streams = [_rung(values, replace(cfg.state, params=tr.params), eps,
                      tr.reports) for eps, tr in zip(ladder, trajectories)]
     integrands = [[] for _ in ladder[1:]]  # per pair, per sample
     for states in zip(*streams):
-        for state, hook in zip(states, hooks):
-            hook(state.t, state.u.values, state.v.values)
-        for pair, a, b in zip(integrands, states, states[1:]):
-            pair.append(_l1_integrands(a, b))
+        densities = []
+        for state, accumulator, report in zip(states, accumulators, reports):
+            densities.append(accumulator.add(state.t, state.u.values,
+                                             state.v.values))
+            report(state.t, state.u.values, state.v.values)
+        for pair, a, b, da, db in zip(integrands, states, states[1:],
+                                      densities, densities[1:]):
+            pair.append(_l1_integrands(a, b, da, db))
 
-    study = EpsStudyResult(ladder=ladder)
+    diffs = {name: [] for name in ("u", "v", "grad_vq", "entropy_density")}
     for pair in integrands:
-        u, v, grad_vq, upq = (float(np.trapezoid(series, accumulators[0].times))
-                              for series in zip(*pair))
-        study.u_diffs.append(u)
-        study.v_diffs.append(v)
-        study.grad_vq_diffs.append(grad_vq)
-        study.entropy_density_diffs.append(upq)
-    records = [acc.finish().record for acc in accumulators]
-    study.summaries = [rec.summary() for rec in records]
-    return study, list(zip(trajectories, records))
-
-
-def _mode_eps_study(cfg, outputs, asserts):
-    study, results = eps_convergence_study(cfg)
+        for column, series in zip(diffs.values(), zip(*pair)):
+            column.append(float(np.trapezoid(series, accumulators[0].times)))
+    records = [accumulator.finish().record for accumulator in accumulators]
 
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:
         fh.write("eps_hi,eps_lo,u_l1,v_l1,grad_vq_l1,entropy_density_l1\n")
-        for row in zip(study.ladder, study.ladder[1:], study.u_diffs, study.v_diffs,
-                       study.grad_vq_diffs, study.entropy_density_diffs):
+        for row in zip(ladder, ladder[1:], *diffs.values()):
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
     outputs.append(csv_path.name)
 
-    asserts.add("eps_u_diffs_monotone",
-                study.monotone_within(study.u_diffs),
-                tolerance=1.2, value=study.u_diffs)
-    flags = {
-        "v": study.monotone_within(study.v_diffs),
-        "grad_vq": study.monotone_within(study.grad_vq_diffs),
-        "entropy_density": study.monotone_within(study.entropy_density_diffs),
-    }
-
-    band = _log_mass_band(results)
+    slack = 1.2
+    contracts = {name: all(b <= slack * a for a, b in zip(seq, seq[1:]))
+                 for name, seq in diffs.items()}
+    asserts.add("eps_u_diffs_monotone", contracts.pop("u"), tolerance=slack,
+                value=diffs["u"])
+    mins = [float(rec.log_u.min()) for rec in records
+            if not np.isnan(rec.log_u).any()]
     return {
         "eps_study": {
-            "ladder": study.ladder,
-            "u_diffs": study.u_diffs,
-            "v_diffs": study.v_diffs,
-            "grad_vq_diffs": study.grad_vq_diffs,
-            "entropy_density_diffs": study.entropy_density_diffs,
-            "monotone_flags": flags,
-            "min_log_u_band": band,
-            "summaries": study.summaries,
+            "ladder": ladder,
+            **{f"{name}_diffs": seq for name, seq in diffs.items()},
+            "monotone_flags": contracts,
+            "min_log_u_band": {"min": min(mins), "max": max(mins)} if mins else {},
+            "summaries": [rec.summary() for rec in records],
         },
-        "counters": [dict(eps=eps, **trajectory.counters())
-                     for eps, (trajectory, _) in zip(study.ladder, results)],
+        "counters": [dict(eps=eps, **tr.counters())
+                     for eps, tr in zip(ladder, trajectories)],
     }
-
-
-def _log_mass_band(results):
-    mins = [float(rec.log_u.min()) for _, rec in results
-            if not np.isnan(rec.log_u).any()]
-    return {"min": min(mins), "max": max(mins)} if mins else {}
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +720,8 @@ def _log_mass_band(results):
 # ---------------------------------------------------------------------------
 
 def _restrict_to_coarse(values, factor):
-    """Block-average a fine cell array onto a coarser grid (factor per axis)."""
-    shape = values.shape
-    if any(n % factor for n in shape):
-        raise StudyError(
-            f"grid shape {shape} is not a {factor}x refinement of the target")
+    """Block-average a fine cell array onto the grid with `factor` times
+    fewer cells along each axis."""
     out = values
     for ax in range(values.ndim):
         n = out.shape[ax]
@@ -770,19 +731,23 @@ def _restrict_to_coarse(values, factor):
 
 
 def _observed_order(coarse, fine):
-    if coarse <= 1e-13 and fine <= 1e-13:
-        return "exact"
-    if fine <= 0.0:
+    if fine <= 0.0 or (coarse <= 1e-13 and fine <= 1e-13):
         return "exact"
     return float(np.log2(coarse / fine))
 
 
-def refine_study(cfg):
-    """Run (h, h/2, h/4), compute errors and observed convergence orders.
+def _final_order(order_list):
+    """Order of the finest pair; coarser pairs are often pre-asymptotic."""
+    return order_list[-1] if order_list else "exact"
+
+
+def _mode_refine_study(cfg, outputs, asserts):
+    """Run (h, h/2, h/4, ...), tabulate errors and observed convergence
+    orders, and assert the finest pair's orders.
 
     Each level's three entropy balances are accumulated as the run samples,
-    and only its final fields are kept.  Returns (rows, orders, counters):
-    one row and one step-counters entry per level."""
+    and only its final fields are kept.  Level k has 2^k times the config
+    cells along each axis, so the finest level restricts onto every other."""
     values = cfg.values
     levels = values["refine.levels"]
     T = values["refine.T"]
@@ -810,10 +775,8 @@ def refine_study(cfg):
             max_sample_dt=float(T) / base_samples).balances
         resids = {name: balance.identity()[0]
                   for (name, _), balance in zip(named, balances)}
-        v_final = Field(grid, trajectory.v_snapshots[-1],
-                        strictly_positive=True)
-        p_half, p_full = check_power_identities(v_final,
-                                                values["refine.power_r"])
+        p_half, p_full = check_power_identities(
+            Field(grid, trajectory.v_snapshots[-1]), values["refine.power_r"])
         rows.append({
             "level": level,
             "h_min": h_min,
@@ -823,40 +786,22 @@ def refine_study(cfg):
             "power_half": p_half,
             "power_full": p_full,
         })
-        trajectories.append((grid, trajectory))
+        trajectories.append(trajectory)
 
-    fine_grid, fine_traj = trajectories[-1]
-    vol_ratio = fine_grid.cell_volume
-    for level in range(levels - 1):
-        grid, trajectory = trajectories[level]
-        factor = 2 ** (levels - 1 - level)
-        restricted_u = _restrict_to_coarse(fine_traj.u_snapshots[-1], factor)
+    fine_u = trajectories[-1].u_snapshots[-1]
+    for level, (row, trajectory) in enumerate(zip(rows, trajectories[:-1])):
+        restricted_u = _restrict_to_coarse(fine_u, 2 ** (levels - 1 - level))
         diff = np.abs(trajectory.u_snapshots[-1] - restricted_u)
-        rows[level]["final_u_l1_error"] = float(diff.sum()) * grid.cell_volume
+        row["final_u_l1_error"] = float(diff.sum()) * trajectory.grid.cell_volume
     rows[-1]["final_u_l1_error"] = 0.0
 
     orders = {}
     for key in ("identity_constant", "identity_cosine", "identity_bump",
-                "power_half", "power_full"):
-        seq = [row[key] for row in rows]
+                "power_half", "power_full", "final_u_l1_error"):
+        # the finest level's u error is 0 by construction
+        seq = [row[key] for row in
+               (rows[:-1] if key == "final_u_l1_error" else rows)]
         orders[key] = [_observed_order(a, b) for a, b in zip(seq, seq[1:])]
-    err_seq = [rows[k]["final_u_l1_error"] for k in range(levels - 1)]
-    orders["final_u_l1_error"] = [
-        _observed_order(a, b) for a, b in zip(err_seq, err_seq[1:])]
-    counters = [dict(level=level, **trajectory.counters())
-                for level, (_, trajectory) in enumerate(trajectories)]
-    return rows, orders, counters
-
-
-def _final_order(order_list):
-    """Order of the finest pair; coarser pairs are often pre-asymptotic."""
-    if not order_list:
-        return "exact"
-    return order_list[-1]
-
-
-def _mode_refine_study(cfg, outputs, asserts):
-    rows, orders, counters = refine_study(cfg)
 
     csv_path = cfg.out_dir / "refine_study.csv"
     keys = ["level", "h_min", "final_u_l1_error", "identity_constant",
@@ -878,6 +823,8 @@ def _mode_refine_study(cfg, outputs, asserts):
     asserts.add("order_final_u_l1",
                 u_order == "exact" or u_order >= 1.5,
                 tolerance=1.5, value=orders["final_u_l1_error"])
+    counters = [dict(level=level, **trajectory.counters())
+                for level, trajectory in enumerate(trajectories)]
     return {"refine": {"rows": rows, "orders": orders}, "counters": counters}
 
 
@@ -930,7 +877,7 @@ def _mode_oracle(cfg, outputs, asserts):
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
     res = []
     for fine in _power_grids(grid):
-        w = Field(fine, shape.values(fine), strictly_positive=True)
+        w = Field(fine, shape.values(fine))
         res.append(check_power_identities(w, values["oracle.power_r"]))
     orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]
     orders_full = [_observed_order(a[1], b[1]) for a, b in zip(res, res[1:])]

@@ -46,6 +46,10 @@ ACC_FIELDS = (
 # A time integral over (0, T) needs samples at most T / MIN_SAMPLE_COUNT
 # apart unless its caller allows a wider spacing.
 MIN_SAMPLE_COUNT = 50
+# relative tolerances of the integrated bound checks and of the pointwise
+# u^r splitting, which holds to round-off
+_BOUND_REL_TOL = 1e-6
+_U_LR_REL_TOL = 1e-12
 
 
 class SamplingError(ValueError):
@@ -459,7 +463,8 @@ class Accumulator:
     one is given, and the worst relative violation of the pointwise u^r
     splitting (when r < p + 1).  Only these scalars outlive the sample, so a
     run can hand its samples over as it reaches them (simulator.run's
-    on_sample) and never store them.  The test functions' weights are held
+    on_sample) and never store them; add returns the densities to a caller
+    that reads them before the next sample.  The test functions' weights are held
     as their Separable factors, 1-D vectors per axis, never as grids: an
     integral is the offset times the density's sum plus the density
     contracted with the vectors one axis at a time.  finish() integrates
@@ -490,7 +495,8 @@ class Accumulator:
         self.u_lr_worst = -np.inf
 
     def add(self, t, u, v):
-        """Take the sample (t, u, v); the arrays are read, never kept."""
+        """Take the sample (t, u, v) and return its _Densities; the arrays
+        are read, never kept."""
         grid = self.grid
         d = _densities(u, v, self.params, self.coef.kappa, grid)
         grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
@@ -505,6 +511,7 @@ class Accumulator:
             rhs = d.gain_raw + v**self._u_lr_expo
             violation = float(((u_r - rhs) / np.maximum(rhs, 1e-300)).max())
             self.u_lr_worst = max(self.u_lr_worst, violation)
+        return d
 
     def _add_record(self, u, v, d, u_r, grad_v):
         grid, params = self.grid, self.params
@@ -665,15 +672,16 @@ class Accumulated:
     u_lr_worst: float      # worst relative violation of the u^r splitting
     params: ModelParams
 
-    def u_lr_bound(self, rel_tol=1e-12):
+    def u_lr_bound(self):
         """Pointwise splitting u^r <= u^{p+1} v^{q-1} + v^{(1-q) r / (p+1-r)},
         checked cell by cell on every sample (relative to the dominating
-        side): the worst relative violation and the final accumulated II u^r.
+        side, to _U_LR_REL_TOL): the worst relative violation and the final
+        accumulated II u^r.
         """
         expo = _u_lr_exponent(self.params)
         return BoundReport(
-            "u_lr_pointwise", self.u_lr_worst, 0.0, rel_tol,
-            self.u_lr_worst <= rel_tol,
+            "u_lr_pointwise", self.u_lr_worst, 0.0, _U_LR_REL_TOL,
+            self.u_lr_worst <= _U_LR_REL_TOL,
             extras={"u_lr_total": float(self.record.accumulated["u_lr"][-1]),
                     "norm_exponent": expo})
 
@@ -755,12 +763,12 @@ class BoundReport:
         }
 
 
-def apriori_bounds_check(record, params, rel_tol=1e-6, disc_estimate=0.0):
+def apriori_bounds_check(record, params, disc_estimate=0.0):
     """Integrated entropy balance rearranged into the a priori bound.
 
     Checks  c1 (min_t min_x v)^q II |grad u^{p/2}|^2 + c2 II square-term
     + q II reaction_plus <= entropy(T) - entropy(0) + q II reaction_minus
-    up to rel_tol * scale + disc_estimate, and reports the four accumulated
+    up to _BOUND_REL_TOL * scale + disc_estimate, and reports the four accumulated
     integrals the bound controls.  Requires exponents strictly inside the
     admissible region (c1 > 0).
     """
@@ -781,7 +789,7 @@ def apriori_bounds_check(record, params, rel_tol=1e-6, disc_estimate=0.0):
         "reaction_plus": float(record.accumulated["reaction_plus"][-1]),
     }
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol = rel_tol * scale + disc_estimate
+    tol = _BOUND_REL_TOL * scale + disc_estimate
     passed = lhs <= rhs + tol and all(np.isfinite(list(integrals.values())))
     return BoundReport("apriori_bounds", lhs, rhs, tol, passed,
                        extras={"integrals": integrals})
@@ -795,8 +803,9 @@ def _u_lr_exponent(params):
     return (1.0 - q) * r / (p + 1.0 - r)
 
 
-def grad_vq_bound(record, params, rel_tol=1e-6):
-    """(4(1-q)/q^2) II |grad v^{q/2}|^2 <= (1/q) I v^q(T) + II v^q + tau.
+def grad_vq_bound(record, params):
+    """(4(1-q)/q^2) II |grad v^{q/2}|^2 <= (1/q) I v^q(T) + II v^q + tau,
+    with tau = _BOUND_REL_TOL times the larger side.
 
     Degenerates as q -> 1 (the left coefficient vanishes); that case is
     flagged, never failed.
@@ -806,14 +815,14 @@ def grad_vq_bound(record, params, rel_tol=1e-6):
     lhs = 4.0 * (1.0 - q) / q**2 * record.accumulated["grad_vq_sq"][-1]
     rhs = record.v_lq[-1] / q + _trapz(record.v_lq, t)
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    tol = rel_tol * scale
+    tol = _BOUND_REL_TOL * scale
     degenerate = (1.0 - q) < 1e-6
     passed = degenerate or lhs <= rhs + tol
     return BoundReport("grad_vq", lhs, rhs, tol, passed,
                        extras={"degenerate": degenerate})
 
 
-def log_mass_check(record, grid, params, rel_tol=1e-6):
+def log_mass_check(record, grid, params):
     """Log-mass functional control after an initial waiting time.
 
     With tau0 the first sample after 0.05 T, checks for every
@@ -823,7 +832,8 @@ def log_mass_check(record, grid, params, rel_tol=1e-6):
           <= -I log u(tau0) + chi^2 I log(v(t)/v(tau0))
              + chi^2 |O| (t - tau0) + (chi^2 / min v0) e^T I u0 (t - tau0) + tau
 
-    and reports min_t I log u plus the accumulated gradient integral.
+    with tau = _BOUND_REL_TOL times the largest of the two sides and 1, and
+    reports min_t I log u plus the accumulated gradient integral.
     Undefined (NaN) log entries short-circuit into an 'undefined from' report.
     """
     t = record.times
@@ -852,12 +862,12 @@ def log_mass_check(record, grid, params, rel_tol=1e-6):
                + chi**2 * (record.log_v[k] - record.log_v[i0])
                + chi**2 * volume * dt
                + chi**2 / min_v0 * np.exp(T) * mass0 * dt)
-        tol = rel_tol * max(abs(lhs), abs(rhs), 1.0)
+        tol = _BOUND_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
         margin = rhs + tol - lhs
         worst_margin = min(worst_margin, margin)
         ok = ok and (lhs <= rhs + tol)
     min_log_u = float(record.log_u.min())
-    return BoundReport("log_mass", min_log_u, worst_margin, rel_tol, ok,
+    return BoundReport("log_mass", min_log_u, worst_margin, _BOUND_REL_TOL, ok,
                        extras={
                            "tau0": tau0,
                            "min_log_u": min_log_u,

@@ -87,21 +87,18 @@ class Grid:
 
 
 class Field:
-    """Cell-centered scalar field; optionally tagged strictly positive."""
+    """Cell-centered scalar field of finite values."""
 
-    __slots__ = ("grid", "values", "strictly_positive")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, strictly_positive=False):
+    def __init__(self, grid, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != grid.shape:
             raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
         if not np.isfinite(values).all():
             raise GridError("field contains non-finite values")
-        if strictly_positive and values.min() <= 0.0:
-            raise GridError("field tagged strictly positive has min <= 0")
         self.grid = grid
         self.values = values
-        self.strictly_positive = strictly_positive
 
 
 # low-level kernels on raw arrays ------------------------------------------------

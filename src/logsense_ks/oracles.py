@@ -41,6 +41,8 @@ from .params import entropy_coefficients, q_bounds
 
 # RK4 steps over [0, T]; the step-doubling estimate certifies the verdict
 DEFAULT_ODE_SUBSTEPS = 2000
+# a case passes when its excess over the bound plus that estimate is at most this
+_ODE_TOLERANCE = 1e-6
 # RK4 steps held before the comparison bound is formed for all of them at once
 _ODE_CHUNK = 64
 # distinct probe cells whose kernel rows are formed at once; keeps each
@@ -173,9 +175,8 @@ def worst_square_completion(grid, spec, seed, trials):
         fields = _synthesize(grid, spec.cutoff, spec.floor,
                              [d[0] for d in drawn] + [d[1] for d in drawn])
         for u, v, (_, _, chi, p, q) in zip(fields, fields[len(drawn):], drawn):
-            rep = check_square_completion(
-                Field(grid, u, strictly_positive=True),
-                Field(grid, v, strictly_positive=True), p, q, chi)
+            rep = check_square_completion(Field(grid, u), Field(grid, v),
+                                          p, q, chi)
             if rep.scale > 0:
                 worst = max(worst, float(rep.residual / rep.scale))
     return worst
@@ -287,8 +288,7 @@ class _Rk4:
         out[...] = y
 
 
-def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
-                                tolerance=1e-6):
+def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS):
     """Check y(t) <= coth bound at every positive mesh point of an RK4 run,
     one report per case.
 
@@ -307,7 +307,7 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
     of the estimate; a row that starts above -sqrt(b/a) can reach the floor
     only through an unstable step, and its estimate is then infinite.  A
     case passes iff its estimate is finite and
-    max_excess + error_estimate <= tolerance, which bounds excess + err at
+    max_excess + error_estimate <= _ODE_TOLERANCE, which bounds excess + err at
     every shared point.  No trajectory is held beyond one chunk.
     """
     if substeps < 1 or substeps % 2:
@@ -389,11 +389,11 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS,
         excess = float(max_excess[span].max())
         estimate = float(error_at[idx + certified[span].argmax()])
         idx += len(var)
-        passed = np.isfinite(estimate) and excess + estimate <= tolerance
+        passed = np.isfinite(estimate) and excess + estimate <= _ODE_TOLERANCE
         reports.append(OdeComparisonReport(
             spec=s, passed=bool(passed), max_excess=excess,
             error_estimate=estimate, y0_variants=[float(x) for x in var],
-            substeps=substeps, tolerance=tolerance,
+            substeps=substeps, tolerance=_ODE_TOLERANCE,
         ))
     return reports
 

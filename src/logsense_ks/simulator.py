@@ -53,7 +53,7 @@ from .params import ModelParams
 
 DEFAULT_SAFETY = 0.4
 DEFAULT_V_FLOOR = 1e-12
-DEFAULT_MAX_RETRIES = 40
+DEFAULT_MAX_RETRIES = 40  # dt halvings of a rejected step before the run fails
 DEFAULT_SAMPLE_COUNT = 200  # sampling interval T / 200
 # what set a step's first trial dt: the CFL bound, the caller's cap on dt, or
 # the next sample time
@@ -257,7 +257,7 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
     new_state = SimState(
         t=state.t + dt,
         u=Field(grid, u_new),
-        v=Field(grid, v_new, strictly_positive=True),
+        v=Field(grid, v_new),
         params=state.params,
     )
     report = StepReport(
@@ -331,7 +331,7 @@ def _advance_with_retries(state, dt, stepper, max_retries):
 
 
 def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
-            max_dt=None, max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR):
+            max_dt=None, v_floor=DEFAULT_V_FLOOR):
     """Advance a state to time T, yielding the state at each sample time and
     appending each accepted step's StepReport to `reports`.
 
@@ -371,7 +371,7 @@ def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
             set_by = min(limits, key=limits.get)
             clipped = limits[set_by]
             state, report = _advance_with_retries(state, clipped, stepper,
-                                                  max_retries)
+                                                  DEFAULT_MAX_RETRIES)
             report.cfl_bound = bound
             report.set_by = set_by
             if report.dt_used == clipped and clipped == gap:
@@ -383,8 +383,7 @@ def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
 
 
 def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
-        max_retries=DEFAULT_MAX_RETRIES, v_floor=DEFAULT_V_FLOOR,
-        on_sample=None):
+        v_floor=DEFAULT_V_FLOOR, on_sample=None):
     """The Trajectory of `samples`.
 
     Each sample, t = 0 included, is handed to on_sample(t, u, v), when
@@ -393,7 +392,7 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
     """
     traj = Trajectory(grid=initial.grid, params=initial.params)
     for state in samples(initial, T, traj.reports, sample_times, safety, max_dt,
-                         max_retries, v_floor):
+                         v_floor):
         traj.times.append(state.t)
         if on_sample is not None:
             on_sample(state.t, state.u.values, state.v.values)
@@ -476,5 +475,5 @@ def make_initial_field(grid, spec):
 
 def initial_state(params, u0, v0, v_min_floor=1e-6):
     """The SimState at t = 0 of the initial fields; v is floored positive."""
-    v = Field(v0.grid, np.maximum(v0.values, v_min_floor), strictly_positive=True)
+    v = Field(v0.grid, np.maximum(v0.values, v_min_floor))
     return SimState(t=0.0, u=u0, v=v, params=params)

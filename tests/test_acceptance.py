@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from logsense_ks import diagnostics
-from logsense_ks.cli import (eps_convergence_study, main, refine_study,
-                             validate_config)
+from logsense_ks.cli import main, run_experiment, validate_config
 from logsense_ks.diagnostics import (
     Accumulator,
     apriori_bounds_check,
@@ -51,7 +50,7 @@ def _gaussian_run(cells, T, eps, sample_count=200):
     grid = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = ModelParams(chi=2.0, n=2, eps=eps, p=0.2, q=0.35, r=1.1)
     u0 = gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2)
-    v0 = Field(grid, np.ones(grid.shape), strictly_positive=True)
+    v0 = Field(grid, np.ones(grid.shape))
     state = SimState(t=0.0, u=u0, v=v0, params=params)
     times = np.linspace(0.0, T, sample_count + 1)
     accumulator = Accumulator(
@@ -144,7 +143,7 @@ def test_criterion_05_v_exponential_floor(std_run):
         f"worst margin {margin:.3e}"
 
 
-def test_criterion_06_entropy_identity_refinement():
+def test_criterion_06_entropy_identity_refinement(tmp_path):
     raw = {
         "grid": {"cells": [32, 32], "extents": [1.0, 1.0]},
         "model": {"chi": 2.0, "n": 2, "eps": 0.01,
@@ -156,7 +155,9 @@ def test_criterion_06_entropy_identity_refinement():
         },
         "refine": {"T": 0.1, "levels": 3},
     }
-    _, orders, _ = refine_study(validate_config(dict(raw, mode="refine-study")))
+    _, manifest = run_experiment(validate_config(
+        dict(raw, mode="refine-study"), out_override=tmp_path))
+    orders = manifest["refine"]["orders"]
     finest = {key: orders[key][-1] for key in
               ("identity_constant", "identity_cosine", "identity_bump")}
     order_ok = all(o == "exact" or o >= 1.5 for o in finest.values())
@@ -167,8 +168,7 @@ def test_criterion_06_entropy_identity_refinement():
     state = SimState(
         t=0.0,
         u=Field(grid, np.full(grid.shape, c)),
-        v=Field(grid, np.full(grid.shape, c / (1.0 + eps * c)),
-                strictly_positive=True),
+        v=Field(grid, np.full(grid.shape, c / (1.0 + eps * c))),
         params=params)
     accumulator = Accumulator(grid, params, [
         _phi_one(),
@@ -270,10 +270,8 @@ def test_criterion_11_square_completion_and_power_orders():
         gi = trial % len(grids)
         grid = grids[gi]
         rng = np.random.default_rng([11, gi, trial])
-        u = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05),
-                  strictly_positive=True)
-        v = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05),
-                  strictly_positive=True)
+        u = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05))
+        v = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05))
         chi = float(rng.uniform(0.3, 3.0))
         p = float(rng.uniform(0.05, 0.95) * min(1.0, 1.0 / chi**2))
         qm, qp = q_bounds(p, chi)
@@ -287,13 +285,12 @@ def test_criterion_11_square_completion_and_power_orders():
     residuals = []
     for n in (64, 128, 256):
         grid = Grid(cells=[n], extents=[1.0])
-        w = Field(grid, np.exp(grid.meshgrid()[0]), strictly_positive=True)
+        w = Field(grid, np.exp(grid.meshgrid()[0]))
         residuals.append(check_power_identities(w, 1.7))
     for n in (16, 32, 64):
         grid = Grid(cells=[n, n], extents=[1.0, 1.0])
         x, y = grid.meshgrid()
-        w = Field(grid, 1.5 + 0.5 * np.cos(np.pi * x) * np.cos(2 * np.pi * y),
-                  strictly_positive=True)
+        w = Field(grid, 1.5 + 0.5 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
         residuals.append(check_power_identities(w, 1.7))
     for seq in (residuals[:3], residuals[3:]):
         for side in (0, 1):
@@ -304,7 +301,7 @@ def test_criterion_11_square_completion_and_power_orders():
         f"worst rel {worst:.3e}, min order {min(orders):.3f}"
 
 
-def test_criterion_12_eps_ladder_contraction():
+def test_criterion_12_eps_ladder_contraction(tmp_path):
     t0 = time.monotonic()
     raw = {
         "grid": {"cells": [64, 64], "extents": [1.0, 1.0]},
@@ -317,12 +314,14 @@ def test_criterion_12_eps_ladder_contraction():
         "run": {"T": 1.0, "sample_count": 200},
         "eps_ladder": [0.1, 0.05, 0.025, 0.0125],
     }
-    result, _ = eps_convergence_study(validate_config(dict(raw, mode="eps-study")))
+    _, manifest = run_experiment(validate_config(
+        dict(raw, mode="eps-study"), out_override=tmp_path))
     elapsed = time.monotonic() - t0
-    mono_ok = result.monotone_within(result.u_diffs, slack=1.2)
+    u_diffs = manifest["eps_study"]["u_diffs"]
+    mono_ok = all(b <= 1.2 * a for a, b in zip(u_diffs, u_diffs[1:]))
     ok = mono_ok and elapsed < 300.0
     assert _verdict(12, "eps ladder u-differences contract", ok), \
-        f"u diffs {result.u_diffs}, elapsed {elapsed:.0f}s"
+        f"u diffs {u_diffs}, elapsed {elapsed:.0f}s"
 
 
 def test_criterion_13_log_mass_band(eps_ensemble):
@@ -346,7 +345,7 @@ def test_criterion_14_determinism(tmp_path):
         state = SimState(
             t=0.0,
             u=gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2),
-            v=Field(grid, np.ones(grid.shape), strictly_positive=True),
+            v=Field(grid, np.ones(grid.shape)),
             params=params)
         us, vs = [], []
 

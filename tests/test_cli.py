@@ -320,6 +320,24 @@ def test_eps_study_mode(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_eps_study_one_rung(tmp_path, capsys):
+    # a one-rung ladder has no pair: a header-only table and an empty check
+    cfg = simulate_config(mode="eps-study", eps_ladder=[0.1],
+                          run={"T": 0.01, "sample_count": 10})
+    out = tmp_path / "out"
+    path = write_config(tmp_path, cfg)
+    assert main(["eps-study", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(out)
+    assert (out / "eps_study.csv").read_text() == \
+        "eps_hi,eps_lo,u_l1,v_l1,grad_vq_l1,entropy_density_l1\n"
+    (entry,) = [e for e in manifest["assertions"]
+                if e["name"] == "eps_u_diffs_monotone"]
+    assert entry["passed"] is True and entry["value"] == []
+    assert [c["eps"] for c in manifest["counters"]] == [0.1]
+    assert manifest["eps_study"]["u_diffs"] == []
+
+
 def test_solver_manifests_count_steps_per_trajectory(tmp_path):
     cases = {
         "simulate": (simulate_config(), [{}]),
@@ -472,8 +490,6 @@ def test_restrict_to_coarse():
     coarse = _restrict_to_coarse(fine, 2)
     assert coarse.shape == (2, 2)
     assert coarse[0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4.0)
-    with pytest.raises(StudyError):
-        _restrict_to_coarse(np.zeros((6, 6)), 4)
 
 
 def test_observed_order_sentinels():

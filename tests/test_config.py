@@ -104,6 +104,10 @@ PROBES = [
     ("simulate", "run.T", 0, "run.T"),
     ("entropy-check", "run.T", 0, "run.T"),
     ("simulate", "run.sample_count", 0, "run.sample_count"),
+    # one interval leaves no sample between simulate's log-mass waiting time
+    # and T, and holds refine-study's bump-in-time phi at zero on level 0
+    ("simulate", "run.sample_count", 1, "run.sample_count"),
+    ("refine-study", "refine.sample_count", 1, "refine.sample_count"),
     ("eps-study", "run.sample_count", 0, "run.sample_count"),
     ("entropy-check", "run.sample_count", 10, "run.sample_count"),
     ("simulate", "run.safety", "big", "run.safety"),
@@ -276,7 +280,7 @@ def _leaves(node, path=()):
 
 def test_no_leaf_mutation_escapes_main(tmp_path, monkeypatch, capsys):
     """Every leaf of every VALID config set to each of null, "x", [], {}, -1,
-    0 and 1e400 (read back as infinity) exits 0, 1 or 2.  The Riccati oracle
+    0, 1 and 1e400 (read back as infinity) exits 0, 1 or 2.  The Riccati oracle
     runs 100 RK4 substeps instead of 10^5 so that the sweep stays short."""
     monkeypatch.setattr(
         cli, "verify_ode_comparison_batch",
@@ -285,7 +289,7 @@ def test_no_leaf_mutation_escapes_main(tmp_path, monkeypatch, capsys):
     runs = 0
     for mode, valid in VALID.items():
         for leaf in _leaves(valid):
-            for value in (None, "x", [], {}, -1, 0, 1e400):
+            for value in (None, "x", [], {}, -1, 0, 1, 1e400):
                 raw = copy.deepcopy(valid)
                 node = raw
                 for part in leaf[:-1]:

@@ -59,7 +59,7 @@ def steady_pass(phis=(), cells=12, c=0.7, eps=0.1, T=0.2):
     g = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = default_params(eps=eps)
     u = constant_field(g, c)
-    v = Field(g, np.full(g.shape, c / (1.0 + eps * c)), strictly_positive=True)
+    v = Field(g, np.full(g.shape, c / (1.0 + eps * c)))
     state = SimState(t=0.0, u=u, v=v, params=params)
     return streamed(state, T, np.linspace(T / 100, T, 100), phis)[1]
 
@@ -74,7 +74,7 @@ def smooth_pass():
     g = Grid(cells=[24, 24], extents=[1.0, 1.0])
     params = default_params()
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
-    v0 = Field(g, np.ones(g.shape), strictly_positive=True)
+    v0 = Field(g, np.ones(g.shape))
     state = SimState(t=0.0, u=u0, v=v0, params=params)
     phis = [diagnostics.TestFunction(
         CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
@@ -444,7 +444,7 @@ def test_identity_requires_dense_sampling():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
     state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     v=Field(g, np.ones(g.shape)),
                      params=params)
     phi = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
     for T, times in ((0.2, [0.1, 0.2]), (0.0, None)):
@@ -485,7 +485,7 @@ def test_v_weak_residual_small(smooth_pass):
     assert result.v_weak <= 0.02 * scale
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     v=Field(g, np.ones(g.shape)),
                      params=default_params())
     not_compact = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
     with pytest.raises(ValueError, match="compact"):
@@ -540,7 +540,7 @@ def test_log_mass_undefined_on_vanishing_u():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
     state = SimState(t=0.0, u=constant_field(g, 0.0),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     v=Field(g, np.ones(g.shape)),
                      params=params)
     rec = streamed(state, 0.1, np.linspace(0.001, 0.1, 100))[1].record
     assert np.isnan(rec.log_u).all()

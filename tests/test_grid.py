@@ -20,8 +20,7 @@ from logsense_ks.grid import (
 
 def random_field(grid, seed, low=0.5, high=2.0):
     rng = np.random.default_rng(seed)
-    return Field(grid, rng.uniform(low, high, size=grid.shape),
-                 strictly_positive=True)
+    return Field(grid, rng.uniform(low, high, size=grid.shape))
 
 
 def test_grid_validation():
@@ -42,10 +41,8 @@ def test_grid_validation():
 def test_field_positivity_flag():
     g = Grid(cells=[8], extents=[1.0])
     with pytest.raises(GridError):
-        Field(g, np.zeros(8), strictly_positive=True)
-    with pytest.raises(GridError):
         Field(g, np.full(8, np.nan))
-    Field(g, np.zeros(8))  # nonnegative data is fine without the flag
+    Field(g, np.zeros(8))  # finite data is fine; positivity is checked where needed
 
 
 def test_integrate_constant():

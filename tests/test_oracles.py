@@ -35,7 +35,7 @@ COTH_BOUND_1_4_1 = 2.0746294414550963
 
 def test_power_identities_constant_field():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
-    w = Field(g, np.full(g.shape, 2.5), strictly_positive=True)
+    w = Field(g, np.full(g.shape, 2.5))
     res_half, res_full = check_power_identities(w, r=1.7)
     assert res_half == 0.0
     assert res_full == 0.0
@@ -45,7 +45,7 @@ def test_power_identity_half_exact_at_r_two():
     # r = 2 collapses the half-power identity to w lap w = w lap w
     g = Grid(cells=[48], extents=[1.0])
     (x,) = g.meshgrid()
-    w = Field(g, np.exp(x), strictly_positive=True)
+    w = Field(g, np.exp(x))
     res_half, res_full = check_power_identities(w, r=2.0)
     assert res_half == 0.0
     assert res_full > 0.0
@@ -56,7 +56,7 @@ def test_power_identity_refinement_exponential():
     for N in (32, 64, 128):
         g = Grid(cells=[N], extents=[1.0])
         (x,) = g.meshgrid()
-        w = Field(g, np.exp(x), strictly_positive=True)
+        w = Field(g, np.exp(x))
         residuals.append(check_power_identities(w, r=2.0)[1])
     orders = [np.log2(a / b) for a, b in zip(residuals, residuals[1:])]
     assert min(orders) >= 1.9
@@ -68,8 +68,7 @@ def test_power_identity_refinement_cosine(r):
     for N in (32, 64, 128):
         g = Grid(cells=[N, N], extents=[1.0, 1.0])
         X, Y = g.meshgrid()
-        w = Field(g, 1.5 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y),
-                  strictly_positive=True)
+        w = Field(g, 1.5 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
         rh, rf = check_power_identities(w, r)
         halves.append(rh)
         fulls.append(rf)
@@ -80,7 +79,7 @@ def test_power_identity_refinement_cosine(r):
 
 def test_power_identity_validation():
     g = Grid(cells=[8], extents=[1.0])
-    w = Field(g, np.ones(8), strictly_positive=True)
+    w = Field(g, np.ones(8))
     with pytest.raises(ValueError):
         check_power_identities(w, r=0.0)
     flat = Field(g, np.zeros(8))
@@ -103,10 +102,8 @@ def test_square_completion_roundoff_across_grids():
     for gi, g in enumerate(grids_for_trials()):
         for trial in range(60):
             rng = np.random.default_rng([11, gi, trial])
-            u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05),
-                      strictly_positive=True)
-            v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05),
-                      strictly_positive=True)
+            u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
+            v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
             chi = float(rng.uniform(0.3, 3.0))
             p = float(rng.uniform(0.05, 0.95) * min(1.0, 1.0 / chi**2))
             qm, qp = q_bounds(p, chi)
@@ -121,9 +118,8 @@ def test_square_completion_constant_u_reduces():
     # constant u kills B = v^{q/2} grad u^{p/2}; both arrangements collapse
     g = Grid(cells=[24, 24], extents=[1.0, 1.0])
     rng = np.random.default_rng(3)
-    u = Field(g, np.full(g.shape, 1.3), strictly_positive=True)
-    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05),
-              strictly_positive=True)
+    u = Field(g, np.full(g.shape, 1.3))
+    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
     rep = check_square_completion(u, v, p=0.5, q=0.25, chi=1.0)
     assert rep.residual == 0.0
 
@@ -132,10 +128,8 @@ def test_square_completion_at_window_endpoint():
     # q = q_plus zeroes c1; the identity must still close to round-off
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     rng = np.random.default_rng(4)
-    u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05),
-              strictly_positive=True)
-    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05),
-              strictly_positive=True)
+    u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
+    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
     p, chi = 0.5, 1.0
     _, qp = q_bounds(p, chi)
     rep = check_square_completion(u, v, p, qp, chi)
@@ -144,7 +138,7 @@ def test_square_completion_at_window_endpoint():
 
 def test_square_completion_rejects_nonpositive():
     g = Grid(cells=[8], extents=[1.0])
-    pos = Field(g, np.ones(8), strictly_positive=True)
+    pos = Field(g, np.ones(8))
     zero = Field(g, np.zeros(8))
     with pytest.raises(ValueError):
         check_square_completion(zero, pos, 0.5, 0.25, 1.0)

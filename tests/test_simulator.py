@@ -34,7 +34,7 @@ def gaussian_state(cells=16, chi=2.0, eps=0.01):
     params = default_params(chi=chi, eps=eps)
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
     v0 = constant_field(g, 1.0)
-    return SimState(t=0.0, u=u0, v=Field(g, v0.values, strictly_positive=True),
+    return SimState(t=0.0, u=u0, v=Field(g, v0.values),
                     params=params)
 
 
@@ -44,7 +44,7 @@ def constant_steady_state(cells=12, c=0.7, eps=0.1):
     params = default_params(eps=eps)
     u = constant_field(g, c)
     v_val = c / (1.0 + eps * c)
-    v = Field(g, np.full(g.shape, v_val), strictly_positive=True)
+    v = Field(g, np.full(g.shape, v_val))
     return SimState(t=0.0, u=u, v=v, params=params)
 
 
@@ -53,13 +53,13 @@ def test_state_validation():
     g2 = Grid(cells=[8, 8], extents=[2.0, 1.0])
     params = default_params()
     ok_u = constant_field(g, 1.0)
-    ok_v = Field(g, np.ones(g.shape), strictly_positive=True)
+    ok_v = Field(g, np.ones(g.shape))
     with pytest.raises(ValueError):
         SimState(t=0.0, u=Field(g, -np.ones(g.shape)), v=ok_v, params=params)
     with pytest.raises(ValueError):
         SimState(t=0.0, u=ok_u, v=Field(g, np.zeros(g.shape)), params=params)
     with pytest.raises(ValueError):
-        SimState(t=0.0, u=ok_u, v=Field(g2, np.ones(g2.shape), strictly_positive=True),
+        SimState(t=0.0, u=ok_u, v=Field(g2, np.ones(g2.shape)),
                  params=params)
 
 
@@ -207,7 +207,7 @@ def test_step_decays_a_cosine_mode_exactly():
     x, _ = g.meshgrid()
     a = 0.3
     state = SimState(t=0.0, u=Field(g, 1.0 + a * np.cos(np.pi * x / 2.0)),
-                     v=Field(g, np.full(g.shape, 0.8), strictly_positive=True),
+                     v=Field(g, np.full(g.shape, 0.8)),
                      params=default_params())
     h = g.h[0]
     lam = -(4.0 / h**2) * np.sin(np.pi / (2 * g.cells[0])) ** 2
@@ -245,7 +245,7 @@ def spike_in_drift_state():
     u = np.full(g.shape, 1e-3)
     u[8, 8] += 1.0
     return SimState(t=0.0, u=Field(g, u),
-                    v=Field(g, np.exp(8.0 * x), strictly_positive=True),
+                    v=Field(g, np.exp(8.0 * x)),
                     params=default_params())
 
 
@@ -279,7 +279,7 @@ def test_step_from_a_zero_background_is_accepted():
     u = np.zeros(g.shape)
     u[8, 8] = 1.0
     state = SimState(t=0.0, u=Field(g, u),
-                     v=Field(g, np.ones(g.shape), strictly_positive=True),
+                     v=Field(g, np.ones(g.shape)),
                      params=default_params())
     for dt in (1e-6, 1e-4):
         new_state, _ = step(state, dt)
@@ -309,7 +309,7 @@ def test_singularity_guard():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     v = np.full(g.shape, 1e-13)  # positive but below the mobility floor
     state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, v, strictly_positive=True),
+                     v=Field(g, v),
                      params=default_params())
     with pytest.raises(SingularityError):
         cfl_dt(state)
