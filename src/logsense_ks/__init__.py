@@ -28,7 +28,6 @@ from .params import (
     select_exponents,
 )
 from .grid import (
-    Field,
     Grid,
     GridError,
     gradient_cell_magnitude,
@@ -86,7 +85,6 @@ __all__ = [
     "EntropyCoefficients",
     "ExponentDomainError",
     "ExponentSelectionError",
-    "Field",
     "Grid",
     "GridError",
     "ModelParams",

@@ -53,7 +53,7 @@ from .diagnostics import (
     log_mass_check,
     trace_positivity_check,
 )
-from .grid import DEFAULT_MAX_CELLS, Field, Grid, write_field_binary
+from .grid import DEFAULT_MAX_CELLS, Grid, write_field_binary
 from .oracles import (
     DELTA_TREND_FRACTIONS,
     EnsembleSpec,
@@ -347,7 +347,8 @@ def _initial_state(values, grid, params):
     """The initial SimState on `grid`; a ConfigError names initial.u or initial.v."""
     u, v = (_mapped(f"initial.{name}", make_initial_field, grid,
                     _section(values, f"initial.{name}.")) for name in "uv")
-    return _mapped("initial.u", initial_state, params, u, v, values["initial.v_floor"])
+    return _mapped("initial.u", initial_state, params, grid, u, v,
+                   values["initial.v_floor"])
 
 
 def _run_args(values, T, intervals, max_dt):
@@ -504,7 +505,7 @@ def _write_fields(out_dir, grid, k, u, v):
     names = []
     for name, values in (("u", u), ("v", v)):
         path = fields_dir / f"{name}_{k:04d}.bin"
-        write_field_binary(Field(grid, values), path)
+        write_field_binary(values, grid, path)
         names.append(f"fields/{path.name}")
     return names
 
@@ -637,8 +638,7 @@ def _l1_integrands(a, b, da, db):
     vol = a.grid.cell_volume
     g = sum(float(np.abs(ga - gb).sum()) * vol
             for ga, gb in zip(da.grad_vq, db.grad_vq))
-    return (np.abs(a.u.values - b.u.values).sum() * vol,
-            np.abs(a.v.values - b.v.values).sum() * vol, g,
+    return (np.abs(a.u - b.u).sum() * vol, np.abs(a.v - b.v).sum() * vol, g,
             float(np.abs(da.upq - db.upq).sum()) * vol)
 
 
@@ -675,9 +675,8 @@ def _mode_eps_study(cfg, outputs, asserts):
     for states in zip(*streams):
         densities = []
         for state, accumulator, report in zip(states, accumulators, reports):
-            densities.append(accumulator.add(state.t, state.u.values,
-                                             state.v.values))
-            report(state.t, state.u.values, state.v.values)
+            densities.append(accumulator.add(state.t, state.u, state.v))
+            report(state.t, state.u, state.v)
         for pair, a, b, da, db in zip(integrands, states, states[1:],
                                       densities, densities[1:]):
             pair.append(_l1_integrands(a, b, da, db))
@@ -776,7 +775,7 @@ def _mode_refine_study(cfg, outputs, asserts):
         resids = {name: balance.identity()[0]
                   for (name, _), balance in zip(named, balances)}
         p_half, p_full = check_power_identities(
-            Field(grid, trajectory.v_snapshots[-1]), values["refine.power_r"])
+            trajectory.v_snapshots[-1], grid, values["refine.power_r"])
         rows.append({
             "level": level,
             "h_min": h_min,
@@ -877,8 +876,8 @@ def _mode_oracle(cfg, outputs, asserts):
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
     res = []
     for fine in _power_grids(grid):
-        w = Field(fine, shape.values(fine))
-        res.append(check_power_identities(w, values["oracle.power_r"]))
+        res.append(check_power_identities(shape.values(fine), fine,
+                                          values["oracle.power_r"]))
     orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]
     orders_full = [_observed_order(a[1], b[1]) for a, b in zip(res, res[1:])]
     reports["power_identities"] = {

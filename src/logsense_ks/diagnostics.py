@@ -752,16 +752,6 @@ class BoundReport:
     passed: bool
     extras: dict = dc_field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            **{k: v for k, v in self.extras.items()},
-        }
-
 
 def apriori_bounds_check(record, params, disc_estimate=0.0):
     """Integrated entropy balance rearranged into the a priori bound.

@@ -1,12 +1,12 @@
 """Uniform cell-centered tensor meshes and the discrete operators built on them.
 
 The mesh covers a box [0, L_1] x ... x [0, L_d] (d = 1, 2, 3) with n_a cells of
-width h_a = L_a / n_a along axis a.  Scalar fields live at cell centers,
-gradients and fluxes live on cell faces.  Boundary faces always carry zero
-normal flux (reflecting / mirrored ghost cells), which makes the divergence
-telescope exactly: integrating the divergence of any face flux gives zero up
-to round-off, and the Neumann Laplacian is self-adjoint with respect to the
-midpoint inner product.
+width h_a = L_a / n_a along axis a.  A scalar field is an array of the cell
+shape, one value per cell center; gradients and fluxes live on cell faces.
+Boundary faces always carry zero normal flux (reflecting / mirrored ghost
+cells), which makes the divergence telescope exactly: integrating the
+divergence of any face flux gives zero up to round-off, and the Neumann
+Laplacian is self-adjoint with respect to the midpoint inner product.
 
 Face arrays for axis a have shape equal to the cell shape except n_a + 1
 entries along axis a; entry i sits between cells i-1 and i.
@@ -79,26 +79,8 @@ class Grid:
         axes = [self.axis_centers(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def same_mesh(self, other):
-        return self.cells == other.cells and self.extents == other.extents
-
     def __repr__(self):
         return f"Grid(cells={self.cells}, extents={self.extents})"
-
-
-class Field:
-    """Cell-centered scalar field of finite values."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-        if not np.isfinite(values).all():
-            raise GridError("field contains non-finite values")
-        self.grid = grid
-        self.values = values
 
 
 # low-level kernels on raw arrays ------------------------------------------------
@@ -207,9 +189,9 @@ def faces_to_cells(face_array, axis):
 
 # public field operations --------------------------------------------------------
 
-def integrate(field):
+def integrate(values, grid):
     """Midpoint quadrature: cell sum times cell volume."""
-    return float(field.values.sum() * field.grid.cell_volume)
+    return float(values.sum() * grid.cell_volume)
 
 
 def gradient_cell_magnitude(values, grid):
@@ -246,13 +228,12 @@ def interior_max_abs(values):
 #   float64 * prod(counts)  cell values, C order
 
 
-def write_field_binary(field, path):
-    g = field.grid
+def write_field_binary(values, grid, path):
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", g.dim))
-        fh.write(struct.pack(f"<{g.dim}Q", *g.cells))
-        fh.write(struct.pack(f"<{g.dim}d", *g.h))
-        fh.write(field.values.astype("<f8").tobytes(order="C"))
+        fh.write(struct.pack("<I", grid.dim))
+        fh.write(struct.pack(f"<{grid.dim}Q", *grid.cells))
+        fh.write(struct.pack(f"<{grid.dim}d", *grid.h))
+        fh.write(values.astype("<f8").tobytes(order="C"))
 
 
 def read_field_binary(path):

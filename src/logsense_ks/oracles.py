@@ -29,7 +29,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    Field,
     Grid,
     face_grad_values,
     faces_to_cells,
@@ -60,8 +59,9 @@ DELTA_TREND_FRACTIONS = (0.4, 0.2, 0.1)
 # pointwise power identities
 # ---------------------------------------------------------------------------
 
-def check_power_identities(w, r):
-    """Residuals of the two power chain-rule identities for a positive field.
+def check_power_identities(vals, grid, r):
+    """Residuals of the two power chain-rule identities for a positive field
+    `vals` on `grid`.
 
     half-power:  w^{r/2} lap(w^{r/2}) = ((r-2)/r) |grad w^{r/2}|^2
                                          + (r/2) w^{r-1} lap(w)
@@ -77,10 +77,8 @@ def check_power_identities(w, r):
     """
     if r <= 0.0:
         raise ValueError(f"power must be positive, got r = {r}")
-    vals = w.values
     if vals.min() <= 0.0:
         raise ValueError("field must be strictly positive")
-    grid = w.grid
     half = vals ** (r / 2.0)
     lap_w = lap_values(vals, grid.h)
     lap_half = lap_values(half, grid.h)
@@ -105,9 +103,10 @@ class SquareCompletionReport:
     scale: float
 
 
-def check_square_completion(u, v, p, q, chi):
+def check_square_completion(u, v, grid, p, q, chi):
     """Max-cell mismatch between the raw entropy production quadratic form
-    and its completed-square arrangement.
+    and its completed-square arrangement, for positive fields u and v on
+    `grid`.
 
     With the per-cell vectors A = u^{p/2} grad v^{q/2} and
     B = v^{q/2} grad u^{p/2} (components from face means), the claim is
@@ -118,14 +117,11 @@ def check_square_completion(u, v, p, q, chi):
     This is exact algebra in (|A|^2, A.B, |B|^2), so the residual must be
     round-off relative to the reported term scale, independent of h.
     """
-    grid = u.grid
-    uv = u.values
-    vv = v.values
-    if uv.min() <= 0.0 or vv.min() <= 0.0:
+    if u.min() <= 0.0 or v.min() <= 0.0:
         raise ValueError("fields must be strictly positive")
     coef = entropy_coefficients(p, q, chi)
-    up = uv ** (p / 2.0)
-    vq = vv ** (q / 2.0)
+    up = u ** (p / 2.0)
+    vq = v ** (q / 2.0)
     a2 = np.zeros(grid.shape)
     b2 = np.zeros(grid.shape)
     ab = np.zeros(grid.shape)
@@ -175,8 +171,7 @@ def worst_square_completion(grid, spec, seed, trials):
         fields = _synthesize(grid, spec.cutoff, spec.floor,
                              [d[0] for d in drawn] + [d[1] for d in drawn])
         for u, v, (_, _, chi, p, q) in zip(fields, fields[len(drawn):], drawn):
-            rep = check_square_completion(Field(grid, u), Field(grid, v),
-                                          p, q, chi)
+            rep = check_square_completion(u, v, grid, p, q, chi)
             if rep.scale > 0:
                 worst = max(worst, float(rep.residual / rep.scale))
     return worst
@@ -219,16 +214,6 @@ class OdeComparisonReport:
     y0_variants: list
     substeps: int
     tolerance: float
-
-    def as_dict(self):
-        return {
-            "a": self.spec.a, "b": self.spec.b, "y0": self.spec.y0,
-            "T": self.spec.T, "passed": bool(self.passed),
-            "max_excess": self.max_excess,
-            "error_estimate": self.error_estimate,
-            "y0_variants": self.y0_variants,
-            "substeps": self.substeps, "tolerance": self.tolerance,
-        }
 
 
 def coth_bound(a, b, t):

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    Field,
     Grid,
     _span,
     dct_modes,
@@ -55,6 +54,8 @@ DEFAULT_SAFETY = 0.4
 DEFAULT_V_FLOOR = 1e-12
 DEFAULT_MAX_RETRIES = 40  # dt halvings of a rejected step before the run fails
 DEFAULT_SAMPLE_COUNT = 200  # sampling interval T / 200
+# steps a run may take; one whose step bound cannot reach T within it fails
+MAX_STEPS = 10**7
 # what set a step's first trial dt: the CFL bound, the caller's cap on dt, or
 # the next sample time
 STEP_LIMITS = ("drift", "max_dt", "sample")
@@ -78,10 +79,9 @@ class SingularityError(SimulationError):
 
 @dataclass
 class Tendency:
-    """Right-hand side of one state: the upwind face fluxes, du/dt, dv/dt and
-    the largest face drift speed chi |grad v| / v_face."""
+    """Right-hand side of one state: du/dt, dv/dt and the largest face drift
+    speed chi |grad v| / v_face."""
 
-    fluxes: list
     du: np.ndarray
     dv: np.ndarray
     drift: float
@@ -89,25 +89,17 @@ class Tendency:
 
 @dataclass
 class SimState:
+    """u and v as cell arrays on one grid at time t.  initial_state checks
+    the data it is given, and step checks every state it builds."""
+
     t: float
-    u: Field
-    v: Field
+    grid: Grid
+    u: np.ndarray
+    v: np.ndarray
     params: ModelParams
     # held once evaluated, so the fields are never changed in place
     _tendency: Tendency | None = dc_field(default=None, init=False, repr=False,
                                           compare=False)
-
-    def __post_init__(self):
-        if self.u.values.min() < 0.0:
-            raise ValueError("u must be nonnegative")
-        if self.v.values.min() <= 0.0:
-            raise ValueError("v must be strictly positive")
-        if not self.u.grid.same_mesh(self.v.grid):
-            raise ValueError("u and v live on different meshes")
-
-    @property
-    def grid(self):
-        return self.u.grid
 
 
 @dataclass
@@ -130,8 +122,7 @@ def _tendency(state, v_floor):
     SingularityError when v is below the mobility floor and SimulationError
     when the tendency is not finite.
     """
-    u = state.u.values
-    v = state.v.values
+    u, v = state.u, state.v
     if v.min() < v_floor:
         raise SingularityError(
             f"min v = {v.min()} fell below the mobility floor {v_floor}", state.t)
@@ -161,7 +152,7 @@ def _tendency(state, v_floor):
     if not (np.isfinite(drift) and np.isfinite(du).all()
             and np.isfinite(dv).all()):
         raise SimulationError("the right-hand side is not finite", state.t)
-    state._tendency = Tendency(fluxes, du, dv, drift)
+    state._tendency = Tendency(du, dv, drift)
     return state._tendency
 
 
@@ -224,15 +215,13 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
         raise ValueError(f"dt must be positive, got {dt}")
     rhs = _tendency(state, v_floor)
     grid = state.grid
-    u = state.u.values
-    v = state.v.values
 
     mats, _ = dct_modes(grid.cells, grid.h)
     modes = dct_values(np.stack([rhs.du, rhs.dv]), mats)
     du, dv = dct_values(_etd_factors(grid.cells, grid.h, dt) * modes, mats,
                         inverse=True)
-    u_new = u + dt * du
-    v_new = v + dt * dv
+    u_new = state.u + dt * du
+    v_new = state.v + dt * dv
 
     # The dense transforms leave every cell a round-off of either sign of
     # about eps * dt * max|du|, which a cell of u at or near zero reads as a
@@ -254,12 +243,8 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
         raise StepRejected(
             f"positivity or finiteness lost at t = {state.t} with dt = {dt}")
 
-    new_state = SimState(
-        t=state.t + dt,
-        u=Field(grid, u_new),
-        v=Field(grid, v_new),
-        params=state.params,
-    )
+    new_state = SimState(t=state.t + dt, grid=grid, u=u_new, v=v_new,
+                         params=state.params)
     report = StepReport(
         t=state.t + dt,
         dt_used=dt,
@@ -338,7 +323,7 @@ def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
     Sample times must be sorted inside [0, T]; they are hit exactly by
     clipping dt, and t = 0 and T are always samples.  A yielded state is
     never changed.  Step failures surface as SimulationError carrying the
-    failing time.
+    failing time, and so does a step bound under (T - t) / MAX_STEPS.
     """
     if T < 0.0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -368,6 +353,11 @@ def samples(initial, T, reports, sample_times=None, safety=DEFAULT_SAFETY,
             # the smallest limit sets dt; a tie goes to the earlier key
             limits = {"sample": gap, "max_dt": math.inf if max_dt is None
                       else max_dt, "drift": bound}
+            step_bound = min(limits["max_dt"], bound)
+            if T - state.t > MAX_STEPS * step_bound:
+                raise SimulationError(
+                    f"reaching T = {T} at dt = {step_bound} would take more "
+                    f"than the step budget of {MAX_STEPS} steps", state.t)
             set_by = min(limits, key=limits.get)
             clipped = limits[set_by]
             state, report = _advance_with_retries(state, clipped, stepper,
@@ -395,16 +385,16 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
                          v_floor):
         traj.times.append(state.t)
         if on_sample is not None:
-            on_sample(state.t, state.u.values, state.v.values)
-    traj.u_snapshots = [state.u.values]
-    traj.v_snapshots = [state.v.values]
+            on_sample(state.t, state.u, state.v)
+    traj.u_snapshots = [state.u]
+    traj.v_snapshots = [state.v]
     return traj
 
 
 # initial data ---------------------------------------------------------------------
 
 def constant_field(grid, value):
-    return Field(grid, np.full(grid.shape, float(value)))
+    return np.full(grid.shape, float(value))
 
 
 def gaussian_bump(grid, amplitude, width, center=None, baseline=0.0):
@@ -417,7 +407,7 @@ def gaussian_bump(grid, amplitude, width, center=None, baseline=0.0):
     rsq = np.zeros(grid.shape)
     for x, c in zip(coords, center):
         rsq += (x - c) ** 2
-    return Field(grid, baseline + amplitude * np.exp(-rsq / (2.0 * width**2)))
+    return baseline + amplitude * np.exp(-rsq / (2.0 * width**2))
 
 
 def cosine_perturbation(grid, baseline, amplitude, cutoff=3, seed=0):
@@ -444,7 +434,7 @@ def cosine_perturbation(grid, baseline, amplitude, cutoff=3, seed=0):
     floor = baseline / 10.0
     if vals.min() < floor:
         vals += floor - vals.min()
-    return Field(grid, vals)
+    return vals
 
 
 INITIAL_KINDS = {
@@ -455,8 +445,9 @@ INITIAL_KINDS = {
 
 
 def make_initial_field(grid, spec):
-    """Build a field from a JSON-style description: `kind` names one of
+    """Build a cell array from a JSON-style description: `kind` names one of
     INITIAL_KINDS and the other entries are that function's arguments.
+    Raises ValueError when the result is not finite.
 
     Kinds: constant {value}, gaussian {amplitude, width, center?, baseline?},
     cosine {baseline, amplitude, cutoff?, seed?}.
@@ -470,10 +461,22 @@ def make_initial_field(grid, spec):
         inspect.signature(build).bind(grid, **args)
     except TypeError as exc:
         raise ValueError(f"{kind} initial data: {exc}") from None
-    return build(grid, **args)
+    values = build(grid, **args)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kind} initial data are not finite")
+    return values
 
 
-def initial_state(params, u0, v0, v_min_floor=1e-6):
-    """The SimState at t = 0 of the initial fields; v is floored positive."""
-    v = Field(v0.grid, np.maximum(v0.values, v_min_floor))
-    return SimState(t=0.0, u=u0, v=v, params=params)
+def initial_state(params, grid, u0, v0, v_min_floor=1e-6):
+    """The SimState at t = 0 of the initial arrays on `grid`; v is floored
+    positive.  Raises ValueError unless both arrays have the grid's shape and
+    u is nonnegative."""
+    for name, a in (("u", u0), ("v", v0)):
+        if a.shape != grid.shape:
+            raise ValueError(f"{name} has shape {a.shape}, not the grid's "
+                             f"{grid.shape}")
+    # negated, so that a NaN fails it too
+    if not u0.min() >= 0.0:
+        raise ValueError("u must be nonnegative")
+    return SimState(t=0.0, grid=grid, u=u0, v=np.maximum(v0, v_min_floor),
+                    params=params)

@@ -14,7 +14,7 @@ from logsense_ks.diagnostics import (
     builtin_supersolution_family,
     log_mass_check,
 )
-from logsense_ks.grid import Field, Grid
+from logsense_ks.grid import Grid
 from logsense_ks.oracles import (
     OdeComparison,
     check_power_identities,
@@ -50,8 +50,8 @@ def _gaussian_run(cells, T, eps, sample_count=200):
     grid = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = ModelParams(chi=2.0, n=2, eps=eps, p=0.2, q=0.35, r=1.1)
     u0 = gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2)
-    v0 = Field(grid, np.ones(grid.shape))
-    state = SimState(t=0.0, u=u0, v=v0, params=params)
+    v0 = np.ones(grid.shape)
+    state = SimState(t=0.0, grid=grid, u=u0, v=v0, params=params)
     times = np.linspace(0.0, T, sample_count + 1)
     accumulator = Accumulator(
         grid, params, [_phi_one()] + builtin_supersolution_family(grid, T))
@@ -167,8 +167,9 @@ def test_criterion_06_entropy_identity_refinement(tmp_path):
     params = ModelParams(chi=2.0, n=2, eps=eps, p=0.2, q=0.35, r=1.1)
     state = SimState(
         t=0.0,
-        u=Field(grid, np.full(grid.shape, c)),
-        v=Field(grid, np.full(grid.shape, c / (1.0 + eps * c))),
+        grid=grid,
+        u=np.full(grid.shape, c),
+        v=np.full(grid.shape, c / (1.0 + eps * c)),
         params=params)
     accumulator = Accumulator(grid, params, [
         _phi_one(),
@@ -270,14 +271,14 @@ def test_criterion_11_square_completion_and_power_orders():
         gi = trial % len(grids)
         grid = grids[gi]
         rng = np.random.default_rng([11, gi, trial])
-        u = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05))
-        v = Field(grid, synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05))
+        u = synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05)
+        v = synth_positive_field(grid, rng, 3, (0.2, 1.0), 0.05)
         chi = float(rng.uniform(0.3, 3.0))
         p = float(rng.uniform(0.05, 0.95) * min(1.0, 1.0 / chi**2))
         qm, qp = q_bounds(p, chi)
         q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
             else 0.5 * (qm + qp)
-        rep = check_square_completion(u, v, p, q, chi)
+        rep = check_square_completion(u, v, grid, p, q, chi)
         worst = max(worst, rep.residual / rep.scale)
     square_ok = worst <= 1e-10
 
@@ -285,13 +286,13 @@ def test_criterion_11_square_completion_and_power_orders():
     residuals = []
     for n in (64, 128, 256):
         grid = Grid(cells=[n], extents=[1.0])
-        w = Field(grid, np.exp(grid.meshgrid()[0]))
-        residuals.append(check_power_identities(w, 1.7))
+        w = np.exp(grid.meshgrid()[0])
+        residuals.append(check_power_identities(w, grid, 1.7))
     for n in (16, 32, 64):
         grid = Grid(cells=[n, n], extents=[1.0, 1.0])
         x, y = grid.meshgrid()
-        w = Field(grid, 1.5 + 0.5 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
-        residuals.append(check_power_identities(w, 1.7))
+        w = 1.5 + 0.5 * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
+        residuals.append(check_power_identities(w, grid, 1.7))
     for seq in (residuals[:3], residuals[3:]):
         for side in (0, 1):
             orders.append(np.log2(seq[-2][side] / seq[-1][side]))
@@ -344,8 +345,9 @@ def test_criterion_14_determinism(tmp_path):
     for _ in range(2):
         state = SimState(
             t=0.0,
+            grid=grid,
             u=gaussian_bump(grid, amplitude=1.5, width=0.12, baseline=0.2),
-            v=Field(grid, np.ones(grid.shape)),
+            v=np.ones(grid.shape),
             params=params)
         us, vs = [], []
 

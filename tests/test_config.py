@@ -94,6 +94,12 @@ def _main(tmp_path, mode, raw, name="run"):
     return main([mode, "--config", str(cfg_path), "--out", str(out)]), out
 
 
+# 1e308 + 1e308 at the cell centre the bump sits on: infinite initial data,
+# whose overflow numpy warns of
+INFINITE_V = ("simulate", "initial.v",
+              {"kind": "gaussian", "baseline": 1e308, "amplitude": 1e308,
+               "width": 0.12, "center": [0.0625, 0.0625]}, "initial.v")
+
 PROBES = [
     ("simulate", "initial.u.amplitude", DROP, "initial.u"),
     ("simulate", "initial.u", {"kind": "cosine", "amplitude": 0.3}, "initial.u"),
@@ -152,11 +158,16 @@ PROBES = [
     ("simulate", "grid", {"cells": [100000], "extents": [1.0]}, "grid.cells"),
     ("refine-study", "grid", {"cells": [8192], "extents": [1.0]},
      "refine.levels"),
+    INFINITE_V,
 ]
 
 
-@pytest.mark.parametrize("mode, path, value, reported", PROBES,
-                         ids=[f"{m}:{p}={v!r}" for m, p, v, _ in PROBES])
+@pytest.mark.parametrize(
+    "mode, path, value, reported",
+    [pytest.param(*probe, marks=pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning"))
+     if probe is INFINITE_V else probe for probe in PROBES],
+    ids=[f"{m}:{p}={v!r}" for m, p, v, _ in PROBES])
 def test_bad_config_exits_two_with_its_path(tmp_path, capsys, mode, path,
                                             value, reported):
     code, out = _main(tmp_path, mode, _with(mode, path, value))
@@ -222,6 +233,22 @@ def test_overflowing_initial_data_abort_the_run(tmp_path, capsys, mode, field):
         assert aborted["eps"] == 0.1
     else:
         assert aborted["time"] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["simulate", "eps-study"])
+def test_a_run_past_the_step_budget_aborts(tmp_path, capsys, mode):
+    # chi = 1e20 shrinks dt to about one ulp of t, so without the budget the
+    # run would never reach T
+    started = time.monotonic()
+    code, out = _main(tmp_path, mode, _with(mode, "model.chi", 1e20))
+    assert time.monotonic() - started < 5.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "aborted" in err and "Traceback" not in err
+    aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+    assert "step budget" in aborted["message"]
+    if mode == "eps-study":
+        assert aborted["eps"] == 0.1
 
 
 def test_runtime_singularity_writes_aborted_manifest(tmp_path, capsys):

@@ -25,7 +25,6 @@ from logsense_ks.diagnostics import (
 )
 from logsense_ks.cli import _residual_test_functions
 from logsense_ks.grid import (
-    Field,
     Grid,
     end_slabs,
     face_grad_values,
@@ -59,8 +58,8 @@ def steady_pass(phis=(), cells=12, c=0.7, eps=0.1, T=0.2):
     g = Grid(cells=[cells, cells], extents=[1.0, 1.0])
     params = default_params(eps=eps)
     u = constant_field(g, c)
-    v = Field(g, np.full(g.shape, c / (1.0 + eps * c)))
-    state = SimState(t=0.0, u=u, v=v, params=params)
+    v = np.full(g.shape, c / (1.0 + eps * c))
+    state = SimState(t=0.0, grid=g, u=u, v=v, params=params)
     return streamed(state, T, np.linspace(T / 100, T, 100), phis)[1]
 
 
@@ -74,8 +73,8 @@ def smooth_pass():
     g = Grid(cells=[24, 24], extents=[1.0, 1.0])
     params = default_params()
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
-    v0 = Field(g, np.ones(g.shape))
-    state = SimState(t=0.0, u=u0, v=v0, params=params)
+    v0 = np.ones(g.shape)
+    state = SimState(t=0.0, grid=g, u=u0, v=v0, params=params)
     phis = [diagnostics.TestFunction(
         CosineSpatial((1, 0), amplitude=0.5, offset=1.0),
         RampDownTemporal(0.45))] + builtin_supersolution_family(g, SMOOTH_T)
@@ -252,7 +251,7 @@ def _entropy_check_phis(grid, T):
 def test_accumulator_integrals_match_the_dense_formulas():
     g = SEPARABLE_GRIDS[3]
     params = default_params(n=3, eps=0.05)
-    u = gaussian_bump(g, amplitude=1.5, width=0.2, baseline=0.2).values
+    u = gaussian_bump(g, amplitude=1.5, width=0.2, baseline=0.2)
     v = 1.0 + 0.3 * CosineSpatial((1, 2, 1)).values(g)
     phis, phi_v = _entropy_check_phis(g, 1.0)
     accumulator = Accumulator(g, params, phis, phi_v)
@@ -443,9 +442,8 @@ def test_identity_residual_small_on_smooth_run(smooth_pass):
 def test_identity_requires_dense_sampling():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
-    state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, np.ones(g.shape)),
-                     params=params)
+    state = SimState(t=0.0, grid=g, u=constant_field(g, 1.0),
+                     v=np.ones(g.shape), params=params)
     phi = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
     for T, times in ((0.2, [0.1, 0.2]), (0.0, None)):
         # the record alone takes any sampling; a time integral does not
@@ -484,9 +482,8 @@ def test_v_weak_residual_small(smooth_pass):
     scale = max(float(result.record.v_lq.max()), 1.0)
     assert result.v_weak <= 0.02 * scale
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
-    state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, np.ones(g.shape)),
-                     params=default_params())
+    state = SimState(t=0.0, grid=g, u=constant_field(g, 1.0),
+                     v=np.ones(g.shape), params=default_params())
     not_compact = diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())
     with pytest.raises(ValueError, match="compact"):
         streamed(state, 0.1, np.linspace(0.001, 0.1, 100), phi_v=not_compact)
@@ -539,9 +536,8 @@ def test_log_mass_check(smooth_run):
 def test_log_mass_undefined_on_vanishing_u():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
-    state = SimState(t=0.0, u=constant_field(g, 0.0),
-                     v=Field(g, np.ones(g.shape)),
-                     params=params)
+    state = SimState(t=0.0, grid=g, u=constant_field(g, 0.0),
+                     v=np.ones(g.shape), params=params)
     rec = streamed(state, 0.1, np.linspace(0.001, 0.1, 100))[1].record
     assert np.isnan(rec.log_u).all()
     report = log_mass_check(rec, g, params)
@@ -563,7 +559,8 @@ def test_a_phis_figures_do_not_depend_on_the_other_phis():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     params = default_params(eps=0.01)
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
-    state = SimState(t=0.0, u=u0, v=constant_field(g, 1.0), params=params)
+    state = SimState(t=0.0, grid=g, u=u0, v=constant_field(g, 1.0),
+                     params=params)
     T = 0.02
     times = np.linspace(0.0, T, 61)
     phis = [diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()),

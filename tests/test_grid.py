@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from logsense_ks.grid import (
-    Field,
     Grid,
     GridError,
     face_div_values,
@@ -20,7 +19,7 @@ from logsense_ks.grid import (
 
 def random_field(grid, seed, low=0.5, high=2.0):
     rng = np.random.default_rng(seed)
-    return Field(grid, rng.uniform(low, high, size=grid.shape))
+    return rng.uniform(low, high, size=grid.shape)
 
 
 def test_grid_validation():
@@ -38,17 +37,9 @@ def test_grid_validation():
         Grid(cells=[8192, 8192], extents=[1.0, 1.0])
 
 
-def test_field_positivity_flag():
-    g = Grid(cells=[8], extents=[1.0])
-    with pytest.raises(GridError):
-        Field(g, np.full(8, np.nan))
-    Field(g, np.zeros(8))  # finite data is fine; positivity is checked where needed
-
-
 def test_integrate_constant():
     g = Grid(cells=[10, 20], extents=[2.0, 3.0])
-    f = Field(g, np.full(g.shape, 1.5))
-    assert integrate(f) == pytest.approx(1.5 * 6.0, rel=1e-14)
+    assert integrate(np.full(g.shape, 1.5), g) == pytest.approx(1.5 * 6.0, rel=1e-14)
 
 
 def test_laplacian_of_constant_is_zero():
@@ -61,27 +52,27 @@ def test_laplacian_conserves_mass():
     for dim, cells in ((1, [64]), (2, [16, 24]), (3, [8, 10, 6])):
         g = Grid(cells=cells, extents=[1.0] * dim)
         f = random_field(g, seed=dim)
-        lap = lap_values(f.values, g.h)
+        lap = lap_values(f, g.h)
         # cancellation scale is the Laplacian's own L1 mass, not the field's
-        total = integrate(Field(g, lap))
-        assert abs(total) <= 1e-13 * integrate(Field(g, np.abs(lap)))
+        total = integrate(lap, g)
+        assert abs(total) <= 1e-13 * integrate(np.abs(lap), g)
 
 
 def test_laplacian_self_adjoint():
     g = Grid(cells=[14, 18], extents=[1.0, 1.3])
     f = random_field(g, seed=5)
     w = random_field(g, seed=6)
-    a = integrate(Field(g, lap_values(f.values, g.h) * w.values))
-    b = integrate(Field(g, f.values * lap_values(w.values, g.h)))
+    a = integrate(lap_values(f, g.h) * w, g)
+    b = integrate(f * lap_values(w, g.h), g)
     assert_allclose(a, b, rtol=1e-12)
 
 
 def test_divergence_of_gradient_matches_laplacian():
     g = Grid(cells=[12, 9], extents=[1.0, 2.0])
     f = random_field(g, seed=7)
-    fluxes = [face_grad_values(f.values, g.h, ax) for ax in range(g.dim)]
+    fluxes = [face_grad_values(f, g.h, ax) for ax in range(g.dim)]
     div = face_div_values(fluxes, g.h, g.shape)
-    assert_allclose(div, lap_values(f.values, g.h), rtol=0, atol=1e-12)
+    assert_allclose(div, lap_values(f, g.h), rtol=0, atol=1e-12)
 
 
 def test_laplacian_convergence_order():
@@ -110,8 +101,7 @@ def test_face_gradient_linear_field():
 def test_gradient_cell_magnitude_interior():
     g = Grid(cells=[32, 32], extents=[1.0, 1.0])
     X, Y = g.meshgrid()
-    f = Field(g, 2.0 * X + 1.0 * Y)
-    mag = gradient_cell_magnitude(f.values, g)
+    mag = gradient_cell_magnitude(2.0 * X + 1.0 * Y, g)
     inner = mag[1:-1, 1:-1]
     assert_allclose(inner, np.sqrt(5.0), rtol=1e-12)
 
@@ -120,7 +110,7 @@ def test_gradient_cell_magnitude_of_a_stack():
     # leading axes are a stack of fields, each reduced as on its own
     for cells in ([17], [9, 6], [4, 5, 6]):
         g = Grid(cells=cells, extents=[1.0] * len(cells))
-        stack = np.stack([random_field(g, seed=s).values for s in range(3)])
+        stack = np.stack([random_field(g, seed=s) for s in range(3)])
         mags = gradient_cell_magnitude(stack, g)
         for field, mag in zip(stack, mags):
             assert mag.tobytes() == gradient_cell_magnitude(field, g).tobytes()
@@ -147,8 +137,8 @@ def test_binary_roundtrip(tmp_path):
         g = Grid(cells=cells, extents=extents)
         f = random_field(g, seed=sum(cells))
         path = tmp_path / f"f{len(cells)}.bin"
-        write_field_binary(f, path)
+        write_field_binary(f, g, path)
         rcells, rh, rvals = read_field_binary(path)
         assert tuple(rcells) == g.cells
         assert_allclose(rh, g.h, rtol=0, atol=0)
-        assert np.array_equal(rvals, f.values)
+        assert np.array_equal(rvals, f)

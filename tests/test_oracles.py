@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from logsense_ks.grid import Field, Grid, gradient_cell_magnitude
+from logsense_ks.grid import Grid, gradient_cell_magnitude
 from logsense_ks.oracles import (
     _ENSEMBLE_BLOCK,
     _ODE_CHUNK,
@@ -35,8 +35,8 @@ COTH_BOUND_1_4_1 = 2.0746294414550963
 
 def test_power_identities_constant_field():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
-    w = Field(g, np.full(g.shape, 2.5))
-    res_half, res_full = check_power_identities(w, r=1.7)
+    w = np.full(g.shape, 2.5)
+    res_half, res_full = check_power_identities(w, g, r=1.7)
     assert res_half == 0.0
     assert res_full == 0.0
 
@@ -45,8 +45,8 @@ def test_power_identity_half_exact_at_r_two():
     # r = 2 collapses the half-power identity to w lap w = w lap w
     g = Grid(cells=[48], extents=[1.0])
     (x,) = g.meshgrid()
-    w = Field(g, np.exp(x))
-    res_half, res_full = check_power_identities(w, r=2.0)
+    w = np.exp(x)
+    res_half, res_full = check_power_identities(w, g, r=2.0)
     assert res_half == 0.0
     assert res_full > 0.0
 
@@ -56,8 +56,8 @@ def test_power_identity_refinement_exponential():
     for N in (32, 64, 128):
         g = Grid(cells=[N], extents=[1.0])
         (x,) = g.meshgrid()
-        w = Field(g, np.exp(x))
-        residuals.append(check_power_identities(w, r=2.0)[1])
+        w = np.exp(x)
+        residuals.append(check_power_identities(w, g, r=2.0)[1])
     orders = [np.log2(a / b) for a, b in zip(residuals, residuals[1:])]
     assert min(orders) >= 1.9
 
@@ -68,8 +68,8 @@ def test_power_identity_refinement_cosine(r):
     for N in (32, 64, 128):
         g = Grid(cells=[N, N], extents=[1.0, 1.0])
         X, Y = g.meshgrid()
-        w = Field(g, 1.5 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
-        rh, rf = check_power_identities(w, r)
+        w = 1.5 + 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+        rh, rf = check_power_identities(w, g, r)
         halves.append(rh)
         fulls.append(rf)
     for seq in (halves, fulls):
@@ -79,12 +79,12 @@ def test_power_identity_refinement_cosine(r):
 
 def test_power_identity_validation():
     g = Grid(cells=[8], extents=[1.0])
-    w = Field(g, np.ones(8))
+    w = np.ones(8)
     with pytest.raises(ValueError):
-        check_power_identities(w, r=0.0)
-    flat = Field(g, np.zeros(8))
+        check_power_identities(w, g, r=0.0)
+    flat = np.zeros(8)
     with pytest.raises(ValueError):
-        check_power_identities(flat, r=1.5)
+        check_power_identities(flat, g, r=1.5)
 
 
 # square completion ------------------------------------------------------------------
@@ -102,14 +102,14 @@ def test_square_completion_roundoff_across_grids():
     for gi, g in enumerate(grids_for_trials()):
         for trial in range(60):
             rng = np.random.default_rng([11, gi, trial])
-            u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
-            v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
+            u = synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05)
+            v = synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05)
             chi = float(rng.uniform(0.3, 3.0))
             p = float(rng.uniform(0.05, 0.95) * min(1.0, 1.0 / chi**2))
             qm, qp = q_bounds(p, chi)
             q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
                 else 0.5 * (qm + qp)
-            rep = check_square_completion(u, v, p, q, chi)
+            rep = check_square_completion(u, v, g, p, q, chi)
             worst = max(worst, rep.residual / rep.scale)
     assert worst <= 1e-10
 
@@ -118,9 +118,9 @@ def test_square_completion_constant_u_reduces():
     # constant u kills B = v^{q/2} grad u^{p/2}; both arrangements collapse
     g = Grid(cells=[24, 24], extents=[1.0, 1.0])
     rng = np.random.default_rng(3)
-    u = Field(g, np.full(g.shape, 1.3))
-    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
-    rep = check_square_completion(u, v, p=0.5, q=0.25, chi=1.0)
+    u = np.full(g.shape, 1.3)
+    v = synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05)
+    rep = check_square_completion(u, v, g, p=0.5, q=0.25, chi=1.0)
     assert rep.residual == 0.0
 
 
@@ -128,20 +128,20 @@ def test_square_completion_at_window_endpoint():
     # q = q_plus zeroes c1; the identity must still close to round-off
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     rng = np.random.default_rng(4)
-    u = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
-    v = Field(g, synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05))
+    u = synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05)
+    v = synth_positive_field(g, rng, 3, (0.2, 1.0), 0.05)
     p, chi = 0.5, 1.0
     _, qp = q_bounds(p, chi)
-    rep = check_square_completion(u, v, p, qp, chi)
+    rep = check_square_completion(u, v, g, p, qp, chi)
     assert rep.residual <= 1e-10 * rep.scale
 
 
 def test_square_completion_rejects_nonpositive():
     g = Grid(cells=[8], extents=[1.0])
-    pos = Field(g, np.ones(8))
-    zero = Field(g, np.zeros(8))
+    pos = np.ones(8)
+    zero = np.zeros(8)
     with pytest.raises(ValueError):
-        check_square_completion(zero, pos, 0.5, 0.25, 1.0)
+        check_square_completion(zero, pos, g, 0.5, 0.25, 1.0)
 
 
 # Riccati comparison -----------------------------------------------------------------
@@ -202,8 +202,6 @@ def test_ode_comparison_random_batch():
              for _ in range(100)]
     reports = verify_ode_comparison_batch(specs, substeps=2 * 10**4)
     assert all(r.passed for r in reports)
-    d = reports[0].as_dict()
-    assert {"a", "b", "y0", "T", "passed", "max_excess", "error_estimate"} <= set(d)
 
 
 @pytest.mark.parametrize("substeps", [0, -3, 1, 1037])
@@ -651,13 +649,13 @@ def test_square_completion_trials_match_reference_loop():
     worst = 0.0
     for i in range(trials):
         rng = np.random.default_rng([17, 7, i])
-        u, v = (Field(g, _synth_reference(g, rng, 3, spec.amplitude, spec.floor))
+        u, v = (_synth_reference(g, rng, 3, spec.amplitude, spec.floor)
                 for _ in range(2))
         chi = float(rng.uniform(0.3, 3.0))
         p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
         qm, qp = q_bounds(p, chi)
         q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
             else 0.5 * (qm + qp)
-        rep = check_square_completion(u, v, p, q, chi)
+        rep = check_square_completion(u, v, g, p, q, chi)
         worst = max(worst, float(rep.residual / rep.scale))
     assert worst_square_completion(g, spec, 17, trials) == worst

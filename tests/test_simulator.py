@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks.grid import (Field, Grid, dct_modes, dct_values, integrate,
-                              lap_values)
+from logsense_ks.grid import Grid, dct_modes, dct_values, integrate, lap_values
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
     SimState,
@@ -34,8 +33,7 @@ def gaussian_state(cells=16, chi=2.0, eps=0.01):
     params = default_params(chi=chi, eps=eps)
     u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
     v0 = constant_field(g, 1.0)
-    return SimState(t=0.0, u=u0, v=Field(g, v0.values),
-                    params=params)
+    return SimState(t=0.0, grid=g, u=u0, v=v0, params=params)
 
 
 def constant_steady_state(cells=12, c=0.7, eps=0.1):
@@ -44,30 +42,25 @@ def constant_steady_state(cells=12, c=0.7, eps=0.1):
     params = default_params(eps=eps)
     u = constant_field(g, c)
     v_val = c / (1.0 + eps * c)
-    v = Field(g, np.full(g.shape, v_val))
-    return SimState(t=0.0, u=u, v=v, params=params)
+    v = np.full(g.shape, v_val)
+    return SimState(t=0.0, grid=g, u=u, v=v, params=params)
 
 
-def test_state_validation():
+def test_initial_state_rejects_bad_data():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
-    g2 = Grid(cells=[8, 8], extents=[2.0, 1.0])
     params = default_params()
-    ok_u = constant_field(g, 1.0)
-    ok_v = Field(g, np.ones(g.shape))
-    with pytest.raises(ValueError):
-        SimState(t=0.0, u=Field(g, -np.ones(g.shape)), v=ok_v, params=params)
-    with pytest.raises(ValueError):
-        SimState(t=0.0, u=ok_u, v=Field(g, np.zeros(g.shape)), params=params)
-    with pytest.raises(ValueError):
-        SimState(t=0.0, u=ok_u, v=Field(g2, np.ones(g2.shape)),
-                 params=params)
+    ok = np.ones(g.shape)
+    for u, v in ((np.ones((8, 4)), ok), (ok, np.ones(8)),
+                 (np.full(g.shape, np.nan), ok), (-ok, ok)):
+        with pytest.raises(ValueError):
+            initial_state(params, g, u, v)
 
 
 def sample_masses(state, T, **kw):
     """The run and the mass of u at each of its samples."""
     masses = []
     traj = run(state, T, on_sample=lambda t, u, v: masses.append(
-        integrate(Field(state.grid, u))), **kw)
+        integrate(u, state.grid)), **kw)
     return traj, np.array(masses)
 
 
@@ -78,8 +71,8 @@ def test_constant_steady_state_is_fixed_point():
         on_sample=lambda t, u, v: seen.append((u.copy(), v.copy())))
     assert len(seen) == 3
     for u, v in seen:
-        assert np.array_equal(u, state.u.values)
-        assert np.array_equal(v, state.v.values)
+        assert np.array_equal(u, state.u)
+        assert np.array_equal(v, state.v)
 
 
 def test_mass_conservation():
@@ -119,8 +112,8 @@ def test_zero_horizon_records_initial_state_only():
     traj = run(state, T=0.0)
     assert traj.times == [0.0]
     assert len(traj.u_snapshots) == len(traj.v_snapshots) == 1
-    assert np.array_equal(traj.u_snapshots[0], state.u.values)
-    assert np.array_equal(traj.v_snapshots[0], state.v.values)
+    assert np.array_equal(traj.u_snapshots[0], state.u)
+    assert np.array_equal(traj.v_snapshots[0], state.v)
     assert traj.reports == []
 
 
@@ -133,8 +126,8 @@ def test_on_sample_sees_every_sample_and_keeps_the_final_one():
                    on_sample=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
     assert [t for t, _, _ in seen] == plain.times == streamed.times
     assert len(seen) == len(wanted)
-    assert np.array_equal(seen[0][1], state.u.values)
-    assert np.array_equal(seen[0][2], state.v.values)
+    assert np.array_equal(seen[0][1], state.u)
+    assert np.array_equal(seen[0][2], state.v)
     # with or without a hook, the run keeps the final sample only
     for traj in (plain, streamed):
         assert len(traj.u_snapshots) == len(traj.v_snapshots) == 1
@@ -206,15 +199,14 @@ def test_step_decays_a_cosine_mode_exactly():
     g = Grid(cells=[24, 10], extents=[2.0, 1.0])
     x, _ = g.meshgrid()
     a = 0.3
-    state = SimState(t=0.0, u=Field(g, 1.0 + a * np.cos(np.pi * x / 2.0)),
-                     v=Field(g, np.full(g.shape, 0.8)),
-                     params=default_params())
+    state = SimState(t=0.0, grid=g, u=1.0 + a * np.cos(np.pi * x / 2.0),
+                     v=np.full(g.shape, 0.8), params=default_params())
     h = g.h[0]
     lam = -(4.0 / h**2) * np.sin(np.pi / (2 * g.cells[0])) ** 2
     for dt in (1e-3, 0.05, 0.4):
         new_state, _ = step(state, dt)
         exact = 1.0 + a * np.exp(lam * dt) * np.cos(np.pi * x / 2.0)
-        assert_allclose(new_state.u.values, exact, rtol=0.0, atol=1e-14)
+        assert_allclose(new_state.u, exact, rtol=0.0, atol=1e-14)
 
 
 def test_counters_say_what_set_each_step():
@@ -244,8 +236,7 @@ def spike_in_drift_state():
     x, _ = g.meshgrid()
     u = np.full(g.shape, 1e-3)
     u[8, 8] += 1.0
-    return SimState(t=0.0, u=Field(g, u),
-                    v=Field(g, np.exp(8.0 * x)),
+    return SimState(t=0.0, grid=g, u=u, v=np.exp(8.0 * x),
                     params=default_params())
 
 
@@ -257,7 +248,7 @@ def test_step_rejects_positivity_loss():
     with pytest.raises(StepRejected):
         step(state, dt=4.0 * bound)
     new_state, report = step(state, dt=bound)
-    assert new_state.u.values.min() >= 0.0
+    assert new_state.u.min() >= 0.0
     assert report.dt_used == bound
 
 
@@ -266,7 +257,8 @@ def test_step_rejects_positivity_loss():
 def test_step_rejects_an_overflowing_update():
     # the tendency is finite (max |du| about 1.4e308), the update is not
     g = Grid(cells=[4, 4], extents=[1.0, 1.0])
-    state = SimState(t=0.0, u=gaussian_bump(g, 1e307, 0.3, baseline=1e306),
+    state = SimState(t=0.0, grid=g,
+                     u=gaussian_bump(g, 1e307, 0.3, baseline=1e306),
                      v=constant_field(g, 1.0), params=default_params())
     with pytest.raises(StepRejected):
         step(state, dt=cfl_dt(state))
@@ -278,21 +270,20 @@ def test_step_from_a_zero_background_is_accepted():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     u = np.zeros(g.shape)
     u[8, 8] = 1.0
-    state = SimState(t=0.0, u=Field(g, u),
-                     v=Field(g, np.ones(g.shape)),
+    state = SimState(t=0.0, grid=g, u=u, v=np.ones(g.shape),
                      params=default_params())
     for dt in (1e-6, 1e-4):
         new_state, _ = step(state, dt)
-        assert new_state.u.values.min() >= 0.0
-        assert new_state.u.values[8, 8] < 1.0
-        assert new_state.u.values.sum() == pytest.approx(1.0, rel=1e-13)
+        assert new_state.u.min() >= 0.0
+        assert new_state.u[8, 8] < 1.0
+        assert new_state.u.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_narrow_bump_on_zero_baseline_runs():
     # corner values of about 1e-41 sit far below the transforms' round-off
     g = Grid(cells=[32, 32], extents=[1.0, 1.0])
     u0 = gaussian_bump(g, amplitude=1.5, width=0.05, baseline=0.0)
-    state = initial_state(default_params(), u0, constant_field(g, 1.0))
+    state = initial_state(default_params(), g, u0, constant_field(g, 1.0))
     traj, mass = sample_masses(state, T=0.01)
     assert traj.counters()["rejected"] == 0
     assert traj.final_time == 0.01
@@ -308,8 +299,7 @@ def test_step_dt_validation():
 def test_singularity_guard():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     v = np.full(g.shape, 1e-13)  # positive but below the mobility floor
-    state = SimState(t=0.0, u=constant_field(g, 1.0),
-                     v=Field(g, v),
+    state = SimState(t=0.0, grid=g, u=constant_field(g, 1.0), v=v,
                      params=default_params())
     with pytest.raises(SingularityError):
         cfl_dt(state)
@@ -337,20 +327,20 @@ def test_retry_halving_recovers():
                                               max_retries=12)
     assert report.retries > 0
     assert report.dt_used < trial
-    assert new_state.u.values.min() >= 0.0
+    assert new_state.u.min() >= 0.0
 
 
 def test_initial_field_kinds():
     g = Grid(cells=[16, 16], extents=[1.0, 1.0])
     c = make_initial_field(g, {"kind": "constant", "value": 2.0})
-    assert np.all(c.values == 2.0)
+    assert np.all(c == 2.0)
     gau = make_initial_field(g, {"kind": "gaussian", "amplitude": 1.0,
                                  "width": 0.1, "baseline": 0.5})
-    assert gau.values.max() <= 1.5 + 1e-12
-    assert gau.values.min() >= 0.5
+    assert gau.max() <= 1.5 + 1e-12
+    assert gau.min() >= 0.5
     cos = make_initial_field(g, {"kind": "cosine", "baseline": 1.0,
                                  "amplitude": 0.3, "cutoff": 2, "seed": 4})
-    assert cos.values.min() > 0.0
+    assert cos.min() > 0.0
     with pytest.raises(ValueError):
         make_initial_field(g, {"kind": "vortex"})
 
@@ -360,17 +350,17 @@ def test_cosine_perturbation_seeding():
     a = cosine_perturbation(g, baseline=1.0, amplitude=0.3, cutoff=3, seed=7)
     b = cosine_perturbation(g, baseline=1.0, amplitude=0.3, cutoff=3, seed=7)
     c = cosine_perturbation(g, baseline=1.0, amplitude=0.3, cutoff=3, seed=8)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_initial_state_validation_and_flooring():
     g = Grid(cells=[8, 8], extents=[1.0, 1.0])
     params = default_params()
     with pytest.raises(ValueError):
-        initial_state(params, constant_field(g, -1.0), constant_field(g, 1.0))
-    st = initial_state(params, constant_field(g, 1.0), constant_field(g, 0.0))
-    assert st.v.values.min() == pytest.approx(1e-6)
+        initial_state(params, g, constant_field(g, -1.0), constant_field(g, 1.0))
+    st = initial_state(params, g, constant_field(g, 1.0), constant_field(g, 0.0))
+    assert st.v.min() == pytest.approx(1e-6)
 
 
 def test_step_reports_csv(tmp_path):
