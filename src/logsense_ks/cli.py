@@ -31,7 +31,7 @@ import platform
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -908,7 +908,7 @@ def _mode_oracle(cfg, outputs, asserts):
 
     # Poincare-type ensembles (empirical constants, reported)
     log_report = log_poincare_ratio(spec, grid)
-    reports["log_poincare"] = log_report.as_dict()
+    reports["log_poincare"] = asdict(log_report)
     asserts.add("log_poincare_finite",
                 log_report.degenerate or np.isfinite(log_report.max_ratio),
                 value=reports["log_poincare"])

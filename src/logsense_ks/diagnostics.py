@@ -65,12 +65,12 @@ class Separable:
     """psi = offset + prod_a f_a(x_a) on a grid, held as 1-D factors.
 
     `factors` holds one triple per axis a: f_a at the cell centres, its
-    analytic derivative f_a' at the faces and f_a'' at the cell centres.  The
-    amplitude sits in axis 0's triple only.  No factors means psi is the
-    constant `offset`.  The dense weights follow as outer products:
-    d_a psi on a-faces is f_a' times the other f_b, lap psi is the sum over a
-    of f_a'' times the other f_b, and psi's face mean along a is the offset
-    plus the 1-D face mean of f_a times the other f_b.
+    analytic derivative f_a' at all n_a + 1 faces (boundary_normal_derivative
+    reads the ends) and f_a'' at the cell centres; the amplitude sits in axis
+    0's triple only.  No factors means psi is the constant `offset`.  The
+    dense weights are outer products: d_a psi on a-faces is f_a' times the
+    other f_b, lap psi sums f_a'' times the other f_b over a, and psi's face
+    mean along a is the offset plus the face mean of f_a times the other f_b.
     """
 
     offset: float
@@ -78,11 +78,10 @@ class Separable:
 
 
 def _swapped(factors, axis, which):
-    """The per-axis f_a of `factors` (triples, or the accumulator's
-    (f, f', f'', face mean of f)) with axis `axis`'s replaced by entry
-    `which`; empty for a constant psi."""
-    return [triple[which] if a == axis else triple[0]
-            for a, triple in enumerate(factors)]
+    """The per-axis f_a of `factors` (_interior_weights' quadruples) with
+    axis `axis`'s replaced by entry `which`; empty for a constant psi."""
+    return [quad[which] if a == axis else quad[0]
+            for a, quad in enumerate(factors)]
 
 
 def _scaled(offset, amplitude, factors):
@@ -390,8 +389,8 @@ class _Densities:
     """Entropy densities of one sample.
 
     Cell arrays: upq = u^p v^q, gain_raw = u^{p+1} v^{q-1} and its saturated
-    form gain = gain_raw / (1 + eps u).  Per-axis face arrays: grad_up and
-    grad_vq (face gradients of u^{p/2} and v^{q/2}), diss_grad_u
+    form gain = gain_raw / (1 + eps u).  Per-axis interior-face arrays:
+    grad_up and grad_vq (face gradients of u^{p/2} and v^{q/2}), diss_grad_u
     (v^q |grad u^{p/2}|^2), diss_square (the completed square) and grad_phi
     (u^{p/2} v^q grad u^{p/2}, to be dotted with grad phi).  The record is
     the phi == 1 contraction of these densities and every weak-form residual
@@ -454,6 +453,14 @@ def _contracted(density, vecs):
     return float(density)
 
 
+def _interior_weights(phi, grid):
+    """phi's offset and per axis (f, f' at the interior faces, f'', face
+    mean of f): the 1-D weights of the cell and interior-face densities."""
+    sep = phi.separable(grid)
+    return sep.offset, [(f, df[1:-1], d2f, face_mean_values(f, 0))
+                        for f, df, d2f in sep.factors]
+
+
 class Accumulator:
     """The diagnostics of a run, fed one sample at a time.
 
@@ -479,14 +486,10 @@ class Accumulator:
         self.phi_v = phi_v
         self.times = []
         self._cols = {name: [] for name in DiagnosticsRecord._columns}
-        # per phi, the offset and per axis (f, f', f'', face mean of f)
-        seps = [phi.separable(grid) for phi in self.phis]
-        self._offsets = [sep.offset for sep in seps]
-        self._factors = [[(*triple, face_mean_values(triple[0], 0))
-                          for triple in sep.factors] for sep in seps]
+        self._weights = [_interior_weights(phi, grid) for phi in self.phis]
         self._series = []  # per sample, the (7, len(phis)) integrals
         if phi_v is not None:
-            self._v_sep = phi_v.separable(grid)
+            self._v_weights = _interior_weights(phi_v, grid)
         self._v_series = []  # per sample, (V, B, F) of _v_weak
         try:
             self._u_lr_expo = _u_lr_exponent(params)
@@ -568,7 +571,7 @@ class Accumulator:
         grid = self.grid
         vol = grid.cell_volume
         out = np.empty((7, len(self.phis)))
-        for i, (c, factors) in enumerate(zip(self._offsets, self._factors)):
+        for i, (c, factors) in enumerate(self._weights):
             f = [quad[0] for quad in factors]
             d1 = d2 = gt = lt = 0.0
             for ax in range(grid.dim):
@@ -591,8 +594,8 @@ class Accumulator:
         grid = self.grid
         eps = self.params.eps
         vol = grid.cell_volume
-        c, factors = self._v_sep.offset, self._v_sep.factors
-        f = [triple[0] for triple in factors]
+        c, factors = self._v_weights
+        f = [quad[0] for quad in factors]
         src = u / (1.0 + eps * u) if eps > 0.0 else u
         acc = 0.0
         for ax in range(grid.dim):

@@ -8,8 +8,9 @@ cells), which makes the divergence telescope exactly: integrating the
 divergence of any face flux gives zero up to round-off, and the Neumann
 Laplacian is self-adjoint with respect to the midpoint inner product.
 
-Face arrays for axis a have shape equal to the cell shape except n_a + 1
-entries along axis a; entry i sits between cells i-1 and i.
+A face array for axis a holds only the n_a - 1 interior faces of that axis;
+entry i sits between cells i and i + 1.  The kernels that map faces back to
+cells, face_div_values and faces_to_cells, count the boundary faces as zero.
 """
 
 from __future__ import annotations
@@ -151,40 +152,34 @@ def dct_values(a, mats, inverse=False):
 
 
 def face_grad_values(a, h, axis):
-    """Face-centered gradient along one axis; boundary faces are zero.  A
-    negative axis counts from the last and indexes h the same way."""
-    shape = list(a.shape)
-    shape[axis] += 1
-    g = np.zeros(shape, dtype=np.float64)
-    g[_span(axis, 1, a.shape[axis])] = np.diff(a, axis=axis) / h[axis]
-    return g
+    """Gradient along one axis on the interior faces.  A negative axis counts
+    from the last and indexes h the same way."""
+    return np.diff(a, axis=axis) / h[axis]
 
 
 def face_div_values(fluxes, h, shape):
-    """Divergence of per-axis face fluxes back onto cells."""
+    """Cell divergence of per-axis interior face fluxes (no boundary flux)."""
     out = np.zeros(shape, dtype=np.float64)
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
-        n = shape[ax]
-        out += (flux[_span(ax, 1, n + 1)] - flux[_span(ax, 0, n)]) / ha
+        out += np.diff(flux, axis=ax, prepend=0.0, append=0.0) / ha
     return out
 
 
 def face_mean_values(a, axis):
-    """Arithmetic mean onto faces; boundary faces take the adjacent cell value."""
-    shape = list(a.shape)
-    shape[axis] += 1
-    m = np.empty(shape, dtype=np.float64)
-    n = a.shape[axis]
-    m[_span(axis, 1, n)] = 0.5 * (a[_span(axis, 0, n - 1)] + a[_span(axis, 1, n)])
-    for face, cell in zip(end_slabs(m, axis), end_slabs(a, axis)):
-        face[...] = cell
-    return m
+    """Arithmetic mean of the two cells beside each interior face."""
+    return 0.5 * (a[_span(axis, 0, -1)] + a[_span(axis, 1, None)])
 
 
 def faces_to_cells(face_array, axis):
-    """Average the two bounding faces of each cell along `axis`."""
-    n = face_array.shape[axis] - 1
-    return 0.5 * (face_array[_span(axis, 0, n)] + face_array[_span(axis, 1, n + 1)])
+    """Average the two bounding faces of each cell along `axis`; a boundary
+    face counts as zero."""
+    shape = list(face_array.shape)
+    shape[axis] += 1
+    cells = np.zeros(shape)
+    cells[_span(axis, 0, -1)] += face_array
+    cells[_span(axis, 1, None)] += face_array
+    cells *= 0.5
+    return cells
 
 
 # public field operations --------------------------------------------------------

@@ -552,11 +552,6 @@ class LogPoincareReport:
     grid_cells: list
     grid_extents: list
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "max_ratio", "included", "alternative", "excluded", "regenerated",
-            "degenerate", "delta", "eta", "seed", "grid_cells", "grid_extents")}
-
 
 def _level_set_fields(spec, grid, members):
     """Each member's first field whose super-level set {phi > delta} has

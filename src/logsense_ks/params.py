@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REL_TOL = 1e-12       # relative tolerance for closed-form equality checks
 DOMAIN_SLACK = 1e-14  # absolute slack when testing open-interval membership
 DEFAULT_N2_CAP = 1e6  # stand-in for n/(n-2) = +inf when n = 2
 

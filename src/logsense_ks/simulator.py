@@ -116,11 +116,10 @@ class StepReport:
 def _tendency(state, v_floor):
     """The state's tendency, evaluated on first use and held on the state.
 
-    One pass over the axes forms v's face gradient and face mean, and from
-    them the drift speed (boundary faces contribute none) and the flux on
-    interior faces; boundary faces carry exactly zero flux.  Raises
-    SingularityError when v is below the mobility floor and SimulationError
-    when the tendency is not finite.
+    One pass over the axes forms v's gradient and mean on the interior faces,
+    and from them the drift speed and the flux; the boundary faces carry zero
+    flux and are not formed.  Raises SingularityError when v is below the
+    mobility floor and SimulationError when the tendency is not finite.
     """
     u, v = state.u, state.v
     if v.min() < v_floor:
@@ -136,13 +135,8 @@ def _tendency(state, v_floor):
         g = face_grad_values(v, grid.h, ax)
         v_face = face_mean_values(v, ax)
         worst = max(worst, float(np.abs(g / v_face).max()))
-        inner = _span(ax, 1, grid.shape[ax])  # interior faces = upper cells
-        lower = _span(ax, 0, grid.shape[ax] - 1)
-        g_in = g[inner]
-        donor = np.where(g_in > 0.0, u[lower], u[inner])
-        flux = np.zeros_like(g)
-        flux[inner] = chi * donor / v_face[inner] * g_in
-        fluxes.append(flux)
+        donor = np.where(g > 0.0, u[_span(ax, 0, -1)], u[_span(ax, 1, None)])
+        fluxes.append(chi * donor / v_face * g)
     du = lap_values(u, grid.h)
     du -= face_div_values(fluxes, grid.h, grid.shape)
     dv = lap_values(v, grid.h)
@@ -267,10 +261,6 @@ class Trajectory:
     u_snapshots: list = dc_field(default_factory=list)
     v_snapshots: list = dc_field(default_factory=list)
     reports: list = dc_field(default_factory=list)
-
-    @property
-    def final_time(self):
-        return self.times[-1] if self.times else 0.0
 
     def counters(self):
         """Steps, rejected attempts, the dt range and what set each step's dt."""

@@ -189,7 +189,7 @@ def test_criterion_06_entropy_identity_refinement(tmp_path):
 def test_criterion_07_supersolution_direction(super_runs):
     worst = np.inf
     for eps, (trajectory, result, params) in super_runs.items():
-        T = trajectory.final_time
+        T = trajectory.times[-1]
         family = builtin_supersolution_family(trajectory.grid, T)
         for phi, balance in zip(family, result.balances[1:], strict=True):
             phi.check_one_sided(trajectory.grid, T)

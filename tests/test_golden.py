@@ -4,7 +4,8 @@ The sha256 digests below were recorded for the outputs of five small
 experiments (simulate, entropy-check, refine-study, eps-study and oracle on
 a 16 x 16 base grid with short end times and small ensembles), for the
 assertions blocks of two of their manifests, for the whole eps-study
-manifest and for the field files of a simulate run that saves every sample.  A
+manifest, for the field files of a simulate run that saves every sample, and
+for the step reports and field files of an 8 x 8 x 8 simulate run.  A
 refactor that claims unchanged behaviour must leave them unchanged; a change
 that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
 they were recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64
@@ -60,11 +61,11 @@ CASES = {
 
 DIGESTS = {
     "record.csv":
-        "b3c22b18e19c32efca668d8e8368f408051ec491d788fb39abe83a3a432039a7",
+        "8d91153fb5c6ba7af3db90a1bb4955eed1d6a916f25109f342afa7d3ab4efb8b",
     "steps.csv":
         "59b51f1c068a04972490b48b056eda3e0c7fed597058e311e4abcc32f344d826",
     "residuals.json":
-        "e0ae01d475345a7c055a4b25a32f8ffc67e79c3400f9fdc197258b7889ade5d3",
+        "3ae2b1907480dc6cfbd6e45d9a6c7f35bc05256700c14a3135dd5a04cdd6e0f6",
     "refine_study.csv":
         "d35c6bec23d6250188aadee02064363ae9e6874a1c37197cc78652cd74154f51",
     "eps_study.csv":
@@ -72,7 +73,7 @@ DIGESTS = {
     "oracle_reports.json":
         "70c4ea8a0c634d90d0fb229906536b5c004d0742ddd141b2aedb3a1ea66c1b27",
     "summary.json":
-        "eb5e4572154a06d48404476c9ef53eef6a7695a4aa4e7164decd31ba7d884fea",
+        "bfe2b8956baec07a3bb52cb35d861b784c47ddc029779a5bfebbd74978c174a5",
 }
 
 # The manifests' assertions blocks, serialised with sorted keys: they hold
@@ -80,9 +81,9 @@ DIGESTS = {
 # apriori_bounds, log_mass).
 ASSERTION_DIGESTS = {
     "simulate":
-        "c39a63e011c6b18421d698de291de4d1617a49040bd7df859955b1c9f338229e",
+        "e9a53b4894daded4e71721ccb624a78c4f96a839ade7ae50cdee272d979170bd",
     "entropy-check":
-        "2cd06b518584d0423fccf8c4fa82d7e1fdfdd65301f1c61f871e453b99d4e6e5",
+        "463be535e2542e8b6e7267304b5c50dca56a255eb9c8433c0200a054af418a7f",
 }
 
 # The eps-study manifest, serialised with sorted keys, without its wall time
@@ -90,13 +91,36 @@ ASSERTION_DIGESTS = {
 # run: it holds the per-rung summaries, the log-mass band, the monotonicity
 # flags and the step counters.
 EPS_STUDY_MANIFEST_DIGEST = \
-    "5da0e46450906a04b7c09110c0eb2ecfa4b5bc43b709849a0f00b3e330678215"
+    "52ead578252e4f3461dc663195a02798dae02fb7598912c73aae6da20fb01962"
 
 # Every fields/*.bin of a simulate run that saves all samples, in name order.
 ALL_FIELDS_CONFIG = _config("simulate", run={"T": 0.02, "sample_count": 40,
                                             "save_fields": "all"})
 ALL_FIELDS_DIGEST = \
     "35ae167a68ca1a9831d0b93ef007b2aef8dc55a55be5d9ad745e7139f59b2bb2"
+
+
+# An 8 x 8 x 8 simulate run that saves every sample: its step reports and,
+# as for ALL_FIELDS_CONFIG, every fields/*.bin in name order.
+CONFIG_3D = {
+    "mode": "simulate",
+    "grid": {"cells": [8, 8, 8], "extents": [1.0, 1.0, 1.0]},
+    "model": {**_MODEL, "n": 3},
+    "initial": {"u": {**_INITIAL["u"], "center": [0.45, 0.55, 0.5]},
+                "v": dict(_INITIAL["v"])},
+    "run": {"T": 0.005, "sample_count": 10, "save_fields": "all"},
+}
+STEPS_3D_DIGEST = \
+    "a34cdb88daeae0477995384a546fb9a88cd82f5a0badda5d27feb5ed6e9e3ea8"
+FIELDS_3D_DIGEST = \
+    "e9755d710bcda4c1b6e83165a9d6c25e2f93a3379241bad30c37a1bb21c0b9c2"
+
+
+def _fields_digest(fields_dir):
+    h = hashlib.sha256()
+    for path in sorted(fields_dir.glob("*.bin")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("mode", sorted(CASES))
@@ -135,9 +159,15 @@ def test_all_fields_digest(tmp_path):
     _, manifest = run_experiment(validate_config(ALL_FIELDS_CONFIG,
                                                  out_override=tmp_path))
     assert "aborted" not in manifest
-    paths = sorted((tmp_path / "fields").glob("*.bin"))
-    assert len(paths) == 2 * 41
-    h = hashlib.sha256()
-    for path in paths:
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert h.hexdigest() == ALL_FIELDS_DIGEST
+    assert len(list((tmp_path / "fields").glob("*.bin"))) == 2 * 41
+    assert _fields_digest(tmp_path / "fields") == ALL_FIELDS_DIGEST
+
+
+def test_3d_digests(tmp_path):
+    _, manifest = run_experiment(validate_config(CONFIG_3D,
+                                                 out_override=tmp_path))
+    assert "aborted" not in manifest
+    steps = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
+    assert steps == STEPS_3D_DIGEST
+    assert len(list((tmp_path / "fields").glob("*.bin"))) == 2 * 11
+    assert _fields_digest(tmp_path / "fields") == FIELDS_3D_DIGEST

@@ -67,8 +67,17 @@ def test_laplacian_self_adjoint():
     assert_allclose(a, b, rtol=1e-12)
 
 
-def test_divergence_of_gradient_matches_laplacian():
-    g = Grid(cells=[12, 9], extents=[1.0, 2.0])
+# one mesh per dimension, with unequal cell counts and extents
+MESHES = {
+    1: Grid(cells=[17], extents=[1.3]),
+    2: Grid(cells=[12, 9], extents=[1.0, 2.0]),
+    3: Grid(cells=[6, 5, 7], extents=[1.0, 0.8, 1.5]),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(MESHES))
+def test_divergence_of_gradient_matches_laplacian(dim):
+    g = MESHES[dim]
     f = random_field(g, seed=7)
     fluxes = [face_grad_values(f, g.h, ax) for ax in range(g.dim)]
     div = face_div_values(fluxes, g.h, g.shape)
@@ -93,9 +102,35 @@ def test_face_gradient_linear_field():
     g = Grid(cells=[20], extents=[2.0])
     (x,) = g.meshgrid()
     grad = face_grad_values(3.0 * x, g.h, 0)
-    # interior faces recover the slope exactly; boundary faces are zero flux
-    assert_allclose(grad[1:-1], 3.0, rtol=1e-13)
-    assert grad[0] == 0.0 and grad[-1] == 0.0
+    # only the 19 interior faces are stored, and they recover the slope
+    assert grad.shape == (19,)
+    assert_allclose(grad, 3.0, rtol=1e-13)
+
+
+def _padded(faces, axis):
+    """Interior faces with the zero boundary faces put back at both ends."""
+    pad = [(0, 0)] * faces.ndim
+    pad[axis] = (1, 1)
+    return np.pad(faces, pad)
+
+
+@pytest.mark.parametrize("dim", sorted(MESHES))
+def test_face_kernels_match_the_full_face_formulas(dim):
+    # bit for bit against the formulas on n_a + 1 faces with zero ends
+    g = MESHES[dim]
+    f = random_field(g, seed=11)
+    faces = [face_grad_values(f, g.h, ax) for ax in range(dim)]
+    want = np.zeros(g.shape)
+    for ax, flux in enumerate(faces):
+        assert flux.shape[ax] == g.shape[ax] - 1
+        full = _padded(flux, ax)
+        n = g.shape[ax]
+        lower = full.take(range(n), axis=ax)
+        upper = full.take(range(1, n + 1), axis=ax)
+        want += (upper - lower) / g.h[ax]
+        cells = faces_to_cells(flux, ax)
+        assert cells.tobytes() == (0.5 * (lower + upper)).tobytes()
+    assert face_div_values(faces, g.h, g.shape).tobytes() == want.tobytes()
 
 
 def test_gradient_cell_magnitude_interior():
@@ -117,11 +152,13 @@ def test_gradient_cell_magnitude_of_a_stack():
 
 
 def test_faces_to_cells_constant():
+    # a constant on the 5 interior faces; the boundary faces count as zero
     g = Grid(cells=[6, 6], extents=[1.0, 1.0])
-    face = np.full((7, 6), 2.0)
+    face = np.full((5, 6), 2.0)
     cells = faces_to_cells(face, 0)
     assert cells.shape == g.shape
-    assert_allclose(cells, 2.0, rtol=1e-14)
+    assert np.all(cells[1:-1] == 2.0)
+    assert np.all(cells[[0, -1]] == 1.0)
 
 
 def test_interior_max_abs():

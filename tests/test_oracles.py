@@ -342,7 +342,7 @@ def test_log_poincare_determinism_and_threading():
     spec = EnsembleSpec(count=64, seed=9)
     serial = log_poincare_ratio(spec, g)
     again = log_poincare_ratio(spec, g)
-    assert serial.as_dict() == again.as_dict()
+    assert serial == again
 
 
 def test_mean_poincare_closed_form_linear():
