@@ -412,19 +412,27 @@ class Assertions:
         return all(e["passed"] for e in self.entries)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _jsonable(obj):
+    """obj with numpy values made Python ones and every non-finite float
+    made None, so that it dumps as strict JSON (RFC 8259 has no NaN or
+    Infinity)."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(value) for value in obj]
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
 
 
 def _dump_json(payload, path):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

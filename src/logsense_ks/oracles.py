@@ -449,27 +449,25 @@ def check_synth_amplitude(dim, cutoff, amplitude):
 
 @functools.lru_cache(maxsize=8)
 def _cosine_table(cells, extents, cutoff):
-    """Per-mode cosine factors and 1 + |k|^2 denominators of the synthesis series.
+    """Per-axis cosine tables and the 1 + |k|^2 denominators of the synthesis
+    series.
 
-    Modes run over range(cutoff + 1)^dim in lexicographic order.  A mode's
-    factors are the vectors cos(k_a pi x_a / L_a) of its nonzero k_a, each
-    shaped to broadcast along its own axis, so the table grows with the
-    cells per axis, not with the grid.
+    Table a is (cutoff + 1, n_a): its row k_a holds cos(k_a pi x_a / L_a) at
+    the axis-a cell centres, so the tables grow with the cells per axis, not
+    with the grid.  Row 0 is all ones, so a factor taken from it is exact.
+    Modes run over range(cutoff + 1)^dim in lexicographic order, with their
+    denominators in the same order.
     """
     grid = Grid(cells, extents, max_cells=np.inf)
     cosines = []
     for ax in range(grid.dim):
-        x = grid.axis_centers(ax).reshape(
-            [-1 if a == ax else 1 for a in range(grid.dim)])
-        cosines.append([np.cos(ki * np.pi * x / extents[ax])
-                        for ki in range(cutoff + 1)])
-        for vector in cosines[-1]:
-            vector.flags.writeable = False  # shared by every cached caller
-    factors, denominators = [], []
-    for k, denominator in _modes(grid.dim, cutoff):
-        factors.append(tuple(cosines[ax][ki] for ax, ki in enumerate(k) if ki))
-        denominators.append(denominator)
-    return tuple(factors), np.array(denominators)
+        x = grid.axis_centers(ax)
+        table = np.stack([np.cos(ki * np.pi * x / extents[ax])
+                          for ki in range(cutoff + 1)])
+        table.flags.writeable = False  # shared by every cached caller
+        cosines.append(table)
+    denominators = np.array([d for _, d in _modes(grid.dim, cutoff)])
+    return tuple(cosines), denominators
 
 
 def _series_coefficients(rng, amplitude, denominators):
@@ -478,29 +476,48 @@ def _series_coefficients(rng, amplitude, denominators):
     return rng.uniform(-1.0, 1.0, size=len(denominators)) * amp / denominators
 
 
+def _mode_terms(cosines, lo, hi):
+    """The (modes, cells) table of mode terms over axis-0 layers lo:hi, modes
+    in lexicographic order: a mode's term is the product of its cosine rows,
+    multiplied in axis order."""
+    dim = len(cosines)
+    tables = (cosines[0][:, lo:hi],) + cosines[1:]
+    terms = 1.0
+    for ax, table in enumerate(tables):
+        shape = [1] * (2 * dim)
+        shape[ax], shape[dim + ax] = table.shape
+        terms = terms * table.reshape(shape)
+    return terms.reshape(len(tables[0]) ** dim, -1)
+
+
 def _synthesize(grid, cutoff, floor, coefficients):
     """floor + exp(series) for each row of coefficients, stacked on a leading
-    axis.  A mode's term is the product of its cosines in axis order; each
-    row's series adds coefficient * term in mode order, so a row's field does
-    not depend on the other rows."""
-    factors, _ = _cosine_table(grid.cells, grid.extents, cutoff)
+    axis.
+
+    The series of every row is one contraction of the coefficients with the
+    table of mode terms.  Without `optimize`, einsum adds coefficient * term
+    in mode order, a multiply and then an add, as a loop over the modes
+    would, so a row's field does not depend on the other rows.  (Over a
+    single cell it sums in another order; every call here spans at least two
+    cells.)  The table holds at most 2 _ENSEMBLE_BLOCK floats per cell, or
+    one axis-0 layer per mode if that is more: past that it is built and
+    contracted a slab of whole axis-0 layers at a time.  A 2-D or 3-D layer
+    has at least grid.MIN_CELLS_PER_AXIS = 4 cells, and a 1-D table needs a
+    slab only above 2 _ENSEMBLE_BLOCK modes, past the configurable cutoffs.
+    """
+    cosines, _ = _cosine_table(grid.cells, grid.extents, cutoff)
     coefficients = np.asarray(coefficients)
-    series = np.zeros((len(coefficients),) + grid.shape)
-    scaled = np.empty_like(series)
-    column = (len(coefficients),) + (1,) * grid.dim
-    for coeff, vectors in zip(coefficients.T, factors):
-        coeff = coeff.reshape(column)
-        if not vectors:
-            series += coeff
-            continue
-        term = vectors[0]
-        for vector in vectors[1:]:
-            term = term * vector
-        np.multiply(coeff, term, out=scaled)
-        series += scaled
+    n0 = grid.cells[0]
+    layer = int(np.prod(grid.cells[1:]))
+    step = max(1, 2 * _ENSEMBLE_BLOCK * n0 // coefficients.shape[1])
+    series = np.empty((len(coefficients), n0 * layer))
+    for lo in range(0, n0, step):
+        hi = min(n0, lo + step)
+        np.einsum("bk,kn->bn", coefficients, _mode_terms(cosines, lo, hi),
+                  out=series[:, lo * layer:hi * layer])
     np.exp(series, out=series)
     series += floor
-    return series
+    return series.reshape((len(coefficients),) + grid.shape)
 
 
 def synth_positive_field(grid, rng, cutoff, amplitude, floor):
@@ -512,10 +529,12 @@ def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     any level delta < 1 on average and the small-field branch of the level-set
     inequalities could never occur.
 
-    The per-axis cosine vectors and the denominators come from a small cache
-    keyed on (cells, extents, cutoff).  Ensembles synthesize their members
-    in blocks of _ENSEMBLE_BLOCK with the same kernel, so a member's field is
-    this function's field for its rng.
+    The per-axis cosine tables and the denominators come from a small cache
+    keyed on (cells, extents, cutoff); the mode terms are built from them
+    per call, and the series is one contraction of the coefficients with
+    them in mode order.  Ensembles synthesize their members in blocks of
+    _ENSEMBLE_BLOCK with the same kernel, so a member's field is this
+    function's field for its rng.
     """
     _, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
     coefficients = _series_coefficients(rng, amplitude, denominators)
@@ -597,7 +616,6 @@ def log_poincare_ratio(spec, grid, field_source=None):
     if spec.eta >= volume:
         raise ValueError(f"eta = {spec.eta} must be below the domain volume {volume}")
     vol = grid.cell_volume
-    tiny = 1e-14
 
     outcomes = []
     for members in _blocks(spec.count):
@@ -616,8 +634,7 @@ def log_poincare_ratio(spec, grid, field_source=None):
         for log_sum, grad_sum, peak, reg in zip(nums, dens, peaks, regenerated):
             num = float(log_sum) * vol
             den = float(grad_sum) * vol
-            scale = max(peak * volume, 1.0)
-            if abs(num) <= tiny * scale and den <= tiny * scale:
+            if _round_off_pair(num, den, max(peak * volume, 1.0)):
                 outcomes.append(("excluded", 0.0, int(reg)))
             elif num < 0.0:
                 outcomes.append(("alternative", 0.0, int(reg)))
@@ -672,7 +689,10 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
     Members go in blocks of _ENSEMBLE_BLOCK: a block's fields, gradient
     magnitudes, gradient integrals and threshold sort orders are formed once
     and shared by every delta.  The random selector draws each delta's B
-    from the member's rng as left after its synthesis draws.
+    from the member's rng as left after its synthesis draws.  As in
+    log_poincare_ratio, a member whose two p-norms both sit within round-off
+    of its scale max(max|u| |domain|^(1/p), 1), such as a constant field, is
+    a 0/0 and counts as ratio 0.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -701,6 +721,8 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
         flat = values.reshape(len(members), -1)
         grad_mag = gradient_cell_magnitude(values, grid)
         dens = (grad_mag**p).reshape(len(members), -1).sum(axis=1) * vol
+        scales = np.maximum(
+            np.abs(flat).max(axis=1) * grid.volume ** (1.0 / p), 1.0)
         if spec.b_selector == "threshold":
             order = np.argsort(flat, axis=1, kind="stable")
         else:
@@ -715,8 +737,8 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
                                   for rng in rngs])
             u_b = np.take_along_axis(flat, b_idx, axis=1).mean(axis=1)
             nums = (np.abs(flat - u_b[:, None]) ** p).sum(axis=1) * vol
-            for i, num, den in zip(members, nums, dens):
-                ratios[d, i] = _ratio(num, den, p)
+            for i, num, den, scale in zip(members, nums, dens, scales):
+                ratios[d, i] = _ratio(num, den, p, scale)
             if probes and d == 0:
                 cells = np.stack([probe_rng.integers(0, cell_count, size=probes)
                                   for _ in members])
@@ -728,10 +750,21 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
     return ratios, [float(m) for m in probe_max]
 
 
-def _ratio(num, den, p):
+def _round_off_pair(num, den, scale):
+    """Whether num and den both sit within 1e-14 of a member's scale: a
+    0/0 member, such as a constant field, whose numerator round-off leaves
+    off zero."""
+    return abs(num) <= 1e-14 * scale and den <= 1e-14 * scale
+
+
+def _ratio(num, den, p, scale):
+    """num^(1/p) / den^(1/p), with a 0/0 pair of norms at scale counted as 0."""
+    num, den = num ** (1.0 / p), den ** (1.0 / p)
+    if _round_off_pair(num, den, scale):
+        return 0.0
     if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return (num ** (1.0 / p)) / (den ** (1.0 / p))
+        return float("inf")
+    return num / den
 
 
 def mean_poincare_ratio(spec, grid, p, include_riesz=False,

@@ -143,6 +143,7 @@ def test_criterion_05_v_exponential_floor(std_run):
         f"worst margin {margin:.3e}"
 
 
+@pytest.mark.slow  # about two thirds of the suite's time
 def test_criterion_06_entropy_identity_refinement(tmp_path):
     raw = {
         "grid": {"cells": [32, 32], "extents": [1.0, 1.0]},

@@ -282,6 +282,20 @@ def test_oracle_power_identities_pass_on_a_coarse_grid(tmp_path, capsys):
     assert entry["passed"], entry["value"]
 
 
+def test_oracle_constant_members_have_zero_mean_ratio(tmp_path, capsys):
+    # amplitude [0, 0] makes every member the constant floor + 1; |B| = 0.4
+    # takes 26 of the 64 cells, whose mean misses the constant by round-off
+    raw = _with("oracle", "oracle.ensemble.amplitude", [0.0, 0.0])
+    raw["oracle"]["ensemble"]["delta"] = 0.4
+    code, out = _main(tmp_path, "oracle", raw)
+    capsys.readouterr()
+    assert code == 0
+    reports = json.loads((out / "oracle_reports.json").read_text())
+    assert reports["mean_poincare"]["max_ratio"] == 0.0
+    assert [row["max_ratio"] for row in reports["mean_poincare_delta_trend"]] \
+        == [0.0] * 3
+
+
 def test_seed_flag_and_output_dir_errors(tmp_path, capsys):
     cfg_path = tmp_path / "params.json"
     cfg_path.write_text(json.dumps(VALID["params"]))

@@ -71,7 +71,7 @@ DIGESTS = {
     "eps_study.csv":
         "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
     "oracle_reports.json":
-        "70c4ea8a0c634d90d0fb229906536b5c004d0742ddd141b2aedb3a1ea66c1b27",
+        "7dc02527df5d06c075597896e1d2470ecafb9dc6a15f84d8e1c547f958a9e049",
     "summary.json":
         "bfe2b8956baec07a3bb52cb35d861b784c47ddc029779a5bfebbd74978c174a5",
 }
@@ -133,6 +133,33 @@ def test_output_digests(tmp_path, mode):
     for name in files:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == DIGESTS[name], name
+
+
+# Two runs whose outputs hold non-finite figures: the oracle case's log
+# ensemble is degenerate (no included member, so no max ratio), and a narrow
+# bump with no baseline leaves u at zero, whose log the summaries take.
+STRICT_JSON_CASES = {
+    "oracle": CASES["oracle"][0],
+    "simulate-narrow-bump": _config(
+        "simulate", grid={"cells": [32, 32], "extents": [1.0, 1.0]},
+        initial={"u": {"kind": "gaussian", "amplitude": 1.5, "width": 0.05},
+                 "v": dict(_INITIAL["v"])},
+        run={"T": 0.002, "sample_count": 4, "save_fields": "none"}),
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_JSON_CASES))
+def test_json_outputs_are_strict(tmp_path, case):
+    run_experiment(validate_config(STRICT_JSON_CASES[case],
+                                   out_override=tmp_path))
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) >= 2
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("mode", sorted(ASSERTION_DIGESTS))

@@ -501,20 +501,34 @@ def test_ode_batch_matches_reference_loop():
     assert [r.max_excess for r in reports] == expected
 
 
-@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
-@pytest.mark.parametrize("cutoff", [1, 4])
-def test_stacked_synthesis_matches_reference_loop(grid, cutoff):
-    # members drawn one by one, synthesized as one block
+# (grid, cutoff) by "cutoff-dim" id.  The 2-D and 3-D tables at cutoffs 16
+# and 4 pass the per-call budget and are contracted in slabs of axis-0
+# layers (12 slabs of 9 cells, 6 of 35); a 4-cell 1-D grid is the fewest
+# cells a contraction can span.
+STACKED_CASES = {
+    **{f"{cutoff}-{grid.dim}d": (grid, cutoff)
+       for grid in UNEQUAL_GRIDS for cutoff in (1, 4)},
+    "16-2d": (UNEQUAL_GRIDS[1], 16),
+    "4-1d-4cells": (Grid(cells=[4], extents=[0.9]), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_synthesis_matches_reference_loop(case):
+    # members drawn one by one, synthesized as one block, in blocks of 5 and
+    # of 2 _ENSEMBLE_BLOCK rows (a square-completion block)
+    grid, cutoff = STACKED_CASES[case]
     _, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
-    fast = [np.random.default_rng([seed, 5]) for seed in range(5)]
-    slow = [np.random.default_rng([seed, 5]) for seed in range(5)]
-    block = _synthesize(grid, cutoff, 0.05, [
-        _series_coefficients(rng, (0.2, 1.0), denominators) for rng in fast])
-    assert block.shape == (5,) + grid.shape
-    for row, rng, ref_rng in zip(block, fast, slow):
-        ref = _synth_reference(grid, ref_rng, cutoff, (0.2, 1.0), 0.05)
-        assert row.tobytes() == ref.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for rows in (5, 2 * _ENSEMBLE_BLOCK):
+        fast = [np.random.default_rng([seed, 5]) for seed in range(rows)]
+        slow = [np.random.default_rng([seed, 5]) for seed in range(rows)]
+        block = _synthesize(grid, cutoff, 0.05, [
+            _series_coefficients(rng, (0.2, 1.0), denominators) for rng in fast])
+        assert block.shape == (rows,) + grid.shape
+        for row, rng, ref_rng in zip(block, fast, slow):
+            ref = _synth_reference(grid, ref_rng, cutoff, (0.2, 1.0), 0.05)
+            assert row.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
