@@ -161,7 +161,10 @@ def face_div_values(fluxes, h, shape):
     """Cell divergence of per-axis interior face fluxes (no boundary flux)."""
     out = np.zeros(shape, dtype=np.float64)
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
-        out += np.diff(flux, axis=ax, prepend=0.0, append=0.0) / ha
+        out[_span(ax, 1, -1)] += np.diff(flux, axis=ax) / ha
+        first, last = end_slabs(out, ax)
+        first += flux[_span(ax, 0, 1)] / ha
+        last -= flux[_span(ax, -1, None)] / ha
     return out
 
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from .grid import (
     Grid,
-    face_grad_values,
-    faces_to_cells,
+    _span,
     gradient_cell_magnitude,
     interior_max_abs,
     lap_values,
@@ -53,6 +52,10 @@ _RIESZ_BLOCK = 16
 _ENSEMBLE_BLOCK = 16
 # the mean-deviation trend's |B|, as fractions of the domain volume
 DELTA_TREND_FRACTIONS = (0.4, 0.2, 0.1)
+# cells of the trials checked per stacked square-completion call, at most:
+# a block of trials on 32 x 32 cells.  Finer grids take fewer trials per call
+# (at least one), so a work buffer holds at most 128 KiB or one field
+_SQUARE_STACK_CELLS = _ENSEMBLE_BLOCK * 32 * 32
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +102,40 @@ def check_power_identities(vals, grid, r):
 
 @dataclass
 class SquareCompletionReport:
+    """Max-cell residual and term scale: floats for one trial, (B,) arrays
+    for a stack of B trials."""
+
     residual: float
     scale: float
 
 
-def check_square_completion(u, v, grid, p, q, chi):
+def _square_buffers(grid, rows):
+    """Work buffers for check_square_completion on stacks of up to `rows`
+    trials: eight (rows, *shape) arrays and an interior-face array per axis."""
+    stack = (rows,) + grid.shape
+    faces = []
+    for ax in range(grid.dim):
+        shape = list(stack)
+        shape[ax + 1] -= 1
+        faces.append(np.empty(shape))
+    return [np.empty(stack) for _ in range(8)], faces
+
+
+def _cell_gradient(vals, h, axis, face, out):
+    """faces_to_cells(face_grad_values(vals, h, axis), axis) through the
+    face buffer into `out`, with the same operations in the same order.
+    Copying the faces where faces_to_cells adds them to zero can change only
+    the sign of a zero, which the squares and the zero-started sums of
+    check_square_completion drop."""
+    np.subtract(vals[_span(axis, 1, None)], vals[_span(axis, 0, -1)], out=face)
+    face /= h
+    out[_span(axis, -1, None)] = 0.0
+    out[_span(axis, 0, -1)] = face
+    out[_span(axis, 1, None)] += face
+    out *= 0.5
+
+
+def check_square_completion(u, v, grid, p, q, chi, work=None):
     """Max-cell mismatch between the raw entropy production quadratic form
     and its completed-square arrangement, for positive fields u and v on
     `grid`.
@@ -116,33 +148,83 @@ def check_square_completion(u, v, grid, p, q, chi):
 
     This is exact algebra in (|A|^2, A.B, |B|^2), so the residual must be
     round-off relative to the reported term scale, independent of h.
+
+    u and v may also be (B, *shape) stacks of B trials, with p, q and chi
+    sequences of one value per row; the report then holds each row's
+    residual and scale.  One trial is the B = 1 case.  Every cell takes the
+    operations of the one-trial arithmetic in its order, with each row's
+    coefficients formed as Python scalars, and each row's maxima reduce over
+    its own cells, so a trial's figures do not depend on its stack.  `work`
+    (from _square_buffers, at least B rows) lets a caller reuse the buffers
+    across calls; by default the call allocates its own.
     """
+    stacked = u.ndim > grid.dim
+    if not stacked:
+        u, v, p, q, chi = u[None], v[None], [p], [q], [chi]
     if u.min() <= 0.0 or v.min() <= 0.0:
         raise ValueError("fields must be strictly positive")
-    coef = entropy_coefficients(p, q, chi)
-    up = u ** (p / 2.0)
-    vq = v ** (q / 2.0)
-    a2 = np.zeros(grid.shape)
-    b2 = np.zeros(grid.shape)
-    ab = np.zeros(grid.shape)
+    rows = len(u)
+    cells, faces = work if work is not None else _square_buffers(grid, rows)
+    up, vq, a2, b2, ab, ga, gb, tmp = (buf[:rows] for buf in cells)
+    coefs = []
+    for pi, qi, ci in zip(p, q, chi):
+        coef = entropy_coefficients(pi, qi, ci)
+        coefs.append((pi / 2.0, qi / 2.0, 4.0 * (1.0 - pi) / pi,
+                      4.0 * ((1.0 - pi) * ci + 2.0 * qi) / qi, coef.c1, coef.c2,
+                      2.0 * coef.kappa, coef.kappa**2, np.abs(coef.c1)))
+    # one (rows, 1, ..., 1) column per coefficient
+    half_p, half_q, c_bb, cross, c1, c2, two_kappa, kappa_sq, abs_c1 = (
+        np.array(coefs).T.reshape((9, rows) + (1,) * grid.dim))
+
+    np.power(u, half_p, out=up)
+    np.power(v, half_q, out=vq)
+    for acc in (a2, b2, ab):
+        acc.fill(0.0)
     for ax in range(grid.dim):
-        gu = faces_to_cells(face_grad_values(up, grid.h, ax), ax)
-        gv = faces_to_cells(face_grad_values(vq, grid.h, ax), ax)
-        a = up * gv
-        b = vq * gu
-        a2 += a * a
-        b2 += b * b
-        ab += a * b
-    cross = 4.0 * ((1.0 - p) * chi + 2.0 * q) / q
-    raw = 4.0 * (1.0 - p) / p * b2 - cross * ab + coef.c2 * a2
-    completed = coef.c1 * b2 + coef.c2 * (a2 - 2.0 * coef.kappa * ab
-                                          + coef.kappa**2 * b2)
-    scale_field = (4.0 * (1.0 - p) / p * b2 + cross * np.abs(ab)
-                   + coef.c2 * a2 + np.abs(coef.c1) * b2)
-    return SquareCompletionReport(
-        residual=float(np.abs(raw - completed).max()),
-        scale=float(scale_field.max()),
-    )
+        axis = ax - grid.dim
+        _cell_gradient(up, grid.h[ax], axis, faces[ax][:rows], gb)
+        gb *= vq  # B
+        _cell_gradient(vq, grid.h[ax], axis, faces[ax][:rows], ga)
+        ga *= up  # A
+        np.multiply(ga, ga, out=tmp)
+        a2 += tmp
+        np.multiply(gb, gb, out=tmp)
+        b2 += tmp
+        np.multiply(ga, gb, out=tmp)
+        ab += tmp
+
+    # raw = (4(1-p)/p)|B|^2 - cross A.B + c2|A|^2, and completed =
+    # c2(|A|^2 - 2 kappa A.B + kappa^2|B|^2) + c1|B|^2 (the last sum commutes)
+    raw, completed = up, vq
+    np.multiply(c_bb, b2, out=raw)
+    np.multiply(cross, ab, out=tmp)
+    raw -= tmp
+    np.multiply(c2, a2, out=tmp)
+    raw += tmp
+    np.multiply(two_kappa, ab, out=completed)
+    np.subtract(a2, completed, out=completed)
+    np.multiply(kappa_sq, b2, out=tmp)
+    completed += tmp
+    completed *= c2
+    np.multiply(c1, b2, out=tmp)
+    completed += tmp
+    raw -= completed
+    np.abs(raw, out=raw)
+    residual = raw.reshape(rows, -1).max(axis=1)
+
+    # the scale field, |A.B|, c2 |A|^2 and |c1| |B|^2 overwrite their inputs
+    np.multiply(c_bb, b2, out=tmp)
+    np.abs(ab, out=ab)
+    ab *= cross
+    tmp += ab
+    a2 *= c2
+    tmp += a2
+    b2 *= abs_c1
+    tmp += b2
+    scale = tmp.reshape(rows, -1).max(axis=1)
+    if stacked:
+        return SquareCompletionReport(residual=residual, scale=scale)
+    return SquareCompletionReport(residual=float(residual[0]), scale=float(scale[0]))
 
 
 def worst_square_completion(grid, spec, seed, trials):
@@ -151,10 +233,15 @@ def worst_square_completion(grid, spec, seed, trials):
     Trial i draws from default_rng([seed, 7, i]), in order: u's series, v's
     series, chi in [0.3, 3], p in [0.05, 0.95] * min(1, 1/chi^2) and q inside
     its window (its midpoint when the window is narrower than 2e-6).  The
-    fields take spec's cutoff, amplitude and floor and are synthesized a
-    block of trials at a time.
+    fields take spec's cutoff, amplitude and floor; a block of trials is
+    synthesized at once and checked in stacked calls of up to
+    _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells), in
+    work buffers held for the whole run.
     """
     _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    rows = min(_ENSEMBLE_BLOCK,
+               max(1, _SQUARE_STACK_CELLS // int(np.prod(grid.shape))))
+    work = _square_buffers(grid, rows)
     worst = 0.0
     for block in _blocks(trials):
         drawn = []
@@ -170,12 +257,17 @@ def worst_square_completion(grid, spec, seed, trials):
             drawn.append((u, v, chi, p, q))
         fields = _synthesize(grid, spec.cutoff, spec.floor,
                              [d[0] for d in drawn] + [d[1] for d in drawn])
-        for u, v, (_, _, chi, p, q) in zip(fields, fields[len(drawn):], drawn):
-            rep = check_square_completion(u, v, grid, p, q, chi)
-            if rep.scale > 0:
-                worst = max(worst, float(rep.residual / rep.scale))
+        _, _, chi, p, q = zip(*drawn)
+        count = len(drawn)
+        for lo in range(0, count, rows):
+            hi = min(count, lo + rows)
+            rep = check_square_completion(
+                fields[lo:hi], fields[count + lo:count + hi], grid,
+                p[lo:hi], q[lo:hi], chi[lo:hi], work)
+            for residual, scale in zip(rep.residual, rep.scale):
+                if scale > 0:
+                    worst = max(worst, float(residual / scale))
     return worst
-
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +812,7 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
                 for rng in rngs])
         flat = values.reshape(len(members), -1)
         grad_mag = gradient_cell_magnitude(values, grid)
-        dens = (grad_mag**p).reshape(len(members), -1).sum(axis=1) * vol
+        dens = _p_norms(grad_mag.reshape(len(members), -1), p, vol)
         scales = np.maximum(
             np.abs(flat).max(axis=1) * grid.volume ** (1.0 / p), 1.0)
         if spec.b_selector == "threshold":
@@ -736,9 +828,9 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
                 b_idx = np.stack([rng.choice(cell_count, size=b_count, replace=False)
                                   for rng in rngs])
             u_b = np.take_along_axis(flat, b_idx, axis=1).mean(axis=1)
-            nums = (np.abs(flat - u_b[:, None]) ** p).sum(axis=1) * vol
+            nums = _p_norms(np.abs(flat - u_b[:, None]), p, vol)
             for i, num, den, scale in zip(members, nums, dens, scales):
-                ratios[d, i] = _ratio(num, den, p, scale)
+                ratios[d, i] = _ratio(num, den, scale)
             if probes and d == 0:
                 cells = np.stack([probe_rng.integers(0, cell_count, size=probes)
                                   for _ in members])
@@ -757,9 +849,26 @@ def _round_off_pair(num, den, scale):
     return abs(num) <= 1e-14 * scale and den <= 1e-14 * scale
 
 
-def _ratio(num, den, p, scale):
-    """num^(1/p) / den^(1/p), with a 0/0 pair of norms at scale counted as 0."""
-    num, den = num ** (1.0 / p), den ** (1.0 / p)
+def _p_norms(mags, p, vol):
+    """Each row's p-norm (sum |x|^p vol)^(1/p) of the nonnegative rows
+    `mags`.  A row whose sum of p-th powers overflows, or underflows to zero
+    while its max is not zero (a large p), is summed as (|x| / max)^p instead
+    and its max multiplied back in; every other row keeps the plain sum."""
+    with np.errstate(over="ignore"):
+        sums = (mags**p).sum(axis=1) * vol
+    peaks = mags.max(axis=1)
+    norms = []
+    for row, total, peak in zip(mags, sums, peaks):
+        if np.isfinite(total) and (total > 0.0 or peak == 0.0):
+            norms.append(total ** (1.0 / p))
+        else:
+            scaled = ((row / peak) ** p).sum() * vol
+            norms.append(peak * scaled ** (1.0 / p))
+    return norms
+
+
+def _ratio(num, den, scale):
+    """num / den for a pair of p-norms, with a 0/0 pair at scale counted as 0."""
     if _round_off_pair(num, den, scale):
         return 0.0
     if den == 0.0:

@@ -4,14 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from logsense_ks.grid import Grid, gradient_cell_magnitude
+from logsense_ks.grid import (
+    Grid,
+    face_grad_values,
+    faces_to_cells,
+    gradient_cell_magnitude,
+)
+from logsense_ks import oracles
 from logsense_ks.oracles import (
     _ENSEMBLE_BLOCK,
     _ODE_CHUNK,
     _RIESZ_BLOCK,
+    _SQUARE_STACK_CELLS,
     _cosine_table,
+    _mean_ensemble,
     _riesz_ratios,
     _series_coefficients,
+    _square_buffers,
     _synthesize,
     EnsembleSpec,
     OdeComparison,
@@ -25,7 +34,7 @@ from logsense_ks.oracles import (
     verify_ode_comparison_batch,
     worst_square_completion,
 )
-from logsense_ks.params import q_bounds
+from logsense_ks.params import entropy_coefficients, q_bounds
 
 # frozen reference: coth_bound(1, 4, 1) = 2 cosh(2)/sinh(2)
 COTH_BOUND_1_4_1 = 2.0746294414550963
@@ -464,6 +473,32 @@ def _riesz_reference(grid, values, u_b, grad_mag, cells):
     return out
 
 
+def _square_reference(u, v, grid, p, q, chi):
+    """check_square_completion one trial at a time in fresh arrays, as
+    (residual, scale)."""
+    coef = entropy_coefficients(p, q, chi)
+    up = u ** (p / 2.0)
+    vq = v ** (q / 2.0)
+    a2 = np.zeros(grid.shape)
+    b2 = np.zeros(grid.shape)
+    ab = np.zeros(grid.shape)
+    for ax in range(grid.dim):
+        gu = faces_to_cells(face_grad_values(up, grid.h, ax), ax)
+        gv = faces_to_cells(face_grad_values(vq, grid.h, ax), ax)
+        a = up * gv
+        b = vq * gu
+        a2 += a * a
+        b2 += b * b
+        ab += a * b
+    cross = 4.0 * ((1.0 - p) * chi + 2.0 * q) / q
+    raw = 4.0 * (1.0 - p) / p * b2 - cross * ab + coef.c2 * a2
+    completed = coef.c1 * b2 + coef.c2 * (a2 - 2.0 * coef.kappa * ab
+                                          + coef.kappa**2 * b2)
+    scale_field = (4.0 * (1.0 - p) / p * b2 + cross * np.abs(ab)
+                   + coef.c2 * a2 + np.abs(coef.c1) * b2)
+    return float(np.abs(raw - completed).max()), float(scale_field.max())
+
+
 UNEQUAL_GRIDS = [
     Grid(cells=[37], extents=[1.7]),
     Grid(cells=[12, 9], extents=[1.0, 2.5]),
@@ -656,20 +691,93 @@ def test_log_ensemble_with_regeneration_matches_reference_loop():
     assert rep.alternative == sum(kind == "alternative" for kind, _, _ in outcomes)
 
 
-def test_square_completion_trials_match_reference_loop():
-    g = Grid(cells=[12, 9], extents=[1.0, 2.5])
+def test_square_completion_trials_match_reference_loop(monkeypatch):
+    # a full and a partial block; on 40 x 40 cells, past _SQUARE_STACK_CELLS,
+    # in stacks of 10, 6 and 5 trials.  Every trial's residual and scale are
+    # compared, in trial order, as well as the worst ratio.
+    assert _SQUARE_STACK_CELLS // (40 * 40) == 10
     spec = EnsembleSpec(cutoff=3)
     trials = _ENSEMBLE_BLOCK + 5
-    worst = 0.0
-    for i in range(trials):
-        rng = np.random.default_rng([17, 7, i])
-        u, v = (_synth_reference(g, rng, 3, spec.amplitude, spec.floor)
-                for _ in range(2))
-        chi = float(rng.uniform(0.3, 3.0))
-        p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
-        qm, qp = q_bounds(p, chi)
-        q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
-            else 0.5 * (qm + qp)
-        rep = check_square_completion(u, v, g, p, q, chi)
-        worst = max(worst, float(rep.residual / rep.scale))
-    assert worst_square_completion(g, spec, 17, trials) == worst
+    checked = []
+
+    def spy(*args):
+        rep = check_square_completion(*args)
+        checked.extend(zip(rep.residual, rep.scale))
+        return rep
+
+    monkeypatch.setattr(oracles, "check_square_completion", spy)
+    for g in (Grid(cells=[12, 9], extents=[1.0, 2.5]),
+              Grid(cells=[40, 40], extents=[1.0, 1.0])):
+        expected = []
+        for i in range(trials):
+            rng = np.random.default_rng([17, 7, i])
+            u, v = (_synth_reference(g, rng, 3, spec.amplitude, spec.floor)
+                    for _ in range(2))
+            chi = float(rng.uniform(0.3, 3.0))
+            p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
+            qm, qp = q_bounds(p, chi)
+            q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
+                else 0.5 * (qm + qp)
+            expected.append(_square_reference(u, v, g, p, q, chi))
+        checked.clear()
+        worst = worst_square_completion(g, spec, 17, trials)
+        assert checked == expected
+        assert worst == max(residual / scale for residual, scale in expected)
+
+
+def _square_rows(grid, rows, seed):
+    """A stack of `rows` trials with their own p, q and chi; the last row
+    of a stack of more than one sits at its window's upper end."""
+    rng = np.random.default_rng([seed, rows])
+    u, v = (np.stack([_synth_reference(grid, rng, 3, (0.2, 1.0), 0.05)
+                      for _ in range(rows)]) for _ in range(2))
+    p, q, chi = [], [], []
+    for row in range(rows):
+        chi.append(float(rng.uniform(0.3, 3.0)))
+        p.append(float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi[-1]**2))
+        qm, qp = q_bounds(p[-1], chi[-1])
+        q.append(qp if rows > 1 and row == rows - 1
+                 else float(rng.uniform(qm + 1e-6, qp - 1e-6)))
+    return u, v, p, q, chi
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_stacked_square_completion_matches_reference(grid):
+    work = _square_buffers(grid, _ENSEMBLE_BLOCK)
+    for rows in (1, 5, _ENSEMBLE_BLOCK):
+        u, v, p, q, chi = _square_rows(grid, rows, 29)
+        assert len(set(p)) == len(set(q)) == len(set(chi)) == rows
+        expected = [_square_reference(*trial, grid, *coefs)
+                    for trial, coefs in zip(zip(u, v), zip(p, q, chi))]
+        for buffers in (work, None):  # shared buffers, wider than a short stack
+            rep = check_square_completion(u, v, grid, p, q, chi, buffers)
+            assert rep.residual.shape == rep.scale.shape == (rows,)
+            assert list(zip(rep.residual, rep.scale)) == expected
+        one = check_square_completion(u[0], v[0], grid, p[0], q[0], chi[0])
+        assert (one.residual, one.scale) == expected[0]
+        assert type(one.residual) is float and type(one.scale) is float
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [500.0, 1000.0])
+def test_mean_ensemble_large_p_ratios_are_scaled(p):
+    # |u - u_B|^p and |Du|^p under- or overflow here; each p-norm is taken
+    # relative to its row's max instead
+    g = Grid(cells=[8, 8], extents=[1.0, 1.0])
+    spec = EnsembleSpec(count=4, cutoff=2, seed=1, delta=0.5)
+    (ratios,), _ = _mean_ensemble(spec, g, p, [spec.delta])
+    b_count = int(round(spec.delta / g.cell_volume))
+
+    def norm(x):
+        peak = x.max()
+        return peak * (((x / peak) ** p).sum() * g.cell_volume) ** (1.0 / p)
+
+    for i, got in enumerate(ratios):
+        values = _synth_reference(g, np.random.default_rng([spec.seed, i]),
+                                  spec.cutoff, spec.amplitude, spec.floor)
+        flat = values.ravel()
+        u_b = flat[np.argsort(flat, kind="stable")[:b_count]].mean()
+        expected = (norm(np.abs(values - u_b))
+                    / norm(gradient_cell_magnitude(values, g)))
+        assert np.isfinite(got) and got > 0.0
+        assert abs(got - expected) <= 1e-9 * expected
