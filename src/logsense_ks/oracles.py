@@ -46,6 +46,9 @@ _ODE_CHUNK = 64
 # distinct probe cells whose kernel rows are formed at once; keeps each
 # (block, cells) temporary near 128 KiB on a 32 x 32 grid
 _RIESZ_BLOCK = 16
+# |Du| floats the Riesz probe holds for one pass, at most: whole
+# _ENSEMBLE_BLOCKs of members (at least one), 128 members on a 32 x 32 grid
+_RIESZ_HOLD_FLOATS = 2**17
 # ensemble members synthesized and reduced together; keeps each
 # (block, cells) array near 128 KiB on a 32 x 32 grid, where wider blocks
 # ran no faster and held more memory
@@ -235,13 +238,14 @@ def worst_square_completion(grid, spec, seed, trials):
     its window (its midpoint when the window is narrower than 2e-6).  The
     fields take spec's cutoff, amplitude and floor; a block of trials is
     synthesized at once and checked in stacked calls of up to
-    _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells), in
-    work buffers held for the whole run.
+    _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells).  The
+    fields and the checks use work buffers held for the whole run.
     """
     _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
-    rows = min(_ENSEMBLE_BLOCK,
-               max(1, _SQUARE_STACK_CELLS // int(np.prod(grid.shape))))
+    cell_count = int(np.prod(grid.shape))
+    rows = min(_ENSEMBLE_BLOCK, max(1, _SQUARE_STACK_CELLS // cell_count))
     work = _square_buffers(grid, rows)
+    series = np.empty((2 * _ENSEMBLE_BLOCK, cell_count))
     worst = 0.0
     for block in _blocks(trials):
         drawn = []
@@ -255,10 +259,11 @@ def worst_square_completion(grid, spec, seed, trials):
             q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
                 else 0.5 * (qm + qp)
             drawn.append((u, v, chi, p, q))
-        fields = _synthesize(grid, spec.cutoff, spec.floor,
-                             [d[0] for d in drawn] + [d[1] for d in drawn])
-        _, _, chi, p, q = zip(*drawn)
         count = len(drawn)
+        fields = _synthesize(grid, spec.cutoff, spec.floor,
+                             [d[0] for d in drawn] + [d[1] for d in drawn],
+                             out=series[:2 * count])
+        _, _, chi, p, q = zip(*drawn)
         for lo in range(0, count, rows):
             hi = min(count, lo + rows)
             rep = check_square_completion(
@@ -582,9 +587,10 @@ def _mode_terms(cosines, lo, hi):
     return terms.reshape(len(tables[0]) ** dim, -1)
 
 
-def _synthesize(grid, cutoff, floor, coefficients):
+def _synthesize(grid, cutoff, floor, coefficients, out=None):
     """floor + exp(series) for each row of coefficients, stacked on a leading
-    axis.
+    axis.  `out`, a (rows, cells) array, takes the series in place of a
+    fresh one, so a caller can reuse it from block to block.
 
     The series of every row is one contraction of the coefficients with the
     table of mode terms.  Without `optimize`, einsum adds coefficient * term
@@ -602,7 +608,7 @@ def _synthesize(grid, cutoff, floor, coefficients):
     n0 = grid.cells[0]
     layer = int(np.prod(grid.cells[1:]))
     step = max(1, 2 * _ENSEMBLE_BLOCK * n0 // coefficients.shape[1])
-    series = np.empty((len(coefficients), n0 * layer))
+    series = np.empty((len(coefficients), n0 * layer)) if out is None else out
     for lo in range(0, n0, step):
         hi = min(n0, lo + step)
         np.einsum("bk,kn->bn", coefficients, _mode_terms(cosines, lo, hi),
@@ -780,11 +786,18 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
 
     Members go in blocks of _ENSEMBLE_BLOCK: a block's fields, gradient
     magnitudes, gradient integrals and threshold sort orders are formed once
-    and shared by every delta.  The random selector draws each delta's B
-    from the member's rng as left after its synthesis draws.  As in
-    log_poincare_ratio, a member whose two p-norms both sit within round-off
-    of its scale max(max|u| |domain|^(1/p), 1), such as a constant field, is
-    a 0/0 and counts as ratio 0.
+    and shared by every delta, the fields in one buffer held for the run.
+    The random selector draws each delta's B from the member's rng as left
+    after its synthesis draws.  As in log_poincare_ratio, a member whose two
+    p-norms both sit within round-off of its scale max(max|u| |domain|^(1/p),
+    1), such as a constant field, is a 0/0 and counts as ratio 0.
+
+    The Riesz probe holds a group of blocks: each member's |Du| row, probe
+    cells and |u(x) - u_B| at them, in buffers of up to _RIESZ_HOLD_FLOATS
+    |Du| floats.  When the group is full or the ensemble ends, one
+    _riesz_ratios pass takes the group's probes, and each ratio counts
+    towards the calibration half when its member's index in the ensemble is
+    below half.
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -796,11 +809,19 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
     cell_count = int(np.prod(grid.shape))
     b_counts = [max(1, int(round(delta / vol))) for delta in deltas]
     _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    series = np.empty((_ENSEMBLE_BLOCK, cell_count))
     probe_rng = np.random.default_rng([spec.seed, 10**9])
     half = max(1, spec.count // 2)
     # the calibration and the evaluation half (0 when the second is empty)
     probe_max = [-np.inf, 0.0]
     ratios = np.empty((len(deltas), spec.count))
+    if probes:
+        hold = _ENSEMBLE_BLOCK * max(
+            1, _RIESZ_HOLD_FLOATS // (_ENSEMBLE_BLOCK * cell_count))
+        held_gm = np.empty((hold, cell_count))
+        held_gap = np.empty((hold, probes))
+        held_cells = np.empty((hold, probes), dtype=np.intp)
+        first = held = 0  # the group's first member, and its size so far
 
     for members in _blocks(spec.count):
         rngs = [_member_rng(spec.seed, i) for i in members]
@@ -809,7 +830,7 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
         else:
             values = _synthesize(grid, spec.cutoff, spec.floor, [
                 _series_coefficients(rng, spec.amplitude, denominators)
-                for rng in rngs])
+                for rng in rngs], out=series[:len(members)])
         flat = values.reshape(len(members), -1)
         grad_mag = gradient_cell_magnitude(values, grid)
         dens = _p_norms(grad_mag.reshape(len(members), -1), p, vol)
@@ -832,13 +853,24 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
             for i, num, den, scale in zip(members, nums, dens, scales):
                 ratios[d, i] = _ratio(num, den, scale)
             if probes and d == 0:
-                cells = np.stack([probe_rng.integers(0, cell_count, size=probes)
-                                  for _ in members])
-                probed = _riesz_ratios(grid, flat, u_b, grad_mag, cells)
-                split = max(0, half - members[0])
-                for side, rows in enumerate((probed[:split], probed[split:])):
-                    if len(rows):
-                        probe_max[side] = np.maximum(probe_max[side], rows.max())
+                at = slice(held, held + len(members))
+                held_cells[at] = np.stack([
+                    probe_rng.integers(0, cell_count, size=probes)
+                    for _ in members])
+                held_gap[at] = np.abs(np.take_along_axis(
+                    flat, held_cells[at], axis=1) - u_b[:, None])
+                held_gm[at] = grad_mag.reshape(len(members), -1)
+                held += len(members)
+        if probes and (held == hold or members[-1] == spec.count - 1):
+            probed = _riesz_ratios(grid, held_gap[:held], held_gm[:held],
+                                   held_cells[:held])
+            calibrating = np.arange(first, first + held) < half
+            for side, rows in enumerate((probed[calibrating],
+                                         probed[~calibrating])):
+                if len(rows):
+                    probe_max[side] = np.maximum(probe_max[side], rows.max())
+            first += held
+            held = 0
     return ratios, [float(m) for m in probe_max]
 
 
@@ -921,18 +953,19 @@ def mean_poincare_ratio(spec, grid, p, include_riesz=False,
     return report
 
 
-def _riesz_ratios(grid, flat, u_b, grad_mag, cells):
+def _riesz_ratios(grid, gap, grad_mag, cells):
     """|u(x) - u_B| over the kernel bound at each probe cell x: row m of
-    cells holds member m's probe cells, of flat its values, of u_b its u_B
-    and of grad_mag its |Du|.
+    cells holds member m's probe cells, of gap its |u(x) - u_B| at them and
+    of grad_mag its |Du|.
 
     The bound is vol * sum_y |Du(y)| / d(x, y)^(dim-1), with the distance d
-    floored at half the min spacing.  The probes are grouped by cell, and
-    the kernel rows of _RIESZ_BLOCK distinct cells are formed at once: d^2
-    sums the per-axis squared coordinate differences in axis order (what a
-    Euclidean norm over the axes reduces), each looked up in a per-axis
-    table.  Each probe then takes the row sum of its cell's kernel row times
-    its member's |Du|.
+    floored at half the min spacing.  The probes of every member are grouped
+    by cell, so each distinct cell's kernel row is formed once per call,
+    _RIESZ_BLOCK rows at a time: d^2 sums the per-axis squared coordinate
+    differences in axis order (what a Euclidean norm over the axes reduces),
+    each looked up in a per-axis table.  Each probe then takes the row sum
+    of its member's |Du| times its cell's kernel row, the row broadcast over
+    the cell's probes.
     """
     squares = []
     for ax in range(grid.dim):
@@ -960,12 +993,12 @@ def _riesz_ratios(grid, flat, u_b, grad_mag, cells):
         np.sqrt(dist, out=dist)
         np.maximum(dist, 0.5 * h_min, out=dist)
         kernel = dist**-power if power else np.ones_like(dist)
-        hits = by_cell[ends[lo] - counts[lo]:ends[lo + len(block) - 1]]
-        product = kernel[np.repeat(np.arange(len(block)),
-                                   counts[lo:lo + len(block)])]
-        product *= gm[hit_members[hits]]
-        bound[hits] = product.sum(axis=1)
+        for row, end, count in zip(kernel, ends[lo:lo + len(block)],
+                                   counts[lo:lo + len(block)]):
+            hits = by_cell[end - count:end]
+            product = gm[hit_members[hits]]
+            product *= row
+            bound[hits] = product.sum(axis=1)
     bound *= grid.cell_volume
     bound = bound.reshape(cells.shape)
-    gap = np.abs(np.take_along_axis(flat, cells, axis=1) - u_b[:, None])
     return np.divide(gap, bound, out=np.zeros(cells.shape), where=bound > 0)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -580,7 +581,9 @@ def test_riesz_ratios_match_reference_loop(grid):
     cells = rng.integers(0, values[0].size, size=(members, probes))
     assert len(np.unique(cells)) < cells.size
     assert len(np.unique(cells)) % _RIESZ_BLOCK
-    fast = _riesz_ratios(grid, values.reshape(members, -1), u_b, grad_mag, cells)
+    fast = _riesz_ratios(
+        grid, np.abs(np.take_along_axis(values.reshape(members, -1), cells, axis=1)
+                     - u_b[:, None]), grad_mag, cells)
     for m in range(members):
         slow = _riesz_reference(grid, values[m], u_b[m], grad_mag[m], cells[m])
         assert fast[m].tobytes() == slow.tobytes()
@@ -626,17 +629,61 @@ MEAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MEAN_CASES))
-def test_mean_poincare_matches_reference_loop(case):
-    grid, knobs, p = MEAN_CASES[case]
+# each MEAN_CASES case as one Riesz group (these grids hold the whole
+# ensemble), and with the hold cut to one or two blocks of members
+MEAN_RUNS = {
+    **{case: (case, None) for case in MEAN_CASES},
+    **{f"{case}-hold{blocks}": (case, blocks)
+       for case in MEAN_CASES for blocks in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEAN_RUNS))
+def test_mean_poincare_matches_reference_loop(case, monkeypatch):
+    name, hold_blocks = MEAN_RUNS[case]
+    grid, knobs, p = MEAN_CASES[name]
     count = 2 * _ENSEMBLE_BLOCK + 3  # a partial last block
+    # the calibration half, 17 members, ends inside a group of one block
+    # (16 + 16 + 3 members) and of two (32 + 3)
+    groups = []
+
+    def spy(grid, gap, grad_mag, cells):
+        groups.append(len(gap))
+        return _riesz_ratios(grid, gap, grad_mag, cells)
+
+    monkeypatch.setattr(oracles, "_riesz_ratios", spy)
+    if hold_blocks:
+        monkeypatch.setattr(oracles, "_RIESZ_HOLD_FLOATS",
+                            hold_blocks * _ENSEMBLE_BLOCK * int(np.prod(grid.cells)))
     spec = EnsembleSpec(count=count, seed=4, delta=0.3 * grid.volume, **knobs)
     ratios, fitted, worst = _mean_reference(spec, grid, p, probes=23)
     rep = mean_poincare_ratio(spec, grid, p, include_riesz=True, riesz_probes=23)
+    assert groups == {None: [35], 1: [16, 16, 3], 2: [32, 3]}[hold_blocks]
     assert rep.max_ratio == float(ratios.max())
     assert rep.mean_ratio == float(ratios.mean())
     assert rep.riesz["fitted_constant"] == fitted
     assert rep.riesz["eval_worst"] == worst
+
+
+def test_riesz_hold_is_bounded(monkeypatch):
+    # an ensemble may have up to 100,000 members, whose |Du| alone would
+    # take 13 GB at 128 x 128; a hold of one block keeps the probe's memory
+    # from growing with the count
+    monkeypatch.setattr(oracles, "_RIESZ_HOLD_FLOATS", 1)
+    g = Grid(cells=[32, 32], extents=[1.0, 1.0])
+
+    def peak(count):
+        spec = EnsembleSpec(count=count, seed=3)
+        tracemalloc.start()
+        try:
+            _mean_ensemble(spec, g, 2.0, [spec.delta], probes=100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(48)  # warm the caches
+    block_gm_bytes = _ENSEMBLE_BLOCK * 32 * 32 * 8
+    assert peak(96) - peak(48) < block_gm_bytes
 
 
 @pytest.mark.parametrize("selector", ["threshold", "random"])
