@@ -32,12 +32,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
+    cosine_tables,
     end_slabs,
     face_cell_magnitude,
     face_grad_values,
     face_mean_values,
 )
-from .params import ModelParams, entropy_coefficients
+from .params import ModelParams, entropy_coefficients, saturated_source
 
 ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
@@ -130,10 +131,9 @@ class CosineSpatial:
         return _scaled(self.offset, self.amplitude, factors)
 
     def values(self, grid):
-        term = np.ones(grid.shape)
-        for x, k, L in zip(grid.meshgrid(), self.wavenumbers, grid.extents):
-            if k:
-                term = term * np.cos(k * np.pi * x / L)
+        tables, _ = cosine_tables(grid.cells, grid.extents, max(self.wavenumbers))
+        term = functools.reduce(np.multiply.outer, [
+            table[k] for table, k in zip(tables, self.wavenumbers)])
         return self.offset + self.amplitude * term
 
 
@@ -592,11 +592,10 @@ class Accumulator:
     def _v_terms(self, u, v, grad_v):
         """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi."""
         grid = self.grid
-        eps = self.params.eps
         vol = grid.cell_volume
         c, factors = self._v_weights
         f = [quad[0] for quad in factors]
-        src = u / (1.0 + eps * u) if eps > 0.0 else u
+        src = saturated_source(u, self.params.eps)
         acc = 0.0
         for ax in range(grid.dim):
             acc += _contracted(grad_v[ax], _swapped(factors, ax, 1))

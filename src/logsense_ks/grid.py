@@ -11,17 +11,29 @@ Laplacian is self-adjoint with respect to the midpoint inner product.
 A face array for axis a holds only the n_a - 1 interior faces of that axis;
 entry i sits between cells i and i + 1.  The kernels that map faces back to
 cells, face_div_values and faces_to_cells, count the boundary faces as zero.
+
+Zero-flux fields are also written as cosine series over the modes k in
+range(cutoff + 1)^d, in lexicographic order, mode k being
+prod_a cos(k_a pi x_a / L_a).  cosine_series contracts rows of mode
+coefficients with the table of mode terms in one einsum: without `optimize`,
+einsum adds coefficient * term in mode order, a multiply and then an add, as
+a loop over the modes would, so a row's series does not depend on the other
+rows.  (Over a single cell it sums in another order; every contraction spans
+at least two cells.)
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 
 import numpy as np
 
 DEFAULT_MAX_CELLS = 2**24
 MIN_CELLS_PER_AXIS = 4
+# mode-term floats per cell cosine_series holds, as many as a 32-row series
+_SERIES_TERMS_PER_CELL = 32
 
 
 class GridError(ValueError):
@@ -215,6 +227,71 @@ def interior_max_abs(values):
     """Max |value| over cells at least one cell away from the boundary."""
     sl = tuple(slice(1, n - 1) for n in values.shape)
     return float(np.abs(values[sl]).max())
+
+
+# zero-flux cosine series --------------------------------------------------------
+
+def cosine_modes(dim, cutoff):
+    """Each mode k of a cosine series with its 1 + |k|^2, in lexicographic order."""
+    for k in itertools.product(range(cutoff + 1), repeat=dim):
+        yield k, 1.0 + sum(ki * ki for ki in k)
+
+
+@functools.lru_cache(maxsize=8)
+def cosine_tables(cells, extents, cutoff):
+    """Per-axis cosine tables and the 1 + |k|^2 of the modes, in their order.
+
+    Table a is (cutoff + 1, n_a): its row k_a holds cos(k_a pi x_a / L_a) at
+    the axis-a cell centres, so row 0 is all ones and a factor taken from it
+    is exact.  Built once per (cells, extents, cutoff); read-only.
+    """
+    grid = Grid(cells, extents, max_cells=np.inf)
+    tables = []
+    for ax in range(grid.dim):
+        x = grid.axis_centers(ax)
+        tables.append(np.stack([np.cos(ki * np.pi * x / extents[ax])
+                                for ki in range(cutoff + 1)]))
+    denominators = np.array([d for _, d in cosine_modes(grid.dim, cutoff)])
+    for a in tables + [denominators]:
+        a.flags.writeable = False
+    return tuple(tables), denominators
+
+
+def _mode_terms(tables, lo, hi):
+    """The (modes, cells) table of mode terms over axis-0 layers lo:hi, modes
+    in lexicographic order: a mode's term is the product of its cosine rows,
+    multiplied in axis order."""
+    dim = len(tables)
+    tables = (tables[0][:, lo:hi],) + tables[1:]
+    terms = 1.0
+    for ax, table in enumerate(tables):
+        shape = [1] * (2 * dim)
+        shape[ax], shape[dim + ax] = table.shape
+        terms = terms * table.reshape(shape)
+    return terms.reshape(len(tables[0]) ** dim, -1)
+
+
+def cosine_series(grid, cutoff, coefficients, out=None):
+    """The series of each row of mode coefficients, stacked on a leading
+    axis; `out`, a (rows, cells) array, takes them in place of a fresh one.
+
+    The table of mode terms holds at most _SERIES_TERMS_PER_CELL floats per
+    cell, or one axis-0 layer per mode if that is more: past that it is built
+    and contracted a slab of axis-0 layers at a time.  A slab spans at least
+    two cells at the configured cutoffs: a 1-D table needs no slabs up to
+    _SERIES_TERMS_PER_CELL modes.
+    """
+    tables, _ = cosine_tables(grid.cells, grid.extents, cutoff)
+    coefficients = np.asarray(coefficients)
+    n0 = grid.cells[0]
+    layer = int(np.prod(grid.cells[1:]))
+    step = max(1, _SERIES_TERMS_PER_CELL * n0 // coefficients.shape[1])
+    series = np.empty((len(coefficients), n0 * layer)) if out is None else out
+    for lo in range(0, n0, step):
+        hi = min(n0, lo + step)
+        np.einsum("bk,kn->bn", coefficients, _mode_terms(tables, lo, hi),
+                  out=series[:, lo * layer:hi * layer])
+    return series.reshape((len(coefficients),) + grid.shape)
 
 
 # serialization -------------------------------------------------------------------

@@ -22,15 +22,15 @@ member's figures do not depend on the block it falls in.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import (
-    Grid,
     _span,
+    cosine_modes,
+    cosine_series,
+    cosine_tables,
     gradient_cell_magnitude,
     interior_max_abs,
     lap_values,
@@ -241,7 +241,7 @@ def worst_square_completion(grid, spec, seed, trials):
     _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells).  The
     fields and the checks use work buffers held for the whole run.
     """
-    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     cell_count = int(np.prod(grid.shape))
     rows = min(_ENSEMBLE_BLOCK, max(1, _SQUARE_STACK_CELLS // cell_count))
     work = _square_buffers(grid, rows)
@@ -523,12 +523,6 @@ class EnsembleSpec:
 MAX_SERIES_MAGNITUDE = float(np.log(np.finfo(np.float64).max)) / 4.0
 
 
-def _modes(dim, cutoff):
-    """Each mode k of the synthesis series with its 1 + |k|^2, in draw order."""
-    for k in itertools.product(range(cutoff + 1), repeat=dim):
-        yield k, 1.0 + sum(ki * ki for ki in k)
-
-
 def check_synth_amplitude(dim, cutoff, amplitude):
     """Raise ValueError unless every series synth_positive_field can draw on a
     dim-dimensional grid stays within MAX_SERIES_MAGNITUDE.
@@ -536,35 +530,12 @@ def check_synth_amplitude(dim, cutoff, amplitude):
     |series| <= amplitude[1] * sum_k 1/(1 + |k|^2) over the (cutoff + 1)^dim
     modes, since every draw lies in [-1, 1] and every cosine in [-1, 1].
     """
-    bound = amplitude[1] * sum(1.0 / d for _, d in _modes(dim, cutoff))
+    bound = amplitude[1] * sum(1.0 / d for _, d in cosine_modes(dim, cutoff))
     if bound > MAX_SERIES_MAGNITUDE:
         raise ValueError(
             f"the upper amplitude {amplitude[1]:g} lets the log-field series "
             f"reach {bound:.4g}, above {MAX_SERIES_MAGNITUDE:.4g}, where the "
             "fields overflow")
-
-
-@functools.lru_cache(maxsize=8)
-def _cosine_table(cells, extents, cutoff):
-    """Per-axis cosine tables and the 1 + |k|^2 denominators of the synthesis
-    series.
-
-    Table a is (cutoff + 1, n_a): its row k_a holds cos(k_a pi x_a / L_a) at
-    the axis-a cell centres, so the tables grow with the cells per axis, not
-    with the grid.  Row 0 is all ones, so a factor taken from it is exact.
-    Modes run over range(cutoff + 1)^dim in lexicographic order, with their
-    denominators in the same order.
-    """
-    grid = Grid(cells, extents, max_cells=np.inf)
-    cosines = []
-    for ax in range(grid.dim):
-        x = grid.axis_centers(ax)
-        table = np.stack([np.cos(ki * np.pi * x / extents[ax])
-                          for ki in range(cutoff + 1)])
-        table.flags.writeable = False  # shared by every cached caller
-        cosines.append(table)
-    denominators = np.array([d for _, d in _modes(grid.dim, cutoff)])
-    return tuple(cosines), denominators
 
 
 def _series_coefficients(rng, amplitude, denominators):
@@ -573,49 +544,13 @@ def _series_coefficients(rng, amplitude, denominators):
     return rng.uniform(-1.0, 1.0, size=len(denominators)) * amp / denominators
 
 
-def _mode_terms(cosines, lo, hi):
-    """The (modes, cells) table of mode terms over axis-0 layers lo:hi, modes
-    in lexicographic order: a mode's term is the product of its cosine rows,
-    multiplied in axis order."""
-    dim = len(cosines)
-    tables = (cosines[0][:, lo:hi],) + cosines[1:]
-    terms = 1.0
-    for ax, table in enumerate(tables):
-        shape = [1] * (2 * dim)
-        shape[ax], shape[dim + ax] = table.shape
-        terms = terms * table.reshape(shape)
-    return terms.reshape(len(tables[0]) ** dim, -1)
-
-
 def _synthesize(grid, cutoff, floor, coefficients, out=None):
     """floor + exp(series) for each row of coefficients, stacked on a leading
-    axis.  `out`, a (rows, cells) array, takes the series in place of a
-    fresh one, so a caller can reuse it from block to block.
-
-    The series of every row is one contraction of the coefficients with the
-    table of mode terms.  Without `optimize`, einsum adds coefficient * term
-    in mode order, a multiply and then an add, as a loop over the modes
-    would, so a row's field does not depend on the other rows.  (Over a
-    single cell it sums in another order; every call here spans at least two
-    cells.)  The table holds at most 2 _ENSEMBLE_BLOCK floats per cell, or
-    one axis-0 layer per mode if that is more: past that it is built and
-    contracted a slab of whole axis-0 layers at a time.  A 2-D or 3-D layer
-    has at least grid.MIN_CELLS_PER_AXIS = 4 cells, and a 1-D table needs a
-    slab only above 2 _ENSEMBLE_BLOCK modes, past the configurable cutoffs.
-    """
-    cosines, _ = _cosine_table(grid.cells, grid.extents, cutoff)
-    coefficients = np.asarray(coefficients)
-    n0 = grid.cells[0]
-    layer = int(np.prod(grid.cells[1:]))
-    step = max(1, 2 * _ENSEMBLE_BLOCK * n0 // coefficients.shape[1])
-    series = np.empty((len(coefficients), n0 * layer)) if out is None else out
-    for lo in range(0, n0, step):
-        hi = min(n0, lo + step)
-        np.einsum("bk,kn->bn", coefficients, _mode_terms(cosines, lo, hi),
-                  out=series[:, lo * layer:hi * layer])
+    axis; `out` is grid.cosine_series's."""
+    series = cosine_series(grid, cutoff, coefficients, out=out)
     np.exp(series, out=series)
     series += floor
-    return series.reshape((len(coefficients),) + grid.shape)
+    return series
 
 
 def synth_positive_field(grid, rng, cutoff, amplitude, floor):
@@ -627,14 +562,11 @@ def synth_positive_field(grid, rng, cutoff, amplitude, floor):
     any level delta < 1 on average and the small-field branch of the level-set
     inequalities could never occur.
 
-    The per-axis cosine tables and the denominators come from a small cache
-    keyed on (cells, extents, cutoff); the mode terms are built from them
-    per call, and the series is one contraction of the coefficients with
-    them in mode order.  Ensembles synthesize their members in blocks of
-    _ENSEMBLE_BLOCK with the same kernel, so a member's field is this
-    function's field for its rng.
+    The series is grid.cosine_series over the modes of grid.cosine_modes.
+    Ensembles synthesize their members in blocks of _ENSEMBLE_BLOCK with the
+    same kernel, so a member's field is this function's field for its rng.
     """
-    _, denominators = _cosine_table(grid.cells, grid.extents, cutoff)
+    _, denominators = cosine_tables(grid.cells, grid.extents, cutoff)
     coefficients = _series_coefficients(rng, amplitude, denominators)
     return _synthesize(grid, cutoff, floor, [coefficients])[0]
 
@@ -674,7 +606,7 @@ def _level_set_fields(spec, grid, members):
     """Each member's first field whose super-level set {phi > delta} has
     measure above eta, and how many draws it discarded.  Every round draws
     the next field of each member still short of it, from its own rng."""
-    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     rngs = [_member_rng(spec.seed, i) for i in members]
     fields = np.empty((len(members),) + grid.shape)
     regenerated = np.zeros(len(members), dtype=int)
@@ -808,7 +740,7 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
                 f"delta = {delta} must lie in [cell volume, domain volume]")
     cell_count = int(np.prod(grid.shape))
     b_counts = [max(1, int(round(delta / vol))) for delta in deltas]
-    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     series = np.empty((_ENSEMBLE_BLOCK, cell_count))
     probe_rng = np.random.default_rng([spec.seed, 10**9])
     half = max(1, spec.count // 2)

@@ -89,6 +89,11 @@ class EntropyCoefficients:
     kappa: float
 
 
+def saturated_source(u, eps):
+    """The saturated source u / (1 + eps u); u itself when eps = 0."""
+    return u / (1.0 + eps * u) if eps > 0.0 else u
+
+
 def chi_admissible(chi, n):
     """Strict admissibility of chi in dimension n.
 

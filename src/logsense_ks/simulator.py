@@ -41,6 +41,8 @@ import numpy as np
 from .grid import (
     Grid,
     _span,
+    cosine_series,
+    cosine_tables,
     dct_modes,
     dct_values,
     face_div_values,
@@ -48,7 +50,7 @@ from .grid import (
     face_mean_values,
     lap_values,
 )
-from .params import ModelParams
+from .params import ModelParams, saturated_source
 
 DEFAULT_SAFETY = 0.4
 DEFAULT_V_FLOOR = 1e-12
@@ -141,7 +143,7 @@ def _tendency(state, v_floor):
     du -= face_div_values(fluxes, grid.h, grid.shape)
     dv = lap_values(v, grid.h)
     dv -= v
-    dv += _saturated_source(u, state.params.eps)
+    dv += saturated_source(u, state.params.eps)
     drift = chi * worst  # an overflow here would surface as a zero CFL bound
     if not (np.isfinite(drift) and np.isfinite(du).all()
             and np.isfinite(dv).all()):
@@ -160,12 +162,6 @@ def cfl_dt(state, safety=DEFAULT_SAFETY, v_floor=DEFAULT_V_FLOOR):
     if drift > 0.0:
         bound = min(bound, min(state.grid.h) / (2.0 * drift))
     return safety * bound
-
-
-def _saturated_source(u, eps):
-    if eps == 0.0:
-        return u
-    return u / (1.0 + eps * u)
 
 
 def _phi1(z):
@@ -407,20 +403,11 @@ def cosine_perturbation(grid, baseline, amplitude, cutoff=3, seed=0):
     decay; the result is shifted if needed so its minimum stays at or above
     baseline / 10.
     """
-    rng = np.random.default_rng(seed)
-    coords = grid.meshgrid()
-    g = np.zeros(grid.shape)
-    ks = np.ndindex(*(cutoff + 1 for _ in range(grid.dim)))
-    for k in ks:
-        if all(ki == 0 for ki in k):
-            continue
-        coeff = rng.uniform(-amplitude, amplitude) / (1.0 + sum(ki**2 for ki in k))
-        term = np.ones(grid.shape)
-        for ax, ki in enumerate(k):
-            if ki:
-                term = term * np.cos(ki * np.pi * coords[ax] / grid.extents[ax])
-        g += coeff * term
-    vals = baseline + g
+    _, denominators = cosine_tables(grid.cells, grid.extents, cutoff)
+    coefficients = np.zeros(len(denominators))  # k = 0 comes first, undrawn
+    coefficients[1:] = np.random.default_rng(seed).uniform(
+        -amplitude, amplitude, size=len(denominators) - 1) / denominators[1:]
+    vals = baseline + cosine_series(grid, cutoff, [coefficients])[0]
     floor = baseline / 10.0
     if vals.min() < floor:
         vals += floor - vals.min()

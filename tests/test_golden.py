@@ -4,13 +4,15 @@ The sha256 digests below were recorded for the outputs of five small
 experiments (simulate, entropy-check, refine-study, eps-study and oracle on
 a 16 x 16 base grid with short end times and small ensembles), for the
 assertions blocks of two of their manifests, for the whole eps-study
-manifest, for the field files of a simulate run that saves every sample, and
-for the step reports and field files of an 8 x 8 x 8 simulate run.  A
-refactor that claims unchanged behaviour must leave them unchanged; a change
-that moves numbers on purpose updates them and says which outputs moved.  The digests hold for the numpy build
-they were recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64
-Linux): another numpy, BLAS or CPU may round some reductions, and the
-solver's DCT matrix products, differently.
+manifest, for the field files of a simulate run that saves every sample, for
+the step reports and field files of an 8 x 8 x 8 simulate run, and for the
+step reports, record and final fields of a 64-cell 1-D simulate run from
+cosine initial data.  A refactor that claims unchanged behaviour must leave
+them unchanged; a change that moves numbers on purpose updates them and says
+which outputs moved.  The digests hold for the numpy build they were
+recorded with (numpy 2.4 with its bundled OpenBLAS on x86-64 Linux): another
+numpy, BLAS or CPU may round some reductions, and the solver's DCT matrix
+products, differently.
 """
 
 import hashlib
@@ -116,6 +118,27 @@ FIELDS_3D_DIGEST = \
     "e9755d710bcda4c1b6e83165a9d6c25e2f93a3379241bad30c37a1bb21c0b9c2"
 
 
+# A 64-cell 1-D simulate run from cosine initial data: its step reports,
+# its record and, as for ALL_FIELDS_CONFIG, its final fields.
+CONFIG_1D = {
+    "mode": "simulate",
+    "grid": {"cells": [64], "extents": [1.0]},
+    "model": {**_MODEL, "n": 1},
+    "initial": {"u": {"kind": "cosine", "baseline": 1.0, "amplitude": 0.5,
+                      "cutoff": 8, "seed": 3},
+                "v": {"kind": "constant", "value": 1.0}},
+    "run": {"T": 0.01, "sample_count": 20, "save_fields": "final"},
+}
+DIGESTS_1D = {
+    "steps.csv":
+        "72f2640581ca79c5c2ea479a6dbfc3c6709b756b203fda9fea15948c95cc3833",
+    "record.csv":
+        "16a384b0a7e32f5f4184944a329c0d6c176166acf5e4e5d2b9b3baf10619464f",
+}
+FIELDS_1D_DIGEST = \
+    "218ecc05dfaff08267bc0d7a517cc3190fbe2cabb997087f278a1fce810737a1"
+
+
 def _fields_digest(fields_dir):
     h = hashlib.sha256()
     for path in sorted(fields_dir.glob("*.bin")):
@@ -198,3 +221,14 @@ def test_3d_digests(tmp_path):
     assert steps == STEPS_3D_DIGEST
     assert len(list((tmp_path / "fields").glob("*.bin"))) == 2 * 11
     assert _fields_digest(tmp_path / "fields") == FIELDS_3D_DIGEST
+
+
+def test_1d_cosine_digests(tmp_path):
+    exit_code, manifest = run_experiment(validate_config(
+        CONFIG_1D, out_override=tmp_path))
+    assert exit_code == 0 and "aborted" not in manifest
+    for name, expected in DIGESTS_1D.items():
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == expected, name
+    assert len(list((tmp_path / "fields").glob("*.bin"))) == 2
+    assert _fields_digest(tmp_path / "fields") == FIELDS_1D_DIGEST

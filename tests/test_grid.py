@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from logsense_ks.diagnostics import CosineSpatial
 
 from logsense_ks.grid import (
     Grid,
@@ -15,6 +19,7 @@ from logsense_ks.grid import (
     read_field_binary,
     write_field_binary,
 )
+from logsense_ks.simulator import cosine_perturbation
 
 
 def random_field(grid, seed, low=0.5, high=2.0):
@@ -179,3 +184,71 @@ def test_binary_roundtrip(tmp_path):
         assert tuple(rcells) == g.cells
         assert_allclose(rh, g.h, rtol=0, atol=0)
         assert np.array_equal(rvals, f)
+
+
+# cosine bases -----------------------------------------------------------------
+
+UNEQUAL_GRIDS = [
+    Grid(cells=[37], extents=[1.7]),
+    Grid(cells=[12, 9], extents=[1.0, 2.5]),
+    Grid(cells=[6, 5, 7], extents=[0.7, 1.3, 2.1]),
+]
+
+
+def _cosine_perturbation_reference(grid, baseline, amplitude, cutoff, seed):
+    """cosine_perturbation as a loop over the modes on the dense mesh, one
+    draw per mode past k = 0."""
+    rng = np.random.default_rng(seed)
+    coords = grid.meshgrid()
+    g = np.zeros(grid.shape)
+    for k in np.ndindex(*(cutoff + 1 for _ in range(grid.dim))):
+        if all(ki == 0 for ki in k):
+            continue
+        coeff = rng.uniform(-amplitude, amplitude) / (1.0 + sum(ki**2 for ki in k))
+        term = np.ones(grid.shape)
+        for ax, ki in enumerate(k):
+            if ki:
+                term = term * np.cos(ki * np.pi * coords[ax] / grid.extents[ax])
+        g += coeff * term
+    vals = baseline + g
+    floor = baseline / 10.0
+    if vals.min() < floor:
+        vals += floor - vals.min()
+    return vals
+
+
+def _cosine_spatial_reference(shape, grid):
+    """CosineSpatial.values as a product of cosines on the dense mesh."""
+    term = np.ones(grid.shape)
+    for x, k, L in zip(grid.meshgrid(), shape.wavenumbers, grid.extents):
+        if k:
+            term = term * np.cos(k * np.pi * x / L)
+    return shape.offset + shape.amplitude * term
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("cutoff", [0, 1, 3, 16])
+def test_cosine_perturbation_matches_reference_loop(grid, cutoff):
+    # at baseline 0.1 the series dips below baseline / 10 for some seed, and
+    # the field is shifted up to it
+    shifted = set()
+    for seed, (baseline, amplitude) in itertools.product(
+            range(3), ((1.0, 0.3), (0.1, 5.0))):
+        got = cosine_perturbation(grid, baseline, amplitude, cutoff, seed)
+        ref = _cosine_perturbation_reference(grid, baseline, amplitude,
+                                             cutoff, seed)
+        assert got.tobytes() == ref.tobytes()
+        if abs(ref.min() - baseline / 10.0) < 1e-12:
+            shifted.add(baseline)
+    assert shifted == ({0.1} if cutoff else set())
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_cosine_spatial_values_match_reference(grid):
+    # every wavenumber tuple over (0, 1, 3, 16), zero axes included
+    for k in itertools.product((0, 1, 3, 16), repeat=grid.dim):
+        for amplitude, offset in ((0.7, 1.2), (-0.4, 0.3)):
+            shape = CosineSpatial(k, amplitude=amplitude, offset=offset)
+            got = shape.values(grid)
+            assert got.shape == grid.shape
+            assert got.tobytes() == _cosine_spatial_reference(shape, grid).tobytes()

@@ -7,6 +7,7 @@ import pytest
 
 from logsense_ks.grid import (
     Grid,
+    cosine_tables as _cosine_table,
     face_grad_values,
     faces_to_cells,
     gradient_cell_magnitude,
@@ -17,7 +18,6 @@ from logsense_ks.oracles import (
     _ODE_CHUNK,
     _RIESZ_BLOCK,
     _SQUARE_STACK_CELLS,
-    _cosine_table,
     _mean_ensemble,
     _riesz_ratios,
     _series_coefficients,

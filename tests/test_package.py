@@ -1,4 +1,16 @@
+import ast
+from pathlib import Path
+
 import logsense_ks
+
+# package module -> the package modules it may import from
+LAYERS = {
+    "grid": set(),
+    "params": set(),
+    "simulator": {"grid", "params"},
+    "diagnostics": {"grid", "params"},
+    "oracles": {"grid", "params"},
+}
 
 
 def test_every_exported_name_resolves():
@@ -6,3 +18,18 @@ def test_every_exported_name_resolves():
     assert len(exported) == len(set(exported)), "a name is listed twice"
     missing = [name for name in exported if not hasattr(logsense_ks, name)]
     assert not missing, f"__all__ names what the package lacks: {missing}"
+
+
+def _package_imports(path):
+    """The package modules a module's relative `from` imports name."""
+    return {node.module or alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def test_modules_import_only_lower_layers():
+    package = Path(logsense_ks.__file__).parent
+    for module, allowed in LAYERS.items():
+        imported = _package_imports(package / f"{module}.py")
+        assert imported <= allowed, f"{module} imports {imported - allowed}"
