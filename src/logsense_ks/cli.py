@@ -132,11 +132,12 @@ CONFIG_KEYS = {
     "seed": Key("int", "[0, inf)", 0),
     "grid.cells": Key("int list", required=GRID_MODES),
     "grid.extents": Key("number list", "(0, inf)", required=GRID_MODES),
-    "model.chi": Key("number", "(0, 1e154)", required=MODES),  # chi^2 finite
+    # chi^2 and q^2 finite and nonzero
+    "model.chi": Key("number", "(1e-154, 1e154)", required=MODES),
     "model.n": Key("int", "[1, inf)", required=MODES),
     "model.eps": Key("number", "[0, 1)", _default(ModelParams, "eps")),
     "model.p": Key("number", "(0, 1)"),
-    "model.q": Key("number", "(0, 1)"),
+    "model.q": Key("number", "(1e-154, 1)"),
     "model.r": Key("number", "(1, inf)"),
     "model.s": Key("number", "[1, inf)", _default(ModelParams, "s")),
     "model.margin": Key("number", "(0, 1)", _default(select_exponents, "margin")),
@@ -525,7 +526,8 @@ def _mode_simulate(cfg, outputs, asserts):
     # its discretization allowance
     phis = ([TestFunction(ConstantSpatial(1.0), OneTemporal())]
             if params.entropy_exponents_ok() else [])
-    accumulator = Accumulator(grid, params, phis)
+    # record.csv is the only output that holds the v norms
+    accumulator = Accumulator(grid, params, phis, v_norms=True)
     save = values["run.save_fields"]
     fields = []
     index = itertools.count()

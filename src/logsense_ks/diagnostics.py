@@ -44,6 +44,15 @@ ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
     "grad_vq_sq", "grad_up_sq", "grad_log_u_sq",
 )
+# the record's per-sample columns, in record.csv order; the v norms are
+# taken only by a pass that writes them
+RECORD_COLUMNS = (
+    "mass", "v_min", "v_lr", "grad_v_ls", "entropy", "diss_grad_u",
+    "diss_square", "reaction_minus", "reaction_plus", "reaction_raw",
+    "u_lr", "grad_vq_sq", "grad_up_sq", "v_lq", "log_u", "log_v",
+    "grad_log_u_sq", "boundary_min_upq",
+)
+V_NORM_COLUMNS = ("v_lr", "grad_v_ls")
 # A time integral over (0, T) needs samples at most T / MIN_SAMPLE_COUNT
 # apart unless its caller allows a wider spacing.
 MIN_SAMPLE_COUNT = 50
@@ -76,13 +85,6 @@ class Separable:
 
     offset: float
     factors: tuple = ()
-
-
-def _swapped(factors, axis, which):
-    """The per-axis f_a of `factors` (_interior_weights' quadruples) with
-    axis `axis`'s replaced by entry `which`; empty for a constant psi."""
-    return [quad[which] if a == axis else quad[0]
-            for a, quad in enumerate(factors)]
 
 
 def _scaled(offset, amplitude, factors):
@@ -260,32 +262,45 @@ class TestFunction:
         """Largest |analytic normal derivative| over boundary faces: on the
         axis-a faces, |f_a'| at either end times the largest |f_b| of every
         other axis, multiplied in axis order as the outer product would."""
-        factors = self.spatial.separable(grid).factors
-        peaks = [np.abs(f).max() for f, _, _ in factors]
-        worst = 0.0
-        for ax, (_, df, _) in enumerate(factors):
-            edge = max(abs(df[0]), abs(df[-1]))
-            worst = max(worst, float(functools.reduce(
-                np.multiply, peaks[:ax] + [edge] + peaks[ax + 1:])))
-        return worst
+        return _derivative_peak(self.spatial.separable(grid).factors,
+                                lambda df: max(abs(df[0]), abs(df[-1])))
 
     def is_compact_in_time(self, T):
         return abs(self.zeta(T)) <= 1e-12
 
     def is_nonnegative(self, grid, T):
-        if self.spatial.values(grid).min() < -1e-12:
+        """psi and zeta are nonnegative up to 1e-12 of their largest |value|."""
+        psi = self.spatial.values(grid)
+        if psi.min() < -1e-12 * np.abs(psi).max():
             return False
-        return all(self.zeta(t) >= -1e-12 for t in np.linspace(0.0, T, 33))
+        zeta = [self.zeta(t) for t in np.linspace(0.0, T, 33)]
+        return min(zeta) >= -1e-12 * max(abs(z) for z in zeta)
 
     def check_one_sided(self, grid, T):
         """Raise ValueError unless phi is admissible for the one-sided form:
-        nonnegative, zero-flux compatible and compactly supported in time."""
+        nonnegative, zero-flux compatible and compactly supported in time.
+        The boundary normal derivative may reach 1e-10 of psi's gradient
+        scale, its largest |f_a'| times the largest |f_b| of the other axes:
+        a cosine's wall derivative is round-off times its k pi / L."""
         if not self.is_compact_in_time(T):
             raise ValueError("phi must vanish at the final time (compact support)")
         if not self.is_nonnegative(grid, T):
             raise ValueError("phi must be nonnegative")
-        if self.boundary_normal_derivative(grid) > 1e-10:
+        scale = _derivative_peak(self.spatial.separable(grid).factors,
+                                 lambda df: np.abs(df).max())
+        if self.boundary_normal_derivative(grid) > 1e-10 * scale:
             raise ValueError("phi must have vanishing normal derivative")
+
+
+def _derivative_peak(factors, peak):
+    """Largest over axes a of peak(f_a') times the largest |f_b| of every
+    other axis, multiplied in axis order; 0.0 without factors."""
+    peaks = [np.abs(f).max() for f, _, _ in factors]
+    worst = 0.0
+    for ax, (_, df, _) in enumerate(factors):
+        worst = max(worst, float(functools.reduce(
+            np.multiply, peaks[:ax] + [peak(df)] + peaks[ax + 1:])))
+    return worst
 
 
 def builtin_supersolution_family(grid, T):
@@ -316,14 +331,14 @@ class DiagnosticsRecord:
     Lebesgue-type entries use the exponents carried by the params the record
     was collected with.  log_u, log_v and grad_log_u_sq are NaN at any sample
     where u has a nonpositive cell; accumulations involving them stay NaN
-    from that time on (markers, never clipped).
+    from that time on (markers, never clipped).  v_lr and grad_v_ls are
+    None, and to_csv leaves them out, unless the pass took them
+    (Accumulator's v_norms).
     """
 
     times: np.ndarray
     mass: np.ndarray
     v_min: np.ndarray
-    v_lr: np.ndarray
-    grad_v_ls: np.ndarray
     entropy: np.ndarray
     diss_grad_u: np.ndarray      # I v^q |grad u^{p/2}|^2
     diss_square: np.ndarray      # I |u^{p/2} grad v^{q/2} - kappa v^{q/2} grad u^{p/2}|^2
@@ -338,23 +353,26 @@ class DiagnosticsRecord:
     log_v: np.ndarray
     grad_log_u_sq: np.ndarray    # I |grad log u|^2
     boundary_min_upq: np.ndarray
+    v_lr: np.ndarray | None = None       # I v^r, from a pass with v_norms
+    grad_v_ls: np.ndarray | None = None  # I |grad v|^s, likewise
     accumulated: dict = dc_field(default_factory=dict)
 
-    _columns = (
-        "mass", "v_min", "v_lr", "grad_v_ls", "entropy", "diss_grad_u",
-        "diss_square", "reaction_minus", "reaction_plus", "reaction_raw",
-        "u_lr", "grad_vq_sq", "grad_up_sq", "v_lq", "log_u", "log_v",
-        "grad_log_u_sq", "boundary_min_upq",
-    )
+    @property
+    def _columns(self):
+        """The record's columns in RECORD_COLUMNS order, without the v norms
+        of a pass that did not take them."""
+        return tuple(name for name in RECORD_COLUMNS
+                     if getattr(self, name) is not None)
 
     def to_csv(self, path):
+        columns = [getattr(self, c) for c in self._columns]
         header = ["time"] + list(self._columns) + [f"acc_{k}" for k in ACC_FIELDS]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for i in range(len(self.times)):
                 row = [format(self.times[i], ".17g")]
-                row += [format(getattr(self, c)[i], ".17g") for c in self._columns]
+                row += [format(column[i], ".17g") for column in columns]
                 row += [format(self.accumulated[k][i], ".17g") for k in ACC_FIELDS]
                 writer.writerow(row)
 
@@ -443,22 +461,70 @@ def _densities(u, v, params, kappa, grid):
         diss_square_sums=[float(a.sum()) for a in diss_square])
 
 
-def _contracted(density, vecs):
-    """density contracted with the outer product of `vecs`, one axis at a
-    time from the last; 0.0 without vectors (a constant psi)."""
-    if not vecs:
-        return 0.0
-    for vec in reversed(vecs):
-        density = density @ vec
-    return float(density)
+# the four kinds of per-axis weight in a _Weights table, in table order
+_F, _DF, _D2F, _M = range(4)
 
 
-def _interior_weights(phi, grid):
-    """phi's offset and per axis (f, f' at the interior faces, f'', face
-    mean of f): the 1-D weights of the cell and interior-face densities."""
-    sep = phi.separable(grid)
-    return sep.offset, [(f, df[1:-1], d2f, face_mean_values(f, 0))
-                        for f, df, d2f in sep.factors]
+def _with(kinds, axis, kind):
+    """`kinds` with axis `axis`'s entry replaced by `kind`."""
+    return kinds[:axis] + (kind,) + kinds[axis + 1:]
+
+
+class _Weights:
+    """The spatial weights of a list of test functions as batch tables.
+
+    Each phi is its offset plus a column, the index of its factored shape
+    among the K distinct ones: phis with equal Separable factors share a
+    column, and an offset-only phi takes column K, whose integrals are 0.0.
+    tables[a] holds axis a's four weights of every column, in the order f,
+    f' at the interior faces, f'' and the interior face mean of f, each
+    stacked (K, 1, ..., 1, n, 1) with max(a - 1, 0) ones, so that a density
+    contracted down to axes 0..a is one np.matmul with it.
+    """
+
+    def __init__(self, phis, grid):
+        seps = [phi.separable(grid) for phi in phis]
+        keys = [b"".join(a.tobytes() for triple in sep.factors for a in triple)
+                for sep in seps]
+        # factor bytes -> factors, in first-seen order
+        shapes = {key: sep.factors for key, sep in zip(keys, seps)
+                  if sep.factors}
+        index = {key: i for i, key in enumerate(shapes)}
+        self.width = len(shapes)
+        self.offsets = [sep.offset for sep in seps]
+        self.columns = [index.get(key, self.width) for key in keys]
+        self.tables = []
+        for a in range(grid.dim):
+            quads = [(f, df[1:-1], d2f, face_mean_values(f, 0))
+                     for f, df, d2f in (factors[a] for factors
+                                        in shapes.values())]
+            self.tables.append([
+                np.stack(kind).reshape(
+                    (self.width,) + (1,) * max(a - 1, 0) + (-1, 1))
+                for kind in zip(*quads)])
+
+    def contract(self, density, kinds, memo=None):
+        """density against table kinds[a] of every axis a, per column, with
+        0.0 appended for the offset-only column K.
+
+        One matmul per axis from the last, over the batch of columns: each
+        batch item is the gemv (or, on axis 0, the dot) that a chain of
+        mat-vecs with that column's own vectors makes, so a column's
+        figures do not depend on the other columns.  `memo`, a dict kept for
+        one density, holds its partial contractions by the kinds they have
+        taken, so a prefix that two integrals share is formed once.
+        """
+        if not self.width:
+            return [0.0]
+        memo = {} if memo is None else memo
+        x = density
+        for a in range(len(kinds) - 1, 0, -1):
+            part = memo.get(kinds[a:])
+            if part is None:
+                part = memo[kinds[a:]] = (x @ self.tables[a][kinds[a]])[..., 0]
+            x = part
+        last = x[..., None, :] @ self.tables[0][kinds[0]]
+        return last.ravel().tolist() + [0.0]
 
 
 class Accumulator:
@@ -471,25 +537,30 @@ class Accumulator:
     splitting (when r < p + 1).  Only these scalars outlive the sample, so a
     run can hand its samples over as it reaches them (simulator.run's
     on_sample) and never store them; add returns the densities to a caller
-    that reads them before the next sample.  The test functions' weights are held
-    as their Separable factors, 1-D vectors per axis, never as grids: an
-    integral is the offset times the density's sum plus the density
-    contracted with the vectors one axis at a time.  finish() integrates
-    the series in time with the trapezoid rule.
+    that reads them before the next sample.  The test functions' weights are
+    held as _Weights batch tables of their Separable factors, 1-D vectors
+    per axis, never as grids: an integral is the offset times the density's
+    sum plus the density contracted with its column's vectors, one batched
+    matmul per axis for all columns.  The record's v norms v_lr and
+    grad_v_ls are taken only with `v_norms`; without it the record has no
+    such columns.  finish() integrates the series in time with the
+    trapezoid rule.
     """
 
-    def __init__(self, grid, params, phis=(), phi_v=None):
+    def __init__(self, grid, params, phis=(), phi_v=None, v_norms=False):
         self.grid = grid
         self.params = params
         self.coef = entropy_coefficients(params.p, params.q, params.chi)
         self.phis = list(phis)
         self.phi_v = phi_v
+        self.v_norms = v_norms
         self.times = []
-        self._cols = {name: [] for name in DiagnosticsRecord._columns}
-        self._weights = [_interior_weights(phi, grid) for phi in self.phis]
+        self._cols = {name: [] for name in RECORD_COLUMNS
+                      if v_norms or name not in V_NORM_COLUMNS}
+        self._weights = _Weights(self.phis, grid)
         self._series = []  # per sample, the (7, len(phis)) integrals
         if phi_v is not None:
-            self._v_weights = _interior_weights(phi_v, grid)
+            self._v_weights = _Weights([phi_v], grid)
         self._v_series = []  # per sample, (V, B, F) of _v_weak
         try:
             self._u_lr_expo = _u_lr_exponent(params)
@@ -502,7 +573,8 @@ class Accumulator:
         are read, never kept."""
         grid = self.grid
         d = _densities(u, v, self.params, self.coef.kappa, grid)
-        grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
+        grad_v = ([face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
+                  if self.v_norms or self.phi_v is not None else None)
         u_r = u**self.params.r
         self.times.append(t)
         self._add_record(u, v, d, u_r, grad_v)
@@ -522,9 +594,10 @@ class Accumulator:
         cols = self._cols
         cols["mass"].append(u.sum() * vol)
         cols["v_min"].append(v.min())
-        cols["v_lr"].append((v**params.r).sum() * vol)
-        cols["grad_v_ls"].append(
-            (face_cell_magnitude(grad_v, grid) ** params.s).sum() * vol)
+        if self.v_norms:
+            cols["v_lr"].append((v**params.r).sum() * vol)
+            cols["grad_v_ls"].append(
+                (face_cell_magnitude(grad_v, grid) ** params.s).sum() * vol)
         cols["entropy"].append(d.upq_sum * vol)
         cols["reaction_minus"].append(cols["entropy"][-1])
         cols["reaction_plus"].append(d.gain_sum * vol)
@@ -565,43 +638,51 @@ class Accumulator:
         square against psi, I u^{p/2} v^q grad u^{p/2} . grad psi,
         I u^p v^q lap psi, and the saturated and unsaturated gains against
         psi; psi's face means weight the face densities.  Each integral is
-        the offset times the density's sum plus its contractions with the
-        phi's own factors, so a phi's figures do not depend on the other
-        phis."""
-        grid = self.grid
-        vol = grid.cell_volume
+        the offset times the density's sum plus the density's contraction
+        with the phi's column (_Weights.contract), summed over the axes in
+        axis order; the contractions of u^p v^q share their prefixes."""
+        w, dim = self._weights, self.grid.dim
+        vol = self.grid.cell_volume
+        f = (_F,) * dim
+        upq = {}
+        E = w.contract(d.upq, f, upq)
+        RP = w.contract(d.gain, f)
+        RR = w.contract(d.gain_raw, f)
+        D1, D2, GT, LT = [], [], [], []
+        for ax in range(dim):
+            mean, grad, lap = (_with(f, ax, kind) for kind in (_M, _DF, _D2F))
+            D1.append(w.contract(d.diss_grad_u[ax], mean))
+            D2.append(w.contract(d.diss_square[ax], mean))
+            GT.append(w.contract(d.grad_phi[ax], grad))
+            LT.append(w.contract(d.upq, lap, upq))
         out = np.empty((7, len(self.phis)))
-        for i, (c, factors) in enumerate(self._weights):
-            f = [quad[0] for quad in factors]
+        for i, (c, j) in enumerate(zip(w.offsets, w.columns)):
             d1 = d2 = gt = lt = 0.0
-            for ax in range(grid.dim):
-                mean = _swapped(factors, ax, 3)
-                d1 += (c * d.diss_grad_u_sums[ax]
-                       + _contracted(d.diss_grad_u[ax], mean))
-                d2 += (c * d.diss_square_sums[ax]
-                       + _contracted(d.diss_square[ax], mean))
-                gt += _contracted(d.grad_phi[ax], _swapped(factors, ax, 1))
-                lt += _contracted(d.upq, _swapped(factors, ax, 2))
+            for ax in range(dim):
+                d1 += c * d.diss_grad_u_sums[ax] + D1[ax][j]
+                d2 += c * d.diss_square_sums[ax] + D2[ax][j]
+                gt += GT[ax][j]
+                lt += LT[ax][j]
             out[:, i] = (
-                (c * d.upq_sum + _contracted(d.upq, f)) * vol,
+                (c * d.upq_sum + E[j]) * vol,
                 d1 * vol, d2 * vol, gt * vol, lt * vol,
-                (c * d.gain_sum + _contracted(d.gain, f)) * vol,
-                (c * d.gain_raw_sum + _contracted(d.gain_raw, f)) * vol)
+                (c * d.gain_sum + RP[j]) * vol,
+                (c * d.gain_raw_sum + RR[j]) * vol)
         return out
 
     def _v_terms(self, u, v, grad_v):
         """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi."""
-        grid = self.grid
-        vol = grid.cell_volume
-        c, factors = self._v_weights
-        f = [quad[0] for quad in factors]
+        w, dim = self._v_weights, self.grid.dim
+        vol = self.grid.cell_volume
+        (c,), (j,) = w.offsets, w.columns
+        f = (_F,) * dim
         src = saturated_source(u, self.params.eps)
         acc = 0.0
-        for ax in range(grid.dim):
-            acc += _contracted(grad_v[ax], _swapped(factors, ax, 1))
-        return ((c * float(v.sum()) + _contracted(v, f)) * vol,
+        for ax in range(dim):
+            acc += w.contract(grad_v[ax], _with(f, ax, _DF))[j]
+        return ((c * float(v.sum()) + w.contract(v, f)[j]) * vol,
                 acc * vol,
-                (c * float(src.sum()) + _contracted(src, f)) * vol)
+                (c * float(src.sum()) + w.contract(src, f)[j]) * vol)
 
     def finish(self, max_sample_dt=None):
         """Integrate the series in time.

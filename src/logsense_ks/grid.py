@@ -166,7 +166,7 @@ def dct_values(a, mats, inverse=False):
 def face_grad_values(a, h, axis):
     """Gradient along one axis on the interior faces.  A negative axis counts
     from the last and indexes h the same way."""
-    return np.diff(a, axis=axis) / h[axis]
+    return np.subtract(a[_span(axis, 1, None)], a[_span(axis, 0, -1)]) / h[axis]
 
 
 def face_div_values(fluxes, h, shape):

@@ -207,6 +207,35 @@ def test_chi_with_an_overflowing_square_exits_two(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# chi = 1e-300 used to end in a ZeroDivisionError at 1 / chi^2 (simulate's
+# admissibility test, params' exponent search), and q = 1e-300 at
+# 4 (1 - q) / q^2 in entropy-check's grad v^{q/2} bound, after the run
+TINY = {
+    "simulate-chi": ("simulate", "model.chi"),
+    "params-chi": ("params", "model.chi"),
+    "entropy-check-q": ("entropy-check", "model.q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TINY))
+def test_chi_or_q_with_a_vanishing_square_exits_two(tmp_path, capsys, case):
+    mode, path = TINY[case]
+    code, out = _main(tmp_path, mode, _with(mode, path, 1e-300))
+    assert code == 2
+    assert f"config.{path}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_entropy_check_on_a_tiny_box_runs(tmp_path, capsys):
+    # on a 1e-8 box the built-in family's wall derivative is round-off times
+    # k pi / 1e-8, which an absolute bound once rejected with a traceback
+    raw = _with("entropy-check", "grid.extents", [1e-8, 1e-8])
+    code, out = _main(tmp_path, "entropy-check", raw)
+    assert code in (0, 1)
+    assert "normal derivative" not in capsys.readouterr().err
+    assert (out / "manifest.json").exists()
+
+
 # initial data that pass the table but overflow the right-hand side: the
 # Laplacian of u, or the drift speed of v
 OVERFLOWING = {

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from logsense_ks.cli import _residual_test_functions
 from logsense_ks.grid import (
     Grid,
     end_slabs,
+    face_cell_magnitude,
     face_grad_values,
     face_mean_values,
     lap_values,
@@ -611,3 +613,118 @@ def test_a_phis_figures_do_not_depend_on_the_other_phis(g):
                               bare.record.accumulated[name],
                               equal_nan=True), name
     assert full.u_lr_bound() == bare.u_lr_bound()
+
+
+def _chain_reference(density, vecs):
+    """A phi's mat-vec chain, one axis at a time from the last, as the
+    contraction was before the batch tables."""
+    for vec in reversed(vecs):
+        density = density @ vec
+    return float(density)
+
+
+@pytest.mark.parametrize("g", [
+    Grid(cells=[40], extents=[1.0]),
+    Grid(cells=[33, 20], extents=[1.0, 1.5]),
+    Grid(cells=[8, 6, 5], extents=[1.0, 0.8, 0.6]),
+], ids=lambda g: f"{g.dim}d")
+def test_batched_contraction_is_each_phis_own_chain(g):
+    # every kind of weight on every axis, bit for bit: a batch item is the
+    # gemv (or dot) the phi's own chain makes
+    phis, _ = _entropy_check_phis(g, 1.0)
+    weights = diagnostics._Weights(phis, g)
+    rng = np.random.default_rng(7)
+    for kinds in itertools.product(range(4), repeat=g.dim):
+        shape = [n - (kind in (diagnostics._DF, diagnostics._M))
+                 for n, kind in zip(g.shape, kinds)]
+        density = rng.uniform(-1.0, 1.0, shape)
+        got = weights.contract(density, kinds, {})
+        for phi, column in zip(phis, weights.columns):
+            quads = [(f, df[1:-1], d2f, face_mean_values(f, 0))
+                     for f, df, d2f in phi.separable(g).factors]
+            want = _chain_reference(
+                density, [quad[k] for quad, k in zip(quads, kinds)]) \
+                if quads else 0.0
+            assert got[column] == want, (kinds, column)
+
+
+def test_equal_shapes_share_one_column():
+    # entropy-check's cosine_rampdown and the family's second member are the
+    # same shape; the constants are offsets only and take the zero column
+    g = Grid(cells=[16, 12], extents=[1.0, 1.5])
+    phis, _ = _entropy_check_phis(g, 1.0)
+    weights = diagnostics._Weights(phis, g)
+    assert weights.width == 5
+    assert weights.columns == [5, 0, 1, 5, 0, 2, 3, 4]
+    assert weights.contract(np.ones(g.shape), (diagnostics._F,) * 2)[5] == 0.0
+    assert diagnostics._Weights(phis[:1], g).contract(
+        np.ones(g.shape), (diagnostics._F,) * 2) == [0.0]
+
+
+def test_v_norms_are_taken_only_when_asked(tmp_path):
+    # simulate's record.csv keeps the parent's v_lr and grad_v_ls bit for
+    # bit; a pass without them has no such columns, not placeholders
+    g = Grid(cells=[12, 10], extents=[1.0, 1.2])
+    params = default_params(eps=0.01, s=1.5)
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.2, baseline=0.2)
+    v0 = 1.0 + 0.3 * CosineSpatial((1, 2)).values(g)
+    state = SimState(t=0.0, grid=g, u=u0, v=v0, params=params)
+    with_norms = Accumulator(g, params, v_norms=True)
+    without = Accumulator(g, params)
+    want = {"v_lr": [], "grad_v_ls": []}
+
+    def feed(t, u, v):
+        with_norms.add(t, u, v)
+        without.add(t, u, v)
+        grad_v = [face_grad_values(v, g.h, ax) for ax in range(g.dim)]
+        want["v_lr"].append((v**params.r).sum() * g.cell_volume)
+        want["grad_v_ls"].append(
+            (face_cell_magnitude(grad_v, g) ** params.s).sum()
+            * g.cell_volume)
+
+    run(state, 0.01, sample_times=np.linspace(0.0, 0.01, 6), on_sample=feed)
+    full, bare = with_norms.finish().record, without.finish().record
+    for name, values in want.items():
+        assert getattr(full, name).tobytes() == np.array(values).tobytes()
+        assert getattr(bare, name) is None
+    assert full._columns == diagnostics.RECORD_COLUMNS
+    assert set(full._columns) - set(bare._columns) == {"v_lr", "grad_v_ls"}
+
+    def table(record, name):
+        path = tmp_path / name
+        record.to_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        return {column: tuple(values) for column, *values in zip(*rows)}
+
+    full_csv, bare_csv = table(full, "full.csv"), table(bare, "bare.csv")
+    assert list(full_csv)[1:3] == ["mass", "v_min"]
+    assert list(full_csv)[3:5] == ["v_lr", "grad_v_ls"]
+    assert full_csv["v_lr"] == tuple(format(x, ".17g") for x in want["v_lr"])
+    assert "v_lr" not in bare_csv and "grad_v_ls" not in bare_csv
+    assert {k: v for k, v in full_csv.items()
+            if k not in ("v_lr", "grad_v_ls")} == bare_csv
+
+
+@pytest.mark.parametrize("extent", [1e-8, 1.0, 1e3])
+def test_one_sided_tolerances_scale_with_the_phi(extent):
+    # the family's wall derivative is round-off times w = k pi / L, so an
+    # absolute bound rejected it on a 1e-8 box; a support crossing a wall
+    # still fails at every scale
+    g = Grid(cells=[16, 16], extents=[extent, extent])
+    for phi in builtin_supersolution_family(g, 1.0):
+        phi.check_one_sided(g, 1.0)
+    lopsided = diagnostics.TestFunction(
+        BumpSpatial(center=(0.2 * extent, 0.5 * extent),
+                    width=(0.5 * extent, 0.4 * extent)),
+        RampDownTemporal(0.5))
+    with pytest.raises(ValueError, match="normal derivative"):
+        lopsided.check_one_sided(g, 1.0)
+    small = diagnostics.TestFunction(
+        CosineSpatial((1, 0), amplitude=1e-20, offset=1e-20),
+        RampDownTemporal(0.5))
+    small.check_one_sided(g, 1.0)
+    negative = diagnostics.TestFunction(
+        CosineSpatial((1, 0), amplitude=2e-20, offset=1e-20),
+        RampDownTemporal(0.5))
+    with pytest.raises(ValueError, match="nonnegative"):
+        negative.check_one_sided(g, 1.0)

@@ -112,6 +112,24 @@ def test_face_gradient_linear_field():
     assert_allclose(grad, 3.0, rtol=1e-13)
 
 
+@pytest.mark.parametrize("cells", [[17], [9, 6], [4, 5, 6]],
+                         ids=lambda c: f"{len(c)}d")
+def test_face_gradient_is_np_diff_bit_for_bit(cells):
+    # the slice subtraction is np.diff's own, without its per-call wrapper;
+    # a negative axis indexes h from the last too, past any stack axes
+    g = Grid(cells=cells, extents=[0.7 + 0.3 * a for a in range(len(cells))])
+    field = random_field(g, seed=3)
+    stack = np.stack([random_field(g, seed=s) for s in range(3)])
+    for ax in range(g.dim):
+        for a, h, axis in ((field, g.h, ax), (field, g.h, ax - g.dim),
+                           (stack, g.h, ax - g.dim),
+                           (stack, (None,) + g.h, ax + 1)):
+            want = np.diff(a, axis=axis) / h[axis]
+            got = face_grad_values(a, h, axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def _padded(faces, axis):
     """Interior faces with the zero boundary faces put back at both ends."""
     pad = [(0, 0)] * faces.ndim
