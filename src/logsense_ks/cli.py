@@ -131,20 +131,21 @@ CONFIG_KEYS = {
     "out": Key("str"),
     "seed": Key("int", "[0, inf)", 0),
     "grid.cells": Key("int list", required=GRID_MODES),
-    "grid.extents": Key("number list", "(0, inf)", required=GRID_MODES),
-    # chi^2 and q^2 finite and nonzero
+    # chi^2, the extents and widths squared, and 4 / q^2 finite and nonzero
+    "grid.extents": Key("number list", "(1e-154, 1e154)", required=GRID_MODES),
     "model.chi": Key("number", "(1e-154, 1e154)", required=MODES),
     "model.n": Key("int", "[1, inf)", required=MODES),
     "model.eps": Key("number", "[0, 1)", _default(ModelParams, "eps")),
     "model.p": Key("number", "(0, 1)"),
-    "model.q": Key("number", "(1e-154, 1)"),
+    "model.q": Key("number", "(1.5e-154, 1)"),
     "model.r": Key("number", "(1, inf)"),
     "model.s": Key("number", "[1, inf)", _default(ModelParams, "s")),
     "model.margin": Key("number", "(0, 1)", _default(select_exponents, "margin")),
     **{f"initial.{field}.{name}": key for field in "uv" for name, key in (
         ("kind", Key("str", tuple(INITIAL_KINDS), required=SOLVER_MODES)),
         ("value", Key("number")), ("amplitude", Key("number")),
-        ("width", Key("number", "(0, inf)")), ("center", Key("number list")),
+        ("width", Key("number", "(1e-154, 1e154)")),
+        ("center", Key("number list")),
         ("baseline", Key("number")), ("cutoff", Key("int", "[0, 16]")),
         ("seed", Key("int", "[0, inf)")))},
     "initial.v_floor": Key("number", "(0, inf)",
@@ -981,6 +982,10 @@ def run_experiment(cfg):
             aborted["eps"] = exc.eps
     except SimulationError as exc:
         aborted = {"message": str(exc), "time": exc.time}
+    except ArithmeticError as exc:
+        # a last resort for an overflow or a division by zero that the
+        # config table does not rule out
+        aborted = {"message": f"{type(exc).__name__}: {exc}"}
 
     manifest["assertions"] = asserts.entries
     manifest["outputs"] = outputs

@@ -37,8 +37,9 @@ from .grid import (
     face_cell_magnitude,
     face_grad_values,
     face_mean_values,
+    face_sum_values,
 )
-from .params import ModelParams, entropy_coefficients, saturated_source
+from .params import ModelParams, entropy_coefficients
 
 ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
@@ -406,25 +407,34 @@ def _trapz(y, t):
 class _Densities:
     """Entropy densities of one sample.
 
-    Cell arrays: upq = u^p v^q, gain_raw = u^{p+1} v^{q-1} and its saturated
-    form gain = gain_raw / (1 + eps u).  Per-axis interior-face arrays:
-    grad_up and grad_vq (face gradients of u^{p/2} and v^{q/2}), diss_grad_u
-    (v^q |grad u^{p/2}|^2), diss_square (the completed square) and grad_phi
-    (u^{p/2} v^q grad u^{p/2}, to be dotted with grad phi).  The record is
-    the phi == 1 contraction of these densities and every weak-form residual
-    contracts them against its test-function weights.  The plain sums, which
-    the record and every phi's offset share, are taken once: of upq, gain,
-    gain_raw and v^q, and per axis of diss_grad_u and diss_square.
+    Cell arrays: upq = u^p v^q, gain_raw = u^{p+1} v^{q-1}, the saturation
+    1 + eps u and the saturated gain = gain_raw / saturation.  Per-axis
+    interior-face arrays: grad_up and grad_vq (face gradients of u^{p/2}
+    and v^{q/2}), diss_grad_u (v^q |grad u^{p/2}|^2), diss_square (the
+    completed square) and grad_phi (u^{p/2} v^q grad u^{p/2}, to be dotted
+    with grad phi).  The record is the phi == 1 contraction of these
+    densities and every weak-form residual contracts them against its
+    test-function weights.  The plain sums, which the record and every
+    phi's offset share, are taken once: of upq, gain, gain_raw and v^q, and
+    per axis of diss_grad_u and diss_square.
+
+    The last three face densities are held as their face-sum forms, with
+    each face mean's 1/2 left out: diss_grad_u_x2, diss_square_x4 (the
+    cross term is squared) and grad_phi_x2.  Their readers scale the
+    finished sums and contractions instead, which gives the same bytes,
+    since scaling by a power of two commutes with rounding; the properties
+    form the true-scale arrays on read.
     """
 
     upq: np.ndarray
     gain_raw: np.ndarray
     gain: np.ndarray
+    saturation: np.ndarray
     grad_up: list
     grad_vq: list
-    diss_grad_u: list
-    diss_square: list
-    grad_phi: list
+    diss_grad_u_x2: list
+    diss_square_x4: list
+    grad_phi_x2: list
     upq_sum: float
     gain_raw_sum: float
     gain_sum: float
@@ -432,37 +442,66 @@ class _Densities:
     diss_grad_u_sums: list
     diss_square_sums: list
 
+    @property
+    def diss_grad_u(self):
+        return [0.5 * a for a in self.diss_grad_u_x2]
+
+    @property
+    def diss_square(self):
+        return [0.25 * a for a in self.diss_square_x4]
+
+    @property
+    def grad_phi(self):
+        return [0.5 * a for a in self.grad_phi_x2]
+
 
 def _densities(u, v, params, kappa, grid):
-    """Densities of one (u, v) sample; face products use arithmetic face means."""
-    p, q = params.p, params.q
-    up2 = u ** (p / 2.0)
-    vq2 = v ** (q / 2.0)
-    vq = v**q
+    """Densities of one (u, v) sample; face products use arithmetic face
+    means.  Two powers are transcendental, u^{p/2} and v^{q/2}; u^p, v^q,
+    u^{p+1} and v^{q-1} are products and a quotient of them.  The saturated
+    gain is formed after the face densities, so that fewer arrays are alive
+    at once."""
+    up2 = u ** (params.p / 2.0)
+    vq2 = v ** (params.q / 2.0)
+    vq = vq2 * vq2
     w = up2 * vq
-    upq = u**p * vq
-    gain_raw = u ** (p + 1.0) * v ** (q - 1.0)
-    gain = gain_raw / (1.0 + params.eps * u)
+    gain_raw = up2 * up2  # u^p, then u^{p+1} v^{q-1} in place
+    upq = gain_raw * vq
+    gain_raw *= u
+    gain_raw *= vq / v
     grad_up, grad_vq, diss_grad_u, diss_square, grad_phi = [], [], [], [], []
     for ax in range(grid.dim):
         gu = face_grad_values(up2, grid.h, ax)
         gv = face_grad_values(vq2, grid.h, ax)
-        cross = face_mean_values(up2, ax) * gv - kappa * face_mean_values(vq2, ax) * gu
+        cross = face_sum_values(up2, ax) * gv \
+            - kappa * face_sum_values(vq2, ax) * gu
         grad_up.append(gu)
         grad_vq.append(gv)
-        diss_grad_u.append(face_mean_values(vq, ax) * gu * gu)
+        diss_grad_u.append(face_sum_values(vq, ax) * gu * gu)
         diss_square.append(cross * cross)
-        grad_phi.append(face_mean_values(w, ax) * gu)
+        grad_phi.append(face_sum_values(w, ax) * gu)
+    saturation = 1.0 + params.eps * u
+    gain = gain_raw / saturation
     return _Densities(
-        upq, gain_raw, gain, grad_up, grad_vq, diss_grad_u, diss_square,
-        grad_phi, upq_sum=float(upq.sum()), gain_raw_sum=float(gain_raw.sum()),
-        gain_sum=float(gain.sum()), vq_sum=float(vq.sum()),
-        diss_grad_u_sums=[float(a.sum()) for a in diss_grad_u],
-        diss_square_sums=[float(a.sum()) for a in diss_square])
+        upq, gain_raw, gain, saturation, grad_up, grad_vq, diss_grad_u,
+        diss_square, grad_phi, upq_sum=float(upq.sum()),
+        gain_raw_sum=float(gain_raw.sum()), gain_sum=float(gain.sum()),
+        vq_sum=float(vq.sum()),
+        diss_grad_u_sums=[0.5 * float(a.sum()) for a in diss_grad_u],
+        diss_square_sums=[0.25 * float(a.sum()) for a in diss_square])
 
 
-# the four kinds of per-axis weight in a _Weights table, in table order
-_F, _DF, _D2F, _M = range(4)
+# the five kinds of per-axis weight in a _Weights table, in table order
+_F, _DF, _D2F, _M, _SBP = range(5)
+
+
+def _by_parts(df, h):
+    """The cell vector (g_{i-1} - g_i) / h, with g = df at the interior faces
+    and 0 at both walls: the face gradient's adjoint applied to g, so that a
+    cell field contracted with it equals its face gradient contracted with
+    g (summation by parts)."""
+    g = np.concatenate([[0.0], df[1:-1], [0.0]])
+    return (g[:-1] - g[1:]) / h
 
 
 def _with(kinds, axis, kind):
@@ -476,9 +515,10 @@ class _Weights:
     Each phi is its offset plus a column, the index of its factored shape
     among the K distinct ones: phis with equal Separable factors share a
     column, and an offset-only phi takes column K, whose integrals are 0.0.
-    tables[a] holds axis a's four weights of every column, in the order f,
-    f' at the interior faces, f'' and the interior face mean of f, each
-    stacked (K, 1, ..., 1, n, 1) with max(a - 1, 0) ones, so that a density
+    tables[a] holds axis a's five weights of every column, in the order f,
+    f' at the interior faces, f'', the interior face mean of f and f'
+    summed by parts onto the cells (_by_parts), each stacked
+    (K, 1, ..., 1, n, 1) with max(a - 1, 0) ones, so that a density
     contracted down to axes 0..a is one np.matmul with it.
     """
 
@@ -495,13 +535,14 @@ class _Weights:
         self.columns = [index.get(key, self.width) for key in keys]
         self.tables = []
         for a in range(grid.dim):
-            quads = [(f, df[1:-1], d2f, face_mean_values(f, 0))
-                     for f, df, d2f in (factors[a] for factors
-                                        in shapes.values())]
+            rows = [(f, df[1:-1], d2f, face_mean_values(f, 0),
+                     _by_parts(df, grid.h[a]))
+                    for f, df, d2f in (factors[a] for factors
+                                       in shapes.values())]
             self.tables.append([
                 np.stack(kind).reshape(
                     (self.width,) + (1,) * max(a - 1, 0) + (-1, 1))
-                for kind in zip(*quads)])
+                for kind in zip(*rows)])
 
     def contract(self, density, kinds, memo=None):
         """density against table kinds[a] of every axis a, per column, with
@@ -571,33 +612,38 @@ class Accumulator:
     def add(self, t, u, v):
         """Take the sample (t, u, v) and return its _Densities; the arrays
         are read, never kept."""
-        grid = self.grid
-        d = _densities(u, v, self.params, self.coef.kappa, grid)
-        grad_v = ([face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
-                  if self.v_norms or self.phi_v is not None else None)
+        if self.v_norms:
+            self._add_v_norms(v)
+        d = _densities(u, v, self.params, self.coef.kappa, self.grid)
         u_r = u**self.params.r
         self.times.append(t)
-        self._add_record(u, v, d, u_r, grad_v)
+        self._add_record(u, v, d, u_r)
         if self.phis:
             self._series.append(self._contract(d))
         if self.phi_v is not None:
-            self._v_series.append(self._v_terms(u, v, grad_v))
+            self._v_series.append(self._v_terms(u, v, d))
         if self._u_lr_expo is not None:
             rhs = d.gain_raw + v**self._u_lr_expo
             violation = float(((u_r - rhs) / np.maximum(rhs, 1e-300)).max())
             self.u_lr_worst = max(self.u_lr_worst, violation)
         return d
 
-    def _add_record(self, u, v, d, u_r, grad_v):
+    def _add_v_norms(self, v):
+        """The record's I v^r and I |grad v|^s, taken before the densities
+        are formed, so that their temporaries are not alive beside them."""
         grid, params = self.grid, self.params
+        grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
+        self._cols["v_lr"].append((v**params.r).sum() * grid.cell_volume)
+        self._cols["grad_v_ls"].append(
+            (face_cell_magnitude(grad_v, grid) ** params.s).sum()
+            * grid.cell_volume)
+
+    def _add_record(self, u, v, d, u_r):
+        grid = self.grid
         vol = grid.cell_volume
         cols = self._cols
         cols["mass"].append(u.sum() * vol)
         cols["v_min"].append(v.min())
-        if self.v_norms:
-            cols["v_lr"].append((v**params.r).sum() * vol)
-            cols["grad_v_ls"].append(
-                (face_cell_magnitude(grad_v, grid) ** params.s).sum() * vol)
         cols["entropy"].append(d.upq_sum * vol)
         cols["reaction_minus"].append(cols["entropy"][-1])
         cols["reaction_plus"].append(d.gain_sum * vol)
@@ -640,7 +686,8 @@ class Accumulator:
         psi; psi's face means weight the face densities.  Each integral is
         the offset times the density's sum plus the density's contraction
         with the phi's column (_Weights.contract), summed over the axes in
-        axis order; the contractions of u^p v^q share their prefixes."""
+        axis order; the contractions of u^p v^q share their prefixes.  The
+        face-sum densities' contractions take their 1/2 (1/4) here."""
         w, dim = self._weights, self.grid.dim
         vol = self.grid.cell_volume
         f = (_F,) * dim
@@ -651,17 +698,17 @@ class Accumulator:
         D1, D2, GT, LT = [], [], [], []
         for ax in range(dim):
             mean, grad, lap = (_with(f, ax, kind) for kind in (_M, _DF, _D2F))
-            D1.append(w.contract(d.diss_grad_u[ax], mean))
-            D2.append(w.contract(d.diss_square[ax], mean))
-            GT.append(w.contract(d.grad_phi[ax], grad))
+            D1.append(w.contract(d.diss_grad_u_x2[ax], mean))
+            D2.append(w.contract(d.diss_square_x4[ax], mean))
+            GT.append(w.contract(d.grad_phi_x2[ax], grad))
             LT.append(w.contract(d.upq, lap, upq))
         out = np.empty((7, len(self.phis)))
         for i, (c, j) in enumerate(zip(w.offsets, w.columns)):
             d1 = d2 = gt = lt = 0.0
             for ax in range(dim):
-                d1 += c * d.diss_grad_u_sums[ax] + D1[ax][j]
-                d2 += c * d.diss_square_sums[ax] + D2[ax][j]
-                gt += GT[ax][j]
+                d1 += c * d.diss_grad_u_sums[ax] + 0.5 * D1[ax][j]
+                d2 += c * d.diss_square_sums[ax] + 0.25 * D2[ax][j]
+                gt += 0.5 * GT[ax][j]
                 lt += LT[ax][j]
             out[:, i] = (
                 (c * d.upq_sum + E[j]) * vol,
@@ -670,17 +717,22 @@ class Accumulator:
                 (c * d.gain_raw_sum + RR[j]) * vol)
         return out
 
-    def _v_terms(self, u, v, grad_v):
-        """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi."""
+    def _v_terms(self, u, v, d):
+        """I v psi, I grad v . grad psi and I (u / (1 + eps u)) psi.  The
+        gradient term is v contracted with psi's factors with axis a's f'
+        summed by parts (_SBP), so no face gradient of v is formed; its
+        contractions share their prefixes with I v psi's."""
         w, dim = self._v_weights, self.grid.dim
         vol = self.grid.cell_volume
         (c,), (j,) = w.offsets, w.columns
         f = (_F,) * dim
-        src = saturated_source(u, self.params.eps)
+        src = u / d.saturation
+        memo = {}
+        mass = w.contract(v, f, memo)[j]
         acc = 0.0
         for ax in range(dim):
-            acc += w.contract(grad_v[ax], _with(f, ax, _DF))[j]
-        return ((c * float(v.sum()) + w.contract(v, f)[j]) * vol,
+            acc += w.contract(v, _with(f, ax, _SBP), memo)[j]
+        return ((c * float(v.sum()) + mass) * vol,
                 acc * vol,
                 (c * float(src.sum()) + w.contract(src, f)[j]) * vol)
 

@@ -111,9 +111,13 @@ def end_slabs(a, axis):
     return a[_span(axis, 0, 1)], a[_span(axis, -1, None)]
 
 
-def lap_values(a, h):
-    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values."""
-    out = np.zeros_like(a)
+def lap_values(a, h, out=None):
+    """Mirrored-ghost (zero-flux) Laplacian stencil on raw cell values;
+    `out`, an array of a's shape, takes it in place of a fresh one."""
+    if out is None:
+        out = np.zeros_like(a)
+    else:
+        out.fill(0.0)
     for ax, ha in enumerate(h):
         first, last = end_slabs(a, ax)
         padded = np.concatenate([first, a, last], axis=ax)
@@ -180,9 +184,14 @@ def face_div_values(fluxes, h, shape):
     return out
 
 
+def face_sum_values(a, axis):
+    """Sum of the two cells beside each interior face."""
+    return a[_span(axis, 0, -1)] + a[_span(axis, 1, None)]
+
+
 def face_mean_values(a, axis):
     """Arithmetic mean of the two cells beside each interior face."""
-    return 0.5 * (a[_span(axis, 0, -1)] + a[_span(axis, 1, None)])
+    return 0.5 * face_sum_values(a, axis)
 
 
 def faces_to_cells(face_array, axis):

@@ -4,6 +4,7 @@ makes `main` raise."""
 
 import copy
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -388,3 +389,143 @@ def test_table_defaults_pass_their_own_checks():
             default = list(key.default) if key.kind.endswith("list") \
                 else key.default
             assert cli._checked(default, path, key) == default, path
+
+
+# extents and widths whose squares overflow once ended in an OverflowError
+# out of main: ha**2 in the Laplacian, width**2 in the Gaussian and in the
+# bump test function's second derivative
+HUGE_LENGTH = {
+    "simulate-extents": ("simulate", "grid.extents", [1e300, 1e300],
+                         "grid.extents[0]"),
+    "entropy-check-extents": ("entropy-check", "grid.extents", [1e300, 1e300],
+                              "grid.extents[0]"),
+    "simulate-width": ("simulate", "initial.u.width", 1e300,
+                       "initial.u.width"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_LENGTH))
+def test_a_length_with_an_overflowing_square_exits_two(tmp_path, capsys, case):
+    mode, path, value, reported = HUGE_LENGTH[case]
+    code, out = _main(tmp_path, mode, _with(mode, path, value))
+    assert code == 2
+    assert f"config.{reported}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_q_with_an_overflowing_bound_coefficient_exits_two(tmp_path, capsys):
+    # 4 (1 - q) / q^2 passes the largest double below q = 1.49e-154, and the
+    # grad v^{q/2} bound then reported a null lhs after the whole run
+    code, out = _main(tmp_path, "entropy-check",
+                      _with("entropy-check", "model.q", 1.05e-154))
+    assert code == 2
+    assert "config.model.q:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_q_at_its_lower_end_has_a_finite_bound(tmp_path, capsys):
+    low = float(CONFIG_KEYS["model.q"].range[1:-1].split(",")[0])
+    code, out = _main(tmp_path, "entropy-check",
+                      _with("entropy-check", "model.q", low * (1.0 + 1e-12)))
+    capsys.readouterr()
+    assert code in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "aborted" not in manifest
+    entry = next(e for e in manifest["assertions"] if e["name"] == "grad_vq")
+    assert all(math.isfinite(entry["value"][side]) for side in ("lhs", "rhs"))
+
+
+def test_an_arithmetic_error_writes_an_aborted_manifest(tmp_path, monkeypatch,
+                                                        capsys):
+    def overflow(cfg, outputs, asserts):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setitem(cli._MODE_RUNNERS, "simulate", overflow)
+    code, out = _main(tmp_path, "simulate", VALID["simulate"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "aborted: OverflowError" in err and "Traceback" not in err
+    aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+    assert aborted["message"].startswith("OverflowError:")
+
+
+def _edge_values(key):
+    """The sweep's values for a numeric key: each end of its range, a closed
+    end as it is, an open end moved inward by 1e-12 relative (to 1e-300 at
+    an open zero), an infinite end as 1e8 and 1e300 with its sign.
+    An unranged number counts as (-inf, inf); an integer key takes the
+    integers nearest these."""
+    interval = key.range or "(-inf, inf)"
+    values = []
+    for end, is_open, inward in (
+            (interval[1:-1].split(",")[0], interval[0] == "(", 1.0),
+            (interval[1:-1].split(",")[1], interval[-1] == ")", -1.0)):
+        end = float(end)
+        if math.isinf(end):
+            values += [math.copysign(1e8, end), math.copysign(1e300, end)]
+        elif not is_open:
+            values.append(end)
+        elif end == 0.0:
+            values.append(inward * 1e-300)
+        else:
+            values.append(end + inward * 1e-12 * abs(end))
+    if key.kind.startswith("int"):
+        values = [int(v) for v in values]
+    return values
+
+
+def _swept_leaves(valid):
+    """(dotted path, leaf path, key) of each numeric leaf of a VALID config
+    that is not a count: lists count as one leaf, their entries set alike."""
+    for leaf in _leaves(valid):
+        if isinstance(leaf[-1], int):
+            leaf = leaf[:-1]
+        path = ".".join(leaf)
+        key = CONFIG_KEYS.get(path)
+        if key is None or not key.kind.startswith(("number", "int")):
+            continue
+        if key.kind.startswith("int") and not path.endswith("seed"):
+            continue
+        yield path, leaf, key
+
+
+# numpy warns of an overflow or an invalid value in 33 of these 192 runs
+# before the run stops or fails an assertion; main prints such a warning and
+# goes on, so it is not an escape, but the suite would raise it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_range_edges_exit_cleanly(tmp_path, monkeypatch, capsys):
+    """Every numeric leaf of every VALID config, counts aside, set to the
+    ends of its CONFIG_KEYS range (_edge_values) runs through main without
+    an exception escaping and exits 0, 1 or 2.  The Riccati oracle runs 100
+    RK4 substeps instead of 10^5."""
+    monkeypatch.setattr(
+        cli, "verify_ode_comparison_batch",
+        lambda specs: verify_ode_comparison_batch(specs, substeps=100))
+    started = time.monotonic()
+    escaped, runs = [], 0
+    for mode, valid in VALID.items():
+        seen = set()
+        for path, leaf, key in _swept_leaves(valid):
+            if leaf in seen:
+                continue
+            seen.add(leaf)
+            for value in _edge_values(key):
+                raw = copy.deepcopy(valid)
+                node = raw
+                for part in leaf[:-1]:
+                    node = node[part]
+                node[leaf[-1]] = [value] * len(node[leaf[-1]]) \
+                    if isinstance(node[leaf[-1]], list) else value
+                try:
+                    code, _ = _main(tmp_path, mode, raw, name=f"e{runs}")
+                except Exception as exc:  # what the test looks for
+                    escaped.append((mode, path, value, repr(exc)))
+                else:
+                    if code not in (0, 1, 2):
+                        escaped.append((mode, path, value, code))
+                runs += 1
+    capsys.readouterr()
+    assert not escaped, escaped
+    assert runs == 192
+    assert time.monotonic() - started < 30.0

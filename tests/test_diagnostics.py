@@ -728,3 +728,98 @@ def test_one_sided_tolerances_scale_with_the_phi(extent):
         RampDownTemporal(0.5))
     with pytest.raises(ValueError, match="nonnegative"):
         negative.check_one_sided(g, 1.0)
+
+
+# the densities from fewer array passes -------------------------------------------
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+def test_v_gradient_term_by_parts_is_the_face_form(dim):
+    # I grad v . grad psi as v against f' summed by parts onto the cells:
+    # equal to the face gradient of v against f' at the interior faces up to
+    # round-off, for every shape, including a bump whose support crosses the
+    # wall (its f' is nonzero there, and the face form never reads it)
+    g = SEPARABLE_GRIDS[dim]
+    v = np.random.default_rng(3).uniform(0.5, 1.5, g.shape)
+    phis = [diagnostics.TestFunction(shape, OneTemporal())
+            for shape in _shapes(dim)]
+    weights = diagnostics._Weights(phis, g)
+    f = (diagnostics._F,) * dim
+    for phi, column in zip(phis, weights.columns):
+        for ax in range(dim):
+            got = weights.contract(
+                v, diagnostics._with(f, ax, diagnostics._SBP))[column]
+            face = face_grad_values(v, g.h, ax) \
+                * _interior(_dense_grad(phi, g, ax), ax)
+            cell = v * _outer(_swap(
+                tuple(sep[0] for sep in phi.separable(g).factors), ax,
+                weights.tables[ax][diagnostics._SBP][column].ravel()))
+            magnitude = max(float(np.abs(face).sum()),
+                            float(np.abs(cell).sum()))
+            assert abs(got - float(face.sum())) <= 1e-14 * magnitude, \
+                (ax, column)
+
+
+@pytest.mark.parametrize("p, q", [(0.2, 0.35), (0.9, 0.05), (0.01, 0.99)])
+def test_four_power_densities_are_within_a_few_ulp_of_the_powers(p, q):
+    g = Grid(cells=[24, 20], extents=[1.0, 1.0])
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.0, 3.0, g.shape)
+    u[3, 4] = 0.0
+    v = rng.uniform(1e-3, 2.0, g.shape)
+    params = default_params(p=p, q=q, eps=0.05)
+    d = diagnostics._densities(u, v, params, 0.3, g)
+    upq = u**p * v**q
+    gain_raw = u ** (p + 1.0) * v ** (q - 1.0)
+    # squaring u^{p/2} doubles its error; 30 seeds at p = 0.9 reached 7.0
+    ulp = np.finfo(np.float64).eps
+    for got, want in ((d.upq, upq), (d.gain_raw, gain_raw),
+                      (d.gain, gain_raw / (1.0 + params.eps * u)),
+                      (d.vq_sum, (v**q).sum())):
+        assert np.all(np.abs(got - want) <= 8 * ulp * np.abs(want))
+    assert d.upq[3, 4] == d.gain_raw[3, 4] == 0.0
+
+
+def _face_mean_densities(up2, vq2, vq, kappa, grid):
+    """The face densities as they were formed with the face means' 1/2:
+    per axis, diss_grad_u, diss_square and grad_phi."""
+    w = up2 * vq
+    out = []
+    for ax in range(grid.dim):
+        gu = face_grad_values(up2, grid.h, ax)
+        gv = face_grad_values(vq2, grid.h, ax)
+        cross = face_mean_values(up2, ax) * gv \
+            - kappa * face_mean_values(vq2, ax) * gu
+        out.append((face_mean_values(vq, ax) * gu * gu, cross * cross,
+                    face_mean_values(w, ax) * gu))
+    return out
+
+
+@pytest.mark.parametrize("dim", sorted(SEPARABLE_GRIDS))
+def test_deferred_halves_give_the_face_mean_densities_bit_for_bit(dim):
+    g = SEPARABLE_GRIDS[dim]
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.0, 3.0, g.shape)
+    v = rng.uniform(0.1, 2.0, g.shape)
+    params = default_params(n=dim)
+    phis, _ = _entropy_check_phis(g, 1.0)
+    accumulator = Accumulator(g, params, phis)
+    kappa = accumulator.coef.kappa
+    d = diagnostics._densities(u, v, params, kappa, g)
+    up2, vq2 = u ** (params.p / 2.0), v ** (params.q / 2.0)
+    old = _face_mean_densities(up2, vq2, vq2 * vq2, kappa, g)
+    weights = accumulator._weights
+    f = (diagnostics._F,) * dim
+    for ax, (diss_grad_u, diss_square, grad_phi) in enumerate(old):
+        assert np.array_equal(d.diss_grad_u[ax], diss_grad_u)
+        assert np.array_equal(d.diss_square[ax], diss_square)
+        assert np.array_equal(d.grad_phi[ax], grad_phi)
+        assert d.diss_grad_u_sums[ax] == float(diss_grad_u.sum())
+        assert d.diss_square_sums[ax] == float(diss_square.sum())
+        mean = diagnostics._with(f, ax, diagnostics._M)
+        grad = diagnostics._with(f, ax, diagnostics._DF)
+        for x2, scale, want, kinds in (
+                (d.diss_grad_u_x2, 0.5, diss_grad_u, mean),
+                (d.diss_square_x4, 0.25, diss_square, mean),
+                (d.grad_phi_x2, 0.5, grad_phi, grad)):
+            assert [scale * c for c in weights.contract(x2[ax], kinds)] \
+                == weights.contract(want, kinds)

@@ -63,19 +63,19 @@ CASES = {
 
 DIGESTS = {
     "record.csv":
-        "8d91153fb5c6ba7af3db90a1bb4955eed1d6a916f25109f342afa7d3ab4efb8b",
+        "a915410cf6d2e8de462b90da2ee5c72764ac27dc243419ac041f68e9e0d01088",
     "steps.csv":
         "59b51f1c068a04972490b48b056eda3e0c7fed597058e311e4abcc32f344d826",
     "residuals.json":
-        "3ae2b1907480dc6cfbd6e45d9a6c7f35bc05256700c14a3135dd5a04cdd6e0f6",
+        "0f3cd799d3febc3fbe0690c8cd265396cd9c9ee6e7d2e6f64be5fe308c7bb418",
     "refine_study.csv":
-        "d35c6bec23d6250188aadee02064363ae9e6874a1c37197cc78652cd74154f51",
+        "2c3fd3eadc1e770b54a06a6c15a9c76ceefd072d6167f7236feef02c54283c0b",
     "eps_study.csv":
-        "fe218c3b3f6b2d2ef5f2bf721c27a0a47c77ff342b8dbe42dbb78e411d685c7b",
+        "e939db6dec5bc574c3c504ba30599d44a2436840502274191da2cc7901d08758",
     "oracle_reports.json":
         "7dc02527df5d06c075597896e1d2470ecafb9dc6a15f84d8e1c547f958a9e049",
     "summary.json":
-        "bfe2b8956baec07a3bb52cb35d861b784c47ddc029779a5bfebbd74978c174a5",
+        "77cf37864937ffab05c1051c4b29d4240399e4ba5fd3e59ae14f4759855e2433",
 }
 
 # The manifests' assertions blocks, serialised with sorted keys: they hold
@@ -83,9 +83,9 @@ DIGESTS = {
 # apriori_bounds, log_mass).
 ASSERTION_DIGESTS = {
     "simulate":
-        "e9a53b4894daded4e71721ccb624a78c4f96a839ade7ae50cdee272d979170bd",
+        "837d837ac8d3b747ee9756b2d2678e33960a81a69270b1cd80284b250dc82086",
     "entropy-check":
-        "463be535e2542e8b6e7267304b5c50dca56a255eb9c8433c0200a054af418a7f",
+        "9c466a0130271c700e826184f0e3b9d94fefa5db82b4429bc72e12d436874674",
 }
 
 # The eps-study manifest, serialised with sorted keys, without its wall time
@@ -93,7 +93,7 @@ ASSERTION_DIGESTS = {
 # run: it holds the per-rung summaries, the log-mass band, the monotonicity
 # flags and the step counters.
 EPS_STUDY_MANIFEST_DIGEST = \
-    "52ead578252e4f3461dc663195a02798dae02fb7598912c73aae6da20fb01962"
+    "85b065ef183ad043681e4db497a6d643d1efadd5851c4003ff1499ca303b9ef7"
 
 # Every fields/*.bin of a simulate run that saves all samples, in name order.
 ALL_FIELDS_CONFIG = _config("simulate", run={"T": 0.02, "sample_count": 40,
@@ -133,7 +133,7 @@ DIGESTS_1D = {
     "steps.csv":
         "72f2640581ca79c5c2ea479a6dbfc3c6709b756b203fda9fea15948c95cc3833",
     "record.csv":
-        "16a384b0a7e32f5f4184944a329c0d6c176166acf5e4e5d2b9b3baf10619464f",
+        "d5b319ba0d58c2ae08f22cc070e00acf28d759e2b48db4342feb0be8fbe0f9ff",
 }
 FIELDS_1D_DIGEST = \
     "218ecc05dfaff08267bc0d7a517cc3190fbe2cabb997087f278a1fce810737a1"
@@ -155,7 +155,7 @@ def test_output_digests(tmp_path, mode):
     assert "aborted" not in manifest
     for name in files:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == DIGESTS[name], name
+        assert digest == DIGESTS[name], (name, digest)
 
 
 # Two runs whose outputs hold non-finite figures: the oracle case's log
@@ -192,7 +192,8 @@ def test_assertion_digests(tmp_path, mode):
     assert "aborted" not in manifest
     written = json.loads((tmp_path / "manifest.json").read_bytes())
     block = json.dumps(written["assertions"], sort_keys=True).encode()
-    assert hashlib.sha256(block).hexdigest() == ASSERTION_DIGESTS[mode]
+    digest = hashlib.sha256(block).hexdigest()
+    assert digest == ASSERTION_DIGESTS[mode], (mode, digest)
 
 
 def test_eps_study_manifest_digest(tmp_path):
@@ -202,7 +203,8 @@ def test_eps_study_manifest_digest(tmp_path):
     written = json.loads((tmp_path / "manifest.json").read_bytes())
     del written["wall_time_s"], written["versions"]
     block = json.dumps(written, sort_keys=True).encode()
-    assert hashlib.sha256(block).hexdigest() == EPS_STUDY_MANIFEST_DIGEST
+    digest = hashlib.sha256(block).hexdigest()
+    assert digest == EPS_STUDY_MANIFEST_DIGEST, ("eps-study manifest", digest)
 
 
 def test_all_fields_digest(tmp_path):
@@ -210,7 +212,8 @@ def test_all_fields_digest(tmp_path):
                                                  out_override=tmp_path))
     assert "aborted" not in manifest
     assert len(list((tmp_path / "fields").glob("*.bin"))) == 2 * 41
-    assert _fields_digest(tmp_path / "fields") == ALL_FIELDS_DIGEST
+    digest = _fields_digest(tmp_path / "fields")
+    assert digest == ALL_FIELDS_DIGEST, ("all fields", digest)
 
 
 def test_3d_digests(tmp_path):
@@ -218,9 +221,10 @@ def test_3d_digests(tmp_path):
                                                  out_override=tmp_path))
     assert "aborted" not in manifest
     steps = hashlib.sha256((tmp_path / "steps.csv").read_bytes()).hexdigest()
-    assert steps == STEPS_3D_DIGEST
+    assert steps == STEPS_3D_DIGEST, ("3-D steps.csv", steps)
     assert len(list((tmp_path / "fields").glob("*.bin"))) == 2 * 11
-    assert _fields_digest(tmp_path / "fields") == FIELDS_3D_DIGEST
+    digest = _fields_digest(tmp_path / "fields")
+    assert digest == FIELDS_3D_DIGEST, ("3-D fields", digest)
 
 
 def test_1d_cosine_digests(tmp_path):
@@ -229,6 +233,7 @@ def test_1d_cosine_digests(tmp_path):
     assert exit_code == 0 and "aborted" not in manifest
     for name, expected in DIGESTS_1D.items():
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == expected, name
+        assert digest == expected, (f"1-D {name}", digest)
     assert len(list((tmp_path / "fields").glob("*.bin"))) == 2
-    assert _fields_digest(tmp_path / "fields") == FIELDS_1D_DIGEST
+    digest = _fields_digest(tmp_path / "fields")
+    assert digest == FIELDS_1D_DIGEST, ("1-D fields", digest)
