@@ -697,6 +697,11 @@ def _mode_eps_study(cfg, outputs, asserts):
         for column, series in zip(diffs.values(), zip(*pair)):
             column.append(float(np.trapezoid(series, accumulators[0].times)))
     records = [accumulator.finish().record for accumulator in accumulators]
+    for eps, record in zip(ladder, records):
+        for name, integral in record.accumulated.items():
+            if not np.isfinite(integral[-1]):
+                raise StudyError(f"record integral {name} is not finite at "
+                                 f"eps={eps}", eps=eps)
 
     csv_path = cfg.out_dir / "eps_study.csv"
     with open(csv_path, "w") as fh:

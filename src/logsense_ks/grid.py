@@ -34,6 +34,8 @@ DEFAULT_MAX_CELLS = 2**24
 MIN_CELLS_PER_AXIS = 4
 # mode-term floats per cell cosine_series holds, as many as a 32-row series
 _SERIES_TERMS_PER_CELL = 32
+# mode-term floats cosine_series holds at once, at most (4 MiB)
+_SERIES_SLAB_FLOATS = 2**19
 
 
 class GridError(ValueError):
@@ -266,12 +268,12 @@ def cosine_tables(cells, extents, cutoff):
     return tuple(tables), denominators
 
 
-def _mode_terms(tables, lo, hi):
-    """The (modes, cells) table of mode terms over axis-0 layers lo:hi, modes
-    in lexicographic order: a mode's term is the product of its cosine rows,
-    multiplied in axis order."""
+def _mode_terms(tables, spans):
+    """The (modes, cells) table of mode terms over the cells the per-axis
+    slices `spans` select, modes in lexicographic order: a mode's term is
+    the product of its cosine rows, multiplied in axis order."""
     dim = len(tables)
-    tables = (tables[0][:, lo:hi],) + tables[1:]
+    tables = [table[:, span] for table, span in zip(tables, spans)]
     terms = 1.0
     for ax, table in enumerate(tables):
         shape = [1] * (2 * dim)
@@ -280,26 +282,47 @@ def _mode_terms(tables, lo, hi):
     return terms.reshape(len(tables[0]) ** dim, -1)
 
 
+def _slabs(cells, per_slab):
+    """Per-axis slices of consecutive C-order slabs of cells, in order, each
+    of at most `per_slab` cells (at least 2): whole layers along the first
+    axis whose later axes fit, split along that axis.  A one-cell remainder
+    along the last axis joins the slab before it."""
+    dim = len(cells)
+    tails = [int(np.prod(cells[ax + 1:])) for ax in range(dim)]
+    ax = next(a for a in range(dim) if tails[a] <= per_slab)
+    count = min(cells[ax], per_slab // tails[ax])
+    starts = list(range(0, cells[ax], count))
+    if tails[ax] == 1 and cells[ax] - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [cells[ax]]
+    for prefix in itertools.product(*map(range, cells[:ax])):
+        for lo, hi in zip(starts, ends):
+            yield ([slice(i, i + 1) for i in prefix] + [slice(lo, hi)]
+                   + [slice(None)] * (dim - ax - 1))
+
+
 def cosine_series(grid, cutoff, coefficients, out=None):
     """The series of each row of mode coefficients, stacked on a leading
     axis; `out`, a (rows, cells) array, takes them in place of a fresh one.
 
     The table of mode terms holds at most _SERIES_TERMS_PER_CELL floats per
-    cell, or one axis-0 layer per mode if that is more: past that it is built
-    and contracted a slab of axis-0 layers at a time.  A slab spans at least
-    two cells at the configured cutoffs: a 1-D table needs no slabs up to
-    _SERIES_TERMS_PER_CELL modes.
+    cell and at most _SERIES_SLAB_FLOATS in all, though at least two cells'
+    terms: past that it is built and contracted a slab of consecutive cells
+    at a time (see _slabs).  Each cell's series sums its terms in the same
+    order whatever slab holds it, as long as the slab spans at least two
+    cells.
     """
     tables, _ = cosine_tables(grid.cells, grid.extents, cutoff)
     coefficients = np.asarray(coefficients)
-    n0 = grid.cells[0]
-    layer = int(np.prod(grid.cells[1:]))
-    step = max(1, _SERIES_TERMS_PER_CELL * n0 // coefficients.shape[1])
-    series = np.empty((len(coefficients), n0 * layer)) if out is None else out
-    for lo in range(0, n0, step):
-        hi = min(n0, lo + step)
-        np.einsum("bk,kn->bn", coefficients, _mode_terms(tables, lo, hi),
-                  out=series[:, lo * layer:hi * layer])
+    cells = int(np.prod(grid.cells))
+    budget = min(_SERIES_TERMS_PER_CELL * cells, _SERIES_SLAB_FLOATS)
+    series = np.empty((len(coefficients), cells)) if out is None else out
+    lo = 0
+    for spans in _slabs(grid.cells, max(2, budget // coefficients.shape[1])):
+        terms = _mode_terms(tables, spans)
+        hi = lo + terms.shape[1]
+        np.einsum("bk,kn->bn", coefficients, terms, out=series[:, lo:hi])
+        lo = hi
     return series.reshape((len(coefficients),) + grid.shape)
 
 

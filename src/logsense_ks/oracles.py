@@ -230,40 +230,63 @@ def check_square_completion(u, v, grid, p, q, chi, work=None):
     return SquareCompletionReport(residual=float(residual[0]), scale=float(scale[0]))
 
 
+def _square_trials(seed, block, amplitude, denominators, draws):
+    """Trials `block` of worst_square_completion: the (2B, K) series
+    coefficients, u's rows then v's, and chi, p and q per trial.
+
+    Trial i draws its 2K + 5 doubles at once from default_rng([seed, 7, i])
+    into a row of `draws`, and each value is numpy's uniform
+    low + (high - low) d of its double, in draw order: u's amplitude and K
+    modes, v's, then chi, p and q, so every value is the one the calls of
+    rng.uniform would draw.  chi, p and q are Python floats formed one trial
+    at a time: Python's chi**2 is libm's pow, and a numpy square, a
+    multiply, rounds differently in about 1 of 1,000 draws.
+    """
+    modes = len(denominators)
+    draws = draws[:len(block)]
+    for row, i in zip(draws, block):
+        np.random.default_rng([seed, 7, i]).random(out=row)
+    lo, hi = (float(x) for x in amplitude)
+    # (2, B, 1 + K): per field and trial, the amplitude's double, then the modes'
+    fields = draws[:, :2 * (modes + 1)].reshape(len(block), 2, modes + 1)
+    fields = fields.transpose(1, 0, 2)
+    amp = lo + (hi - lo) * fields[..., :1]
+    coefficients = (-1.0 + 2.0 * fields[..., 1:]) * amp / denominators
+    chi, p, q = [], [], []
+    for d_chi, d_p, d_q in draws[:, 2 * modes + 2:].tolist():
+        chi.append(0.3 + (3.0 - 0.3) * d_chi)
+        p.append((0.05 + (0.95 - 0.05) * d_p) * min(1.0, 1.0 / chi[-1]**2))
+        qm, qp = q_bounds(p[-1], chi[-1])
+        low, high = qm + 1e-6, qp - 1e-6
+        q.append(float(low + (high - low) * d_q))
+    return coefficients.reshape(2 * len(block), modes), chi, p, q
+
+
 def worst_square_completion(grid, spec, seed, trials):
     """Worst residual / scale of check_square_completion over random trials.
 
     Trial i draws from default_rng([seed, 7, i]), in order: u's series, v's
     series, chi in [0.3, 3], p in [0.05, 0.95] * min(1, 1/chi^2) and q inside
-    its window (its midpoint when the window is narrower than 2e-6).  The
-    fields take spec's cutoff, amplitude and floor; a block of trials is
-    synthesized at once and checked in stacked calls of up to
+    its window shrunk by 1e-6 at each end (p <= 0.95 and p chi^2 <= 0.95 keep
+    the window at least 0.05 sqrt(0.05) wide).  The fields take spec's
+    cutoff, amplitude and floor; a block of trials is drawn and synthesized
+    at once (see _square_trials) and checked in stacked calls of up to
     _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells).  The
-    fields and the checks use work buffers held for the whole run.
+    draws, the fields and the checks use work buffers held for the whole run.
     """
     _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     cell_count = int(np.prod(grid.shape))
     rows = min(_ENSEMBLE_BLOCK, max(1, _SQUARE_STACK_CELLS // cell_count))
     work = _square_buffers(grid, rows)
     series = np.empty((2 * _ENSEMBLE_BLOCK, cell_count))
+    draws = np.empty((_ENSEMBLE_BLOCK, 2 * len(denominators) + 5))
     worst = 0.0
     for block in _blocks(trials):
-        drawn = []
-        for i in block:
-            rng = np.random.default_rng([seed, 7, i])
-            u = _series_coefficients(rng, spec.amplitude, denominators)
-            v = _series_coefficients(rng, spec.amplitude, denominators)
-            chi = float(rng.uniform(0.3, 3.0))
-            p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
-            qm, qp = q_bounds(p, chi)
-            q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
-                else 0.5 * (qm + qp)
-            drawn.append((u, v, chi, p, q))
-        count = len(drawn)
-        fields = _synthesize(grid, spec.cutoff, spec.floor,
-                             [d[0] for d in drawn] + [d[1] for d in drawn],
+        count = len(block)
+        coefficients, chi, p, q = _square_trials(
+            seed, block, spec.amplitude, denominators, draws)
+        fields = _synthesize(grid, spec.cutoff, spec.floor, coefficients,
                              out=series[:2 * count])
-        _, _, chi, p, q = zip(*drawn)
         for lo in range(0, count, rows):
             hi = min(count, lo + rows)
             rep = check_square_completion(
@@ -330,7 +353,8 @@ def _riccati_rhs(a, b, y, out):
 
 
 class _Rk4:
-    """Classical RK4 for y' = b - a y^2 on every row, in preallocated buffers.
+    """Classical RK4 for y' = b - a y^2 on every row, in preallocated buffers,
+    each row with its own dt.
 
     A row at or below `floor` is frozen: its state no longer changes.
     """
@@ -342,6 +366,14 @@ class _Rk4:
         self.k1, self.k2, self.k3, self.k4, self.stage = (
             np.empty(len(self.y)) for _ in range(5))
         self.moving = np.empty(len(self.y), dtype=bool)
+
+    def head(self, rows):
+        """An _Rk4 over the first `rows` rows, stepping them in this one's
+        buffers."""
+        view = object.__new__(_Rk4)
+        for name, value in vars(self).items():
+            setattr(view, name, value[:rows])
+        return view
 
     def step(self, out):
         """Advance every row by one step and copy the new states into out."""
@@ -383,7 +415,9 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS):
 
     The verdict is certified by step doubling (Richardson extrapolation): a
     companion run at substeps // 2 advances in lockstep, one step per two
-    main steps.  At each shared mesh point err = |y_N - y_{N/2}| / 15
+    main steps: its rows follow the main rows in one batch, which steps the
+    main rows alone on the first of each pair of main steps and every row on
+    the second.  At each shared mesh point err = |y_N - y_{N/2}| / 15
     estimates the main run's error (RK4 is fourth order, 2^4 - 1 = 15).
     Points where either run sits at or below the freeze floor are left out
     of the estimate; a row that starts above -sqrt(b/a) can reach the floor
@@ -414,44 +448,49 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS):
     # solutions from y0 < -eq blow down in finite time; freeze them once they
     # are far below the equilibrium (the bound is positive, so they pass)
     floor = -10.0 * (eq + 1.0)
-    main = _Rk4(a, b, y0, dt, floor)
-    companion = _Rk4(a, b, y0, 2.0 * dt, floor)
-    max_excess = np.full(len(rows), -np.inf)
+    count = len(rows)
+    # the main rows at dt, then the companion's at 2 dt: the first of each
+    # pair of main steps advances the head, the second every row
+    both = _Rk4(*(np.concatenate(pair) for pair in (
+        (a, a), (b, b), (y0, y0), (dt, 2.0 * dt), (floor, floor))))
+    main = both.head(count)
+    max_excess = np.full(count, -np.inf)
     # per row: the largest excess + err over the shared points, and its err
-    certified = np.full(len(rows), -np.inf)
-    error_at = np.zeros(len(rows))
-    columns = np.arange(len(rows))
-    chunk = np.empty((min(_ODE_CHUNK, substeps), len(rows)))
-    coarse = np.empty((len(chunk) // 2, len(rows)))
-    # per-chunk work buffers, each the companion's chunk size
-    err, total = np.empty_like(coarse), np.empty_like(coarse)
-    frozen, paired_frozen = (np.empty(coarse.shape, dtype=bool) for _ in range(2))
-    row_max = np.empty(len(rows))
+    certified = np.full(count, -np.inf)
+    error_at = np.zeros(count)
+    columns = np.arange(count)
+    # per pair of main steps: the first step's main states, then the
+    # second's, then the companion's (one row of slots)
+    pairs = np.empty((min(_ODE_CHUNK, substeps) // 2, 3, count))
+    slots = pairs.reshape(len(pairs), 3 * count)
+    # per-chunk work buffers, one row per pair
+    err, total = (np.empty((len(pairs), count)) for _ in range(2))
+    frozen, paired_frozen = (np.empty(err.shape, dtype=bool) for _ in range(2))
+    row_max = np.empty(count)
 
-    for start in range(0, substeps, len(chunk)):
-        n = min(len(chunk), substeps - start)
-        held, paired = chunk[:n], coarse[:n // 2]
-        for fine_rows, coarse_row in zip(held.reshape(-1, 2, len(rows)), paired):
-            for row in fine_rows:
-                main.step(row)
-            companion.step(coarse_row)
-        shared = held[1::2]  # main states at the companion's mesh points
-        e, t, f = err[:n // 2], total[:n // 2], frozen[:n // 2]
-        np.subtract(shared, paired, out=e)
+    for start in range(0, substeps, 2 * len(pairs)):
+        m = min(len(pairs), (substeps - start) // 2)
+        for slot in slots[:m]:
+            main.step(slot[:count])
+            both.step(slot[count:])
+        held = pairs[:m, :2]
+        shared, coarse = held[:, 1], pairs[:m, 2]  # at the companion's mesh points
+        e, t, f = err[:m], total[:m], frozen[:m]
+        np.subtract(shared, coarse, out=e)
         np.abs(e, out=e)
         e /= 15.0
         np.less_equal(shared, floor, out=f)
-        f |= np.less_equal(paired, floor, out=paired_frozen[:n // 2])
+        f |= np.less_equal(coarse, floor, out=paired_frozen[:m])
         # held -= eq / tanh(w * (step * dt)), the bound formed in t for the
-        # odd, then the even steps (n is even)
+        # first, then the second step of each pair
         for parity in (0, 1):
-            np.multiply(np.arange(start + 1 + parity, start + n + 1, 2)[:, None],
+            np.multiply(np.arange(start + 1 + parity, start + 2 * m + 1, 2)[:, None],
                         dt, out=t)
             t *= w
             np.tanh(t, out=t)
             np.divide(eq, t, out=t)
-            held[parity::2] -= t
-        np.maximum(max_excess, held.max(axis=0, out=row_max), out=max_excess)
+            held[:, parity] -= t
+        np.maximum(max_excess, held.max(axis=(0, 1), out=row_max), out=max_excess)
         np.add(shared, e, out=t)
         t[f] = -np.inf
         at = t.argmax(axis=0)  # a NaN wins, so a non-finite err is kept
@@ -461,7 +500,7 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS):
         error_at[better] = e[at, columns][better]
     # a solution from y0 > -eq stays above -eq, so such a row that froze was
     # thrown down by an unstable step and its estimate is unbounded
-    thrown = ((main.y <= floor) | (companion.y <= floor)) & (y0 > -eq)
+    thrown = ((both.y[:count] <= floor) | (both.y[count:] <= floor)) & (y0 > -eq)
     certified[thrown] = error_at[thrown] = np.inf
 
     reports = []

@@ -302,6 +302,25 @@ def test_eps_study_reports_singularity_with_its_rung(tmp_path, capsys):
     assert manifest["aborted"]["eps"] == 0.1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("path, integral", [
+    ("initial.u.amplitude", "reaction_plus"),  # u^{p+1} v^{q-1} overflows
+    ("model.r", "u_lr"),  # u^r overflows
+])
+def test_eps_study_aborts_on_a_non_finite_record_integral(tmp_path, capsys,
+                                                          path, integral):
+    code, out = _main(tmp_path, "eps-study", _with("eps-study", path, 1e300))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "aborted" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted"] == {
+        "message": f"record integral {integral} is not finite at eps=0.1",
+        "eps": 0.1}
+    assert "eps_study" not in manifest
+
+
 def test_oracle_power_identities_pass_on_a_coarse_grid(tmp_path, capsys):
     # the 8 x 8 config grid is below the ladder's 16-cell base
     _, out = _main(tmp_path, "oracle", VALID["oracle"])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logsense_ks import grid as grid_module
 from logsense_ks.diagnostics import CosineSpatial
 
 from logsense_ks.grid import (
     Grid,
     GridError,
+    cosine_series,
     face_div_values,
     face_grad_values,
     faces_to_cells,
@@ -270,3 +272,60 @@ def test_cosine_spatial_values_match_reference(grid):
             got = shape.values(grid)
             assert got.shape == grid.shape
             assert got.tobytes() == _cosine_spatial_reference(shape, grid).tobytes()
+
+
+def _cosine_series_reference(grid, cutoff, coefficients):
+    """Each row's cosine series summed mode by mode on the dense mesh."""
+    coords = grid.meshgrid()
+    series = np.zeros((len(coefficients),) + grid.shape)
+    for m, k in enumerate(np.ndindex(*(cutoff + 1 for _ in range(grid.dim)))):
+        term = np.ones(grid.shape)
+        for ax, ki in enumerate(k):
+            term = term * np.cos(ki * np.pi * coords[ax] / grid.extents[ax])
+        for row, c in zip(series, coefficients[:, m]):
+            row += c * term
+    return series
+
+
+def _slab_widths(monkeypatch):
+    """The cell count of each mode-term slab cosine_series builds from here on."""
+    widths = []
+    build = grid_module._mode_terms
+
+    def spy(tables, spans):
+        terms = build(tables, spans)
+        widths.append(terms.shape[1])
+        return terms
+
+    monkeypatch.setattr(grid_module, "_mode_terms", spy)
+    return widths
+
+
+@pytest.mark.parametrize("grid", UNEQUAL_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("slab_cells", [None, 7, 4, 2])
+def test_cosine_series_slabs_keep_its_bytes(grid, slab_cells, monkeypatch):
+    # slabs capped at 7, 4 and 2 cells' terms split the 9-cell and 35-cell
+    # layers and leave a one-cell remainder on the last axis (37 = 9 x 4 + 1,
+    # 9 = 2 x 4 + 1, 7 = 2 x 3 + 1), which joins the slab before it
+    cutoff = 3
+    modes = (cutoff + 1) ** grid.dim
+    if slab_cells:
+        monkeypatch.setattr(grid_module, "_SERIES_SLAB_FLOATS",
+                            slab_cells * modes)
+    widths = _slab_widths(monkeypatch)
+    coefficients = np.random.default_rng(grid.dim).uniform(-1.0, 1.0,
+                                                           (3, modes))
+    got = cosine_series(grid, cutoff, coefficients)
+    assert got.tobytes() == _cosine_series_reference(
+        grid, cutoff, coefficients).tobytes()
+    assert sum(widths) == np.prod(grid.cells) and min(widths) >= 2
+    if slab_cells:
+        assert max(widths) <= slab_cells + 1
+        assert grid.dim == 1 or min(widths) < np.prod(grid.cells[1:])
+
+
+def test_cosine_series_oracle_table_is_one_slab(monkeypatch):
+    # the oracle's 32 x 32 fields at cutoff 4: one 25 x 1,024 table per call
+    widths = _slab_widths(monkeypatch)
+    cosine_series(Grid(cells=[32, 32], extents=[1.0, 1.0]), 4, np.ones((32, 25)))
+    assert widths == [1024]

@@ -16,6 +16,7 @@ from logsense_ks import oracles
 from logsense_ks.oracles import (
     _ENSEMBLE_BLOCK,
     _ODE_CHUNK,
+    _ODE_TOLERANCE,
     _RIESZ_BLOCK,
     _SQUARE_STACK_CELLS,
     _mean_ensemble,
@@ -430,20 +431,20 @@ def _synth_reference(grid, rng, cutoff, amplitude, floor):
 
 
 def _ode_reference(specs, substeps):
-    """Per-spec max excess over its three y0 variants, and whether any row
-    reached the floor freeze."""
+    """Per spec, (max excess, error estimate, passed) over its three y0
+    variants, from a main run and a step-doubling companion each stepped
+    one step at a time; and whether any row reached the floor freeze."""
     rows = []
     for s in specs:
         eq = np.sqrt(s.b / s.a)
         rows += [(s.a, s.b, y0, s.T) for y0 in (s.y0, 0.5 * eq, 2.0 * eq)]
-    a, b, y, T = (np.array(col, dtype=np.float64) for col in zip(*rows))
+    a, b, y0, T = (np.array(col, dtype=np.float64) for col in zip(*rows))
     dt = T / substeps
     eq = np.sqrt(b / a)
     w = np.sqrt(a * b)
     floor = -10.0 * (eq + 1.0)
-    max_excess = np.full(len(rows), -np.inf)
-    froze = False
-    for n in range(1, substeps + 1):
+
+    def rk4(y, dt):
         k1 = b - a * y * y
         y2 = y + 0.5 * dt * k1
         k2 = b - a * y2 * y2
@@ -452,11 +453,36 @@ def _ode_reference(specs, substeps):
         y4 = y + dt * k3
         k4 = b - a * y4 * y4
         y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.where(y > floor, y_next, y)
+
+    y = companion = y0
+    max_excess = np.full(len(rows), -np.inf)
+    certified = np.full(len(rows), -np.inf)
+    error_at = np.zeros(len(rows))
+    froze = False
+    for n in range(1, substeps + 1):
         froze |= bool((y <= floor).any())
-        y = np.where(y > floor, y_next, y)
-        bound = eq / np.tanh(w * (n * dt))
-        np.maximum(max_excess, y - bound, out=max_excess)
-    return [float(max_excess[i:i + 3].max()) for i in range(0, len(rows), 3)], froze
+        y = rk4(y, dt)
+        excess = y - eq / np.tanh(w * (n * dt))
+        np.maximum(max_excess, excess, out=max_excess)
+        if n % 2 == 0:
+            companion = rk4(companion, 2.0 * dt)
+            err = np.abs(y - companion) / 15.0
+            score = np.where((y <= floor) | (companion <= floor), -np.inf,
+                             excess + err)
+            assert not np.isnan(score).any()
+            better = score > certified
+            certified[better] = score[better]
+            error_at[better] = err[better]
+    thrown = ((y <= floor) | (companion <= floor)) & (y0 > -eq)
+    certified[thrown] = error_at[thrown] = np.inf
+    expected = []
+    for i in range(0, len(rows), 3):
+        excess = float(max_excess[i:i + 3].max())
+        estimate = float(error_at[i + certified[i:i + 3].argmax()])
+        expected.append((excess, estimate, bool(
+            np.isfinite(estimate) and excess + estimate <= _ODE_TOLERANCE)))
+    return expected, froze
 
 
 def _riesz_reference(grid, values, u_b, grad_mag, cells):
@@ -534,7 +560,19 @@ def test_ode_batch_matches_reference_loop():
     expected, froze = _ode_reference(specs, substeps)
     assert froze
     reports = verify_ode_comparison_batch(specs, substeps=substeps)
-    assert [r.max_excess for r in reports] == expected
+    assert [(r.max_excess, r.error_estimate, r.passed)
+            for r in reports] == expected
+
+
+@pytest.mark.parametrize("spec, substeps", [
+    (OdeComparison(a=2.0, b=2.0, y0=1.0, T=2.0), 8),  # fails on its estimate
+    (OdeComparison(a=1.0, b=1e4, y0=1.0, T=1.0), 20),  # thrown below the floor
+    (OdeComparison(a=1.0, b=1.0, y0=-3.0, T=1.0), 2 * _ODE_CHUNK + 6),
+], ids=["coarse", "unstable", "freeze"])
+def test_ode_batch_verdicts_match_reference_loop(spec, substeps):
+    expected, _ = _ode_reference([spec], substeps)
+    (rep,) = verify_ode_comparison_batch([spec], substeps=substeps)
+    assert [(rep.max_excess, rep.error_estimate, rep.passed)] == expected
 
 
 # (grid, cutoff) by "cutoff-dim" id.  The 2-D and 3-D tables at cutoffs 16
@@ -770,6 +808,61 @@ def test_square_completion_trials_match_reference_loop(monkeypatch):
         worst = worst_square_completion(g, spec, 17, trials)
         assert checked == expected
         assert worst == max(residual / scale for residual, scale in expected)
+
+
+def _square_draws_reference(seed, i, amplitude, denominators):
+    """Trial i of worst_square_completion drawn call by call from its own
+    stream: u's and v's coefficient rows, chi, p and q."""
+    rng = np.random.default_rng([seed, 7, i])
+    u = _series_coefficients(rng, amplitude, denominators)
+    v = _series_coefficients(rng, amplitude, denominators)
+    chi = float(rng.uniform(0.3, 3.0))
+    p = float(rng.uniform(0.05, 0.95)) * min(1.0, 1.0 / chi**2)
+    qm, qp = q_bounds(p, chi)
+    q = float(rng.uniform(qm + 1e-6, qp - 1e-6)) if qp - qm > 2e-6 \
+        else 0.5 * (qm + qp)
+    return u, v, chi, p, q
+
+
+def test_square_trials_match_reference_loop():
+    # 20,000 trials: Python's chi**2 and a numpy square differ in about 1 of
+    # 1,000 draws, so a block that squared chi in numpy would show here
+    amplitude = (0.2, 1.0)
+    _, denominators = _cosine_table((32, 32), (1.0, 1.0), 4)
+    draws = np.empty((_ENSEMBLE_BLOCK, 2 * len(denominators) + 5))
+    squares_split = 0
+    for lo in range(0, 20_000, _ENSEMBLE_BLOCK):
+        block = range(lo, lo + _ENSEMBLE_BLOCK)
+        coefficients, chi, p, q = oracles._square_trials(
+            11, block, amplitude, denominators, draws)
+        assert coefficients.shape == (2 * len(block), len(denominators))
+        for j, i in enumerate(block):
+            u, v, *scalars = _square_draws_reference(11, i, amplitude,
+                                                     denominators)
+            assert coefficients[j].tobytes() == u.tobytes()
+            assert coefficients[len(block) + j].tobytes() == v.tobytes()
+            assert [chi[j], p[j], q[j]] == scalars
+            assert all(type(x) is float for x in (chi[j], p[j], q[j]))
+            squares_split += chi[j] ** 2 != np.square(np.float64(chi[j]))
+    assert squares_split > 0
+
+
+@pytest.mark.parametrize("trials", [37, 1000])
+def test_worst_square_completion_matches_per_trial_loop(trials):
+    # a partial last block (37 = 2 x 16 + 5, 1000 = 62 x 16 + 8); each trial
+    # drawn call by call, synthesized and checked alone
+    grid = Grid(cells=[12, 9], extents=[1.0, 2.5])
+    spec = EnsembleSpec(cutoff=3)
+    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
+    worst = 0.0
+    for i in range(trials):
+        u, v, chi, p, q = _square_draws_reference(5, i, spec.amplitude,
+                                                  denominators)
+        fields = _synthesize(grid, spec.cutoff, spec.floor, [u, v])
+        rep = check_square_completion(fields[0], fields[1], grid, p, q, chi)
+        if rep.scale > 0:
+            worst = max(worst, rep.residual / rep.scale)
+    assert worst_square_completion(grid, spec, 5, trials) == worst
 
 
 def _square_rows(grid, rows, seed):
