@@ -699,7 +699,8 @@ def _mode_eps_study(cfg, outputs, asserts):
     records = [accumulator.finish().record for accumulator in accumulators]
     for eps, record in zip(ladder, records):
         for name, integral in record.accumulated.items():
-            if not np.isfinite(integral[-1]):
+            # grad_log_u_sq is NaN on purpose once a u cell reaches zero
+            if name != "grad_log_u_sq" and not np.isfinite(integral[-1]):
                 raise StudyError(f"record integral {name} is not finite at "
                                  f"eps={eps}", eps=eps)
 

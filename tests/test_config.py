@@ -321,6 +321,24 @@ def test_eps_study_aborts_on_a_non_finite_record_integral(tmp_path, capsys,
     assert "eps_study" not in manifest
 
 
+def test_eps_study_completes_when_u_reaches_zero(tmp_path, capsys):
+    # a narrow gaussian on baseline 0 has corner cells that the stepper sets
+    # to zero; grad_log_u_sq is then NaN as a marker, not an error
+    raw = _with("eps-study", "initial.u.baseline", 0.0)
+    raw["initial"]["u"]["width"] = 0.015
+    code, out = _main(tmp_path, "eps-study", raw)
+    assert code == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "aborted" not in manifest
+    study = manifest["eps_study"]
+    assert study["min_log_u_band"] == {}
+    for summary in study["summaries"]:
+        accumulated = dict(summary["accumulated"])
+        assert accumulated.pop("grad_log_u_sq") is None
+        assert None not in accumulated.values()
+
+
 def test_oracle_power_identities_pass_on_a_coarse_grid(tmp_path, capsys):
     # the 8 x 8 config grid is below the ladder's 16-cell base
     _, out = _main(tmp_path, "oracle", VALID["oracle"])

@@ -847,24 +847,6 @@ def test_square_trials_match_reference_loop():
     assert squares_split > 0
 
 
-@pytest.mark.parametrize("trials", [37, 1000])
-def test_worst_square_completion_matches_per_trial_loop(trials):
-    # a partial last block (37 = 2 x 16 + 5, 1000 = 62 x 16 + 8); each trial
-    # drawn call by call, synthesized and checked alone
-    grid = Grid(cells=[12, 9], extents=[1.0, 2.5])
-    spec = EnsembleSpec(cutoff=3)
-    _, denominators = _cosine_table(grid.cells, grid.extents, spec.cutoff)
-    worst = 0.0
-    for i in range(trials):
-        u, v, chi, p, q = _square_draws_reference(5, i, spec.amplitude,
-                                                  denominators)
-        fields = _synthesize(grid, spec.cutoff, spec.floor, [u, v])
-        rep = check_square_completion(fields[0], fields[1], grid, p, q, chi)
-        if rep.scale > 0:
-            worst = max(worst, rep.residual / rep.scale)
-    assert worst_square_completion(grid, spec, 5, trials) == worst
-
-
 def _square_rows(grid, rows, seed):
     """A stack of `rows` trials with their own p, q and chi; the last row
     of a stack of more than one sits at its window's upper end."""
