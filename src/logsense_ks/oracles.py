@@ -756,10 +756,11 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
     first and the second half of the ensemble (u_B taken at deltas[0]).
 
     Members go in blocks of _ENSEMBLE_BLOCK: a block's fields, gradient
-    magnitudes, gradient integrals and threshold sort orders are formed once
-    and shared by every delta, the fields in one buffer held for the run.
-    The random selector draws each delta's B from the member's rng as left
-    after its synthesis draws.  As in log_poincare_ratio, a member whose two
+    magnitudes, gradient integrals and sorted values (the threshold
+    selector's u_B is the mean of the b smallest) are formed once and shared
+    by every delta, the fields in one buffer held for the run.  The random
+    selector draws each delta's B from the member's rng as left after its
+    synthesis draws.  As in log_poincare_ratio, a member whose two
     p-norms both sit within round-off of its scale max(max|u| |domain|^(1/p),
     1), such as a constant field, is a 0/0 and counts as ratio 0.
 
@@ -808,18 +809,18 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
         scales = np.maximum(
             np.abs(flat).max(axis=1) * grid.volume ** (1.0 / p), 1.0)
         if spec.b_selector == "threshold":
-            order = np.argsort(flat, axis=1, kind="stable")
+            ascending = np.sort(flat, axis=1)
         else:
             synthesized = [rng.bit_generator.state for rng in rngs]
         for d, b_count in enumerate(b_counts):
             if spec.b_selector == "threshold":
-                b_idx = order[:, :b_count]
+                u_b = ascending[:, :b_count].mean(axis=1)
             else:
                 for rng, state in zip(rngs, synthesized):
                     rng.bit_generator.state = state
                 b_idx = np.stack([rng.choice(cell_count, size=b_count, replace=False)
                                   for rng in rngs])
-            u_b = np.take_along_axis(flat, b_idx, axis=1).mean(axis=1)
+                u_b = np.take_along_axis(flat, b_idx, axis=1).mean(axis=1)
             nums = _p_norms(np.abs(flat - u_b[:, None]), p, vol)
             for i, num, den, scale in zip(members, nums, dens, scales):
                 ratios[d, i] = _ratio(num, den, scale)
@@ -934,9 +935,9 @@ def _riesz_ratios(grid, gap, grad_mag, cells):
     by cell, so each distinct cell's kernel row is formed once per call,
     _RIESZ_BLOCK rows at a time: d^2 sums the per-axis squared coordinate
     differences in axis order (what a Euclidean norm over the axes reduces),
-    each looked up in a per-axis table.  Each probe then takes the row sum
-    of its member's |Du| times its cell's kernel row, the row broadcast over
-    the cell's probes.
+    each looked up in a per-axis table.  Each probe's sum is then one dot
+    product of its member's |Du| row with its cell's kernel row, so its
+    bytes do not depend on which members or probes share the call.
     """
     squares = []
     for ax in range(grid.dim):
@@ -950,8 +951,9 @@ def _riesz_ratios(grid, gap, grad_mag, cells):
     hit_cells = cells.ravel()
     hit_members = np.repeat(np.arange(len(cells)), cells.shape[1])
     by_cell = np.argsort(hit_cells, kind="stable")
-    distinct, counts = np.unique(hit_cells, return_counts=True)
-    ends = np.cumsum(counts)
+    ordered = hit_cells[by_cell]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    distinct, ends = ordered[starts], np.r_[starts[1:], len(ordered)]
     bound = np.empty(len(hit_cells))
     for lo in range(0, len(distinct), _RIESZ_BLOCK):
         block = distinct[lo:lo + _RIESZ_BLOCK]
@@ -964,12 +966,10 @@ def _riesz_ratios(grid, gap, grad_mag, cells):
         np.sqrt(dist, out=dist)
         np.maximum(dist, 0.5 * h_min, out=dist)
         kernel = dist**-power if power else np.ones_like(dist)
-        for row, end, count in zip(kernel, ends[lo:lo + len(block)],
-                                   counts[lo:lo + len(block)]):
-            hits = by_cell[end - count:end]
-            product = gm[hit_members[hits]]
-            product *= row
-            bound[hits] = product.sum(axis=1)
+        for row, start, end in zip(kernel, starts[lo:lo + len(block)],
+                                   ends[lo:lo + len(block)]):
+            hits = by_cell[start:end]
+            bound[hits] = np.vecdot(gm[hit_members[hits]], row)
     bound *= grid.cell_volume
     bound = bound.reshape(cells.shape)
     return np.divide(gap, bound, out=np.zeros(cells.shape), where=bound > 0)

@@ -495,7 +495,7 @@ def _riesz_reference(grid, values, u_b, grad_mag, cells):
         dist = np.linalg.norm(coords - coords[cell], axis=1)
         np.maximum(dist, 0.5 * min(grid.h), out=dist)
         kernel = dist**-power if power else np.ones_like(dist)
-        bound = float((gm * kernel).sum()) * grid.cell_volume
+        bound = float(gm @ kernel) * grid.cell_volume
         out[j] = abs(flat[cell] - u_b) / bound if bound > 0 else 0.0
     return out
 
@@ -627,6 +627,29 @@ def test_riesz_ratios_match_reference_loop(grid):
         assert fast[m].tobytes() == slow.tobytes()
 
 
+@pytest.mark.parametrize("grid", [Grid(cells=[32, 32], extents=[1.0, 1.0]),
+                                  *UNEQUAL_GRIDS], ids=lambda g: f"{g.cells}")
+def test_riesz_row_does_not_depend_on_its_group(grid):
+    # each probe's bound is one dot product of its member's |Du| row with
+    # its cell's kernel row, so a member's ratios keep their bytes whether
+    # it is probed in the whole group, alone, or at another place in a
+    # group that does not start on a block boundary
+    rng = np.random.default_rng(17)
+    members, probes, cell_count = 2 * _ENSEMBLE_BLOCK + 7, 12, int(np.prod(grid.cells))
+    grad_mag = rng.random((members, cell_count))
+    gap = rng.random((members, probes))
+    cells = rng.integers(0, cell_count, size=(members, probes))
+    full = _riesz_ratios(grid, gap, grad_mag, cells)
+    offset = _ENSEMBLE_BLOCK // 2 + 3
+    shifted = _riesz_ratios(grid, gap[offset:], grad_mag[offset:], cells[offset:])
+    assert offset % _ENSEMBLE_BLOCK
+    for m in range(members):
+        alone = _riesz_ratios(grid, gap[m:m + 1], grad_mag[m:m + 1], cells[m:m + 1])
+        assert alone[0].tobytes() == full[m].tobytes()
+        if m >= offset:
+            assert shifted[m - offset].tobytes() == full[m].tobytes()
+
+
 def _mean_reference(spec, grid, p, probes=0):
     """mean_poincare_ratio one member at a time: each member's ratio, and
     with probes the Riesz probe's fitted constant and worst evaluation."""
@@ -735,6 +758,37 @@ def test_delta_trend_matches_per_delta_calls(selector):
     for row, frac in zip(trend, DELTA_TREND_FRACTIONS):
         alone = mean_poincare_ratio(replace(spec, delta=frac * g.volume), g, 2.0)
         assert row == {"delta": alone.delta, "max_ratio": alone.max_ratio}
+
+
+def test_threshold_ties_at_the_boundary_match_a_stable_argsort():
+    # plateau fields put equal values across |B|'s boundary at every delta;
+    # the b smallest sorted values give the same bytes as the cells a
+    # stable argsort picks, one member at a time
+    g = Grid(cells=[12, 9], extents=[1.0, 2.5])
+    spec = EnsembleSpec(count=_ENSEMBLE_BLOCK + 5, seed=8, delta=0.3 * g.volume)
+    deltas = [spec.delta, *(frac * g.volume for frac in DELTA_TREND_FRACTIONS)]
+    b_counts = [max(1, int(round(delta / g.cell_volume))) for delta in deltas]
+
+    def plateau(i):
+        values = synth_positive_field(g, np.random.default_rng([spec.seed, i]),
+                                      3, (0.2, 1.0), 0.05)
+        return np.floor(values / values.max() * 3) / 3 + 0.5
+
+    ratios, _ = _mean_ensemble(spec, g, 2.0, deltas, field_source=plateau)
+    expected = np.empty_like(ratios)
+    ties = []
+    for i in range(spec.count):
+        values = plateau(i)
+        flat = values.ravel()
+        order = np.argsort(flat, kind="stable")
+        den = (gradient_cell_magnitude(values, g) ** 2.0).sum() * g.cell_volume
+        for d, b_count in enumerate(b_counts):
+            ties.append(flat[order[b_count - 1]] == flat[order[b_count]])
+            u_b = flat[order[:b_count]].mean()
+            num = (np.abs(flat - u_b) ** 2.0).sum() * g.cell_volume
+            expected[d, i] = num ** 0.5 / den ** 0.5
+    assert np.mean(ties) > 0.9
+    assert ratios.tobytes() == expected.tobytes()
 
 
 def _log_reference(spec, grid):
