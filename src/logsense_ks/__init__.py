@@ -31,7 +31,6 @@ from .grid import (
     Grid,
     GridError,
     gradient_cell_magnitude,
-    integrate,
     read_field_binary,
     write_field_binary,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "grad_vq_bound",
     "gradient_cell_magnitude",
     "initial_state",
-    "integrate",
     "log_mass_check",
     "log_poincare_ratio",
     "main",

@@ -31,7 +31,7 @@ import platform
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from .diagnostics import (
 from .grid import DEFAULT_MAX_CELLS, Grid, write_field_binary
 from .oracles import (
     DELTA_TREND_FRACTIONS,
+    EnsembleError,
     EnsembleSpec,
     OdeComparison,
     check_power_identities,
@@ -241,14 +242,18 @@ class ExperimentConfig:
     values: dict   # every CONFIG_KEYS path: the given value or its default
     out_dir: Path
     seed: int
-    state: object = None  # the solver modes' initial SimState on the config grid
+    # the initial SimState of each trajectory the mode runs: one for simulate
+    # and entropy-check, one per eps rung, one per refine level
+    states: list = dc_field(default_factory=list)
+    grid: Grid | None = None  # the config grid, in every mode but params
+    spec: EnsembleSpec | None = None  # the oracle's ensemble
     progress: bool = False  # print one stderr line per sample of each run
 
 
 def validate_config(raw, out_override=None, seed_override=None):
-    """Check a config against CONFIG_KEYS and the cross-field rules and build what
-    its mode needs (grid, model parameters, initial fields, ensemble), all before
-    any compute; raises ConfigError with a field path."""
+    """Check a config against CONFIG_KEYS and the cross-field rules and build
+    every object its mode runs (grid, each trajectory's initial state, the
+    ensemble), all before any compute; raises ConfigError with a field path."""
     values = {}
     _walk(raw, "", values)
     mode = values.get("mode")
@@ -263,7 +268,7 @@ def validate_config(raw, out_override=None, seed_override=None):
     grid = _build_grid(values) if mode in GRID_MODES else None
     if mode in SOLVER_MODES:
         _check_dense_memory(grid, "grid.cells")
-    state = None
+    states, spec = [], None
     if mode == "params" and _mapped("model", chi_admissible, values["model.chi"],
                                     values["model.n"]):
         # the mode reports the exponents selected for an admissible chi
@@ -274,7 +279,7 @@ def validate_config(raw, out_override=None, seed_override=None):
         if mode in ("simulate", "entropy-check") and not params.r < params.p + 1:
             raise ConfigError("model", "the u^r splitting check needs r < p + 1, "
                                        f"got r = {params.r}, p = {params.p}")
-        state = _initial_state(values, grid, params)
+        states.append(_initial_state(values, grid, params))
     # simulate's log-mass check starts after a waiting time, so it needs a
     # sample strictly inside (0, T)
     least = {"simulate": 2, "entropy-check": MIN_SAMPLE_COUNT}.get(mode, 1)
@@ -291,16 +296,22 @@ def validate_config(raw, out_override=None, seed_override=None):
             raise ConfigError("eps_ladder",
                               f"{len(ladder)} rungs of {cells} cells pass the "
                               f"{DEFAULT_MAX_CELLS}-cell limit of one run")
+        states = [replace(states[0], params=_build_params(values, eps))
+                  for eps in ladder]
     if mode == "refine-study":
-        finest = _build_grid(values, 2 ** (values["refine.levels"] - 1))
-        _check_dense_memory(finest, "refine.levels")
+        # level k has 2^k times the config cells along each axis
+        finer = [_build_grid(values, 2**level)
+                 for level in range(1, values["refine.levels"])]
+        _check_dense_memory(finer[-1], "refine.levels")
+        states += [_initial_state(values, fine, params) for fine in finer]
     if mode == "oracle":
         _mapped("grid", _power_grids, grid)
-        _ensemble(values, grid)
+        spec = _ensemble(values, grid)
 
     out_dir = out_override or values["out"] or os.environ.get(OUT_ENV_VAR) or "."
     return ExperimentConfig(mode=mode, raw=raw, values=values, out_dir=Path(out_dir),
-                            seed=values["seed"], state=state)
+                            seed=values["seed"], states=states, grid=grid,
+                            spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +532,8 @@ def _write_fields(out_dir, grid, k, u, v):
 
 
 def _mode_simulate(cfg, outputs, asserts):
-    values = cfg.values
-    grid, params = cfg.state.grid, cfg.state.params
+    values, (state,) = cfg.values, cfg.states
+    grid, params = state.grid, state.params
     # the a priori bound rearranges the phi == 1 balance, whose residual is
     # its discretization allowance
     phis = ([TestFunction(ConstantSpatial(1.0), OneTemporal())]
@@ -536,7 +547,7 @@ def _mode_simulate(cfg, outputs, asserts):
     def save_all(t, u, v):
         fields.extend(_write_fields(cfg.out_dir, grid, next(index), u, v))
 
-    trajectory = run(cfg.state, **_standard_args(values), on_sample=_chain(
+    trajectory = run(state, **_standard_args(values), on_sample=_chain(
         accumulator.add, save_all if save == "all" else None,
         _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
     # the sampling guard is moot here: the residual is evaluated at whatever
@@ -587,8 +598,8 @@ def _residual_test_functions(grid, T):
 
 
 def _mode_entropy_check(cfg, outputs, asserts):
-    values = cfg.values
-    grid, params = cfg.state.grid, cfg.state.params
+    values, (state,) = cfg.values, cfg.states
+    grid, params = state.grid, state.params
     T = values["run.T"]  # the run lands on it exactly
     tol_rel = values["checks.identity_tol_rel"]
 
@@ -601,7 +612,7 @@ def _mode_entropy_check(cfg, outputs, asserts):
         RampDownTemporal(0.9 * T))
     accumulator = Accumulator(grid, params, [phi for _, phi in named] + family,
                               phi_v)
-    trajectory = run(cfg.state, **_standard_args(values), on_sample=_chain(
+    trajectory = run(state, **_standard_args(values), on_sample=_chain(
         accumulator.add,
         _progress(cfg.progress, cfg.mode, values["run.sample_count"])))
     result = accumulator.finish()
@@ -675,13 +686,12 @@ def _mode_eps_study(cfg, outputs, asserts):
     convergence rather than monotonicity.
     """
     values, ladder = cfg.values, cfg.values["eps_ladder"]
-    grid = cfg.state.grid
-    trajectories = [Trajectory(grid, _build_params(values, eps)) for eps in ladder]
-    accumulators = [Accumulator(grid, tr.params) for tr in trajectories]
+    trajectories = [Trajectory(state.grid, state.params) for state in cfg.states]
+    accumulators = [Accumulator(state.grid, state.params) for state in cfg.states]
     reports = [_chain(_progress(cfg.progress, f"eps-study eps={eps:g}",
                                 values["run.sample_count"])) for eps in ladder]
-    streams = [_rung(values, replace(cfg.state, params=tr.params), eps,
-                     tr.reports) for eps, tr in zip(ladder, trajectories)]
+    streams = [_rung(values, state, eps, tr.reports)
+               for state, eps, tr in zip(cfg.states, ladder, trajectories)]
     integrands = [[] for _ in ladder[1:]]  # per pair, per sample
     for states in zip(*streams):
         densities = []
@@ -768,18 +778,15 @@ def _mode_refine_study(cfg, outputs, asserts):
     levels = values["refine.levels"]
     T = values["refine.T"]
     base_samples = values["refine.sample_count"]
-    params = cfg.state.params
 
     rows = []
     trajectories = []
-    for level in range(levels):
+    for level, state in enumerate(cfg.states):
         factor = 2**level
-        state = cfg.state if level == 0 else _initial_state(
-            values, _build_grid(values, factor), params)
         grid = state.grid
         h_min = min(grid.h)
         named = _residual_test_functions(grid, T)
-        accumulator = Accumulator(grid, params, [phi for _, phi in named])
+        accumulator = Accumulator(grid, state.params, [phi for _, phi in named])
         report = _progress(cfg.progress, f"refine-study level {level}",
                            base_samples * factor)
         trajectory = run(state, **_run_args(
@@ -876,14 +883,12 @@ def _ensemble(values, grid):
 
 
 def _mode_oracle(cfg, outputs, asserts):
-    values = cfg.values
-    grid = _build_grid(values)
+    values, grid, spec = cfg.values, cfg.grid, cfg.spec
     rng = np.random.default_rng(cfg.seed)
     reports = {}
 
     # square completion on random positive fields and exponents
     trials = values["oracle.square_trials"]
-    spec = _ensemble(values, grid)
     worst_rel = worst_square_completion(grid, spec, cfg.seed, trials)
     reports["square_completion"] = {"trials": trials, "worst_rel": worst_rel}
     asserts.add("square_completion_roundoff", worst_rel <= 1e-10,
@@ -988,6 +993,8 @@ def run_experiment(cfg):
             aborted["eps"] = exc.eps
     except SimulationError as exc:
         aborted = {"message": str(exc), "time": exc.time}
+    except EnsembleError as exc:
+        aborted = {"message": str(exc)}
     except ArithmeticError as exc:
         # a last resort for an overflow or a division by zero that the
         # config table does not rule out

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
@@ -44,14 +44,6 @@ from .params import ModelParams, entropy_coefficients
 ACC_FIELDS = (
     "diss_grad_u", "diss_square", "reaction_plus", "reaction_raw", "u_lr",
     "grad_vq_sq", "grad_up_sq", "grad_log_u_sq",
-)
-# the record's per-sample columns, in record.csv order; the v norms are
-# taken only by a pass that writes them
-RECORD_COLUMNS = (
-    "mass", "v_min", "v_lr", "grad_v_ls", "entropy", "diss_grad_u",
-    "diss_square", "reaction_minus", "reaction_plus", "reaction_raw",
-    "u_lr", "grad_vq_sq", "grad_up_sq", "v_lq", "log_u", "log_v",
-    "grad_log_u_sq", "boundary_min_upq",
 )
 V_NORM_COLUMNS = ("v_lr", "grad_v_ls")
 # A time integral over (0, T) needs samples at most T / MIN_SAMPLE_COUNT
@@ -155,36 +147,25 @@ class BumpSpatial:
         self.amplitude = float(amplitude)
 
     @staticmethod
-    def _b(s):
+    def _profile(s):
+        """(1 - s^2)^4 and its first two derivatives in s, all zero outside
+        |s| < 1."""
         inside = np.abs(s) < 1.0
         core = np.where(inside, 1.0 - s * s, 0.0)
-        return core**4
-
-    @staticmethod
-    def _db(s):
-        inside = np.abs(s) < 1.0
-        core = np.where(inside, 1.0 - s * s, 0.0)
-        return -8.0 * s * core**3
-
-    @staticmethod
-    def _d2b(s):
-        inside = np.abs(s) < 1.0
-        core = np.where(inside, 1.0 - s * s, 0.0)
-        return core**2 * (56.0 * s * s - 8.0) * inside
+        return core**4, -8.0 * s * core**3, core**2 * (56.0 * s * s - 8.0) * inside
 
     def separable(self, grid):
         factors = []
         for ax, (c, w) in enumerate(zip(self.center, self.width)):
-            s = (grid.axis_centers(ax) - c) / w
-            factors.append((self._b(s),
-                            self._db((grid.axis_faces(ax) - c) / w) / w,
-                            self._d2b(s) / w**2))
+            b, _, d2b = self._profile((grid.axis_centers(ax) - c) / w)
+            _, db, _ = self._profile((grid.axis_faces(ax) - c) / w)
+            factors.append((b, db / w, d2b / w**2))
         return _scaled(0.0, self.amplitude, factors)
 
     def values(self, grid):
         out = np.full(grid.shape, self.amplitude)
         for x, c, w in zip(grid.meshgrid(), self.center, self.width):
-            out = out * self._b((x - c) / w)
+            out = out * self._profile((x - c) / w)[0]
         return out
 
 
@@ -325,7 +306,7 @@ def builtin_supersolution_family(grid, T):
 # per-trajectory record
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class DiagnosticsRecord:
     """Per-sample-time functionals of a trajectory plus running time integrals.
 
@@ -340,6 +321,8 @@ class DiagnosticsRecord:
     times: np.ndarray
     mass: np.ndarray
     v_min: np.ndarray
+    v_lr: np.ndarray | None = None       # I v^r, from a pass with v_norms
+    grad_v_ls: np.ndarray | None = None  # I |grad v|^s, likewise
     entropy: np.ndarray
     diss_grad_u: np.ndarray      # I v^q |grad u^{p/2}|^2
     diss_square: np.ndarray      # I |u^{p/2} grad v^{q/2} - kappa v^{q/2} grad u^{p/2}|^2
@@ -354,8 +337,6 @@ class DiagnosticsRecord:
     log_v: np.ndarray
     grad_log_u_sq: np.ndarray    # I |grad log u|^2
     boundary_min_upq: np.ndarray
-    v_lr: np.ndarray | None = None       # I v^r, from a pass with v_norms
-    grad_v_ls: np.ndarray | None = None  # I |grad v|^s, likewise
     accumulated: dict = dc_field(default_factory=dict)
 
     @property
@@ -394,6 +375,12 @@ class DiagnosticsRecord:
         return out
 
 
+# the record's per-sample columns, in record.csv order; the v norms are
+# taken only by a pass that writes them
+RECORD_COLUMNS = tuple(f.name for f in dc_fields(DiagnosticsRecord)
+                       if f.name not in ("times", "accumulated"))
+
+
 def _cumtrapz(y, t):
     inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
     return np.concatenate([[0.0], np.cumsum(inc)])
@@ -422,8 +409,7 @@ class _Densities:
     each face mean's 1/2 left out: diss_grad_u_x2, diss_square_x4 (the
     cross term is squared) and grad_phi_x2.  Their readers scale the
     finished sums and contractions instead, which gives the same bytes,
-    since scaling by a power of two commutes with rounding; the properties
-    form the true-scale arrays on read.
+    since scaling by a power of two commutes with rounding.
     """
 
     upq: np.ndarray
@@ -441,18 +427,6 @@ class _Densities:
     vq_sum: float
     diss_grad_u_sums: list
     diss_square_sums: list
-
-    @property
-    def diss_grad_u(self):
-        return [0.5 * a for a in self.diss_grad_u_x2]
-
-    @property
-    def diss_square(self):
-        return [0.25 * a for a in self.diss_square_x4]
-
-    @property
-    def grad_phi(self):
-        return [0.5 * a for a in self.grad_phi_x2]
 
 
 def _densities(u, v, params, kappa, grid):

@@ -48,10 +48,6 @@ class Grid:
     __slots__ = ("cells", "extents", "h", "dim", "cell_volume")
 
     def __init__(self, cells, extents, max_cells=DEFAULT_MAX_CELLS):
-        if np.isscalar(cells):
-            cells = (cells,)
-        if np.isscalar(extents):
-            extents = (extents,)
         cells = tuple(int(c) for c in cells)
         extents = tuple(float(L) for L in extents)
         if not 1 <= len(cells) <= 3:
@@ -209,11 +205,6 @@ def faces_to_cells(face_array, axis):
 
 
 # public field operations --------------------------------------------------------
-
-def integrate(values, grid):
-    """Midpoint quadrature: cell sum times cell volume."""
-    return float(values.sum() * grid.cell_volume)
-
 
 def gradient_cell_magnitude(values, grid):
     """Cell-centered Euclidean norm of the gradient (face averages per axis).

@@ -22,7 +22,7 @@ member's figures do not depend on the block it falls in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
 
@@ -43,15 +43,13 @@ DEFAULT_ODE_SUBSTEPS = 2000
 _ODE_TOLERANCE = 1e-6
 # RK4 steps held before the comparison bound is formed for all of them at once
 _ODE_CHUNK = 64
-# distinct probe cells whose kernel rows are formed at once; keeps each
-# (block, cells) temporary near 128 KiB on a 32 x 32 grid
-_RIESZ_BLOCK = 16
 # |Du| floats the Riesz probe holds for one pass, at most: whole
 # _ENSEMBLE_BLOCKs of members (at least one), 128 members on a 32 x 32 grid
 _RIESZ_HOLD_FLOATS = 2**17
-# ensemble members synthesized and reduced together; keeps each
-# (block, cells) array near 128 KiB on a 32 x 32 grid, where wider blocks
-# ran no faster and held more memory
+# ensemble members synthesized and reduced together, and distinct Riesz probe
+# cells whose kernel rows are formed at once; keeps each (block, cells) array
+# near 128 KiB on a 32 x 32 grid, where wider blocks ran no faster and held
+# more memory
 _ENSEMBLE_BLOCK = 16
 # the mean-deviation trend's |B|, as fractions of the domain volume
 DELTA_TREND_FRACTIONS = (0.4, 0.2, 0.1)
@@ -523,6 +521,10 @@ def verify_ode_comparison_batch(specs, substeps=DEFAULT_ODE_SUBSTEPS):
 # random field ensembles
 # ---------------------------------------------------------------------------
 
+class EnsembleError(RuntimeError):
+    """An ensemble could not be drawn: a member never met its requirement."""
+
+
 @dataclass
 class EnsembleSpec:
     """Knobs for the random positive field ensembles.
@@ -643,12 +645,13 @@ class LogPoincareReport:
 
 def _level_set_fields(spec, grid, members):
     """Each member's first field whose super-level set {phi > delta} has
-    measure above eta, and how many draws it discarded.  Every round draws
-    the next field of each member still short of it, from its own rng."""
+    measure above eta, and how many draws the members discarded in all.
+    Every round draws the next field of each member still short of it, from
+    its own rng; EnsembleError after 64 rounds."""
     _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     rngs = [_member_rng(spec.seed, i) for i in members]
     fields = np.empty((len(members),) + grid.shape)
-    regenerated = np.zeros(len(members), dtype=int)
+    discarded = 0
     pending = np.arange(len(members))
     for _attempt in range(64):
         drawn = _synthesize(grid, spec.cutoff, spec.floor, [
@@ -659,10 +662,11 @@ def _level_set_fields(spec, grid, members):
         fields[pending[met]] = drawn[met]
         pending = pending[~met]
         if not len(pending):
-            return fields, regenerated
-        regenerated[pending] += 1
-    raise RuntimeError(f"sample {members[pending[0]]} kept violating the "
-                       "level-set measure requirement")
+            return fields, discarded
+        discarded += len(pending)
+    raise EnsembleError(
+        f"ensemble member {members[pending[0]]} drew 64 fields and none has "
+        f"{{phi > {spec.delta:g}}} of measure above eta = {spec.eta:g}")
 
 
 def log_poincare_ratio(spec, grid, field_source=None):
@@ -686,37 +690,37 @@ def log_poincare_ratio(spec, grid, field_source=None):
         raise ValueError(f"eta = {spec.eta} must be below the domain volume {volume}")
     vol = grid.cell_volume
 
-    outcomes = []
+    ratios = []
+    alternative = excluded = regenerated = 0
     for members in _blocks(spec.count):
         if field_source is not None:
             phi = _injected(field_source, members)
             if phi.min() <= 0.0:
                 raise ValueError("injected sample must be strictly positive")
-            regenerated = np.zeros(len(members), dtype=int)
         else:
-            phi, regenerated = _level_set_fields(spec, grid, members)
+            phi, discarded = _level_set_fields(spec, grid, members)
+            regenerated += discarded
         logs = np.log(spec.delta / phi).reshape(len(members), -1)
         nums = logs.sum(axis=1)
         dens = (gradient_cell_magnitude(phi, grid) ** 2 / phi**2).reshape(
             len(members), -1).sum(axis=1)
         peaks = np.abs(logs).max(axis=1)
-        for log_sum, grad_sum, peak, reg in zip(nums, dens, peaks, regenerated):
+        for log_sum, grad_sum, peak in zip(nums, dens, peaks):
             num = float(log_sum) * vol
             den = float(grad_sum) * vol
             if _round_off_pair(num, den, max(peak * volume, 1.0)):
-                outcomes.append(("excluded", 0.0, int(reg)))
+                excluded += 1
             elif num < 0.0:
-                outcomes.append(("alternative", 0.0, int(reg)))
+                alternative += 1
             else:
-                outcomes.append(("included", num * num / den, int(reg)))
+                ratios.append(num * num / den)
 
-    ratios = [r for kind, r, _ in outcomes if kind == "included"]
     return LogPoincareReport(
         max_ratio=float(max(ratios)) if ratios else float("nan"),
         included=len(ratios),
-        alternative=sum(1 for kind, _, _ in outcomes if kind == "alternative"),
-        excluded=sum(1 for kind, _, _ in outcomes if kind == "excluded"),
-        regenerated=sum(reg for _, _, reg in outcomes),
+        alternative=alternative,
+        excluded=excluded,
+        regenerated=regenerated,
         degenerate=not ratios,
         delta=spec.delta,
         eta=spec.eta,
@@ -742,9 +746,9 @@ class MeanPoincareReport:
     delta_trend: list = dc_field(default_factory=list)
 
     def as_dict(self):
-        out = {k: getattr(self, k) for k in (
-            "max_ratio", "mean_ratio", "count", "p", "delta", "b_selector",
-            "seed", "grid_cells", "grid_extents")}
+        """The report's fields but delta_trend, and riesz only when probed."""
+        out = {f.name: getattr(self, f.name) for f in dc_fields(self)
+               if f.name not in ("riesz", "delta_trend")}
         if self.riesz:
             out["riesz"] = self.riesz
         return out
@@ -933,7 +937,7 @@ def _riesz_ratios(grid, gap, grad_mag, cells):
     The bound is vol * sum_y |Du(y)| / d(x, y)^(dim-1), with the distance d
     floored at half the min spacing.  The probes of every member are grouped
     by cell, so each distinct cell's kernel row is formed once per call,
-    _RIESZ_BLOCK rows at a time: d^2 sums the per-axis squared coordinate
+    _ENSEMBLE_BLOCK rows at a time: d^2 sums the per-axis squared coordinate
     differences in axis order (what a Euclidean norm over the axes reduces),
     each looked up in a per-axis table.  Each probe's sum is then one dot
     product of its member's |Du| row with its cell's kernel row, so its
@@ -955,8 +959,8 @@ def _riesz_ratios(grid, gap, grad_mag, cells):
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     distinct, ends = ordered[starts], np.r_[starts[1:], len(ordered)]
     bound = np.empty(len(hit_cells))
-    for lo in range(0, len(distinct), _RIESZ_BLOCK):
-        block = distinct[lo:lo + _RIESZ_BLOCK]
+    for lo in range(0, len(distinct), _ENSEMBLE_BLOCK):
+        block = distinct[lo:lo + _ENSEMBLE_BLOCK]
         dist = 0.0
         for ax, index in enumerate(np.unravel_index(block, grid.shape)):
             shape = [len(block)] + [1] * grid.dim

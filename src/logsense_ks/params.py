@@ -36,6 +36,11 @@ class ExponentSelectionError(ValueError):
     """No exponent triple satisfies the requested margins."""
 
 
+def _check_chi(chi):
+    if not (np.isfinite(chi) and chi > 0.0):
+        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+
+
 @dataclass
 class ModelParams:
     """Parameters of the regularized logarithmic-sensitivity model.
@@ -57,8 +62,7 @@ class ModelParams:
     s: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.chi) and self.chi > 0.0):
-            raise ExponentDomainError(f"chi must be positive and finite, got {self.chi}")
+        _check_chi(self.chi)
         if self.n < 1:
             raise ExponentDomainError(f"dimension must be >= 1, got {self.n}")
         if not (0.0 <= self.eps < 1.0):
@@ -101,8 +105,7 @@ def chi_admissible(chi, n):
     """
     if n < 2:
         raise ExponentDomainError(f"admissibility threshold needs n >= 2, got {n}")
-    if not (np.isfinite(chi) and chi > 0.0):
-        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+    _check_chi(chi)
     if n == 2:
         return True
     if n == 3:
@@ -119,8 +122,7 @@ def q_bounds(p, chi):
     """
     if not (0.0 < p < 1.0):
         raise ExponentDomainError(f"p must lie in (0, 1), got {p}")
-    if not (np.isfinite(chi) and chi > 0.0):
-        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+    _check_chi(chi)
     disc = 1.0 - p * chi**2
     if disc < 0.0:
         if p > 1.0 / chi**2 + DOMAIN_SLACK:
@@ -145,8 +147,7 @@ def entropy_coefficients(p, q, chi):
     """
     if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
         raise ExponentDomainError(f"p, q must lie in (0, 1), got p={p}, q={q}")
-    if not (np.isfinite(chi) and chi > 0.0):
-        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+    _check_chi(chi)
     denom = p * q * (p * chi + 1.0 - q)
     if denom <= 0.0:
         raise ExponentDomainError(
@@ -164,8 +165,7 @@ def entropy_coefficients(p, q, chi):
 
 def exponent_infimum(chi):
     """Closed-form infimum over p of (1 - q_plus(p)) / p."""
-    if not (np.isfinite(chi) and chi > 0.0):
-        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+    _check_chi(chi)
     if chi <= 1.0:
         return 1.0
     if chi < 2.0:
@@ -181,8 +181,7 @@ def exponent_infimum_bruteforce(chi, grid_size=10**6):
     minimizing sequence has p -> 1) nor for chi >= 2 (p -> 0), so the grid
     value approaches the closed form from above.
     """
-    if not (np.isfinite(chi) and chi > 0.0):
-        raise ExponentDomainError(f"chi must be positive and finite, got {chi}")
+    _check_chi(chi)
     if grid_size < 2:
         raise ExponentDomainError(f"grid_size must be >= 2, got {grid_size}")
     p_max = min(1.0, 1.0 / chi**2)

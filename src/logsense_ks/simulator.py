@@ -272,21 +272,13 @@ class Trajectory:
                 "set_by": set_by}
 
     def write_step_reports_csv(self, path):
+        floats = ("t", "dt_used", "cfl_bound", "max_u", "min_v")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([
-                "step", "t", "dt_used", "cfl_bound", "max_u", "min_v", "retries",
-            ])
+            writer.writerow(["step", *floats, "retries"])
             for i, r in enumerate(self.reports):
-                writer.writerow([
-                    i,
-                    format(r.t, ".17g"),
-                    format(r.dt_used, ".17g"),
-                    format(r.cfl_bound, ".17g"),
-                    format(r.max_u, ".17g"),
-                    format(r.min_v, ".17g"),
-                    r.retries,
-                ])
+                writer.writerow([i, *(format(getattr(r, name), ".17g")
+                                      for name in floats), r.retries])
 
 
 def _advance_with_retries(state, dt, stepper, max_retries):

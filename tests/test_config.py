@@ -363,6 +363,37 @@ def test_oracle_constant_members_have_zero_mean_ratio(tmp_path, capsys):
         == [0.0] * 3
 
 
+def test_an_ensemble_that_never_meets_its_level_set_aborts(tmp_path, capsys):
+    # every member is the constant floor + 1 = 1.05, so no draw has
+    # {phi > 3} of positive measure, and the log ensemble gives up
+    raw = {"mode": "oracle", "grid": {"cells": [16, 16], "extents": [2.0, 2.0]},
+           "model": {"chi": 2.0, "n": 2},
+           "oracle": {"ensemble": {"amplitude": [0.0, 0.0], "delta": 3.0,
+                                   "eta": 0.5}}}
+    code, out = _main(tmp_path, "oracle", raw)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "aborted" in err and "Traceback" not in err
+    aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+    assert aborted["message"].startswith("ensemble member 0 drew 64 fields")
+
+
+def test_a_bad_finer_refine_level_exits_two_before_any_step(tmp_path,
+                                                            monkeypatch, capsys):
+    # the dip of u reaches below zero at the centre cells of the 32 x 32
+    # level only; validation builds every level's initial data
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+    monkeypatch.setattr(cli, "run", no_run)
+    raw = _with("refine-study", "grid.cells", [16, 16])
+    raw["initial"]["u"] = {"kind": "gaussian", "amplitude": -1.0, "width": 0.05,
+                           "baseline": 0.9, "center": [0.5, 0.5]}
+    code, out = _main(tmp_path, "refine-study", raw)
+    assert code == 2
+    assert "config.initial.u: u must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_and_output_dir_errors(tmp_path, capsys):
     cfg_path = tmp_path / "params.json"
     cfg_path.write_text(json.dumps(VALID["params"]))

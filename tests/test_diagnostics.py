@@ -277,9 +277,9 @@ def test_accumulator_integrals_match_the_dense_formulas():
                     for ax in range(g.dim)]
         want = [
             integral([(d.upq, psi)]),
-            integral(zip(d.diss_grad_u, psi_face)),
-            integral(zip(d.diss_square, psi_face)),
-            integral(zip(d.grad_phi, grad_psi)),
+            integral((0.5 * a, w) for a, w in zip(d.diss_grad_u_x2, psi_face)),
+            integral((0.25 * a, w) for a, w in zip(d.diss_square_x4, psi_face)),
+            integral((0.5 * a, w) for a, w in zip(d.grad_phi_x2, grad_psi)),
             integral([(d.upq, _dense_laplacian(phi, g))]),
             integral([(d.gain, psi)]),
             integral([(d.gain_raw, psi)]),
@@ -810,9 +810,10 @@ def test_deferred_halves_give_the_face_mean_densities_bit_for_bit(dim):
     weights = accumulator._weights
     f = (diagnostics._F,) * dim
     for ax, (diss_grad_u, diss_square, grad_phi) in enumerate(old):
-        assert np.array_equal(d.diss_grad_u[ax], diss_grad_u)
-        assert np.array_equal(d.diss_square[ax], diss_square)
-        assert np.array_equal(d.grad_phi[ax], grad_phi)
+        # a power-of-two scale is exact
+        assert np.array_equal(0.5 * d.diss_grad_u_x2[ax], diss_grad_u)
+        assert np.array_equal(0.25 * d.diss_square_x4[ax], diss_square)
+        assert np.array_equal(0.5 * d.grad_phi_x2[ax], grad_phi)
         assert d.diss_grad_u_sums[ax] == float(diss_grad_u.sum())
         assert d.diss_square_sums[ax] == float(diss_square.sum())
         mean = diagnostics._with(f, ax, diagnostics._M)

@@ -17,7 +17,6 @@ from logsense_ks.oracles import (
     _ENSEMBLE_BLOCK,
     _ODE_CHUNK,
     _ODE_TOLERANCE,
-    _RIESZ_BLOCK,
     _SQUARE_STACK_CELLS,
     _mean_ensemble,
     _riesz_ratios,
@@ -615,10 +614,10 @@ def test_riesz_ratios_match_reference_loop(grid):
     u_b = values.reshape(members, -1).min(axis=1)
     # more probes than cells, so cells repeat within and across members, and
     # neither the probe count nor the distinct cells fill whole blocks
-    probes = values[0].size + 2 * _RIESZ_BLOCK + 5
+    probes = values[0].size + 2 * _ENSEMBLE_BLOCK + 5
     cells = rng.integers(0, values[0].size, size=(members, probes))
     assert len(np.unique(cells)) < cells.size
-    assert len(np.unique(cells)) % _RIESZ_BLOCK
+    assert len(np.unique(cells)) % _ENSEMBLE_BLOCK
     fast = _riesz_ratios(
         grid, np.abs(np.take_along_axis(values.reshape(members, -1), cells, axis=1)
                      - u_b[:, None]), grad_mag, cells)

@@ -33,3 +33,28 @@ def test_modules_import_only_lower_layers():
     for module, allowed in LAYERS.items():
         imported = _package_imports(package / f"{module}.py")
         assert imported <= allowed, f"{module} imports {imported - allowed}"
+
+
+def _calls(function):
+    """Names of the plain functions `function` calls."""
+    return {node.func.id for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_mode_runners_build_no_config_object():
+    # validation builds every object a mode runs, so a ConfigError can only
+    # come out of validate_config: no runner reaches a config builder,
+    # directly or through another function of the module
+    tree = ast.parse((Path(logsense_ks.__file__).parent / "cli.py").read_text())
+    calls = {node.name: _calls(node) for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    building = {"_build_grid", "_build_params", "_initial_state", "_ensemble",
+                "_mapped"}
+    while True:
+        reaching = {name for name, called in calls.items() if called & building}
+        if reaching <= building:
+            break
+        building |= reaching
+    runners = [name for name in calls if name.startswith("_mode_")]
+    assert len(runners) == 6
+    assert not building & set(runners), sorted(building & set(runners))
