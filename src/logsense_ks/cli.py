@@ -247,13 +247,15 @@ class ExperimentConfig:
     states: list = dc_field(default_factory=list)
     grid: Grid | None = None  # the config grid, in every mode but params
     spec: EnsembleSpec | None = None  # the oracle's ensemble
+    power_grids: list = dc_field(default_factory=list)  # the oracle's ladder
     progress: bool = False  # print one stderr line per sample of each run
 
 
 def validate_config(raw, out_override=None, seed_override=None):
     """Check a config against CONFIG_KEYS and the cross-field rules and build
-    every object its mode runs (grid, each trajectory's initial state, the
-    ensemble), all before any compute; raises ConfigError with a field path."""
+    every object its mode runs (grid, each trajectory's initial state and
+    entropy coefficients, the oracle's ladder and ensemble), all before any
+    compute; raises ConfigError with a field path."""
     values = {}
     _walk(raw, "", values)
     mode = values.get("mode")
@@ -268,7 +270,7 @@ def validate_config(raw, out_override=None, seed_override=None):
     grid = _build_grid(values) if mode in GRID_MODES else None
     if mode in SOLVER_MODES:
         _check_dense_memory(grid, "grid.cells")
-    states, spec = [], None
+    states, spec, power_grids = [], None, []
     if mode == "params" and _mapped("model", chi_admissible, values["model.chi"],
                                     values["model.n"]):
         # the mode reports the exponents selected for an admissible chi
@@ -304,14 +306,19 @@ def validate_config(raw, out_override=None, seed_override=None):
                  for level in range(1, values["refine.levels"])]
         _check_dense_memory(finer[-1], "refine.levels")
         states += [_initial_state(values, fine, params) for fine in finer]
+    for state in states:
+        # each trajectory's Accumulator forms them, and p q (p chi + 1 - q)
+        # can underflow to zero inside the key ranges
+        _mapped("model", entropy_coefficients, state.params.p, state.params.q,
+                state.params.chi)
     if mode == "oracle":
-        _mapped("grid", _power_grids, grid)
+        power_grids = _mapped("grid", _power_grids, grid)
         spec = _ensemble(values, grid)
 
     out_dir = out_override or values["out"] or os.environ.get(OUT_ENV_VAR) or "."
     return ExperimentConfig(mode=mode, raw=raw, values=values, out_dir=Path(out_dir),
                             seed=values["seed"], states=states, grid=grid,
-                            spec=spec)
+                            spec=spec, power_grids=power_grids)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +904,7 @@ def _mode_oracle(cfg, outputs, asserts):
     # power identities at three resolutions of a fixed smooth field
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
     res = []
-    for fine in _power_grids(grid):
+    for fine in cfg.power_grids:
         res.append(check_power_identities(shape.values(fine), fine,
                                           values["oracle.power_r"]))
     orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]

@@ -22,6 +22,7 @@ member's figures do not depend on the block it falls in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
 import numpy as np
@@ -57,6 +58,116 @@ DELTA_TREND_FRACTIONS = (0.4, 0.2, 0.1)
 # a block of trials on 32 x 32 cells.  Finer grids take fewer trials per call
 # (at least one), so a work buffer holds at most 128 KiB or one field
 _SQUARE_STACK_CELLS = _ENSEMBLE_BLOCK * 32 * 32
+# stream indices whose seed words are hashed together: the hash costs about
+# 0.12 ms per call plus 0.02 us per index, and a chunk's words take 128 KiB
+_SEED_CHUNK = 4096
+# the 32-bit constants of numpy's SeedSequence, O'Neill's seed_seq design
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+# ---------------------------------------------------------------------------
+# seeded streams
+# ---------------------------------------------------------------------------
+
+def _uint32_words(values):
+    """The 32-bit words of nonnegative integers, each least significant
+    first and at least one word long, as SeedSequence splits its entropy."""
+    words = []
+    for n in values:
+        if n < 0:
+            raise ValueError(f"a seed must be nonnegative, got {n}")
+        words.append(n & _MASK32)
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(prefix, lo, hi):
+    """(hi - lo, 4) uint64: row k is
+    SeedSequence(prefix + [lo + k]).generate_state(4, np.uint64), for the
+    32-bit words `prefix` and indices below 2^32, each of one word.
+
+    The hash constants do not depend on the entropy, so every index runs the
+    same 32-bit operations, and a word shared by all of them is a one-element
+    array that broadcasts."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> 16)
+
+    entropy = [np.array([word], dtype=np.uint32) for word in prefix]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero)
+            for k in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((hi - lo, 8), dtype=np.uint32)
+    for k in range(8):
+        value = pool[k % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, k] = value ^ (value >> 16)
+    # pairs of 32-bit words, the first the low half, as generate_state forms them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type():
+    """The ISeedSequence subclass a stream's seed words go to PCG64 in,
+    made on first use, as numpy loads np.random on first use: importing it
+    with this module would cost every mode that draws nothing about 6 MiB
+    and 18 ms.  It is made once: a class made per call left about 0.13 MiB
+    more behind per oracle-32 run."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """One stream's seed: the four uint64 words PCG64 asks of its seed
+        sequence, which then seeds itself from them."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the 4 uint64 words PCG64 asks for")
+            return self.words
+
+    return SeedWords
+
+
+def _streams(prefix, indices):
+    """The Generator default_rng([*prefix, i]) builds, for each i of the
+    consecutive `indices`, in order.  The seed words are hashed _SEED_CHUNK
+    indices at a time as the streams are taken; PCG64 seeds itself from
+    them as from a SeedSequence.  Indices must lie in [0, 2^32)."""
+    SeedWords = _seed_words_type()
+    words = _uint32_words(prefix)
+    if indices and not 0 <= indices[0] <= indices[-1] <= _MASK32:
+        raise ValueError(f"stream indices must lie in [0, 2^32), got {indices}")
+    return (np.random.Generator(np.random.PCG64(SeedWords(row)))
+            for lo in range(indices.start, indices.stop, _SEED_CHUNK)
+            for row in _seed_words(words, lo, min(indices.stop, lo + _SEED_CHUNK)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +339,27 @@ def check_square_completion(u, v, grid, p, q, chi, work=None):
     return SquareCompletionReport(residual=float(residual[0]), scale=float(scale[0]))
 
 
-def _square_trials(seed, block, amplitude, denominators, draws):
-    """Trials `block` of worst_square_completion: the (2B, K) series
+def _square_trials(rngs, amplitude, denominators, draws):
+    """A block of worst_square_completion's trials, one per stream of `rngs`
+    (trial i's stream equals default_rng([seed, 7, i])): the (2B, K) series
     coefficients, u's rows then v's, and chi, p and q per trial.
 
-    Trial i draws its 2K + 5 doubles at once from default_rng([seed, 7, i])
-    into a row of `draws`, and each value is numpy's uniform
-    low + (high - low) d of its double, in draw order: u's amplitude and K
-    modes, v's, then chi, p and q, so every value is the one the calls of
-    rng.uniform would draw.  chi, p and q are Python floats formed one trial
-    at a time: Python's chi**2 is libm's pow, and a numpy square, a
-    multiply, rounds differently in about 1 of 1,000 draws.
+    A trial draws its 2K + 5 doubles at once from its stream into a row of
+    `draws`, and each value is numpy's uniform low + (high - low) d of its
+    double, in draw order: u's amplitude and K modes, v's, then chi, p and
+    q, so every value is the one the calls of rng.uniform would draw.  chi,
+    p and q are Python floats formed one trial at a time: Python's chi**2 is
+    libm's pow, and a numpy square, a multiply, rounds differently in about
+    1 of 1,000 draws.
     """
     modes = len(denominators)
-    draws = draws[:len(block)]
-    for row, i in zip(draws, block):
-        np.random.default_rng([seed, 7, i]).random(out=row)
+    count = len(rngs)
+    draws = draws[:count]
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
     lo, hi = (float(x) for x in amplitude)
     # (2, B, 1 + K): per field and trial, the amplitude's double, then the modes'
-    fields = draws[:, :2 * (modes + 1)].reshape(len(block), 2, modes + 1)
+    fields = draws[:, :2 * (modes + 1)].reshape(count, 2, modes + 1)
     fields = fields.transpose(1, 0, 2)
     amp = lo + (hi - lo) * fields[..., :1]
     coefficients = (-1.0 + 2.0 * fields[..., 1:]) * amp / denominators
@@ -257,16 +370,18 @@ def _square_trials(seed, block, amplitude, denominators, draws):
         qm, qp = q_bounds(p[-1], chi[-1])
         low, high = qm + 1e-6, qp - 1e-6
         q.append(float(low + (high - low) * d_q))
-    return coefficients.reshape(2 * len(block), modes), chi, p, q
+    return coefficients.reshape(2 * count, modes), chi, p, q
 
 
 def worst_square_completion(grid, spec, seed, trials):
     """Worst residual / scale of check_square_completion over random trials.
 
-    Trial i draws from default_rng([seed, 7, i]), in order: u's series, v's
-    series, chi in [0.3, 3], p in [0.05, 0.95] * min(1, 1/chi^2) and q inside
-    its window shrunk by 1e-6 at each end (p <= 0.95 and p chi^2 <= 0.95 keep
-    the window at least 0.05 sqrt(0.05) wide).  The fields take spec's
+    Trial i draws from a stream equal to default_rng([seed, 7, i]), whose
+    seed words are hashed for many trials at once (see _streams), in order:
+    u's series, v's series, chi in [0.3, 3], p in [0.05, 0.95] *
+    min(1, 1/chi^2) and q inside its window shrunk by 1e-6 at each end
+    (p <= 0.95 and p chi^2 <= 0.95 keep the window at least 0.05 sqrt(0.05)
+    wide).  The fields take spec's
     cutoff, amplitude and floor; a block of trials is drawn and synthesized
     at once (see _square_trials) and checked in stacked calls of up to
     _SQUARE_STACK_CELLS cells (one call per block up to 32 x 32 cells).  The
@@ -278,11 +393,12 @@ def worst_square_completion(grid, spec, seed, trials):
     work = _square_buffers(grid, rows)
     series = np.empty((2 * _ENSEMBLE_BLOCK, cell_count))
     draws = np.empty((_ENSEMBLE_BLOCK, 2 * len(denominators) + 5))
+    streams = _streams([seed, 7], range(trials))
     worst = 0.0
     for block in _blocks(trials):
         count = len(block)
         coefficients, chi, p, q = _square_trials(
-            seed, block, spec.amplitude, denominators, draws)
+            [next(streams) for _ in block], spec.amplitude, denominators, draws)
         fields = _synthesize(grid, spec.cutoff, spec.floor, coefficients,
                              out=series[:2 * count])
         for lo in range(0, count, rows):
@@ -605,15 +721,12 @@ def synth_positive_field(grid, rng, cutoff, amplitude, floor):
 
     The series is grid.cosine_series over the modes of grid.cosine_modes.
     Ensembles synthesize their members in blocks of _ENSEMBLE_BLOCK with the
-    same kernel, so a member's field is this function's field for its rng.
+    same kernel, so a member's field is this function's field for its rng:
+    member i's stream equals default_rng([seed, i]) (see _streams).
     """
     _, denominators = cosine_tables(grid.cells, grid.extents, cutoff)
     coefficients = _series_coefficients(rng, amplitude, denominators)
     return _synthesize(grid, cutoff, floor, [coefficients])[0]
-
-
-def _member_rng(seed, index):
-    return np.random.default_rng([seed, index])
 
 
 def _blocks(count):
@@ -643,13 +756,12 @@ class LogPoincareReport:
     grid_extents: list
 
 
-def _level_set_fields(spec, grid, members):
+def _level_set_fields(spec, grid, members, rngs):
     """Each member's first field whose super-level set {phi > delta} has
     measure above eta, and how many draws the members discarded in all.
     Every round draws the next field of each member still short of it, from
-    its own rng; EnsembleError after 64 rounds."""
+    its own stream of `rngs`; EnsembleError after 64 rounds."""
     _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
-    rngs = [_member_rng(spec.seed, i) for i in members]
     fields = np.empty((len(members),) + grid.shape)
     discarded = 0
     pending = np.arange(len(members))
@@ -690,6 +802,7 @@ def log_poincare_ratio(spec, grid, field_source=None):
         raise ValueError(f"eta = {spec.eta} must be below the domain volume {volume}")
     vol = grid.cell_volume
 
+    streams = _streams([spec.seed], range(spec.count))
     ratios = []
     alternative = excluded = regenerated = 0
     for members in _blocks(spec.count):
@@ -698,7 +811,8 @@ def log_poincare_ratio(spec, grid, field_source=None):
             if phi.min() <= 0.0:
                 raise ValueError("injected sample must be strictly positive")
         else:
-            phi, discarded = _level_set_fields(spec, grid, members)
+            rngs = [next(streams) for _ in members]
+            phi, discarded = _level_set_fields(spec, grid, members, rngs)
             regenerated += discarded
         logs = np.log(spec.delta / phi).reshape(len(members), -1)
         nums = logs.sum(axis=1)
@@ -786,6 +900,7 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
     b_counts = [max(1, int(round(delta / vol))) for delta in deltas]
     _, denominators = cosine_tables(grid.cells, grid.extents, spec.cutoff)
     series = np.empty((_ENSEMBLE_BLOCK, cell_count))
+    streams = _streams([spec.seed], range(spec.count))
     probe_rng = np.random.default_rng([spec.seed, 10**9])
     half = max(1, spec.count // 2)
     # the calibration and the evaluation half (0 when the second is empty)
@@ -800,7 +915,7 @@ def _mean_ensemble(spec, grid, p, deltas, field_source=None, probes=0):
         first = held = 0  # the group's first member, and its size so far
 
     for members in _blocks(spec.count):
-        rngs = [_member_rng(spec.seed, i) for i in members]
+        rngs = [next(streams) for _ in members]
         if field_source is not None:
             values = _injected(field_source, members)
         else:

@@ -394,6 +394,25 @@ def test_a_bad_finer_refine_level_exits_two_before_any_step(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["eps-study", "refine-study"])
+def test_an_underflowing_entropy_denominator_exits_two_before_any_step(
+        mode, tmp_path, monkeypatch, capsys):
+    # both values in range, but p q (p chi + 1 - q) underflows to 0.0, so
+    # the entropy coefficients every trajectory's Accumulator needs do not
+    # exist; validation forms them for each rung and level
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+    for name in ("run", "samples"):
+        monkeypatch.setattr(cli, name, no_run)
+    raw = _with(mode, "model.p", 1e-300)
+    raw["model"]["q"] = 1.5000000000015e-154
+    code, out = _main(tmp_path, mode, raw)
+    assert code == 2
+    assert "config.model: denominator p q (p chi + 1 - q) = 0.0 must be " \
+           "positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_and_output_dir_errors(tmp_path, capsys):
     cfg_path = tmp_path / "params.json"
     cfg_path.write_text(json.dumps(VALID["params"]))

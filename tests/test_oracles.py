@@ -279,6 +279,71 @@ def test_ode_default_agrees_with_a_fine_run_within_its_estimate():
         assert abs(d.max_excess - f.max_excess) <= d.error_estimate + rounding
 
 
+# seeded streams ---------------------------------------------------------------------
+
+# seeds of one to four 32-bit words: 2^32 is the least of two words
+STREAM_SEEDS = [0, 2**31 - 1, 2**32, 2**64 + 3, 10**30]
+
+
+@pytest.mark.parametrize("trial", [True, False], ids=["trials", "members"])
+def test_streams_match_default_rng(trial):
+    # 10^5 indices per prefix: for each seed, the first 10^4 and the last
+    # 10^4 below 2^32, each range crossing _SEED_CHUNK boundaries
+    span = 10**4
+    assert span > 2 * oracles._SEED_CHUNK
+    for seed in STREAM_SEEDS:
+        prefix = [seed, 7] if trial else [seed]
+        for indices in (range(span), range(2**32 - span, 2**32)):
+            streams = oracles._streams(prefix, indices)
+            for i, rng in zip(indices, streams, strict=True):
+                expected = np.random.default_rng([*prefix, i]).bit_generator.state
+                assert rng.bit_generator.state == expected, (seed, i)
+
+
+def test_streams_reject_indices_past_one_word():
+    for indices in (range(2**32, 2**32 + 1), range(5, 2**32 + 1)):
+        with pytest.raises(ValueError, match="2\\^32"):
+            oracles._streams([3, 7], indices)
+    with pytest.raises(ValueError):
+        oracles._streams([-1], range(4))
+    # the config ranges keep every index well below: trials below 10^6,
+    # the Riesz probe's stream at 10^9
+    (probe,) = oracles._streams([3], range(10**9, 10**9 + 1))
+    assert probe.bit_generator.state == \
+        np.random.default_rng([3, 10**9]).bit_generator.state
+
+
+def test_seed_words_answer_only_pcg64s_request():
+    (rng,) = oracles._streams([3], range(1))
+    seeded = rng.bit_generator.seed_seq
+    assert seeded.generate_state(4, np.uint64).tobytes() == \
+        np.random.SeedSequence([3, 0]).generate_state(4, np.uint64).tobytes()
+    for request in ((4,), (4, np.uint32), (8, np.uint32), (2, np.uint64),
+                    (5, np.uint64), (4, np.int64)):
+        with pytest.raises(ValueError):
+            seeded.generate_state(*request)
+
+
+def test_streams_hash_a_chunk_at_a_time(monkeypatch):
+    # a million trials (oracle.square_trials' upper end) never hold every
+    # stream's words at once: a chunk is hashed as its first stream is taken
+    spans = []
+
+    def spy(prefix, lo, hi):
+        spans.append((lo, hi))
+        return seed_words(prefix, lo, hi)
+
+    seed_words = oracles._seed_words
+    monkeypatch.setattr(oracles, "_seed_words", spy)
+    chunk = oracles._SEED_CHUNK
+    streams = oracles._streams([1, 7], range(10**6))
+    assert spans == []
+    taken = list(itertools.islice(streams, chunk + 1))
+    assert spans == [(0, chunk), (chunk, 2 * chunk)]
+    assert taken[-1].bit_generator.state == \
+        np.random.default_rng([1, 7, chunk]).bit_generator.state
+
+
 # random-field ensembles -------------------------------------------------------------
 
 def test_ensemble_spec_validation():
@@ -887,7 +952,7 @@ def test_square_trials_match_reference_loop():
     for lo in range(0, 20_000, _ENSEMBLE_BLOCK):
         block = range(lo, lo + _ENSEMBLE_BLOCK)
         coefficients, chi, p, q = oracles._square_trials(
-            11, block, amplitude, denominators, draws)
+            list(oracles._streams([11, 7], block)), amplitude, denominators, draws)
         assert coefficients.shape == (2 * len(block), len(denominators))
         for j, i in enumerate(block):
             u, v, *scalars = _square_draws_reference(11, i, amplitude,

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import logsense_ks
@@ -18,6 +21,17 @@ def test_every_exported_name_resolves():
     assert len(exported) == len(set(exported)), "a name is listed twice"
     missing = [name for name in exported if not hasattr(logsense_ks, name)]
     assert not missing, f"__all__ names what the package lacks: {missing}"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads np.random on first use; a mode that draws nothing, such as
+    # simulate from gaussian data, would otherwise pay about 6 MiB for it
+    probe = "import sys, logsense_ks.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(logsense_ks.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _package_imports(path):
@@ -49,7 +63,7 @@ def test_mode_runners_build_no_config_object():
     calls = {node.name: _calls(node) for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     building = {"_build_grid", "_build_params", "_initial_state", "_ensemble",
-                "_mapped"}
+                "_mapped", "_power_grids"}
     while True:
         reaching = {name for name, called in calls.items() if called & building}
         if reaching <= building:
