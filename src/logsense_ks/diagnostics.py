@@ -447,14 +447,27 @@ def _densities(u, v, params, kappa, grid):
     for ax in range(grid.dim):
         gu = face_grad_values(up2, grid.h, ax)
         gv = face_grad_values(vq2, grid.h, ax)
-        cross = face_sum_values(up2, ax) * gv \
-            - kappa * face_sum_values(vq2, ax) * gu
+        # each face sum takes its products in place, left to right; the
+        # cross term's square overwrites it
+        cross = face_sum_values(up2, ax)
+        cross *= gv
+        kappa_gu = face_sum_values(vq2, ax)
+        kappa_gu *= kappa
+        kappa_gu *= gu
+        cross -= kappa_gu
+        cross *= cross
+        diss = face_sum_values(vq, ax)
+        diss *= gu
+        diss *= gu
+        phi_face = face_sum_values(w, ax)
+        phi_face *= gu
         grad_up.append(gu)
         grad_vq.append(gv)
-        diss_grad_u.append(face_sum_values(vq, ax) * gu * gu)
-        diss_square.append(cross * cross)
-        grad_phi.append(face_sum_values(w, ax) * gu)
-    saturation = 1.0 + params.eps * u
+        diss_grad_u.append(diss)
+        diss_square.append(cross)
+        grad_phi.append(phi_face)
+    saturation = params.eps * u
+    saturation += 1.0
     gain = gain_raw / saturation
     return _Densities(
         upq, gain_raw, gain, saturation, grad_up, grad_vq, diss_grad_u,
@@ -597,9 +610,12 @@ class Accumulator:
         if self.phi_v is not None:
             self._v_series.append(self._v_terms(u, v, d))
         if self._u_lr_expo is not None:
-            rhs = d.gain_raw + v**self._u_lr_expo
-            violation = float(((u_r - rhs) / np.maximum(rhs, 1e-300)).max())
-            self.u_lr_worst = max(self.u_lr_worst, violation)
+            # (u^r - rhs) / max(rhs, 1e-300), in u_r and rhs in place
+            rhs = v**self._u_lr_expo
+            rhs += d.gain_raw
+            u_r -= rhs
+            u_r /= np.maximum(rhs, 1e-300, out=rhs)
+            self.u_lr_worst = max(self.u_lr_worst, float(u_r.max()))
         return d
 
     def _add_v_norms(self, v):
@@ -608,9 +624,9 @@ class Accumulator:
         grid, params = self.grid, self.params
         grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
         self._cols["v_lr"].append((v**params.r).sum() * grid.cell_volume)
-        self._cols["grad_v_ls"].append(
-            (face_cell_magnitude(grad_v, grid) ** params.s).sum()
-            * grid.cell_volume)
+        magnitude = face_cell_magnitude(grad_v, grid)
+        magnitude **= params.s
+        self._cols["grad_v_ls"].append(magnitude.sum() * grid.cell_volume)
 
     def _add_record(self, u, v, d, u_r):
         grid = self.grid
@@ -646,7 +662,8 @@ class Accumulator:
             gl = 0.0
             for ax in range(grid.dim):
                 g = face_grad_values(log_u, grid.h, ax)
-                gl += float((g * g).sum())
+                g *= g
+                gl += float(g.sum())
             cols["grad_log_u_sq"].append(gl * vol)
         else:
             cols["log_u"].append(np.nan)

@@ -96,9 +96,11 @@ class Grid:
 
 # low-level kernels on raw arrays ------------------------------------------------
 
+@functools.cache
 def _span(axis, start, stop):
     """Index of the entries start:stop along `axis`, all entries elsewhere; a
-    negative axis counts from the last, past any leading stack axes."""
+    negative axis counts from the last, past any leading stack axes.  Memoized:
+    the per-sample kernels ask for the same few indices every call."""
     if axis < 0:
         return (Ellipsis, slice(start, stop)) + (slice(None),) * (-axis - 1)
     return (slice(None),) * axis + (slice(start, stop),)
@@ -116,11 +118,17 @@ def lap_values(a, h, out=None):
         out = np.zeros_like(a)
     else:
         out.fill(0.0)
+    term = np.empty_like(a)
     for ax, ha in enumerate(h):
         first, last = end_slabs(a, ax)
         padded = np.concatenate([first, a, last], axis=ax)
         n = a.shape[ax]
-        out += (padded[_span(ax, 2, n + 2)] - 2.0 * a + padded[_span(ax, 0, n)]) / ha**2
+        # (next - 2 a + previous) / h^2, each operator into `term`
+        np.multiply(a, 2.0, out=term)
+        np.subtract(padded[_span(ax, 2, n + 2)], term, out=term)
+        term += padded[_span(ax, 0, n)]
+        term /= ha**2
+        out += term
     return out
 
 
@@ -168,14 +176,18 @@ def dct_values(a, mats, inverse=False):
 def face_grad_values(a, h, axis):
     """Gradient along one axis on the interior faces.  A negative axis counts
     from the last and indexes h the same way."""
-    return np.subtract(a[_span(axis, 1, None)], a[_span(axis, 0, -1)]) / h[axis]
+    grad = np.subtract(a[_span(axis, 1, None)], a[_span(axis, 0, -1)])
+    grad /= h[axis]
+    return grad
 
 
 def face_div_values(fluxes, h, shape):
     """Cell divergence of per-axis interior face fluxes (no boundary flux)."""
     out = np.zeros(shape, dtype=np.float64)
     for ax, (flux, ha) in enumerate(zip(fluxes, h)):
-        out[_span(ax, 1, -1)] += np.diff(flux, axis=ax) / ha
+        diff = np.subtract(flux[_span(ax, 1, None)], flux[_span(ax, 0, -1)])
+        diff /= ha
+        out[_span(ax, 1, -1)] += diff
         first, last = end_slabs(out, ax)
         first += flux[_span(ax, 0, 1)] / ha
         last -= flux[_span(ax, -1, None)] / ha
@@ -222,7 +234,7 @@ def face_cell_magnitude(face_arrays, grid):
         c = faces_to_cells(g, ax - grid.dim)
         c *= c
         sq += c
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
 def interior_max_abs(values):

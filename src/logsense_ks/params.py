@@ -94,8 +94,13 @@ class EntropyCoefficients:
 
 
 def saturated_source(u, eps):
-    """The saturated source u / (1 + eps u); u itself when eps = 0."""
-    return u / (1.0 + eps * u) if eps > 0.0 else u
+    """The saturated source u / (1 + eps u), formed in place in one fresh
+    array; u itself when eps = 0."""
+    if not eps > 0.0:
+        return u
+    source = eps * u
+    source += 1.0
+    return np.divide(u, source, out=source)
 
 
 def chi_admissible(chi, n):

@@ -138,9 +138,15 @@ def _tendency(state, v_floor):
     for ax in range(grid.dim):
         g = face_grad_values(v, grid.h, ax)
         v_sum = face_sum_values(v, ax)
-        worst = max(worst, 2.0 * float(np.abs(g / v_sum).max()))
-        donor = np.where(g > 0.0, u[_span(ax, 0, -1)], u[_span(ax, 1, None)])
-        fluxes.append(2.0 * chi * donor / v_sum * g)
+        # 2 chi donor / v_sum g, each operator in place on the donor array
+        flux = np.where(g > 0.0, u[_span(ax, 0, -1)], u[_span(ax, 1, None)])
+        flux *= 2.0 * chi
+        flux /= v_sum
+        flux *= g
+        fluxes.append(flux)
+        # then the drift ratio |g / v_sum| overwrites the face sums
+        ratio = np.divide(g, v_sum, out=v_sum)
+        worst = max(worst, 2.0 * float(np.abs(ratio, out=ratio).max()))
     rates = np.empty((2,) + grid.shape)
     du = lap_values(u, grid.h, out=rates[0])
     du -= face_div_values(fluxes, grid.h, grid.shape)
@@ -210,10 +216,15 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
 
     mats, _ = dct_modes(grid.cells, grid.h)
     modes = dct_values(rhs.rates, mats)
-    du, dv = dct_values(_etd_factors(grid.cells, grid.h, dt) * modes, mats,
-                        inverse=True)
-    u_new = state.u + dt * du
-    v_new = state.v + dt * dv
+    modes *= _etd_factors(grid.cells, grid.h, dt)
+    du, dv = dct_values(modes, mats, inverse=True)
+    # dt du + u and dt dv + v, each in one array of its own: rows of the
+    # stacked result, kept as the new state, would hold a two-field block
+    # across the next step's transforms and fragment the heap at 128^2
+    u_new = np.multiply(du, dt)
+    u_new += state.u
+    v_new = np.multiply(dv, dt)
+    v_new += state.v
 
     # The dense transforms leave every cell a round-off of either sign of
     # about eps * dt * max|du|, which a cell of u at or near zero reads as a

@@ -3,8 +3,10 @@ compute, a runtime failure exits 1 with an aborted manifest, and no config
 makes `main` raise."""
 
 import copy
+import itertools
 import json
 import math
+import random
 import re
 import time
 from pathlib import Path
@@ -576,6 +578,16 @@ def _swept_leaves(valid):
         yield path, leaf, key
 
 
+def _set_leaf(raw, leaf, value):
+    """Set the leaf at path `leaf` of `raw` to `value`; a list leaf has each
+    of its entries set to it."""
+    node = raw
+    for part in leaf[:-1]:
+        node = node[part]
+    node[leaf[-1]] = [value] * len(node[leaf[-1]]) \
+        if isinstance(node[leaf[-1]], list) else value
+
+
 # numpy warns of an overflow or an invalid value in 33 of these 192 runs
 # before the run stops or fails an assertion; main prints such a warning and
 # goes on, so it is not an escape, but the suite would raise it
@@ -599,11 +611,7 @@ def test_range_edges_exit_cleanly(tmp_path, monkeypatch, capsys):
             seen.add(leaf)
             for value in _edge_values(key):
                 raw = copy.deepcopy(valid)
-                node = raw
-                for part in leaf[:-1]:
-                    node = node[part]
-                node[leaf[-1]] = [value] * len(node[leaf[-1]]) \
-                    if isinstance(node[leaf[-1]], list) else value
+                _set_leaf(raw, leaf, value)
                 try:
                     code, _ = _main(tmp_path, mode, raw, name=f"e{runs}")
                 except Exception as exc:  # what the test looks for
@@ -616,3 +624,42 @@ def test_range_edges_exit_cleanly(tmp_path, monkeypatch, capsys):
     assert not escaped, escaped
     assert runs == 192
     assert time.monotonic() - started < 30.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_pairs_of_range_edges_exit_cleanly(tmp_path, monkeypatch, capsys):
+    """Every pair of swept leaves of every VALID config (_swept_leaves) runs
+    through main once with both leaves at ends of their ranges, each drawn
+    from its _edge_values by a seeded generator: no exception escapes, no
+    traceback is printed and the exit code is 0, 1 or 2.  Faults that need
+    two keys at once go unseen by the one-key sweep above.  The Riccati
+    oracle runs 100 RK4 substeps instead of 10^5."""
+    monkeypatch.setattr(
+        cli, "verify_ode_comparison_batch",
+        lambda specs: verify_ode_comparison_batch(specs, substeps=100))
+    rng = random.Random(27)
+    started = time.monotonic()
+    escaped, runs = [], 0
+    for mode, valid in VALID.items():
+        swept = {leaf: key for _, leaf, key in _swept_leaves(valid)}
+        for (a, key_a), (b, key_b) in itertools.combinations(swept.items(), 2):
+            raw = copy.deepcopy(valid)
+            values = rng.choice(_edge_values(key_a)), \
+                rng.choice(_edge_values(key_b))
+            _set_leaf(raw, a, values[0])
+            _set_leaf(raw, b, values[1])
+            case = (mode, ".".join(a), ".".join(b), values)
+            try:
+                code, _ = _main(tmp_path, mode, raw, name=f"p{runs}")
+            except Exception as exc:  # what the test looks for
+                escaped.append(case + (repr(exc),))
+            else:
+                if code not in (0, 1, 2):
+                    escaped.append(case + (code,))
+            if "Traceback" in capsys.readouterr().err:
+                escaped.append(case + ("traceback printed",))
+            runs += 1
+    assert not escaped, escaped
+    assert runs == 440
+    assert time.monotonic() - started < 20.0

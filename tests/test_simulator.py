@@ -137,6 +137,29 @@ def test_on_sample_sees_every_sample_and_keeps_the_final_one():
         r.dt_used for r in plain.reports]
 
 
+@pytest.mark.parametrize("baseline", [0.2, 0.0])
+def test_a_yielded_state_is_never_changed(baseline):
+    # held as handed over, without a copy, beside a copy taken then; the
+    # zero baseline puts u's far cells at the transforms' round-off, which
+    # step zeroes in its own array
+    g = Grid(cells=[16, 16], extents=[1.0, 1.0])
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.05, baseline=baseline)
+    state = initial_state(default_params(), g, u0, constant_field(g, 1.0))
+    held, copies = [], []
+
+    def keep(t, u, v):
+        held.append((u, v))
+        copies.append((u.copy(), v.copy()))
+
+    traj = run(state, T=0.01, sample_times=np.linspace(0.0, 0.01, 6),
+               max_dt=5e-4, on_sample=keep)
+    assert len(held) == 6 and len(traj.reports) == 20
+    assert held[0][0] is state.u and held[0][1] is state.v
+    for (u, v), (u_then, v_then) in zip(held, copies):
+        assert u.tobytes() == u_then.tobytes()
+        assert v.tobytes() == v_then.tobytes()
+
+
 def test_sample_time_validation():
     state = gaussian_state()
     with pytest.raises(ValueError):
