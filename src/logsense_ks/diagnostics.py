@@ -25,7 +25,6 @@ same discretization error.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 
@@ -347,16 +346,16 @@ class DiagnosticsRecord:
                      if getattr(self, name) is not None)
 
     def to_csv(self, path):
-        columns = [getattr(self, c) for c in self._columns]
-        header = ["time"] + list(self._columns) + [f"acc_{k}" for k in ACC_FIELDS]
+        names = ["time", *self._columns, *(f"acc_{k}" for k in ACC_FIELDS)]
+        table = np.column_stack(
+            [self.times, *(getattr(self, c) for c in self._columns),
+             *(self.accumulated[k] for k in ACC_FIELDS)])
+        # csv.writer's dialect: ',' between fields, '\r\n' after each row
+        row = ",".join(["%.17g"] * len(names)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self.times)):
-                row = [format(self.times[i], ".17g")]
-                row += [format(column[i], ".17g") for column in columns]
-                row += [format(self.accumulated[k][i], ".17g") for k in ACC_FIELDS]
-                writer.writerow(row)
+            fh.write(",".join(names) + "\r\n")
+            for values in table:
+                fh.write(row % tuple(values.tolist()))
 
     def summary(self):
         out = {
@@ -399,7 +398,8 @@ class _Densities:
     interior-face arrays: grad_up and grad_vq (face gradients of u^{p/2}
     and v^{q/2}), diss_grad_u (v^q |grad u^{p/2}|^2), diss_square (the
     completed square) and grad_phi (u^{p/2} v^q grad u^{p/2}, to be dotted
-    with grad phi).  The record is the phi == 1 contraction of these
+    with grad phi; None unless a test function has a factored column to
+    read it).  The record is the phi == 1 contraction of these
     densities and every weak-form residual contracts them against its
     test-function weights.  The plain sums, which the record and every
     phi's offset share, are taken once: of upq, gain, gain_raw and v^q, and
@@ -420,7 +420,7 @@ class _Densities:
     grad_vq: list
     diss_grad_u_x2: list
     diss_square_x4: list
-    grad_phi_x2: list
+    grad_phi_x2: list | None
     upq_sum: float
     gain_raw_sum: float
     gain_sum: float
@@ -429,21 +429,22 @@ class _Densities:
     diss_square_sums: list
 
 
-def _densities(u, v, params, kappa, grid):
+def _densities(u, v, params, kappa, grid, grad_phi=True):
     """Densities of one (u, v) sample; face products use arithmetic face
     means.  Two powers are transcendental, u^{p/2} and v^{q/2}; u^p, v^q,
     u^{p+1} and v^{q-1} are products and a quotient of them.  The saturated
     gain is formed after the face densities, so that fewer arrays are alive
-    at once."""
+    at once.  Without `grad_phi`, which only a test function with a
+    factored column reads, grad_phi_x2 is None and u^{p/2} v^q is not
+    formed."""
     up2 = u ** (params.p / 2.0)
     vq2 = v ** (params.q / 2.0)
     vq = vq2 * vq2
-    w = up2 * vq
     gain_raw = up2 * up2  # u^p, then u^{p+1} v^{q-1} in place
     upq = gain_raw * vq
     gain_raw *= u
     gain_raw *= vq / v
-    grad_up, grad_vq, diss_grad_u, diss_square, grad_phi = [], [], [], [], []
+    grad_up, grad_vq, diss_grad_u, diss_square = [], [], [], []
     for ax in range(grid.dim):
         gu = face_grad_values(up2, grid.h, ax)
         gv = face_grad_values(vq2, grid.h, ax)
@@ -459,19 +460,24 @@ def _densities(u, v, params, kappa, grid):
         diss = face_sum_values(vq, ax)
         diss *= gu
         diss *= gu
-        phi_face = face_sum_values(w, ax)
-        phi_face *= gu
         grad_up.append(gu)
         grad_vq.append(gv)
         diss_grad_u.append(diss)
         diss_square.append(cross)
-        grad_phi.append(phi_face)
+    grad_phi_x2 = None
+    if grad_phi:
+        w = up2 * vq
+        grad_phi_x2 = []
+        for ax, gu in enumerate(grad_up):
+            phi_face = face_sum_values(w, ax)
+            phi_face *= gu
+            grad_phi_x2.append(phi_face)
     saturation = params.eps * u
     saturation += 1.0
     gain = gain_raw / saturation
     return _Densities(
         upq, gain_raw, gain, saturation, grad_up, grad_vq, diss_grad_u,
-        diss_square, grad_phi, upq_sum=float(upq.sum()),
+        diss_square, grad_phi_x2, upq_sum=float(upq.sum()),
         gain_raw_sum=float(gain_raw.sum()), gain_sum=float(gain.sum()),
         vq_sum=float(vq.sum()),
         diss_grad_u_sums=[0.5 * float(a.sum()) for a in diss_grad_u],
@@ -601,7 +607,8 @@ class Accumulator:
         are read, never kept."""
         if self.v_norms:
             self._add_v_norms(v)
-        d = _densities(u, v, self.params, self.coef.kappa, self.grid)
+        d = _densities(u, v, self.params, self.coef.kappa, self.grid,
+                       grad_phi=self._weights.width > 0)
         u_r = u**self.params.r
         self.times.append(t)
         self._add_record(u, v, d, u_r)
@@ -691,7 +698,10 @@ class Accumulator:
             mean, grad, lap = (_with(f, ax, kind) for kind in (_M, _DF, _D2F))
             D1.append(w.contract(d.diss_grad_u_x2[ax], mean))
             D2.append(w.contract(d.diss_square_x4[ax], mean))
-            GT.append(w.contract(d.grad_phi_x2[ax], grad))
+            # grad_phi_x2 is formed only for a factored column; without
+            # one, every contraction is 0.0
+            GT.append(w.contract(d.grad_phi_x2[ax], grad) if w.width
+                      else [0.0])
             LT.append(w.contract(d.upq, lap, upq))
         out = np.empty((7, len(self.phis)))
         for i, (c, j) in enumerate(zip(w.offsets, w.columns)):

@@ -19,7 +19,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,18 +271,13 @@ def export_exponent_region(chi, n, path, p_count=200):
     cap = n / (n - 2) if n >= 3 else DEFAULT_N2_CAP
     p_max = min(1.0, 1.0 / chi**2)
     ps = p_max * (np.arange(1, p_count + 1)) / (p_count + 1)
+    # csv.writer's dialect: ',' between fields, '\r\n' after each row
+    row = "%.17g,%.17g,%.17g,%.17g,%d\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "q_minus", "q_plus", "c1_at_mid", "feasible"])
+        fh.write("p,q_minus,q_plus,c1_at_mid,feasible\r\n")
         for p in ps:
             qm, qp = q_bounds(float(p), chi)
             q_mid = 0.5 * (qm + qp)
             c1 = entropy_coefficients(float(p), q_mid, chi).c1
             feasible = qp > qm and (1.0 - q_mid) / p < cap
-            writer.writerow([
-                format(float(p), ".17g"),
-                format(qm, ".17g"),
-                format(qp, ".17g"),
-                format(c1, ".17g"),
-                int(feasible),
-            ])
+            fh.write(row % (p, qm, qp, c1, feasible))

@@ -30,7 +30,6 @@ time.
 
 from __future__ import annotations
 
-import csv
 import functools
 import inspect
 import math
@@ -283,13 +282,13 @@ class Trajectory:
                 "set_by": set_by}
 
     def write_step_reports_csv(self, path):
-        floats = ("t", "dt_used", "cfl_bound", "max_u", "min_v")
+        # csv.writer's dialect: ',' between fields, '\r\n' after each row
+        row = "%d" + ",%.17g" * 5 + ",%d\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", *floats, "retries"])
+            fh.write("step,t,dt_used,cfl_bound,max_u,min_v,retries\r\n")
             for i, r in enumerate(self.reports):
-                writer.writerow([i, *(format(getattr(r, name), ".17g")
-                                      for name in floats), r.retries])
+                fh.write(row % (i, r.t, r.dt_used, r.cfl_bound, r.max_u,
+                                r.min_v, r.retries))
 
 
 def _advance_with_retries(state, dt, stepper, max_retries):

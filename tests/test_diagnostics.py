@@ -615,6 +615,65 @@ def test_a_phis_figures_do_not_depend_on_the_other_phis(g):
     assert full.u_lr_bound() == bare.u_lr_bound()
 
 
+def _figures(result):
+    """Every figure of an Accumulated pass, as exact text."""
+    record = result.record
+    arrays = [record.times] + [getattr(record, name)
+                               for name in record._columns]
+    arrays += [record.accumulated[name] for name in ACC_FIELDS]
+    return ([a.tobytes() for a in arrays],
+            [repr(dataclasses.asdict(b)) for b in result.balances],
+            result.u_lr_worst.hex())
+
+
+@pytest.mark.parametrize("g", [
+    Grid(cells=[40], extents=[1.0]),
+    Grid(cells=[16, 12], extents=[1.0, 0.8]),
+    Grid(cells=[8, 6, 5], extents=[1.0, 0.8, 0.6]),
+], ids=lambda g: f"{g.dim}d")
+def test_grad_phi_densities_are_formed_only_for_a_factored_column(
+        g, monkeypatch):
+    # simulate's pass (constant phis only) and eps-study's (none) read no
+    # grad-phi density, so none is formed; their figures are those of a
+    # pass that forms it.  A pass with a cosine phi still forms it.
+    params = default_params(eps=0.01)
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.12, baseline=0.2)
+    state = SimState(t=0.0, grid=g, u=u0, v=constant_field(g, 1.0),
+                     params=params)
+    T = 0.02
+    times = np.linspace(0.0, T, 51)
+    k1 = (1,) + (0,) * (g.dim - 1)
+    constants = [diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal()),
+                 diagnostics.TestFunction(ConstantSpatial(0.5),
+                                          RampDownTemporal(0.9 * T))]
+    cosine = diagnostics.TestFunction(CosineSpatial(k1, 0.5, 1.0),
+                                      RampDownTemporal(0.9 * T))
+    cases = {"constant": constants, "none": [], "mixed": constants + [cosine]}
+
+    def one_pass():
+        passes = {name: Accumulator(g, params, phis)
+                  for name, phis in cases.items()}
+        formed = {name: set() for name in cases}
+
+        def feed(t, u, v):
+            for name, accumulator in passes.items():
+                d = accumulator.add(t, u, v)
+                formed[name].add(d.grad_phi_x2 is not None)
+
+        run(state, T, sample_times=times, on_sample=feed)
+        return formed, {name: _figures(a.finish())
+                        for name, a in passes.items()}
+
+    formed, figures = one_pass()
+    assert formed == {"constant": {False}, "none": {False}, "mixed": {True}}
+    densities = diagnostics._densities
+    monkeypatch.setattr(diagnostics, "_densities",
+                        lambda *args, grad_phi: densities(*args))
+    reference_formed, reference = one_pass()
+    assert set().union(*reference_formed.values()) == {True}
+    assert figures == reference
+
+
 def _chain_reference(density, vecs):
     """A phi's mat-vec chain, one axis at a time from the last, as the
     contraction was before the batch tables."""
