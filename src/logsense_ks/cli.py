@@ -23,6 +23,7 @@ manifest's wall-time entry are bit-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import itertools
 import json
@@ -103,11 +104,13 @@ class ConfigError(ValueError):
 
 
 class StudyError(RuntimeError):
-    """A study aborted mid-way; carries the failing ladder value."""
+    """A study aborted mid-way; carries the rest of its `aborted` block: the
+    failing trajectory's label (eps or level) and, when a run failed, the
+    failure time."""
 
-    def __init__(self, message, eps=None):
+    def __init__(self, message, **fields):
         super().__init__(message)
-        self.eps = eps
+        self.fields = fields
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +411,44 @@ def _progress(enabled, label, intervals):
     return report
 
 
+@contextlib.contextmanager
+def _labelled(study, **label):
+    """Turn a SimulationError of the trajectory `label` names (eps=... or
+    level=...) into a StudyError carrying the label and the failure time."""
+    try:
+        yield
+    except SimulationError as exc:
+        (name, value), = label.items()
+        raise StudyError(f"{study} run failed at {name}={value}: {exc}",
+                         time=exc.time, **label) from exc
+
+
+def _orders(seq):
+    """Observed convergence orders of the consecutive pairs of `seq`."""
+    return [_observed_order(a, b) for a, b in zip(seq, seq[1:])]
+
+
+def _observed_order(coarse, fine):
+    if fine <= 0.0 or (coarse <= 1e-13 and fine <= 1e-13):
+        return "exact"
+    return float(np.log2(coarse / fine))
+
+
+def _order_ok(orders, gate):
+    """Whether the finest pair's order is "exact" or at least `gate`; coarser
+    pairs are often pre-asymptotic, and no pair passes."""
+    return not orders or orders[-1] == "exact" or orders[-1] >= gate
+
+
+def _write_table(path, names, row, rows):
+    """Write a CSV table: the column `names`, then `row % values` for each
+    entry of `rows`, each line ending in \\n."""
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for values in rows:
+            fh.write(row % tuple(values) + "\n")
+
+
 class Assertions:
     """Accumulates named pass/fail entries for the manifest."""
 
@@ -674,11 +715,14 @@ def _l1_integrands(a, b, da, db):
 def _rung(values, state, eps, reports):
     """The run section's samples from `state` at one ladder rung; a failure
     names the rung."""
-    try:
+    with _labelled("ladder", eps=eps):
         yield from samples(state, reports=reports, **_standard_args(values))
-    except SimulationError as exc:
-        raise StudyError(f"ladder run failed at eps={eps}: {exc}",
-                         eps=eps) from exc
+
+
+# eps_study.csv's columns: a rung pair and the pair's L1 differences
+_EPS_COLUMNS = ("eps_hi", "eps_lo", "u_l1", "v_l1", "grad_vq_l1",
+                "entropy_density_l1")
+_EPS_ROW = ",".join(["%.17g"] * len(_EPS_COLUMNS))
 
 
 def _mode_eps_study(cfg, outputs, asserts):
@@ -722,10 +766,8 @@ def _mode_eps_study(cfg, outputs, asserts):
                                  f"eps={eps}", eps=eps)
 
     csv_path = cfg.out_dir / "eps_study.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("eps_hi,eps_lo,u_l1,v_l1,grad_vq_l1,entropy_density_l1\n")
-        for row in zip(ladder, ladder[1:], *diffs.values()):
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+    _write_table(csv_path, _EPS_COLUMNS, _EPS_ROW,
+                 zip(ladder, ladder[1:], *diffs.values()))
     outputs.append(csv_path.name)
 
     slack = 1.2
@@ -763,15 +805,10 @@ def _restrict_to_coarse(values, factor):
     return out
 
 
-def _observed_order(coarse, fine):
-    if fine <= 0.0 or (coarse <= 1e-13 and fine <= 1e-13):
-        return "exact"
-    return float(np.log2(coarse / fine))
-
-
-def _final_order(order_list):
-    """Order of the finest pair; coarser pairs are often pre-asymptotic."""
-    return order_list[-1] if order_list else "exact"
+# refine_study.csv's columns, which are also the keys of the manifest's rows
+_REFINE_COLUMNS = ("level", "h_min", "final_u_l1_error", "identity_constant",
+                   "identity_cosine", "identity_bump", "power_half", "power_full")
+_REFINE_ROW = "%d" + ",%.17g" * (len(_REFINE_COLUMNS) - 1)
 
 
 def _mode_refine_study(cfg, outputs, asserts):
@@ -782,80 +819,52 @@ def _mode_refine_study(cfg, outputs, asserts):
     and only its final fields are kept.  Level k has 2^k times the config
     cells along each axis, so the finest level restricts onto every other."""
     values = cfg.values
-    levels = values["refine.levels"]
     T = values["refine.T"]
     base_samples = values["refine.sample_count"]
 
-    rows = []
-    trajectories = []
+    rows, trajectories = [], []
     for level, state in enumerate(cfg.states):
-        factor = 2**level
-        grid = state.grid
+        grid, intervals = state.grid, base_samples * 2**level
         h_min = min(grid.h)
-        named = _residual_test_functions(grid, T)
-        accumulator = Accumulator(grid, state.params, [phi for _, phi in named])
-        report = _progress(cfg.progress, f"refine-study level {level}",
-                           base_samples * factor)
-        trajectory = run(state, **_run_args(
-            values, T, base_samples * factor,
-            values["refine.dt_factor"] * h_min**2),
-            on_sample=_chain(accumulator.add, report))
+        # constant, cosine and bump, in the order of the identity columns
+        phis = [phi for _, phi in _residual_test_functions(grid, T)]
+        accumulator = Accumulator(grid, state.params, phis)
+        report = _progress(cfg.progress, f"refine-study level {level}", intervals)
+        with _labelled("refine", level=level):
+            trajectory = run(state, **_run_args(
+                values, T, intervals, values["refine.dt_factor"] * h_min**2),
+                on_sample=_chain(accumulator.add, report))
         # the configured sample count overrides the default T/50 spacing rule
         balances = accumulator.finish(
             max_sample_dt=float(T) / base_samples).balances
-        resids = {name: balance.identity()[0]
-                  for (name, _), balance in zip(named, balances)}
-        p_half, p_full = check_power_identities(
-            trajectory.v_snapshots[-1], grid, values["refine.power_r"])
-        rows.append({
-            "level": level,
-            "h_min": h_min,
-            "identity_constant": resids["constant"],
-            "identity_cosine": resids["cosine_rampdown"],
-            "identity_bump": resids["bump_bump"],
-            "power_half": p_half,
-            "power_full": p_full,
-        })
+        rows.append([level, h_min, *(balance.identity()[0] for balance in balances),
+                     *check_power_identities(trajectory.v_snapshots[-1], grid,
+                                             values["refine.power_r"])])
         trajectories.append(trajectory)
 
     fine_u = trajectories[-1].u_snapshots[-1]
-    for level, (row, trajectory) in enumerate(zip(rows, trajectories[:-1])):
-        restricted_u = _restrict_to_coarse(fine_u, 2 ** (levels - 1 - level))
-        diff = np.abs(trajectory.u_snapshots[-1] - restricted_u)
-        row["final_u_l1_error"] = float(diff.sum()) * trajectory.grid.cell_volume
-    rows[-1]["final_u_l1_error"] = 0.0
-
-    orders = {}
-    for key in ("identity_constant", "identity_cosine", "identity_bump",
-                "power_half", "power_full", "final_u_l1_error"):
-        # the finest level's u error is 0 by construction
-        seq = [row[key] for row in
-               (rows[:-1] if key == "final_u_l1_error" else rows)]
-        orders[key] = [_observed_order(a, b) for a, b in zip(seq, seq[1:])]
-
+    for row, trajectory in zip(rows, trajectories):
+        u = trajectory.u_snapshots[-1]
+        diff = np.abs(u - _restrict_to_coarse(fine_u, len(fine_u) // len(u)))
+        # final_u_l1_error, the third column
+        row.insert(2, float(diff.sum()) * trajectory.grid.cell_volume)
     csv_path = cfg.out_dir / "refine_study.csv"
-    keys = ["level", "h_min", "final_u_l1_error", "identity_constant",
-            "identity_cosine", "identity_bump", "power_half", "power_full"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                format(row[k], ".17g") if isinstance(row[k], float)
-                else str(row[k]) for k in keys) + "\n")
+    _write_table(csv_path, _REFINE_COLUMNS, _REFINE_ROW, rows)
     outputs.append(csv_path.name)
 
-    for key in ("identity_constant", "identity_cosine", "identity_bump"):
-        last = _final_order(orders[key])
-        asserts.add(f"order_{key}",
-                    last == "exact" or last >= 1.5,
-                    tolerance=1.5, value=orders[key])
-    u_order = _final_order(orders["final_u_l1_error"])
-    asserts.add("order_final_u_l1",
-                u_order == "exact" or u_order >= 1.5,
-                tolerance=1.5, value=orders["final_u_l1_error"])
-    counters = [dict(level=level, **trajectory.counters())
-                for level, trajectory in enumerate(trajectories)]
-    return {"refine": {"rows": rows, "orders": orders}, "counters": counters}
+    columns = dict(zip(_REFINE_COLUMNS, zip(*rows)))
+    # the finest level is the u errors' reference: its own 0 has no order
+    columns["final_u_l1_error"] = columns["final_u_l1_error"][:-1]
+    orders = {name: _orders(columns[name]) for name in _REFINE_COLUMNS[2:]}
+    # in the manifest's order: the identities' gates, then the u error's
+    for name in _REFINE_COLUMNS[3:6] + _REFINE_COLUMNS[2:3]:
+        asserts.add(f"order_{name.removesuffix('_error')}",
+                    _order_ok(orders[name], 1.5), tolerance=1.5,
+                    value=orders[name])
+    return {"refine": {"rows": [dict(zip(_REFINE_COLUMNS, row)) for row in rows],
+                       "orders": orders},
+            "counters": [dict(level=level, **trajectory.counters())
+                         for level, trajectory in enumerate(trajectories)]}
 
 
 # ---------------------------------------------------------------------------
@@ -903,19 +912,16 @@ def _mode_oracle(cfg, outputs, asserts):
 
     # power identities at three resolutions of a fixed smooth field
     shape = CosineSpatial(tuple([1] * grid.dim), amplitude=0.5, offset=1.5)
-    res = []
-    for fine in cfg.power_grids:
-        res.append(check_power_identities(shape.values(fine), fine,
-                                          values["oracle.power_r"]))
-    orders_half = [_observed_order(a[0], b[0]) for a, b in zip(res, res[1:])]
-    orders_full = [_observed_order(a[1], b[1]) for a, b in zip(res, res[1:])]
+    res = [check_power_identities(shape.values(fine), fine,
+                                  values["oracle.power_r"])
+           for fine in cfg.power_grids]
+    orders_half, orders_full = (_orders(column) for column in zip(*res))
     reports["power_identities"] = {
         "residuals": [list(pair) for pair in res],
         "orders_half": orders_half, "orders_full": orders_full,
     }
-    oh, of = _final_order(orders_half), _final_order(orders_full)
     asserts.add("power_identity_order",
-                (oh == "exact" or oh >= 1.9) and (of == "exact" or of >= 1.9),
+                _order_ok(orders_half, 1.9) and _order_ok(orders_full, 1.9),
                 tolerance=1.9, value=reports["power_identities"])
 
     # Riccati comparison on random parameter boxes
@@ -995,9 +1001,7 @@ def run_experiment(cfg):
         extra = _MODE_RUNNERS[cfg.mode](cfg, outputs, asserts)
         manifest.update(extra)
     except StudyError as exc:
-        aborted = {"message": str(exc)}
-        if exc.eps is not None:
-            aborted["eps"] = exc.eps
+        aborted = {"message": str(exc), **exc.fields}
     except SimulationError as exc:
         aborted = {"message": str(exc), "time": exc.time}
     except EnsembleError as exc:

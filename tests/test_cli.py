@@ -9,6 +9,7 @@ from logsense_ks.cli import (
     ConfigError,
     StudyError,
     _observed_order,
+    _order_ok,
     _restrict_to_coarse,
     main,
     run_experiment,
@@ -496,6 +497,12 @@ def test_observed_order_sentinels():
     assert _observed_order(1e-16, 1e-16) == "exact"
     assert _observed_order(1.0, 0.0) == "exact"
     assert _observed_order(4.0, 1.0) == pytest.approx(2.0)
+    # only the finest pair is gated, and no pair passes
+    assert _order_ok([], 1.5)
+    assert _order_ok(["exact"], 1.5)
+    assert not _order_ok([1.49], 1.5)
+    assert _order_ok([0.2, "exact", 1.5], 1.5)
+    assert not _order_ok([2.0, "exact", 1.49], 1.5)
 
 
 # determinism ------------------------------------------------------------------------

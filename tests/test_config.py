@@ -302,6 +302,18 @@ def test_eps_study_reports_singularity_with_its_rung(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["aborted"]["eps"] == 0.1
+    assert manifest["aborted"]["time"] == 0.0
+
+
+def test_refine_study_reports_singularity_with_its_level(tmp_path, capsys):
+    raw = _with("refine-study", "run.v_floor", 1.0)
+    raw["initial"]["v"] = {"kind": "constant", "value": 0.5}
+    code, out = _main(tmp_path, "refine-study", raw)
+    assert code == 1
+    assert "refine run failed at level=0" in capsys.readouterr().err
+    aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+    assert "mobility floor" in aborted["message"]
+    assert (aborted["level"], aborted["time"]) == (0, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

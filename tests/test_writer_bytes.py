@@ -1,10 +1,13 @@
-"""The CSV writers against the csv.writer forms they replace.
+"""The CSV writers against the forms they replace.
 
 record.csv, steps.csv and exponent_region.csv write each row with one `%`
-on a "%.17g,...\\r\\n" template.  Each reference below is the form it
-replaces: a csv.writer row per line and one format(x, ".17g") per value.
-The files must agree byte for byte, on columns holding NaN, +-inf, -0.0,
-the smallest subnormal and the largest double.
+on a "%.17g,...\\r\\n" template, and the studies' eps_study.csv and
+refine_study.csv go through `cli._write_table` with "\\n" line ends.  Each
+reference below is the form it replaces: a csv.writer row per line, or a
+",".join per line for the study tables, and one format(x, ".17g") per value
+(str(level) for refine-study's level).  The files must agree byte for byte,
+on columns holding NaN, +-inf, -0.0, the smallest subnormal and the largest
+double.
 """
 
 import csv
@@ -12,6 +15,13 @@ import csv
 import numpy as np
 import pytest
 
+from logsense_ks.cli import (
+    _EPS_COLUMNS,
+    _EPS_ROW,
+    _REFINE_COLUMNS,
+    _REFINE_ROW,
+    _write_table,
+)
 from logsense_ks.diagnostics import (
     ACC_FIELDS,
     RECORD_COLUMNS,
@@ -80,6 +90,24 @@ def _exponent_region_reference(chi, n, path, p_count):
                 format(c1, ".17g"),
                 int(feasible),
             ])
+
+
+def _eps_study_csv_reference(ladder, diffs, path):
+    with open(path, "w") as fh:
+        fh.write("eps_hi,eps_lo,u_l1,v_l1,grad_vq_l1,entropy_density_l1\n")
+        for row in zip(ladder, ladder[1:], *diffs):
+            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+
+def _refine_study_csv_reference(rows, path):
+    keys = ["level", "h_min", "final_u_l1_error", "identity_constant",
+            "identity_cosine", "identity_bump", "power_half", "power_full"]
+    with open(path, "w") as fh:
+        fh.write(",".join(keys) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                format(row[k], ".17g") if isinstance(row[k], float)
+                else str(row[k]) for k in keys) + "\n")
 
 
 def _column(rng, n):
@@ -154,3 +182,33 @@ def test_exponent_region_csv_is_the_csv_writer_form(tmp_path, chi, n,
     _assert_same_file(
         tmp_path, lambda path: export_exponent_region(chi, n, path, p_count),
         lambda path: _exponent_region_reference(chi, n, path, p_count))
+
+
+@pytest.mark.parametrize("rungs", [1, 2, 60])
+def test_eps_study_csv_is_the_join_form(tmp_path, rungs):
+    # one rung is a header-only table; 60 rungs hold every SPECIALS value
+    # in each column
+    rng = np.random.default_rng(29 + rungs)
+    columns = [_column(rng, 60)[:rungs].tolist() for _ in range(5)]
+    ladder, diffs = columns[0], columns[1:]
+    _assert_same_file(
+        tmp_path, lambda path: _write_table(
+            path, _EPS_COLUMNS, _EPS_ROW, zip(ladder, ladder[1:], *diffs)),
+        lambda path: _eps_study_csv_reference(ladder, diffs, path))
+
+
+@pytest.mark.parametrize("as_numpy", [False, True])
+def test_refine_study_csv_is_the_join_form(tmp_path, as_numpy):
+    # levels past 9 and 99 widen the level column; the residuals come as
+    # Python floats or as numpy float64 scalars
+    rng = np.random.default_rng(29)
+    n = 120
+    values = np.stack([_column(rng, n) for _ in _REFINE_COLUMNS[1:]], axis=1)
+    rows = [(level, *(row if as_numpy else row.tolist()))
+            for level, row in enumerate(values)]
+    assert isinstance(rows[0][1], np.float64 if as_numpy else float)
+    _assert_same_file(
+        tmp_path, lambda path: _write_table(path, _REFINE_COLUMNS,
+                                            _REFINE_ROW, rows),
+        lambda path: _refine_study_csv_reference(
+            [dict(zip(_REFINE_COLUMNS, row)) for row in rows], path))
