@@ -392,9 +392,9 @@ def _chain(*hooks):
     """One sample hook calling the given ones in turn; None entries are skipped."""
     hooks = [hook for hook in hooks if hook is not None]
 
-    def on_sample(t, u, v):
+    def on_sample(state):
         for hook in hooks:
-            hook(t, u, v)
+            hook(state)
     return on_sample
 
 
@@ -405,8 +405,8 @@ def _progress(enabled, label, intervals):
         return None
     counter = itertools.count()
 
-    def report(t, u, v):
-        print(f"{label}: sample {next(counter)}/{intervals} t = {t:.6g}",
+    def report(state):
+        print(f"{label}: sample {next(counter)}/{intervals} t = {state.t:.6g}",
               file=sys.stderr, flush=True)
     return report
 
@@ -592,8 +592,9 @@ def _mode_simulate(cfg, outputs, asserts):
     fields = []
     index = itertools.count()
 
-    def save_all(t, u, v):
-        fields.extend(_write_fields(cfg.out_dir, grid, next(index), u, v))
+    def save_all(state):
+        fields.extend(_write_fields(cfg.out_dir, grid, next(index), state.u,
+                                    state.v))
 
     trajectory = run(state, **_standard_args(values), on_sample=_chain(
         accumulator.add, save_all if save == "all" else None,
@@ -747,8 +748,8 @@ def _mode_eps_study(cfg, outputs, asserts):
     for states in zip(*streams):
         densities = []
         for state, accumulator, report in zip(states, accumulators, reports):
-            densities.append(accumulator.add(state.t, state.u, state.v))
-            report(state.t, state.u, state.v)
+            densities.append(accumulator.add(state))
+            report(state)
         for pair, a, b, da, db in zip(integrands, states, states[1:],
                                       densities, densities[1:]):
             pair.append(_l1_integrands(a, b, da, db))

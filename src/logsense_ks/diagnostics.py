@@ -564,21 +564,23 @@ class _Weights:
 class Accumulator:
     """The diagnostics of a run, fed one sample at a time.
 
-    add(t, u, v) computes the sample's densities once and appends its spatial
-    integrals: the record columns, the seven per-phi series of the entropy
-    balances against `phis`, the v weak form's series against `phi_v` when
-    one is given, and the worst relative violation of the pointwise u^r
-    splitting (when r < p + 1).  Only these scalars outlive the sample, so a
-    run can hand its samples over as it reaches them (simulator.run's
-    on_sample) and never store them; add returns the densities to a caller
-    that reads them before the next sample.  The test functions' weights are
-    held as _Weights batch tables of their Separable factors, 1-D vectors
-    per axis, never as grids: an integral is the offset times the density's
-    sum plus the density contracted with its column's vectors, one batched
-    matmul per axis for all columns.  The record's v norms v_lr and
-    grad_v_ls are taken only with `v_norms`; without it the record has no
-    such columns.  finish() integrates the series in time with the
-    trapezoid rule.
+    add(state) takes a sample's simulator.SimState, computes its densities
+    once and appends its spatial integrals: the record columns, the seven
+    per-phi series of the entropy balances against `phis`, the v weak
+    form's series against `phi_v` when one is given, and the worst relative
+    violation of the pointwise u^r splitting (when r < p + 1).  Only these
+    scalars outlive the sample, so a run can hand its samples over as it
+    reaches them (simulator.run's on_sample) and never store them; add
+    returns the densities to a caller that reads them before the next
+    sample.  What the stepper reads too, v's minimum, u's minimum and v's
+    face gradient, add takes from the state, which forms each once.  The
+    test functions' weights are held as _Weights batch tables of their
+    Separable factors, 1-D vectors per axis, never as grids: an integral is
+    the offset times the density's sum plus the density contracted with its
+    column's vectors, one batched matmul per axis for all columns.  The
+    record's v norms v_lr and grad_v_ls are taken only with `v_norms`;
+    without it the record has no such columns.  finish() integrates the
+    series in time with the trapezoid rule.
     """
 
     def __init__(self, grid, params, phis=(), phi_v=None, v_norms=False):
@@ -602,20 +604,24 @@ class Accumulator:
             self._u_lr_expo = None  # the splitting does not hold; not checked
         self.u_lr_worst = -np.inf
 
-    def add(self, t, u, v):
-        """Take the sample (t, u, v) and return its _Densities; the arrays
-        are read, never kept."""
+    def add(self, state):
+        """Take the sample `state` (a simulator.SimState) and return its
+        _Densities; its arrays are read, never kept."""
+        u, v = state.u, state.v
         if self.v_norms:
-            self._add_v_norms(v)
+            self._add_v_norms(state)
         d = _densities(u, v, self.params, self.coef.kappa, self.grid,
                        grad_phi=self._weights.width > 0)
-        u_r = u**self.params.r
-        self.times.append(t)
-        self._add_record(u, v, d, u_r)
+        self.times.append(state.t)
+        self._add_record(state, d)
         if self.phis:
             self._series.append(self._contract(d))
         if self.phi_v is not None:
             self._v_series.append(self._v_terms(u, v, d))
+        # u^r after the integrals, so that it is not alive beside their
+        # temporaries
+        u_r = u**self.params.r
+        self._cols["u_lr"].append(u_r.sum() * self.grid.cell_volume)
         if self._u_lr_expo is not None:
             # (u^r - rhs) / max(rhs, 1e-300), in u_r and rhs in place
             rhs = v**self._u_lr_expo
@@ -625,27 +631,27 @@ class Accumulator:
             self.u_lr_worst = max(self.u_lr_worst, float(u_r.max()))
         return d
 
-    def _add_v_norms(self, v):
+    def _add_v_norms(self, state):
         """The record's I v^r and I |grad v|^s, taken before the densities
-        are formed, so that their temporaries are not alive beside them."""
+        are formed, so that their temporaries are not alive beside them.
+        v's face gradient is the state's, which its tendency reads again."""
         grid, params = self.grid, self.params
-        grad_v = [face_grad_values(v, grid.h, ax) for ax in range(grid.dim)]
-        self._cols["v_lr"].append((v**params.r).sum() * grid.cell_volume)
-        magnitude = face_cell_magnitude(grad_v, grid)
+        self._cols["v_lr"].append((state.v**params.r).sum() * grid.cell_volume)
+        magnitude = face_cell_magnitude(state.v_face_grad(), grid)
         magnitude **= params.s
         self._cols["grad_v_ls"].append(magnitude.sum() * grid.cell_volume)
 
-    def _add_record(self, u, v, d, u_r):
+    def _add_record(self, state, d):
+        u, v = state.u, state.v
         grid = self.grid
         vol = grid.cell_volume
         cols = self._cols
         cols["mass"].append(u.sum() * vol)
-        cols["v_min"].append(v.min())
+        cols["v_min"].append(state.v_min())
         cols["entropy"].append(d.upq_sum * vol)
         cols["reaction_minus"].append(cols["entropy"][-1])
         cols["reaction_plus"].append(d.gain_sum * vol)
         cols["reaction_raw"].append(d.gain_raw_sum * vol)
-        cols["u_lr"].append(u_r.sum() * vol)
         cols["v_lq"].append(d.vq_sum * vol)
         cols["boundary_min_upq"].append(min(
             float(slab.min()) for ax in range(grid.dim)
@@ -663,7 +669,7 @@ class Accumulator:
         cols["grad_up_sq"].append(gup * vol)
         cols["grad_vq_sq"].append(gvq * vol)
 
-        if u.min() > 0.0:
+        if state.u_min() > 0.0:
             log_u = np.log(u)
             cols["log_u"].append(log_u.sum() * vol)
             gl = 0.0
@@ -671,6 +677,7 @@ class Accumulator:
                 g = face_grad_values(log_u, grid.h, ax)
                 g *= g
                 gl += float(g.sum())
+                del g  # before the next axis's is formed
             cols["grad_log_u_sq"].append(gl * vol)
         else:
             cols["log_u"].append(np.nan)
@@ -688,21 +695,25 @@ class Accumulator:
         face-sum densities' contractions take their 1/2 (1/4) here."""
         w, dim = self._weights, self.grid.dim
         vol = self.grid.cell_volume
-        f = (_F,) * dim
-        upq = {}
-        E = w.contract(d.upq, f, upq)
-        RP = w.contract(d.gain, f)
-        RR = w.contract(d.gain_raw, f)
-        D1, D2, GT, LT = [], [], [], []
-        for ax in range(dim):
-            mean, grad, lap = (_with(f, ax, kind) for kind in (_M, _DF, _D2F))
-            D1.append(w.contract(d.diss_grad_u_x2[ax], mean))
-            D2.append(w.contract(d.diss_square_x4[ax], mean))
-            # grad_phi_x2 is formed only for a factored column; without
-            # one, every contraction is 0.0
-            GT.append(w.contract(d.grad_phi_x2[ax], grad) if w.width
-                      else [0.0])
-            LT.append(w.contract(d.upq, lap, upq))
+        if w.width:
+            f = (_F,) * dim
+            upq = {}
+            E = w.contract(d.upq, f, upq)
+            RP = w.contract(d.gain, f)
+            RR = w.contract(d.gain_raw, f)
+            D1, D2, GT, LT = [], [], [], []
+            for ax in range(dim):
+                mean, grad, lap = (_with(f, ax, kind)
+                                   for kind in (_M, _DF, _D2F))
+                D1.append(w.contract(d.diss_grad_u_x2[ax], mean))
+                D2.append(w.contract(d.diss_square_x4[ax], mean))
+                GT.append(w.contract(d.grad_phi_x2[ax], grad))
+                LT.append(w.contract(d.upq, lap, upq))
+        else:
+            # every contraction is the offset-only column's 0.0, still
+            # added below; grad_phi_x2 is not formed
+            E = RP = RR = [0.0]
+            D1 = D2 = GT = LT = [[0.0]] * dim
         out = np.empty((7, len(self.phis)))
         for i, (c, j) in enumerate(zip(w.offsets, w.columns)):
             d1 = d2 = gt = lt = 0.0

@@ -22,10 +22,11 @@ exactly, so a step is bounded only by the drift CFL bound, the caller's step
 cap and the next sample time, not by h^2.
 
 Each state's right-hand side is evaluated once and held: the CFL bound and
-every step attempt from that state read it.  Steps that would produce a
-negative u cell or a nonpositive v cell are rejected; the driver retries with
-halved dt a bounded number of times before declaring the run failed at that
-time.
+every step attempt from that state read it.  So are its u and v minima and
+v's face gradient, which a sample hook reads too (SimState).  Steps that
+would produce a negative u cell or a nonpositive v cell are rejected; the
+run loop retries with halved dt a bounded number of times before declaring
+the run failed at that time.
 """
 
 from __future__ import annotations
@@ -87,19 +88,54 @@ class Tendency:
     drift: float
 
 
+def _held():
+    return dc_field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass
 class SimState:
     """u and v as cell arrays on one grid at time t.  initial_state checks
-    the data it is given, and step checks every state it builds."""
+    the data it is given, and step checks every state it builds.
+
+    What the stepper and a sample hook both read of a state is formed once,
+    by its first reader, and held: the fields are never changed in place.
+    step hands a new state the u and v minima its checks took.
+    """
 
     t: float
     grid: Grid
     u: np.ndarray
     v: np.ndarray
     params: ModelParams
-    # held once evaluated, so the fields are never changed in place
-    _tendency: Tendency | None = dc_field(default=None, init=False, repr=False,
-                                          compare=False)
+    _tendency: Tendency | None = _held()
+    _u_min: float | None = _held()
+    _v_min: float | None = _held()
+    # held only until the state's tendency takes it (v_face_grad)
+    _v_face_grad: list | None = _held()
+
+    def u_min(self):
+        """min u, taken once."""
+        if self._u_min is None:
+            self._u_min = float(self.u.min())
+        return self._u_min
+
+    def v_min(self):
+        """min v, taken once."""
+        if self._v_min is None:
+            self._v_min = float(self.v.min())
+        return self._v_min
+
+    def v_face_grad(self):
+        """v's face gradient on the interior faces of each axis.  Formed
+        before the state's tendency, it is held for the tendency's drift,
+        which takes it and drops it; formed after, it is not held."""
+        grad = self._v_face_grad
+        if grad is None:
+            grad = [face_grad_values(self.v, self.grid.h, ax)
+                    for ax in range(self.grid.dim)]
+            if self._tendency is None:
+                self._v_face_grad = grad
+        return grad
 
 
 @dataclass
@@ -116,26 +152,29 @@ class StepReport:
 def _tendency(state, v_floor):
     """The state's tendency, evaluated on first use and held on the state.
 
-    One pass over the axes forms v's gradient and face sum on the interior
-    faces, and from them the drift speed and the flux: the face mean's 1/2
-    is folded into 2 chi, which leaves the same bytes.  The boundary faces
-    carry zero flux and are not formed.  du and dv are written into one
-    stacked array, which step transforms as it is.  Raises SingularityError
-    when v is below the mobility floor and SimulationError when the
-    tendency is not finite.
+    One pass over the axes forms v's face sum on the interior faces and,
+    unless a sample hook left it held (SimState.v_face_grad), v's face
+    gradient, and from them the drift speed and the flux: the face mean's
+    1/2 is folded into 2 chi, which leaves the same bytes.  The boundary
+    faces carry zero flux and are not formed.  du and dv are written into
+    one stacked array, which step transforms as it is.  Raises
+    SingularityError when v's held minimum is below the mobility floor, on
+    every call, and SimulationError when the tendency is not finite.
     """
-    u, v = state.u, state.v
-    if v.min() < v_floor:
+    v_min = state.v_min()
+    if v_min < v_floor:
         raise SingularityError(
-            f"min v = {v.min()} fell below the mobility floor {v_floor}", state.t)
+            f"min v = {v_min} fell below the mobility floor {v_floor}", state.t)
     if state._tendency is not None:
         return state._tendency
+    u, v = state.u, state.v
     grid = state.grid
     chi = state.params.chi
+    held, state._v_face_grad = state._v_face_grad, None
     fluxes = []
     worst = 0.0
     for ax in range(grid.dim):
-        g = face_grad_values(v, grid.h, ax)
+        g = face_grad_values(v, grid.h, ax) if held is None else held[ax]
         v_sum = face_sum_values(v, ax)
         # 2 chi donor / v_sum g, each operator in place on the donor array
         flux = np.where(g > 0.0, u[_span(ax, 0, -1)], u[_span(ax, 1, None)])
@@ -247,6 +286,7 @@ def step(state, dt, v_floor=DEFAULT_V_FLOOR):
 
     new_state = SimState(t=state.t + dt, grid=grid, u=u_new, v=v_new,
                          params=state.params)
+    new_state._u_min, new_state._v_min = float(low), min_v
     report = StepReport(
         t=state.t + dt,
         dt_used=dt,
@@ -366,16 +406,19 @@ def run(initial, T, sample_times=None, safety=DEFAULT_SAFETY, max_dt=None,
         v_floor=DEFAULT_V_FLOOR, on_sample=None):
     """The Trajectory of `samples`.
 
-    Each sample, t = 0 included, is handed to on_sample(t, u, v), when
-    given, as the state's own arrays; the trajectory keeps the final sample
-    only.  T = 0 records the initial state only.
+    Each sample, t = 0 included, is handed to on_sample(state), when given,
+    as the SimState itself: the hook reads its t, u and v and must not
+    change them, and what it forms through the state's held values
+    (v_face_grad, v_min, u_min) the stepper reads without forming again.
+    The trajectory keeps the final sample only.  T = 0 records the initial
+    state only.
     """
     traj = Trajectory(grid=initial.grid, params=initial.params)
     for state in samples(initial, T, traj.reports, sample_times, safety, max_dt,
                          v_floor):
         traj.times.append(state.t)
         if on_sample is not None:
-            on_sample(state.t, state.u, state.v)
+            on_sample(state)
     traj.u_snapshots = [state.u]
     traj.v_snapshots = [state.v]
     return traj

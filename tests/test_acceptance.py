@@ -352,9 +352,9 @@ def test_criterion_14_determinism(tmp_path):
             params=params)
         us, vs = [], []
 
-        def keep(t, u, v):
-            us.append(u.copy())
-            vs.append(v.copy())
+        def keep(s):
+            us.append(s.u.copy())
+            vs.append(s.v.copy())
 
         run(state, 0.05, sample_times=np.linspace(0.0, 0.05, 51),
             on_sample=keep)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logsense_ks import diagnostics
+from logsense_ks import diagnostics, simulator
 from logsense_ks.diagnostics import (
     ACC_FIELDS,
     Accumulator,
@@ -259,7 +259,7 @@ def test_accumulator_integrals_match_the_dense_formulas():
     v = 1.0 + 0.3 * CosineSpatial((1, 2, 1)).values(g)
     phis, phi_v = _entropy_check_phis(g, 1.0)
     accumulator = Accumulator(g, params, phis, phi_v)
-    accumulator.add(0.0, u, v)
+    accumulator.add(SimState(t=0.0, grid=g, u=u, v=v, params=params))
     got = accumulator._series[0]
     d = diagnostics._densities(u, v, params, accumulator.coef.kappa, g)
     vol = g.cell_volume
@@ -594,9 +594,9 @@ def test_a_phis_figures_do_not_depend_on_the_other_phis(g):
     v_only = Accumulator(g, params, phi_v=phi_v)
     passes = [full, bare, v_only] + singles
 
-    def feed(t, u, v):
+    def feed(s):
         for accumulator in passes:
-            accumulator.add(t, u, v)
+            accumulator.add(s)
 
     run(state, T, sample_times=times, on_sample=feed)
     full, bare, v_only, *singles = [a.finish() for a in passes]
@@ -655,9 +655,9 @@ def test_grad_phi_densities_are_formed_only_for_a_factored_column(
                   for name, phis in cases.items()}
         formed = {name: set() for name in cases}
 
-        def feed(t, u, v):
+        def feed(s):
             for name, accumulator in passes.items():
-                d = accumulator.add(t, u, v)
+                d = accumulator.add(s)
                 formed[name].add(d.grad_phi_x2 is not None)
 
         run(state, T, sample_times=times, on_sample=feed)
@@ -672,6 +672,48 @@ def test_grad_phi_densities_are_formed_only_for_a_factored_column(
     reference_formed, reference = one_pass()
     assert set().union(*reference_formed.values()) == {True}
     assert figures == reference
+
+
+def test_a_sample_state_is_read_once_by_the_pass_and_the_stepper(monkeypatch):
+    # simulate's pass: its v norms and the next step's drift share one face
+    # gradient of v per axis, and its constant phi takes no contraction;
+    # its figures equal those of a pass fed a copy of each sample, which
+    # holds nothing for the stepper, and the run equals one without a hook
+    g = Grid(cells=[16, 12], extents=[1.0, 1.2])
+    params = default_params(eps=0.01, s=1.5)
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.2, baseline=0.2)
+    v0 = 1.0 + 0.3 * CosineSpatial((1, 2)).values(g)
+    state = SimState(t=0.0, grid=g, u=u0, v=v0, params=params)
+    T, times = 0.01, np.linspace(0.0, 0.01, 51)
+    phis = [diagnostics.TestFunction(ConstantSpatial(1.0), OneTemporal())]
+    shared = Accumulator(g, params, phis, v_norms=True)
+    copied = Accumulator(g, params, phis, v_norms=True)
+    samples, formed, contractions = [], [], []
+
+    def counting(a, h, axis):
+        formed.append((a, axis))
+        return face_grad_values(a, h, axis)
+
+    monkeypatch.setattr(simulator, "face_grad_values", counting)
+    monkeypatch.setattr(diagnostics._Weights, "contract",
+                        lambda *args: contractions.append(args))
+
+    def feed(s):
+        samples.append(s)
+        shared.add(s)
+        copied.add(SimState(t=s.t, grid=g, u=s.u.copy(), v=s.v.copy(),
+                            params=params))
+
+    traj = run(state, T, sample_times=times, on_sample=feed)
+    assert len(samples) == len(times)
+    for s in samples:
+        assert sorted(ax for a, ax in formed if a is s.v) == list(range(g.dim))
+    assert contractions == []
+    assert _figures(shared.finish()) == _figures(copied.finish())
+    plain = run(state, T, sample_times=times)
+    assert traj.u_snapshots[0].tobytes() == plain.u_snapshots[0].tobytes()
+    assert traj.v_snapshots[0].tobytes() == plain.v_snapshots[0].tobytes()
+    assert traj.reports == plain.reports
 
 
 def _chain_reference(density, vecs):
@@ -732,9 +774,10 @@ def test_v_norms_are_taken_only_when_asked(tmp_path):
     without = Accumulator(g, params)
     want = {"v_lr": [], "grad_v_ls": []}
 
-    def feed(t, u, v):
-        with_norms.add(t, u, v)
-        without.add(t, u, v)
+    def feed(s):
+        v = s.v
+        with_norms.add(s)
+        without.add(s)
         grad_v = [face_grad_values(v, g.h, ax) for ax in range(g.dim)]
         want["v_lr"].append((v**params.r).sum() * g.cell_volume)
         want["grad_v_ls"].append(

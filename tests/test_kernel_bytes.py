@@ -288,7 +288,7 @@ def test_record_norms_and_splitting_check_match_their_expressions(dim, zeros,
                                    diagnostics.OneTemporal())
     acc = Accumulator(g, params, [phi], v_norms=True)
     u_before, v_before = u.copy(), v.copy()
-    acc.add(0.0, u, v)
+    acc.add(SimState(t=0.0, grid=g, u=u, v=v, params=params))
     _bytes_equal(u, u_before)
     _bytes_equal(v, v_before)
     vol = g.cell_volume

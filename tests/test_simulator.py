@@ -59,8 +59,8 @@ def test_initial_state_rejects_bad_data():
 def sample_masses(state, T, **kw):
     """The run and the mass of u at each of its samples."""
     masses = []
-    traj = run(state, T, on_sample=lambda t, u, v: masses.append(
-        float(u.sum() * state.grid.cell_volume)), **kw)
+    traj = run(state, T, on_sample=lambda s: masses.append(
+        float(s.u.sum() * state.grid.cell_volume)), **kw)
     return traj, np.array(masses)
 
 
@@ -68,7 +68,7 @@ def test_constant_steady_state_is_fixed_point():
     state = constant_steady_state()
     seen = []
     run(state, T=0.1, sample_times=[0.05, 0.1],
-        on_sample=lambda t, u, v: seen.append((u.copy(), v.copy())))
+        on_sample=lambda s: seen.append((s.u.copy(), s.v.copy())))
     assert len(seen) == 3
     for u, v in seen:
         assert np.array_equal(u, state.u)
@@ -123,7 +123,7 @@ def test_on_sample_sees_every_sample_and_keeps_the_final_one():
     plain = run(state, T=0.05, sample_times=wanted)
     seen = []
     streamed = run(state, T=0.05, sample_times=wanted,
-                   on_sample=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
+                   on_sample=lambda s: seen.append((s.t, s.u.copy(), s.v.copy())))
     assert [t for t, _, _ in seen] == plain.times == streamed.times
     assert len(seen) == len(wanted)
     assert np.array_equal(seen[0][1], state.u)
@@ -147,9 +147,9 @@ def test_a_yielded_state_is_never_changed(baseline):
     state = initial_state(default_params(), g, u0, constant_field(g, 1.0))
     held, copies = [], []
 
-    def keep(t, u, v):
-        held.append((u, v))
-        copies.append((u.copy(), v.copy()))
+    def keep(s):
+        held.append((s.u, s.v))
+        copies.append((s.u.copy(), s.v.copy()))
 
     traj = run(state, T=0.01, sample_times=np.linspace(0.0, 0.01, 6),
                max_dt=5e-4, on_sample=keep)
@@ -326,6 +326,23 @@ def test_singularity_guard():
                      params=default_params())
     with pytest.raises(SingularityError):
         cfl_dt(state)
+
+
+def test_a_held_tendency_still_enforces_each_callers_floor():
+    # the tendency is formed and held under the default floor; v's minimum
+    # is held with it, and every later call compares it with its own floor
+    state = gaussian_state()
+    cfl_dt(state)
+    assert state._tendency is not None
+    floor = 2.0 * float(state.v.min())
+    with pytest.raises(SingularityError):
+        step(state, 1e-4, v_floor=floor)
+    with pytest.raises(SingularityError):
+        cfl_dt(state, v_floor=floor)
+    new_state, report = step(state, 1e-4)
+    # the new state holds the minima its checks took
+    assert new_state.v_min() == report.min_v == new_state.v.min()
+    assert new_state.u_min() == new_state.u.min()
 
 
 def test_retry_exhaustion_raises_simulation_error():
