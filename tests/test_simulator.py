@@ -1,10 +1,26 @@
+import dataclasses
+import math
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logsense_ks import diagnostics, simulator
+from logsense_ks.cli import _residual_test_functions
+from logsense_ks.diagnostics import (
+    ACC_FIELDS,
+    Accumulator,
+    CosineSpatial,
+    RampDownTemporal,
+    builtin_supersolution_family,
+)
 from logsense_ks.grid import Grid, dct_modes, dct_values, lap_values
 from logsense_ks.params import ModelParams
 from logsense_ks.simulator import (
+    OVERLAP_MIN_CELLS,
     SimState,
     SimulationError,
     STEP_LIMITS,
@@ -18,6 +34,7 @@ from logsense_ks.simulator import (
     initial_state,
     make_initial_field,
     run,
+    samples,
     step,
 )
 
@@ -413,3 +430,229 @@ def test_step_reports_csv(tmp_path):
     assert header == ["step", "t", "dt_used", "cfl_bound", "max_u", "min_v",
                       "retries"]
     assert len(lines) == len(traj.reports) + 1
+
+
+# a sample hook beside the stepper --------------------------------------------------
+
+def overlap_state(cells=128):
+    """entropy-check-128's initial data on a cells x cells grid; 128^2 is the
+    smallest square grid whose hook runs beside the stepper."""
+    g = Grid(cells=[cells, cells], extents=[1.0, 1.0])
+    u0 = gaussian_bump(g, amplitude=1.5, width=0.12, center=[0.55, 0.45],
+                       baseline=0.2)
+    return initial_state(default_params(), g, u0, constant_field(g, 1.0))
+
+
+OVERLAP_T = 0.001
+OVERLAP_TIMES = np.linspace(0.0, OVERLAP_T, 11)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's get and set thread-count functions, with the count set to
+    2 for the test (so that a run holding it to 1 shows) and restored after."""
+    funcs = simulator._openblas_threads()
+    if funcs is None:
+        pytest.skip("numpy links no OpenBLAS")
+    get, put = funcs
+    before = get()
+    put(2)
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+def figures(result):
+    """Every figure of an Accumulated pass as exact text: the record's
+    columns, the accumulated series, the balances, v_weak and u_lr_worst."""
+    record = result.record
+    arrays = [record.times] + [getattr(record, name)
+                               for name in record._columns]
+    arrays += [record.accumulated[name] for name in ACC_FIELDS]
+    return ([a.tobytes() for a in arrays],
+            [repr(dataclasses.asdict(b)) for b in result.balances],
+            repr(result.v_weak), result.u_lr_worst.hex())
+
+
+@pytest.mark.parametrize("v_norms", [False, True],
+                         ids=["entropy-check", "v-norms"])
+def test_an_overlapped_pass_equals_a_serial_one(v_norms, blas_threads):
+    # entropy-check's eight phis and phi_v at 128^2, the hook on a worker
+    # thread that switches often, against the same pass fed on this thread;
+    # simulate's v norms read v's face gradient, which the step takes too
+    state = overlap_state()
+    g, params = state.grid, state.params
+    phis = [phi for _, phi in _residual_test_functions(g, OVERLAP_T)]
+    phis += builtin_supersolution_family(g, OVERLAP_T)
+    phi_v = diagnostics.TestFunction(
+        CosineSpatial((1, 1), amplitude=0.5, offset=1.0),
+        RampDownTemporal(0.9 * OVERLAP_T))
+    assert len(phis) == 8 and math.prod(g.cells) == OVERLAP_MIN_CELLS
+    overlapped = Accumulator(g, params, phis, phi_v, v_norms=v_norms)
+    serial = Accumulator(g, params, phis, phi_v, v_norms=v_norms)
+    threads = set()
+
+    def feed(s):
+        threads.add(threading.current_thread())
+        overlapped.add(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        traj = run(state, OVERLAP_T, sample_times=OVERLAP_TIMES,
+                   on_sample=feed)
+    finally:
+        sys.setswitchinterval(interval)
+    reports = []
+    for s in samples(state, OVERLAP_T, reports, OVERLAP_TIMES):
+        serial.add(s)
+    assert len(threads) == 1 and threading.main_thread() not in threads
+    spacing = OVERLAP_T / 10
+    assert (figures(overlapped.finish(max_sample_dt=spacing))
+            == figures(serial.finish(max_sample_dt=spacing)))
+    assert traj.reports == reports
+    assert traj.times == list(OVERLAP_TIMES)
+    assert traj.u_snapshots[0].tobytes() == s.u.tobytes()
+    assert traj.v_snapshots[0].tobytes() == s.v.tobytes()
+
+
+def test_an_overlapped_hook_sees_the_samples_in_order_one_at_a_time(
+        blas_threads):
+    # the stepper runs ahead while a slow hook holds a sample, yet hands
+    # over the next only after the hook returns; the hook runs in the
+    # caller's context, so its numpy error state holds there
+    get, _ = blas_threads
+    seen, busy, overlapping, seen_state = [], [], [], []
+
+    def hook(s):
+        busy.append(s.t)
+        overlapping.append(len(busy) > 1)
+        seen.append(s.t)
+        seen_state.append((np.geterr()["divide"], get()))
+        time.sleep(0.005)
+        busy.pop()
+
+    with np.errstate(divide="raise"):
+        traj = run(overlap_state(), OVERLAP_T, sample_times=OVERLAP_TIMES,
+                   on_sample=hook)
+    assert seen == traj.times == list(OVERLAP_TIMES)
+    assert not any(overlapping)
+    assert set(seen_state) == {("raise", 1)}
+
+
+def test_a_handed_over_state_holds_what_both_threads_read(blas_threads):
+    # the minima and v's face gradient are formed before hand-off, and the
+    # step's tendency, formed meanwhile, leaves the face gradient held
+    held, kept = [], []
+
+    def hook(s):
+        grad = s._v_face_grad
+        held.append(None not in (grad, s._u_min, s._v_min))
+        if s.t < OVERLAP_T:
+            deadline = time.monotonic() + 10.0
+            while s._tendency is None and time.monotonic() < deadline:
+                time.sleep(1e-4)
+            kept.append(s._tendency is not None and s._v_face_grad is grad)
+
+    run(overlap_state(), OVERLAP_T, sample_times=OVERLAP_TIMES, on_sample=hook)
+    assert held == [True] * len(OVERLAP_TIMES)
+    assert kept == [True] * (len(OVERLAP_TIMES) - 1)
+
+
+class HookFailed(Exception):
+    pass
+
+
+def failing_hook(at, delay=0.0):
+    """A hook raising a HookFailed at the sample at index `at`, after
+    `delay` seconds; the error is kept as .error."""
+    count = iter(range(len(OVERLAP_TIMES)))
+
+    def hook(s):
+        if next(count) == at:
+            time.sleep(delay)
+            hook.error = HookFailed(f"sample {at}")
+            raise hook.error
+    return hook
+
+
+def failing_step(monkeypatch, after, exc_type=SimulationError):
+    """Make every step from a state at or past time `after` raise."""
+    real = simulator.step
+
+    def stepper(state, dt, **kw):
+        if state.t >= after:
+            raise (exc_type(f"forced at t = {state.t}", state.t)
+                   if exc_type is SimulationError else exc_type())
+        return real(state, dt, **kw)
+    monkeypatch.setattr(simulator, "step", stepper)
+
+
+@pytest.mark.parametrize("step_fails", [False, True],
+                         ids=["steps-on", "next-step-fails"])
+@pytest.mark.parametrize("cells", [64, 128], ids=["serial", "overlapped"])
+def test_a_hook_error_surfaces_as_itself(cells, step_fails, monkeypatch):
+    # serially the hook raises before the next step is taken; overlapped,
+    # the next step may fail first, and the hook's error still wins
+    hook = failing_hook(3, delay=0.05)
+    if step_fails:
+        failing_step(monkeypatch, OVERLAP_TIMES[3])
+    with pytest.raises(HookFailed) as err:
+        run(overlap_state(cells), OVERLAP_T, sample_times=OVERLAP_TIMES,
+            on_sample=hook)
+    assert err.value is hook.error
+    assert err.value.__context__ is None
+
+
+@pytest.mark.parametrize("outcome", ["returns", "hook-fails", "step-fails",
+                                     "interrupted"])
+def test_an_overlapped_run_joins_its_worker_and_restores_blas(
+        outcome, blas_threads, monkeypatch):
+    get, _ = blas_threads
+    alive = set(threading.enumerate())
+    hook = failing_hook(4 if outcome == "hook-fails" else None)
+    raised = {"returns": None, "hook-fails": HookFailed,
+              "step-fails": SimulationError,
+              "interrupted": KeyboardInterrupt}[outcome]
+    if raised in (SimulationError, KeyboardInterrupt):
+        failing_step(monkeypatch, OVERLAP_TIMES[5], raised)
+    args = (overlap_state(), OVERLAP_T)
+    if raised is None:
+        run(*args, sample_times=OVERLAP_TIMES, on_sample=hook)
+    else:
+        with pytest.raises(raised):
+            run(*args, sample_times=OVERLAP_TIMES, on_sample=hook)
+    assert set(threading.enumerate()) == alive
+    assert get() == 2
+
+
+def steep_v_state():
+    """overlap_state with a v bump steep enough that OVERLAP_TIMES' spacing
+    (1e-4) holds about three initial CFL bounds (3.3e-5)."""
+    state = overlap_state()
+    g = state.grid
+    v0 = gaussian_bump(g, amplitude=1.0, width=0.05, center=[0.4, 0.6],
+                       baseline=0.1)
+    return initial_state(state.params, g, state.u, v0)
+
+
+@pytest.mark.parametrize("make, max_dt, overlapped", [
+    (lambda: overlap_state(64), None, False),
+    (overlap_state, 5e-5, True),
+    (overlap_state, 4e-5, False),
+    (steep_v_state, None, False),
+], ids=["64x64", "128x128-two-steps-per-sample",
+        "128x128-2.5-steps-per-sample", "128x128-steep-v"])
+def test_the_hook_runs_beside_the_stepper_only_at_few_steps_per_sample(
+        make, max_dt, overlapped, blas_threads):
+    # 64^2 is under OVERLAP_MIN_CELLS; at 128^2 the sample spacing (1e-4)
+    # over the initial step bound, the cap or the CFL bound, decides
+    get, _ = blas_threads
+    seen = []
+    run(make(), OVERLAP_T, sample_times=OVERLAP_TIMES, max_dt=max_dt,
+        on_sample=lambda s: seen.append(
+            (threading.current_thread() is threading.main_thread(), get())))
+    assert seen == [(False, 1) if overlapped else (True, 2)] * len(
+        OVERLAP_TIMES)
+    assert get() == 2
